@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .exhaustion import exhaustion_solve
-from .family import FamilySpec, solve_dbar, solve_family
+from .family import FamilySpec, dbar_rhs, solve_dbar, solve_family
 from .fieldgen import builtin_field
 from .grid import (
     BeltramiField,
@@ -124,6 +124,27 @@ def _mu_from_config(cfg: dict, domain: DomainSpec) -> BeltramiField:
     return BeltramiField.from_raw(builtin_field(_require(cfg, "mu"), domain))
 
 
+def _family_from_config(cfg: dict, domain: DomainSpec,
+                        mu: BeltramiField) -> FamilySpec:
+    spec = _require(cfg, "family")
+    if not isinstance(spec, dict):
+        raise ValidationError("config key 'family' must be a JSON object")
+    grid = _require(spec, "grid")
+    if not (isinstance(grid, list) and all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) for b in grid)):
+        raise ValidationError(f"family grid must be a list of numbers, got {grid!r}")
+    law = spec.get("law", "linear")
+    table = None
+    if law == "table":
+        specs = _require(spec, "mu_table")
+        if not isinstance(specs, list):
+            raise ValidationError(
+                f"family mu_table must be a list of field specs, got {specs!r}")
+        table = tuple(BeltramiField.from_raw(builtin_field(s, domain))
+                      for s in specs)
+    return FamilySpec(mu, tuple(grid), law=law, table=table)
+
+
 def _write_report(out: Path, report: dict) -> None:
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -168,11 +189,6 @@ def _cmd_solve_beltrami(config_path, out, threads, method):
     })
 
 
-def _dbar_rhs(mu: BeltramiField, g: ComplexField, u: ComplexField) -> ComplexField:
-    m = mu.extended.samples
-    return ComplexField(u.domain, (1.0 - np.abs(m) ** 2) * np.conj(g.samples) * u.samples)
-
-
 def _cmd_solve_dbar(config_path, out, threads, method):
     cfg = _load_config(config_path)
     domain = _domain_from_config(cfg)
@@ -181,12 +197,10 @@ def _cmd_solve_dbar(config_path, out, threads, method):
     u = builtin_field(_require(cfg, "u"), domain)
     out = _prepare_out(out, config_path)
 
-    imm = solve_immersion(mu, solver_cfg, method=method)
     result = solve_dbar(mu, u, solver_cfg, method=method)
-    rhs = _dbar_rhs(mu, imm.g, u)
     write_field(out / "mu_raw.field", mu.raw)
     write_field(out / "u.field", u)
-    write_field(out / "rhs.field", rhs)
+    write_field(out / "rhs.field", result.rhs)
     write_field(out / "f.field", result.f)
     write_residual_trace_csv(out / "residual_trace.csv", result.diagnostics.trace)
     write_pgm_heatmaps(out, "f", result.f)
@@ -207,19 +221,10 @@ def _cmd_sweep_family(config_path, out, threads, method):
     solver_cfg = _solver_from_config(cfg)
     mu = _mu_from_config(cfg, domain)
     u = builtin_field(_require(cfg, "u"), domain)
-    family_spec = _require(cfg, "family")
-    grid = tuple(float(b) for b in _require(family_spec, "grid"))
-    law = family_spec.get("law", "linear")
-    if law == "table":
-        table = tuple(
-            BeltramiField.from_raw(builtin_field(spec, domain))
-            for spec in _require(family_spec, "mu_table")
-        )
-        family = FamilySpec(mu, grid, law="table", table=table)
-    else:
-        family = FamilySpec(mu, grid, law="linear")
+    family = _family_from_config(cfg, domain, mu)
     out = _prepare_out(out, config_path)
 
+    grid = family.parameter_grid
     sweep = solve_family(family, [u] * len(grid), solver_cfg,
                          method=method, threads=threads)
     write_field(out / "mu_raw.field", mu.raw)
@@ -230,11 +235,8 @@ def _cmd_sweep_family(config_path, out, threads, method):
         if entry.result is None:
             record["error"] = entry.error
         else:
-            mu_b = family.realize(idx)
-            imm = solve_immersion(mu_b, solver_cfg, method=method)
-            rhs = _dbar_rhs(mu_b, imm.g, u)
             write_field(out / f"f_{idx:03d}.field", entry.result.f)
-            write_field(out / f"rhs_{idx:03d}.field", rhs)
+            write_field(out / f"rhs_{idx:03d}.field", entry.result.rhs)
             record["iterations"] = entry.result.diagnostics.iterations
             record["interior_residual"] = entry.result.diagnostics.interior_residual
         entries_report.append(record)
@@ -242,7 +244,7 @@ def _cmd_sweep_family(config_path, out, threads, method):
     _write_report(out, {
         "command": "sweep-family",
         "method": method,
-        "law": law,
+        "law": family.law,
         "parameters": list(grid),
         "entries": entries_report,
         "lipschitz_constant": sweep.lipschitz_constant,
@@ -267,8 +269,8 @@ def _cmd_exhaust(config_path, out, threads, method):
     mu_last = BeltramiField.from_raw(
         ComplexField(last_domain, mu.raw.samples))
     imm = solve_immersion(mu_last, solver_cfg, method=method)
-    u_last = ComplexField(last_domain, u.samples)
-    rhs = _dbar_rhs(mu_last, imm.g, u_last)
+    rhs = ComplexField(last_domain, dbar_rhs(mu_last.extended.samples,
+                                             imm.g.samples, u.samples))
     residual = beltrami_residual(f, mu_last, rhs)
     write_field(out / "mu_raw.field", mu.raw)
     write_field(out / "u.field", u)
@@ -394,7 +396,8 @@ def _common_options(fn):
                       default="spectral", show_default=True,
                       help="Transform implementation.")(fn)
     fn = click.option("--threads", type=int, default=0, show_default=True,
-                      help="Worker threads for family sweeps (0 = auto).")(fn)
+                      help="Worker threads for table-law family sweeps "
+                           "(0 = auto); linear-law sweeps run on one thread.")(fn)
     fn = click.option("--out", required=True,
                       type=click.Path(file_okay=False, path_type=Path),
                       help="Output directory.")(fn)

@@ -28,7 +28,13 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import BeltramiError, DegenerateFrame, ValidationError
+from .errors import (
+    BeltramiError,
+    ContractionTooLarge,
+    DegenerateFrame,
+    NoConvergence,
+    ValidationError,
+)
 from .grid import (
     BeltramiField,
     ComplexField,
@@ -41,8 +47,13 @@ from .grid import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from .solver import SolverConfig, neumann_solve, solve_immersion
-from .transforms import cauchy_transform
+from .solver import (
+    SolverConfig,
+    check_nondegenerate,
+    neumann_solve,
+    solve_immersion,
+)
+from .transforms import beurling_transform, cauchy_transform, estimate_contraction
 
 FRAME_DEGENERACY_TOL = 1e-12
 
@@ -185,8 +196,42 @@ class DbarDiagnostics:
 
 @dataclass(frozen=True)
 class DbarResult:
+    """Particular solution f, the right-hand side it solves, and diagnostics."""
+
     f: ComplexField
     diagnostics: DbarDiagnostics
+    rhs: ComplexField = field(repr=False)
+
+
+def dbar_rhs(m: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Samples of the d-bar right-hand side (1 - |mu|^2) conj(g) u."""
+    return (1.0 - np.abs(m) ** 2) * np.conj(g) * u
+
+
+def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
+                 rhs: ComplexField, phi: ComplexField, iterations: int,
+                 neumann_residual: float, trace: tuple,
+                 method: str) -> DbarResult:
+    """f = P(phi) and its finite-difference residuals on interior Omega."""
+    f = cauchy_transform(phi, method=method)
+    m = mu.extended.samples
+    inner = interior_mask(u.domain)
+    lhs = fd_wirtinger_dbar(f).samples - m * fd_wirtinger_dz(f).samples
+    interior_residual = float(np.max(np.abs((lhs - rhs.samples)[inner])))
+    denom = (1.0 - np.abs(m[inner]) ** 2) * np.conj(g[inner])
+    moving_frame_residual = float(np.max(np.abs(lhs[inner] / denom
+                                                - u.samples[inner])))
+    return DbarResult(
+        f=f,
+        diagnostics=DbarDiagnostics(
+            iterations=iterations,
+            neumann_residual=neumann_residual,
+            interior_residual=interior_residual,
+            moving_frame_residual=moving_frame_residual,
+            trace=trace,
+        ),
+        rhs=rhs,
+    )
 
 
 def solve_dbar(mu: BeltramiField, u: ComplexField,
@@ -196,10 +241,10 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
 
     ``u`` is the moving-frame (0,1) coefficient (cutoff-tapered).  The solve
     reduces to the nonhomogeneous Beltrami equation with right-hand side
-    (1 - |mu|^2) conj(g) u and returns the particular solution f = P(phi).
-    Both residuals of the result are reported: the background Beltrami
-    residual and the equivalent moving-frame one, evaluated with the
-    finite-difference derivative route on interior Omega.
+    (1 - |mu|^2) conj(g) u, returned as ``rhs``, and returns the particular
+    solution f = P(phi).  Both residuals of the result are reported: the
+    background Beltrami residual and the equivalent moving-frame one,
+    evaluated with the finite-difference derivative route on interior Omega.
 
     ``immersion`` may pass a precomputed solve_immersion result for mu.
     """
@@ -207,28 +252,11 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
         raise ValidationError("mu and u live on different DomainSpecs")
     imm = immersion if immersion is not None else \
         solve_immersion(mu, cfg, method=method)
-    m = mu.extended.samples
-    rhs_samples = (1.0 - np.abs(m) ** 2) * np.conj(imm.g.samples) * u.samples
-    rhs = ComplexField(u.domain, rhs_samples)
+    g = imm.g.samples
+    rhs = ComplexField(u.domain, dbar_rhs(mu.extended.samples, g, u.samples))
     res = neumann_solve(mu, rhs, cfg, method=method)
-    f = cauchy_transform(res.phi, method=method)
-
-    inner = interior_mask(u.domain)
-    lhs = fd_wirtinger_dbar(f).samples - m * fd_wirtinger_dz(f).samples
-    interior_residual = float(np.max(np.abs((lhs - rhs_samples)[inner])))
-    denom = ((1.0 - np.abs(m[inner]) ** 2) * np.conj(imm.g.samples[inner]))
-    moving_frame_residual = float(np.max(np.abs(lhs[inner] / denom
-                                                - u.samples[inner])))
-    return DbarResult(
-        f=f,
-        diagnostics=DbarDiagnostics(
-            iterations=res.iterations,
-            neumann_residual=res.final_residual,
-            interior_residual=interior_residual,
-            moving_frame_residual=moving_frame_residual,
-            trace=res.trace,
-        ),
-    )
+    return _dbar_result(mu, g, u, rhs, res.phi, res.iterations,
+                        res.final_residual, res.trace, method)
 
 
 # relative size above which a would-be (0,1) datum's moving (1,0) part is
@@ -296,17 +324,147 @@ def _quadratic_extrapolation_gap(f_prev, f_mid, f_next, f_target) -> float:
     return float(np.max(np.abs(f_target.samples - pred)))
 
 
+@dataclass
+class _SeriesPoint:
+    """A linear-law grid point whose b-power series is still being summed."""
+
+    index: int
+    b: float
+    chain: int          # which datum's d-bar chain feeds psi
+    phi: np.ndarray     # sum of b^n a_n so far
+    psi: np.ndarray     # sum of b^n c_n so far
+    trace: list         # term sizes b^n max(sup|a_n|, sup|c_n|)
+
+
+def _beurling(samples: np.ndarray, domain, method: str) -> np.ndarray:
+    return beurling_transform(ComplexField(domain, samples), method=method).samples
+
+
+def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
+                         u: ComplexField, cfg: SolverConfig,
+                         method: str) -> Optional[DbarResult]:
+    """The result of a point whose last term met the stop test.
+
+    Returns None while a measured residual is still above cfg.tol: the
+    immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
+    d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|.
+    """
+    mu = family.realize(point.index)
+    m = mu.extended.samples
+    domain = u.domain
+    g = _beurling(point.phi, domain, method) + 1.0
+    if float(np.max(np.abs(m * g - point.phi))) <= cfg.tol:
+        rhs = dbar_rhs(m, g, u.samples)
+        psi_step = rhs + m * _beurling(point.psi, domain, method) - point.psi
+        residual = float(np.max(np.abs(psi_step)))
+        if residual <= cfg.tol:
+            check_nondegenerate(g, domain)
+            return _dbar_result(mu, g, u, ComplexField(domain, rhs),
+                                ComplexField(domain, point.psi),
+                                len(point.trace), residual,
+                                tuple(point.trace), method)
+    # the transforms froze the sums; keep summing into copies
+    point.phi, point.psi = point.phi.copy(), point.psi.copy()
+    return None
+
+
+def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
+                         method: str) -> list:
+    """Entries of a linear-law sweep from the b-power series of both fixed points.
+
+    For mu_b = b mu_0 the immersion fixed point is phi_b = sum_{n>=1} b^n a_n
+    with a_1 = mu_0, g_n = S(a_n), a_{n+1} = mu_0 g_n, and the d-bar fixed
+    point is psi_b = sum_{n>=0} b^n c_n with c_0 = u,
+    c_n = r_n + mu_0 S(c_{n-1}) and r_n = (conj(g_n) - |mu_0|^2 conj(g_{n-2})) u
+    (g_0 = 1, g_{-1} = 0): the b-expansion of the rhs (1 - b^2|mu_0|^2)
+    conj(g_b) u.  One recurrence serves every grid point at two Beurling
+    applies per term (one more per extra distinct datum).  Each point adds
+    b^n times the new terms to its own sums and is finished once its term size
+    reaches cfg.tol and its measured residuals pass, so its result is bitwise
+    independent of the other grid points.  One contraction estimate of mu_0
+    gates every point at b * q_0.
+    """
+    grid = family.parameter_grid
+    domain = family.base_mu.domain
+    m0 = family.base_mu.extended.samples
+    abs2 = np.abs(m0) ** 2
+    q0 = estimate_contraction(family.base_mu, cfg.contraction_iterations,
+                              method=method)
+    entries = [None] * len(grid)
+    data = []                       # distinct data, one d-bar chain each
+    live = []
+    for i, b in enumerate(grid):
+        if b * q0 >= cfg.contraction_cap:
+            exc = ContractionTooLarge(b * q0, cfg.contraction_cap)
+            entries[i] = FamilyEntry(b, None, error=str(exc))
+            continue
+        u = u_family[i].samples
+        chain = next((j for j, d in enumerate(data) if np.array_equal(d, u)),
+                     len(data))
+        if chain == len(data):
+            data.append(u)
+        live.append(_SeriesPoint(i, b, chain, np.zeros_like(m0), u.copy(), []))
+
+    a = m0                          # a_n
+    c = list(data)                  # c_{n-1} per chain
+    conj_g2, conj_g1 = 0.0, 1.0     # conj(g_{n-2}), conj(g_{n-1})
+    n = 0
+    while live and n < cfg.max_iter:
+        n += 1
+        g = _beurling(a, domain, method)
+        conj_g = np.conj(g)
+        c_size = {}
+        for j in sorted({p.chain for p in live}):
+            r = (conj_g - abs2 * conj_g2) * data[j]
+            c[j] = r + m0 * _beurling(c[j], domain, method)
+            c_size[j] = float(np.max(np.abs(c[j])))
+        a_size = float(np.max(np.abs(a)))
+        pending = []
+        for p in live:
+            bn = p.b ** n
+            p.phi += bn * a
+            p.psi += bn * c[p.chain]
+            p.trace.append(bn * max(a_size, c_size[p.chain]))
+            if p.trace[-1] > cfg.tol:
+                pending.append(p)
+                continue
+            try:
+                result = _finish_series_point(family, p, u_family[p.index],
+                                              cfg, method)
+            except BeltramiError as exc:
+                entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
+                continue
+            if result is None:
+                pending.append(p)
+            else:
+                entries[p.index] = FamilyEntry(p.b, result)
+        live = pending
+        a = m0 * g
+        conj_g2, conj_g1 = conj_g1, conj_g
+    for p in live:
+        exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
+        entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
+    return entries
+
+
 def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(),
                  method: str = "spectral", threads: int = 1) -> FamilySweepResult:
     """Solve the d-bar problem at every parameter of the family.
 
     ``u_family`` is a list of moving-frame data aligned with the parameter
-    grid.  Solves are independent per parameter (results are stored by index,
-    so thread scheduling cannot change the output); per-parameter failures
-    are recorded in their entry rather than failing the sweep.  The report
-    carries adjacent sup differences with a single fitted Lipschitz constant,
-    and quadratic-extrapolation gaps when the grid is uniform with at least
-    four points.
+    grid.  A linear-law family with two or more grid points is solved as one
+    power series in b (see ``_solve_linear_series``): a single recurrence of
+    two Beurling applies per term feeds every grid point, and an entry's
+    ``iterations`` is the number of series terms it used, its ``trace`` the
+    sizes of those terms.  Table-law families and one-point grids run one
+    immersion and one Neumann d-bar solve per parameter; only these use
+    ``threads`` (results are stored by index, so thread scheduling cannot
+    change the output).  Either way an entry does not depend on the other
+    grid points, and per-parameter failures are recorded in their entry
+    rather than failing the sweep.  The report carries adjacent sup
+    differences with a single fitted Lipschitz constant, and
+    quadratic-extrapolation gaps when the grid is uniform with at least four
+    points.
     """
     grid = family.parameter_grid
     if len(u_family) != len(grid):
@@ -323,7 +481,9 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
             return FamilyEntry(grid[i], None, error=str(exc))
 
     indices = range(len(grid))
-    if threads == 1 or len(grid) == 1:
+    if family.law == "linear" and len(grid) > 1:
+        entries = _solve_linear_series(family, u_family, cfg, method)
+    elif threads == 1 or len(grid) == 1:
         entries = [solve_one(i) for i in indices]
     else:
         workers = threads if threads > 0 else None

@@ -30,6 +30,7 @@ from .errors import (
 from .grid import (
     BeltramiField,
     ComplexField,
+    DomainSpec,
     fd_wirtinger_dbar,
     fd_wirtinger_dz,
     interior_mask,
@@ -90,11 +91,17 @@ class ImmersionResult:
     trace: tuple = field(repr=False, default=())
 
     def __post_init__(self):
-        gmin = float(np.min(np.abs(self.g.samples[interior_mask(self.g.domain)])))
-        if gmin <= DEGENERACY_TOL:
-            raise DegenerateImmersion(
-                f"min |g| on interior Omega is {gmin:.3e} (<= {DEGENERACY_TOL:g})"
-            )
+        check_nondegenerate(self.g.samples, self.g.domain)
+
+
+def check_nondegenerate(g: np.ndarray, domain: DomainSpec) -> None:
+    """Raise DegenerateImmersion if min |g| on interior Omega is at most
+    DEGENERACY_TOL."""
+    gmin = float(np.min(np.abs(g[interior_mask(domain)])))
+    if gmin <= DEGENERACY_TOL:
+        raise DegenerateImmersion(
+            f"min |g| on interior Omega is {gmin:.3e} (<= {DEGENERACY_TOL:g})"
+        )
 
 
 def neumann_solve(mu: BeltramiField, rhs: ComplexField,

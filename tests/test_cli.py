@@ -160,6 +160,28 @@ def test_sweep_family_table_law_and_verify(tmp_path):
     assert _invoke(["verify", "--out", out]).exit_code == 0
 
 
+@pytest.mark.parametrize("family", [
+    {"law": "quadratic", "grid": [0.0, 1.0]},
+    {"law": "linear", "grid": "abc"},
+    {"law": "table", "grid": [0.0, 1.0], "mu_table": 5},
+], ids=["unknown-law", "string-grid", "scalar-table"])
+def test_sweep_family_config_contract_exits_1(tmp_path, family):
+    cfg = _config(tmp_path, family=family, domain={
+        "half_width": 3.0, "resolution": 32,
+        "omega": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        "margin": 0.8,
+    })
+    out = tmp_path / "fam"
+    result = _invoke(["sweep-family", "--config", cfg, "--out", out])
+    assert result.exit_code == 1, result.output
+    assert not out.exists()
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["kind"] == "ValidationError"
+    assert payload["exit_code"] == 1
+
+
 def test_exhaust_run_and_verify(tmp_path):
     cfg = _config(
         tmp_path,

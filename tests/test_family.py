@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     BeltramiField,
@@ -22,9 +24,10 @@ from beltrami import (
     omega_mask,
     solve_dbar,
     solve_family,
+    solve_immersion,
 )
 
-from conftest import disc_domain, mu_constant, smooth_random_field
+from conftest import disc_domain, mu_bump, mu_constant, smooth_random_field
 
 
 def _random_instance(domain, seed):
@@ -247,6 +250,89 @@ def test_single_point_family_reduces_to_dbar(dom64):
     assert np.array_equal(sweep.entries[0].result.f.samples, direct.f.samples)
     assert sweep.adjacent_differences == ()
     assert sweep.lipschitz_constant is None
+
+
+# ---------------------------------------------------------------------------
+# linear-law sweeps as one power series in b
+# ---------------------------------------------------------------------------
+
+EIGHTHS = tuple(k / 8 for k in range(9))
+
+
+def mu_strong(domain):
+    """Constant 0.5 plus a centred 0.3 bump: sup |mu| = 0.8."""
+    raw = constant_field(domain, 0.5) + gaussian_bump_field(domain, 0.3, width=0.5)
+    return BeltramiField.from_raw(raw)
+
+
+@pytest.mark.parametrize("resolution", [64, 128])
+@pytest.mark.parametrize("make_mu", [mu_constant, mu_strong],
+                         ids=["constant", "strong"])
+def test_linear_sweep_matches_per_entry_dbar(resolution, make_mu):
+    dom = disc_domain(resolution)
+    family = FamilySpec(make_mu(dom), EIGHTHS)
+    u = disc_indicator_field(dom)
+    cfg = SolverConfig()
+    sweep = solve_family(family, [u] * 9, cfg)
+    om = omega_mask(dom)
+    for i, entry in enumerate(sweep.entries):
+        assert entry.b == EIGHTHS[i]
+        direct = solve_dbar(family.realize(i), u, cfg)
+        gap = np.max(np.abs((entry.result.f - direct.f).samples[om]))
+        assert gap <= 1e-10, (entry.b, gap)
+        assert entry.result.diagnostics.neumann_residual <= cfg.tol
+        assert len(entry.result.diagnostics.trace) == \
+            entry.result.diagnostics.iterations
+
+
+def test_linear_sweep_no_convergence_only_where_terms_run_out(dom64):
+    family = FamilySpec(mu_strong(dom64), (0.0, 0.001, 0.01, 0.5, 1.0))
+    u = disc_indicator_field(dom64)
+    full = solve_family(family, [u] * 5)
+    capped = solve_family(family, [u] * 5, SolverConfig(max_iter=5))
+    needs = [e.result.diagnostics.iterations for e in full.entries]
+    assert min(needs) <= 5 < max(needs)
+    for need, ref, entry in zip(needs, full.entries, capped.entries):
+        if need <= 5:
+            assert np.array_equal(entry.result.f.samples, ref.result.f.samples)
+        else:
+            assert entry.result is None
+            assert "no convergence after 5 iterations" in entry.error
+
+
+def test_family_entries_return_their_rhs(dom128):
+    mu = mu_constant(dom128)
+    u = disc_indicator_field(dom128)
+    family = FamilySpec(mu, EIGHTHS)
+    sweep = solve_family(family, [u] * 9)
+    for i, entry in enumerate(sweep.entries):
+        mu_b = family.realize(i)
+        g = solve_immersion(mu_b).g.samples
+        expected = (1.0 - np.abs(mu_b.extended.samples) ** 2) * np.conj(g) * u.samples
+        assert np.max(np.abs(entry.result.rhs.samples - expected)) <= 1e-10
+    # the per-parameter path returns the rhs its Neumann solve used
+    table = FamilySpec(mu, (0.0, 1.0), law="table", table=(mu.scaled(0.5), mu))
+    for i, entry in enumerate(solve_family(table, [u] * 2).entries):
+        direct = solve_dbar(table.realize(i), u)
+        assert np.array_equal(entry.result.rhs.samples, direct.rhs.samples)
+
+
+_DOM32 = disc_domain(32)
+_MU32 = mu_bump(_DOM32, 0.5)
+_U32 = disc_indicator_field(_DOM32)
+_FULL32 = []
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.sampled_from(range(9)), min_size=2, max_size=9, unique=True))
+def test_linear_sweep_entries_independent_of_grid(indices):
+    if not _FULL32:
+        _FULL32.extend(solve_family(FamilySpec(_MU32, EIGHTHS), [_U32] * 9).entries)
+    grid = tuple(EIGHTHS[i] for i in indices)
+    sweep = solve_family(FamilySpec(_MU32, grid), [_U32] * len(grid))
+    for i, entry in zip(indices, sweep.entries):
+        assert entry.b == _FULL32[i].b
+        assert np.array_equal(entry.result.f.samples, _FULL32[i].result.f.samples)
 
 
 # ---------------------------------------------------------------------------
