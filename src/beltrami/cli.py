@@ -13,8 +13,11 @@ Exit codes: 0 success, 1 validation error, 2 solver/verification error,
 from __future__ import annotations
 
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -31,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .exhaustion import exhaustion_solve
-from .family import FamilySpec, dbar_rhs, solve_dbar, solve_family
+from .family import FamilySpec, solve_dbar, solve_family
 from .fieldgen import builtin_field
 from .grid import (
     BeltramiField,
@@ -50,16 +53,17 @@ from .io import (
     write_residual_trace_csv,
 )
 from .solver import SolverConfig, beltrami_residual, solve_immersion
-from .transforms import beurling_transform, cauchy_transform, estimate_contraction
+from .transforms import beurling_transform, cauchy_transform
 
 CONFIG_SCHEMA_VERSION = 1
-
-_SOLVER_ERRORS = (ContractionTooLarge, NoConvergence, DegenerateImmersion,
-                  DegenerateFrame, RungeApproximationFailure)
 
 
 class VerificationMismatch(BeltramiError):
     pass
+
+
+_EXIT_2 = (VerificationMismatch, ContractionTooLarge, NoConvergence,
+           DegenerateImmersion, DegenerateFrame, RungeApproximationFailure)
 
 
 # ---------------------------------------------------------------------------
@@ -82,58 +86,82 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+_MISSING = object()
+
+
+def _require(cfg: dict, key: str, default=_MISSING):
+    """cfg[key], or ``default`` if one is given and the key is absent."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"expected a JSON object with {key!r}, got {cfg!r}")
+    if key not in cfg and default is _MISSING:
         raise ValidationError(f"config is missing required key {key!r}")
-    return cfg[key]
+    return cfg.get(key, default)
+
+
+def _number(value, what: str, integer: bool = False):
+    """A finite config number as a float (an integral one as an int when
+    ``integer``); anything else raises ValidationError, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    if integer:
+        if not x.is_integer():
+            raise ValidationError(f"{what} must be an integer, got {value!r}")
+        return int(value)
+    return x
+
+
+def _numbers(value, what: str, length: int | None = None) -> list:
+    """A list of config numbers (of exactly ``length`` entries if given)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise ValidationError(f"{what} must be a list of {size}numbers, got {value!r}")
+    return [_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
 
 
 def _domain_from_config(cfg: dict) -> DomainSpec:
     spec = _require(cfg, "domain")
     omega_spec = _require(spec, "omega")
-    shape = omega_spec.get("shape")
+    shape = _require(omega_spec, "shape", None)
     if shape == "disc":
-        center = omega_spec.get("center", [0.0, 0.0])
-        omega = Disc(complex(center[0], center[1]), float(_require(omega_spec, "radius")))
+        cx, cy = _numbers(_require(omega_spec, "center", [0.0, 0.0]),
+                          "disc center", 2)
+        omega = Disc(complex(cx, cy),
+                     _number(_require(omega_spec, "radius"), "disc radius"))
     elif shape == "rect":
-        corners = _require(omega_spec, "corners")
-        if len(corners) != 4:
-            raise ValidationError("rect omega needs corners [x0, y0, x1, y1]")
-        omega = Rect(*map(float, corners))
+        omega = Rect(*_numbers(_require(omega_spec, "corners"),
+                               "rect corners [x0, y0, x1, y1]", 4))
     else:
         raise ValidationError(f"unknown omega shape {shape!r}")
     return DomainSpec(
-        half_width=float(_require(spec, "half_width")),
-        resolution=int(_require(spec, "resolution")),
+        half_width=_number(_require(spec, "half_width"), "half_width"),
+        resolution=_number(_require(spec, "resolution"), "resolution",
+                           integer=True),
         omega=omega,
-        margin=float(_require(spec, "margin")),
+        margin=_number(_require(spec, "margin"), "margin"),
     )
 
 
 def _solver_from_config(cfg: dict) -> SolverConfig:
-    spec = cfg.get("solver", {})
-    return SolverConfig(
-        tol=float(spec.get("tol", 1e-10)),
-        max_iter=int(spec.get("max_iter", 200)),
-        contraction_cap=float(spec.get("contraction_cap", 0.9)),
-        contraction_iterations=int(spec.get("contraction_iterations", 8)),
-    )
-
-
-def _mu_from_config(cfg: dict, domain: DomainSpec) -> BeltramiField:
-    return BeltramiField.from_raw(builtin_field(_require(cfg, "mu"), domain))
+    """Absent keys of the optional 'solver' object keep the defaults."""
+    spec = _require(cfg, "solver", {})
+    return SolverConfig(**{
+        f.name: _number(_require(spec, f.name, f.default), f"solver {f.name}",
+                        integer=isinstance(f.default, int))
+        for f in fields(SolverConfig)
+    })
 
 
 def _family_from_config(cfg: dict, domain: DomainSpec,
                         mu: BeltramiField) -> FamilySpec:
     spec = _require(cfg, "family")
-    if not isinstance(spec, dict):
-        raise ValidationError("config key 'family' must be a JSON object")
-    grid = _require(spec, "grid")
-    if not (isinstance(grid, list) and all(
-            isinstance(b, (int, float)) and not isinstance(b, bool) for b in grid)):
-        raise ValidationError(f"family grid must be a list of numbers, got {grid!r}")
-    law = spec.get("law", "linear")
+    grid = _numbers(_require(spec, "grid"), "family grid")
+    law = _require(spec, "law", "linear")
     table = None
     if law == "table":
         specs = _require(spec, "mu_table")
@@ -145,33 +173,104 @@ def _family_from_config(cfg: dict, domain: DomainSpec,
     return FamilySpec(mu, tuple(grid), law=law, table=table)
 
 
+def _exhaustion_from_config(cfg: dict) -> tuple:
+    spec = _require(cfg, "exhaustion")
+    return (_numbers(_require(spec, "radii"), "exhaustion radii"),
+            _number(_require(spec, "taylor_degree"), "taylor_degree",
+                    integer=True))
+
+
+# Config inputs in parse order; a parser sees the inputs parsed before it.
+_INPUTS = {
+    "solver": lambda cfg, run: _solver_from_config(cfg),
+    "mu": lambda cfg, run: BeltramiField.from_raw(
+        builtin_field(_require(cfg, "mu"), run.domain)),
+    "u": lambda cfg, run: builtin_field(_require(cfg, "u"), run.domain),
+    "family": lambda cfg, run: _family_from_config(cfg, run.domain, run.mu),
+    "exhaustion": lambda cfg, run: _exhaustion_from_config(cfg),
+}
+
+
 def _write_report(out: Path, report: dict) -> None:
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _prepare_out(out, config_path) -> Path:
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_bytes(Path(config_path).read_bytes())
-    return out
+def _execute(body, needs, config_path, out, threads, method):
+    """Parse the domain and each input in ``needs``, and only then create
+    ``out`` (a config that fails validation leaves none) and run ``body``."""
+    cfg = _load_config(config_path)
+    run = SimpleNamespace(threads=threads, method=method,
+                          domain=_domain_from_config(cfg))
+    for key, parse in _INPUTS.items():
+        if key in needs:
+            setattr(run, key, parse(cfg, run))
+    run.out = out
+    run.out.mkdir(parents=True, exist_ok=True)
+    (run.out / "config.json").write_bytes(Path(config_path).read_bytes())
+    body(run)
+
+
+# ---------------------------------------------------------------------------
+# click wiring
+# ---------------------------------------------------------------------------
+
+def _emit_error(exc: BaseException, exit_code: int):
+    payload = {"error": str(exc), "kind": type(exc).__name__, "exit_code": exit_code}
+    click.echo(json.dumps(payload), err=True)
+    sys.exit(exit_code)
+
+
+def _run(fn, *args):
+    try:
+        fn(*args)
+    except (ValidationError, FieldFormatError) as exc:
+        _emit_error(exc, 1)
+    except _EXIT_2 as exc:
+        _emit_error(exc, 2)
+    except OSError as exc:
+        _emit_error(exc, 3)
+
+
+@click.group()
+@click.version_option(__version__)
+def main():
+    """Beltrami / d-bar equation solver batch front-end."""
+
+
+def _command(name: str, *needs: str):
+    """Register a body as CLI command ``name`` (its docstring is the help)
+    that reads the config inputs ``needs``, keys of _INPUTS."""
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--config", required=True, help="JSON config path.",
+                      type=click.Path(exists=True, dir_okay=False, path_type=Path))
+        @click.option("--out", required=True, help="Output directory.",
+                      type=click.Path(file_okay=False, path_type=Path))
+        @click.option("--threads", type=int, default=0, show_default=True,
+                      help="Worker threads for table-law family sweeps "
+                           "(0 = auto); linear-law sweeps run on one thread.")
+        @click.option("--method", type=click.Choice(["spectral", "quadrature"]),
+                      default="spectral", show_default=True,
+                      help="Transform implementation.")
+        def command(config, out, threads, method):
+            _run(_execute, body, needs, config, out, threads, method)
+        return body
+    return register
 
 
 # ---------------------------------------------------------------------------
 # command bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_solve_beltrami(config_path, out, threads, method):
-    cfg = _load_config(config_path)
-    domain = _domain_from_config(cfg)
-    solver_cfg = _solver_from_config(cfg)
-    mu = _mu_from_config(cfg, domain)
-    out = _prepare_out(out, config_path)
-
-    result = solve_immersion(mu, solver_cfg, method=method)
-    residual = beltrami_residual(result.h, mu)
-    write_field(out / "mu_raw.field", mu.raw)
+@_command("solve-beltrami", "solver", "mu")
+def _cmd_solve_beltrami(run):
+    """Solve the homogeneous Beltrami equation for the immersion h."""
+    result = solve_immersion(run.mu, run.solver, method=run.method)
+    residual = beltrami_residual(result.h, run.mu)
+    out = run.out
+    write_field(out / "mu_raw.field", run.mu.raw)
     write_field(out / "h.field", result.h)
     write_field(out / "g.field", result.g)
     write_field(out / "phi.field", result.phi)
@@ -179,34 +278,29 @@ def _cmd_solve_beltrami(config_path, out, threads, method):
     write_pgm_heatmaps(out, "h", result.h)
     _write_report(out, {
         "command": "solve-beltrami",
-        "method": method,
+        "method": run.method,
         "iterations": result.iterations,
         "neumann_residual": result.final_residual,
         "interior_residual": residual,
-        "contraction_estimate": estimate_contraction(
-            mu, solver_cfg.contraction_iterations, method=method),
+        "contraction_estimate": result.contraction,
         "fields": ["mu_raw.field", "h.field", "g.field", "phi.field"],
     })
 
 
-def _cmd_solve_dbar(config_path, out, threads, method):
-    cfg = _load_config(config_path)
-    domain = _domain_from_config(cfg)
-    solver_cfg = _solver_from_config(cfg)
-    mu = _mu_from_config(cfg, domain)
-    u = builtin_field(_require(cfg, "u"), domain)
-    out = _prepare_out(out, config_path)
-
-    result = solve_dbar(mu, u, solver_cfg, method=method)
-    write_field(out / "mu_raw.field", mu.raw)
-    write_field(out / "u.field", u)
+@_command("solve-dbar", "solver", "mu", "u")
+def _cmd_solve_dbar(run):
+    """Solve the d-bar equation for the configured mu and datum u."""
+    result = solve_dbar(run.mu, run.u, run.solver, method=run.method)
+    out = run.out
+    write_field(out / "mu_raw.field", run.mu.raw)
+    write_field(out / "u.field", run.u)
     write_field(out / "rhs.field", result.rhs)
     write_field(out / "f.field", result.f)
     write_residual_trace_csv(out / "residual_trace.csv", result.diagnostics.trace)
     write_pgm_heatmaps(out, "f", result.f)
     _write_report(out, {
         "command": "solve-dbar",
-        "method": method,
+        "method": run.method,
         "iterations": result.diagnostics.iterations,
         "neumann_residual": result.diagnostics.neumann_residual,
         "interior_residual": result.diagnostics.interior_residual,
@@ -215,20 +309,15 @@ def _cmd_solve_dbar(config_path, out, threads, method):
     })
 
 
-def _cmd_sweep_family(config_path, out, threads, method):
-    cfg = _load_config(config_path)
-    domain = _domain_from_config(cfg)
-    solver_cfg = _solver_from_config(cfg)
-    mu = _mu_from_config(cfg, domain)
-    u = builtin_field(_require(cfg, "u"), domain)
-    family = _family_from_config(cfg, domain, mu)
-    out = _prepare_out(out, config_path)
-
+@_command("sweep-family", "solver", "mu", "u", "family")
+def _cmd_sweep_family(run):
+    """Solve the d-bar equation across a parameter family of coefficients."""
+    family, out = run.family, run.out
     grid = family.parameter_grid
-    sweep = solve_family(family, [u] * len(grid), solver_cfg,
-                         method=method, threads=threads)
-    write_field(out / "mu_raw.field", mu.raw)
-    write_field(out / "u.field", u)
+    sweep = solve_family(family, [run.u] * len(grid), run.solver,
+                         method=run.method, threads=run.threads)
+    write_field(out / "mu_raw.field", run.mu.raw)
+    write_field(out / "u.field", run.u)
     entries_report = []
     for idx, entry in enumerate(sweep.entries):
         record = {"b": entry.b}
@@ -243,7 +332,7 @@ def _cmd_sweep_family(config_path, out, threads, method):
     write_family_report_csv(out / "family_report.csv", sweep)
     _write_report(out, {
         "command": "sweep-family",
-        "method": method,
+        "method": run.method,
         "law": family.law,
         "parameters": list(grid),
         "entries": entries_report,
@@ -253,34 +342,23 @@ def _cmd_sweep_family(config_path, out, threads, method):
     })
 
 
-def _cmd_exhaust(config_path, out, threads, method):
-    cfg = _load_config(config_path)
-    domain = _domain_from_config(cfg)
-    solver_cfg = _solver_from_config(cfg)
-    mu = _mu_from_config(cfg, domain)
-    u = builtin_field(_require(cfg, "u"), domain)
-    spec = _require(cfg, "exhaustion")
-    radii = [float(r) for r in _require(spec, "radii")]
-    degree = int(_require(spec, "taylor_degree"))
-    out = _prepare_out(out, config_path)
-
-    f, trace = exhaustion_solve(mu, u, radii, degree, solver_cfg, method=method)
-    last_domain = f.domain
-    mu_last = BeltramiField.from_raw(
-        ComplexField(last_domain, mu.raw.samples))
-    imm = solve_immersion(mu_last, solver_cfg, method=method)
-    rhs = ComplexField(last_domain, dbar_rhs(mu_last.extended.samples,
-                                             imm.g.samples, u.samples))
-    residual = beltrami_residual(f, mu_last, rhs)
-    write_field(out / "mu_raw.field", mu.raw)
-    write_field(out / "u.field", u)
-    write_field(out / "rhs.field", rhs)
+@_command("exhaust", "solver", "mu", "u", "exhaustion")
+def _cmd_exhaust(run):
+    """Global solve on the plane via the disc exhaustion scheme."""
+    (radii, degree), out = run.exhaustion, run.out
+    f, trace = exhaustion_solve(run.mu, run.u, radii, degree, run.solver,
+                                method=run.method)
+    mu_last = BeltramiField.from_raw(ComplexField(f.domain, run.mu.raw.samples))
+    residual = beltrami_residual(f, mu_last, trace.rhs)
+    write_field(out / "mu_raw.field", run.mu.raw)
+    write_field(out / "u.field", run.u)
+    write_field(out / "rhs.field", trace.rhs)
     write_field(out / "f.field", f)
     write_exhaustion_trace_csv(out / "exhaust_steps.csv", trace)
     write_pgm_heatmaps(out, "f", f)
     _write_report(out, {
         "command": "exhaust",
-        "method": method,
+        "method": run.method,
         "radii": radii,
         "taylor_degree": degree,
         "interior_residual": residual,
@@ -293,13 +371,11 @@ def _cmd_exhaust(config_path, out, threads, method):
     })
 
 
-def _cmd_oracle_compare(config_path, out, threads, method):
-    cfg = _load_config(config_path)
-    domain = _domain_from_config(cfg)
-    u = builtin_field(_require(cfg, "u"), domain)
-    out = _prepare_out(out, config_path)
-
-    mask = omega_mask(domain)
+@_command("oracle-compare", "u")
+def _cmd_oracle_compare(run):
+    """Compare the spectral and quadrature transforms on the configured field."""
+    u = run.u
+    mask = omega_mask(run.domain)
     p_spec = cauchy_transform(u, method="spectral")
     p_quad = cauchy_transform(u, method="quadrature")
     s_spec = beurling_transform(u, method="spectral")
@@ -308,16 +384,15 @@ def _cmd_oracle_compare(config_path, out, threads, method):
     ds = float(np.max(np.abs((s_spec.samples - s_quad.samples)[mask])))
     for name, fld in (("p_spectral", p_spec), ("p_quadrature", p_quad),
                       ("s_spectral", s_spec), ("s_quadrature", s_quad)):
-        write_field(out / f"{name}.field", fld)
-    _write_report(out, {
+        write_field(run.out / f"{name}.field", fld)
+    _write_report(run.out, {
         "command": "oracle-compare",
         "cauchy_sup_difference_on_omega": dp,
         "beurling_sup_difference_on_omega": ds,
     })
 
 
-def _cmd_verify(config_path, out, threads, method):
-    out = Path(out)
+def _cmd_verify(out: Path):
     report_path = out / "report.json"
     if not report_path.exists():
         raise ValidationError(f"no report.json in {out}")
@@ -325,31 +400,28 @@ def _cmd_verify(config_path, out, threads, method):
     cfg = _load_config(out / "config.json")
     domain = _domain_from_config(cfg)
     command = report.get("command")
+    if command not in ("solve-beltrami", "solve-dbar", "sweep-family", "exhaust"):
+        raise ValidationError(f"cannot verify runs of command {command!r}")
+    if command == "exhaust":
+        domain = DomainSpec(domain.half_width, domain.resolution,
+                            Disc(0j, float(report["radii"][-1])), domain.margin)
+    mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", domain))
 
-    def recheck(stored: float, recomputed: float, what: str):
+    def recheck(record: dict, what: str, mu_, name: str, rhs_name=None):
+        f = read_field(out / name, domain)
+        rhs = None if rhs_name is None else read_field(out / rhs_name, domain)
+        stored = record["interior_residual"]
+        recomputed = beltrami_residual(f, mu_, rhs)
         if abs(stored - recomputed) > 1e-12:
             raise VerificationMismatch(
                 f"{what}: stored {stored:.17g}, recomputed {recomputed:.17g}"
             )
 
     if command == "solve-beltrami":
-        mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", domain))
-        h = read_field(out / "h.field", domain)
-        recheck(report["interior_residual"], beltrami_residual(h, mu),
-                "interior_residual")
+        recheck(report, "interior_residual", mu, "h.field")
     elif command in ("solve-dbar", "exhaust"):
-        check_domain = domain
-        if command == "exhaust":
-            radii = report["radii"]
-            check_domain = DomainSpec(domain.half_width, domain.resolution,
-                                      Disc(0j, float(radii[-1])), domain.margin)
-        mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", check_domain))
-        f = read_field(out / "f.field", check_domain)
-        rhs = read_field(out / "rhs.field", check_domain)
-        recheck(report["interior_residual"], beltrami_residual(f, mu, rhs),
-                "interior_residual")
-    elif command == "sweep-family":
-        mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", domain))
+        recheck(report, "interior_residual", mu, "f.field", "rhs.field")
+    else:
         table_specs = cfg.get("family", {}).get("mu_table", ())
         for idx, record in enumerate(report["entries"]):
             if "error" in record:
@@ -359,93 +431,9 @@ def _cmd_verify(config_path, out, threads, method):
             else:
                 mu_b = BeltramiField.from_raw(
                     builtin_field(table_specs[idx], domain))
-            f = read_field(out / f"f_{idx:03d}.field", domain)
-            rhs = read_field(out / f"rhs_{idx:03d}.field", domain)
-            recheck(record["interior_residual"], beltrami_residual(f, mu_b, rhs),
-                    f"entry {idx} interior_residual")
-    else:
-        raise ValidationError(f"cannot verify runs of command {command!r}")
+            recheck(record, f"entry {idx} interior_residual", mu_b,
+                    f"f_{idx:03d}.field", f"rhs_{idx:03d}.field")
     click.echo(f"verify: {command} run reproduced within 1e-12")
-
-
-# ---------------------------------------------------------------------------
-# click wiring
-# ---------------------------------------------------------------------------
-
-def _emit_error(exc: BaseException, exit_code: int):
-    payload = {"error": str(exc), "kind": type(exc).__name__, "exit_code": exit_code}
-    click.echo(json.dumps(payload), err=True)
-    sys.exit(exit_code)
-
-
-def _run(body, config, out, threads, method):
-    try:
-        body(config, out, threads, method)
-    except (ValidationError, FieldFormatError) as exc:
-        _emit_error(exc, 1)
-    except VerificationMismatch as exc:
-        _emit_error(exc, 2)
-    except _SOLVER_ERRORS as exc:
-        _emit_error(exc, 2)
-    except OSError as exc:
-        _emit_error(exc, 3)
-
-
-def _common_options(fn):
-    fn = click.option("--method", type=click.Choice(["spectral", "quadrature"]),
-                      default="spectral", show_default=True,
-                      help="Transform implementation.")(fn)
-    fn = click.option("--threads", type=int, default=0, show_default=True,
-                      help="Worker threads for table-law family sweeps "
-                           "(0 = auto); linear-law sweeps run on one thread.")(fn)
-    fn = click.option("--out", required=True,
-                      type=click.Path(file_okay=False, path_type=Path),
-                      help="Output directory.")(fn)
-    fn = click.option("--config", required=True,
-                      type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                      help="JSON config path.")(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Beltrami / d-bar equation solver batch front-end."""
-
-
-@main.command("solve-beltrami")
-@_common_options
-def solve_beltrami_cmd(config, out, threads, method):
-    """Solve the homogeneous Beltrami equation for the immersion h."""
-    _run(_cmd_solve_beltrami, config, out, threads, method)
-
-
-@main.command("solve-dbar")
-@_common_options
-def solve_dbar_cmd(config, out, threads, method):
-    """Solve the d-bar equation for the configured mu and datum u."""
-    _run(_cmd_solve_dbar, config, out, threads, method)
-
-
-@main.command("sweep-family")
-@_common_options
-def sweep_family_cmd(config, out, threads, method):
-    """Solve the d-bar equation across a parameter family of coefficients."""
-    _run(_cmd_sweep_family, config, out, threads, method)
-
-
-@main.command("exhaust")
-@_common_options
-def exhaust_cmd(config, out, threads, method):
-    """Global solve on the plane via the disc exhaustion scheme."""
-    _run(_cmd_exhaust, config, out, threads, method)
-
-
-@main.command("oracle-compare")
-@_common_options
-def oracle_compare_cmd(config, out, threads, method):
-    """Compare the spectral and quadrature transforms on the configured field."""
-    _run(_cmd_oracle_compare, config, out, threads, method)
 
 
 @main.command("verify")
@@ -454,16 +442,14 @@ def oracle_compare_cmd(config, out, threads, method):
               help="Directory of a previous run.")
 def verify_cmd(out):
     """Recompute the residuals of a saved run and compare to its report."""
-    _run(lambda c, o, t, m: _cmd_verify(c, o, t, m), None, out, 0, "spectral")
+    _run(_cmd_verify, out)
 
 
 def entry():
     """Console entry point; maps usage errors to the validation exit code."""
     try:
         main(standalone_mode=False)
-    except click.UsageError as exc:
-        _emit_error(exc, 1)
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # usage errors included
         _emit_error(exc, 1)
 
 

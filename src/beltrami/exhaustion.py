@@ -14,7 +14,7 @@ zero everywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -126,7 +126,10 @@ class ExhaustionStep:
 
 @dataclass(frozen=True)
 class ExhaustionTrace:
+    """Per-step records and the right-hand side the last step solved."""
+
     steps: tuple
+    rhs: ComplexField = field(repr=False)
 
 
 def exhaustion_solve(mu: BeltramiField, u: ComplexField,
@@ -144,7 +147,8 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     radius 0.8 * previous_radius, and subtracts it, so earlier discs stay
     fixed within the geometric budget 2^-step * cfg.tol.
 
-    With a single radius this is exactly solve_dbar on that disc.
+    With a single radius this is exactly solve_dbar on that disc.  The trace
+    also carries the rhs that the returned f solves on the last disc.
     """
     radii = [float(r) for r in radii]
     if len(radii) == 0:
@@ -165,12 +169,10 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
         u_n = ComplexField(domain, _geometry(domain).cutoff * u.samples)
         return solve_dbar(mu_n, u_n, cfg, method=method)
 
-    first = solve_on(step_domain(radii[0]))
-    current = first.f
-    steps = [ExhaustionStep(1, radii[0], first.diagnostics.iterations,
+    result = solve_on(step_domain(radii[0]))
+    current = result.f
+    steps = [ExhaustionStep(1, radii[0], result.diagnostics.iterations,
                             0.0, 0.0, cfg.tol * 0.5)]
-    if len(radii) == 1:
-        return current, ExhaustionTrace(tuple(steps))
 
     for n, r in enumerate(radii[1:], start=2):
         prev_radius = radii[n - 2]
@@ -190,4 +192,4 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
             n, r, result.diagnostics.iterations,
             float(np.max(np.abs(poly[prev_mask]))), approx_error, budget))
 
-    return current, ExhaustionTrace(tuple(steps))
+    return current, ExhaustionTrace(tuple(steps), result.rhs)

@@ -38,10 +38,9 @@ from .errors import (
 from .grid import (
     BeltramiField,
     ComplexField,
+    _fd_beltrami_defect,
     _geometry,
     _holder_seminorm_masked,
-    fd_wirtinger_dbar,
-    fd_wirtinger_dz,
     interior_mask,
     sup_norm,
     wirtinger_dbar,
@@ -49,8 +48,8 @@ from .grid import (
 )
 from .solver import (
     SolverConfig,
+    _neumann_loop,
     check_nondegenerate,
-    neumann_solve,
     solve_immersion,
 )
 from .transforms import beurling_transform, cauchy_transform, estimate_contraction
@@ -216,7 +215,7 @@ def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
     f = cauchy_transform(phi, method=method)
     m = mu.extended.samples
     inner = interior_mask(u.domain)
-    lhs = fd_wirtinger_dbar(f).samples - m * fd_wirtinger_dz(f).samples
+    lhs = _fd_beltrami_defect(f, mu)
     interior_residual = float(np.max(np.abs((lhs - rhs.samples)[inner])))
     denom = (1.0 - np.abs(m[inner]) ** 2) * np.conj(g[inner])
     moving_frame_residual = float(np.max(np.abs(lhs[inner] / denom
@@ -247,6 +246,8 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     evaluated with the finite-difference derivative route on interior Omega.
 
     ``immersion`` may pass a precomputed solve_immersion result for mu.
+    The d-bar iteration runs behind the contraction gate that the immersion
+    solve for the same mu passed, so mu is estimated once.
     """
     if mu.domain != u.domain:
         raise ValidationError("mu and u live on different DomainSpecs")
@@ -254,7 +255,7 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
         solve_immersion(mu, cfg, method=method)
     g = imm.g.samples
     rhs = ComplexField(u.domain, dbar_rhs(mu.extended.samples, g, u.samples))
-    res = neumann_solve(mu, rhs, cfg, method=method)
+    res = _neumann_loop(mu, rhs, imm.contraction, cfg, method)
     return _dbar_result(mu, g, u, rhs, res.phi, res.iterations,
                         res.final_residual, res.trace, method)
 

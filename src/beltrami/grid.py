@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from scipy.special import erf
@@ -340,17 +340,33 @@ class BeltramiField:
 # spectral Wirtinger derivatives
 # ---------------------------------------------------------------------------
 
+class _Multipliers(NamedTuple):
+    """Fourier multipliers of one (N, L) grid, zero on the Nyquist lines:
+    dz = symbol of d/dz, P = 1 / symbol of d/dzbar (0 at the zero mode) and
+    S = dz * P = conj(xi)/xi, the unimodular Beurling symbol."""
+
+    dz: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _dz_multiplier(resolution: int, half_width: float) -> np.ndarray:
+def _multipliers(resolution: int, half_width: float) -> _Multipliers:
     h = 2.0 * half_width / resolution
     k = 2.0 * np.pi * np.fft.fftfreq(resolution, d=h)
     KX, KY = np.meshgrid(k, k)
-    m = 0.5j * (KX - 1j * KY)
-    if resolution % 2 == 0:
-        m[resolution // 2, :] = 0.0  # Nyquist has no signed partner
-        m[:, resolution // 2] = 0.0
-    m.setflags(write=False)
-    return m
+    keep = np.ones((resolution, resolution))
+    keep[resolution // 2, :] = 0.0
+    keep[:, resolution // 2] = 0.0
+    xi = KX + 1j * KY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
+    m_P[0, 0] = 0.0
+    m_dz = 0.5j * np.conj(xi) * keep
+    table = _Multipliers(m_dz, m_P, m_dz * m_P)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def wirtinger_dz(f: ComplexField) -> ComplexField:
@@ -359,7 +375,7 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
     Accurate on Omega for fields smooth on the square and near-periodic
     (all solver-produced fields, by construction of the margin).
     """
-    m = _dz_multiplier(f.domain.resolution, f.domain.half_width)
+    m = _multipliers(f.domain.resolution, f.domain.half_width).dz
     return ComplexField(f.domain, np.fft.ifft2(m * np.fft.fft2(f.samples)))
 
 
@@ -382,6 +398,11 @@ def _fd4(samples: np.ndarray, axis: int, h: float) -> np.ndarray:
             - 8 * r(samples, 1, axis) + r(samples, 2, axis)) / (12.0 * h)
 
 
+def _fd_xy(f: ComplexField) -> tuple:
+    h = f.domain.spacing
+    return _fd4(f.samples, 1, h), _fd4(f.samples, 0, h)
+
+
 def fd_wirtinger_dz(f: ComplexField) -> ComplexField:
     """4th-order centered-difference d/dz; exact on affine fields.
 
@@ -389,18 +410,21 @@ def fd_wirtinger_dz(f: ComplexField) -> ComplexField:
     and columns, far outside Omega.  Used by the residual checks as the
     derivative route independent of the spectral pipeline.
     """
-    h = f.domain.spacing
-    fx = _fd4(f.samples, 1, h)
-    fy = _fd4(f.samples, 0, h)
+    fx, fy = _fd_xy(f)
     return ComplexField(f.domain, 0.5 * (fx - 1j * fy))
 
 
 def fd_wirtinger_dbar(f: ComplexField) -> ComplexField:
     """4th-order centered-difference d/dzbar; see fd_wirtinger_dz."""
-    h = f.domain.spacing
-    fx = _fd4(f.samples, 1, h)
-    fy = _fd4(f.samples, 0, h)
+    fx, fy = _fd_xy(f)
     return ComplexField(f.domain, 0.5 * (fx + 1j * fy))
+
+
+def _fd_beltrami_defect(f: ComplexField, mu: BeltramiField) -> np.ndarray:
+    """Samples of f_zbar - mu f_z from one pair of 4th-order x/y stencils;
+    callers check that f and mu share a DomainSpec."""
+    fx, fy = _fd_xy(f)
+    return 0.5 * (fx + 1j * fy) - mu.extended.samples * (0.5 * (fx - 1j * fy))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from .grid import (
     BeltramiField,
     ComplexField,
     DomainSpec,
-    fd_wirtinger_dbar,
-    fd_wirtinger_dz,
+    _fd_beltrami_defect,
     interior_mask,
     make_coordinate_field,
 )
@@ -77,17 +76,19 @@ class NeumannResult:
     iterations: int
     final_residual: float
     trace: tuple  # sup-norm residual per iteration
+    contraction: float  # the gate's estimate of the contraction factor
 
 
 @dataclass(frozen=True)
 class ImmersionResult:
-    """Immersion h, derivative field g = dh/dz, and the Neumann fixed point."""
+    """Immersion h, g = dh/dz, the Neumann fixed point and its gate estimate."""
 
     h: ComplexField
     g: ComplexField
     phi: ComplexField
     iterations: int
     final_residual: float
+    contraction: float
     trace: tuple = field(repr=False, default=())
 
     def __post_init__(self):
@@ -123,7 +124,13 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
     q = estimate_contraction(mu, cfg.contraction_iterations, method=method)
     if q >= cfg.contraction_cap:
         raise ContractionTooLarge(q, cfg.contraction_cap)
+    return _neumann_loop(mu, rhs, q, cfg, method)
 
+
+def _neumann_loop(mu: BeltramiField, rhs: ComplexField, contraction: float,
+                  cfg: SolverConfig, method: str) -> NeumannResult:
+    """The iteration of neumann_solve, for callers that already passed the
+    contraction gate for mu (value ``contraction``) with rhs on its domain."""
     m = mu.extended.samples
     r = rhs.samples
     phi = r.copy()
@@ -135,7 +142,7 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
         trace.append(residual)
         if residual <= cfg.tol:
             return NeumannResult(ComplexField(rhs.domain, phi), k,
-                                 residual, tuple(trace))
+                                 residual, tuple(trace), contraction)
         phi = nxt
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
 
@@ -153,7 +160,8 @@ def solve_immersion(mu: BeltramiField, cfg: SolverConfig = SolverConfig(),
     h = z + cauchy_transform(res.phi, method=method)
     g = beurling_transform(res.phi, method=method) + 1.0
     return ImmersionResult(h=h, g=g, phi=res.phi, iterations=res.iterations,
-                           final_residual=res.final_residual, trace=res.trace)
+                           final_residual=res.final_residual,
+                           contraction=res.contraction, trace=res.trace)
 
 
 def beltrami_residual(h: ComplexField, mu: BeltramiField,
@@ -167,8 +175,7 @@ def beltrami_residual(h: ComplexField, mu: BeltramiField,
     """
     if h.domain != mu.domain:
         raise ValidationError("h and mu live on different DomainSpecs")
-    res = (fd_wirtinger_dbar(h).samples
-           - mu.extended.samples * fd_wirtinger_dz(h).samples)
+    res = _fd_beltrami_defect(h, mu)
     if rhs is not None:
         if rhs.domain != h.domain:
             raise ValidationError("rhs lives on a different DomainSpec")

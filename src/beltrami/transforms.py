@@ -40,7 +40,9 @@ from .grid import (
     BeltramiField,
     ComplexField,
     DomainSpec,
-    _geometry,
+    _multipliers,
+    tapered_coordinate_conjugate,
+    wirtinger_dz,
 )
 
 METHODS = ("spectral", "quadrature")
@@ -58,36 +60,17 @@ def _check_method(method: str):
 # ---------------------------------------------------------------------------
 
 class _SpectralPlan:
-    """Fourier multiplier tables for one (N, L) grid plus one domain's taper.
+    """One domain's mean-mode profile (the multipliers are per (N, L)).
 
-    m_P is 1 / symbol(d/dzbar) = 2/(i*xi) away from the zero mode and the
-    Nyquist lines; m_S = symbol(d/dz) * m_P = conj(xi)/xi, the classical
-    unimodular Beurling symbol.  ``w`` is the tapered conjugate coordinate
-    carrying the mean mode and ``dz_w`` its spectral z-derivative, so the
-    identity S = d/dz o P holds exactly, mean mode included.
-    """
+    ``w`` is the tapered conjugate coordinate carrying the mean mode and
+    ``dz_w`` its spectral z-derivative, so the identity S = d/dz o P holds
+    exactly, mean mode included."""
 
     def __init__(self, domain: DomainSpec):
-        N, L = domain.resolution, domain.half_width
-        h = domain.spacing
-        k = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
-        KX, KY = np.meshgrid(k, k)
-        keep = np.ones((N, N))
-        keep[N // 2, :] = 0.0
-        keep[:, N // 2] = 0.0
-        xi = KX + 1j * KY
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
-        m_P[0, 0] = 0.0
-        m_dz = 0.5j * np.conj(xi) * keep
-        self.m_P = m_P
-        self.m_S = m_dz * m_P
-        g = _geometry(domain)
-        self.w = g.cutoff * np.conj(g.z)
+        w = tapered_coordinate_conjugate(domain)
+        self.w = w.samples
         self.w_mean = complex(np.mean(self.w))
-        self.dz_w = np.fft.ifft2(m_dz * np.fft.fft2(self.w))
-        for arr in (self.m_P, self.m_S, self.w, self.dz_w):
-            arr.setflags(write=False)
+        self.dz_w = wirtinger_dz(w).samples
 
 
 @lru_cache(maxsize=64)
@@ -95,16 +78,12 @@ def _plan(domain: DomainSpec) -> _SpectralPlan:
     return _SpectralPlan(domain)
 
 
-def _cauchy_spectral(samples: np.ndarray, plan: _SpectralPlan) -> np.ndarray:
+def _spectral(samples: np.ndarray, multiplier: np.ndarray,
+              mean_profile: np.ndarray) -> np.ndarray:
+    """Apply a multiplier; the mean mode is carried by ``mean_profile``."""
     spec = np.fft.fft2(samples)
     mean = spec[0, 0] / samples.size
-    return np.fft.ifft2(plan.m_P * spec) + mean * plan.w
-
-
-def _beurling_spectral(samples: np.ndarray, plan: _SpectralPlan) -> np.ndarray:
-    spec = np.fft.fft2(samples)
-    mean = spec[0, 0] / samples.size
-    return np.fft.ifft2(plan.m_S * spec) + mean * plan.dz_w
+    return np.fft.ifft2(multiplier * spec) + mean * mean_profile
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +128,14 @@ def _quad_convolve(samples: np.ndarray, kernel_hat: np.ndarray,
     return out * cell_area
 
 
+def _beurling(samples: np.ndarray, domain: DomainSpec, method: str) -> np.ndarray:
+    if method == "spectral":
+        m_S = _multipliers(domain.resolution, domain.half_width).S
+        return _spectral(samples, m_S, _plan(domain).dz_w)
+    q = _quad_plan(domain)
+    return _quad_convolve(samples, q.beurling_hat, q.cell_area)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -172,14 +159,15 @@ def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexFiel
         spectral path (both methods share the pinning).
     """
     _check_method(method)
-    plan = _plan(phi.domain)
+    d = phi.domain
     if method == "spectral":
-        return ComplexField(phi.domain, _cauchy_spectral(phi.samples, plan))
-    q = _quad_plan(phi.domain)
+        m_P = _multipliers(d.resolution, d.half_width).P
+        return ComplexField(d, _spectral(phi.samples, m_P, _plan(d).w))
+    q = _quad_plan(d)
     out = _quad_convolve(phi.samples, q.cauchy_hat, q.cell_area)
     # re-pin the additive constant to the spectral gauge
-    out += np.mean(phi.samples) * plan.w_mean - np.mean(out)
-    return ComplexField(phi.domain, out)
+    out += np.mean(phi.samples) * _plan(d).w_mean - np.mean(out)
+    return ComplexField(d, out)
 
 
 def beurling_transform(phi: ComplexField, method: str = "spectral") -> ComplexField:
@@ -190,12 +178,7 @@ def beurling_transform(phi: ComplexField, method: str = "spectral") -> ComplexFi
     -1/(pi zeta^2) (principal value, singular cell exactly 0).
     """
     _check_method(method)
-    if method == "spectral":
-        plan = _plan(phi.domain)
-        return ComplexField(phi.domain, _beurling_spectral(phi.samples, plan))
-    q = _quad_plan(phi.domain)
-    out = _quad_convolve(phi.samples, q.beurling_hat, q.cell_area)
-    return ComplexField(phi.domain, out)
+    return ComplexField(phi.domain, _beurling(phi.samples, phi.domain, method))
 
 
 def estimate_contraction(mu: BeltramiField, iterations: int = 8,
@@ -210,7 +193,6 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations!r}")
     _check_method(method)
-    plan = _plan(mu.domain) if method == "spectral" else None
     m = mu.extended.samples
     v = m.copy()
     q = 0.0
@@ -218,31 +200,7 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
         norm = float(np.max(np.abs(v)))
         if norm == 0.0:
             break
-        if method == "spectral":
-            v = m * _beurling_spectral(v, plan)
-        else:
-            qp = _quad_plan(mu.domain)
-            v = m * _quad_convolve(v, qp.beurling_hat, qp.cell_area)
+        v = m * _beurling(v, mu.domain, method)
         q = max(q, float(np.max(np.abs(v))) / norm)
     return q
 
-
-def cauchy_transform_direct(phi: ComplexField) -> ComplexField:
-    """Reference O(N^4) midpoint sum for the Cauchy transform.
-
-    Literally the double loop the quadrature method is defined as; used by
-    the tests to certify that the padded-FFT evaluation is the same sum.
-    Unpinned gauge (raw sum).  Unusable beyond small N.
-    """
-    g = _geometry(phi.domain)
-    z = g.z.ravel()
-    vals = phi.samples.ravel()
-    h2 = phi.domain.spacing ** 2
-    out = np.empty(z.size, dtype=np.complex128)
-    for i in range(z.size):
-        diff = z[i] - z
-        diff[i] = 1.0  # singular cell: exact centered integral is 0
-        kern = 1.0 / (np.pi * diff)
-        kern[i] = 0.0
-        out[i] = np.sum(kern * vals) * h2
-    return ComplexField(phi.domain, out.reshape(phi.samples.shape))

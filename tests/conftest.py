@@ -75,3 +75,23 @@ def smooth_random_field(domain: DomainSpec, seed: int, modes: int = 6,
         acc = acc + amp * np.exp(1j * k0 * (kx * z.real + ky * z.imag))
     acc *= scale * cutoff_field(domain)
     return ComplexField(domain, acc)
+
+
+def cauchy_transform_direct(phi: ComplexField) -> ComplexField:
+    """Reference O(N^4) midpoint sum for the Cauchy transform.
+
+    Literally the double loop the quadrature method is defined as; certifies
+    that the padded-FFT evaluation is the same sum.  Unpinned gauge (raw
+    sum).  Unusable beyond small N.
+    """
+    z = make_coordinate_field(phi.domain).samples.ravel()
+    vals = phi.samples.ravel()
+    h2 = phi.domain.spacing ** 2
+    out = np.empty(z.size, dtype=np.complex128)
+    for i in range(z.size):
+        diff = z[i] - z
+        diff[i] = 1.0  # singular cell: exact centered integral is 0
+        kern = 1.0 / (np.pi * diff)
+        kern[i] = 0.0
+        out[i] = np.sum(kern * vals) * h2
+    return ComplexField(phi.domain, out.reshape(phi.samples.shape))

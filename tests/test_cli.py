@@ -5,7 +5,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from beltrami import BeltramiField, builtin_field, estimate_contraction
 from beltrami.cli import main
+
+from conftest import disc_domain
 
 
 def _config(tmp_path, name="config.json", **overrides):
@@ -25,6 +28,14 @@ def _config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _domain(resolution=32, **changes):
+    spec = {"half_width": 3.0, "resolution": resolution,
+            "omega": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
+            "margin": 0.8}
+    spec.update(changes)
+    return spec
 
 
 def _invoke(args):
@@ -77,16 +88,48 @@ def test_contraction_error_exits_2(tmp_path):
     assert payload["kind"] == "ContractionTooLarge"
 
 
+def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
+    cfg = _config(tmp_path, domain=_domain(64),
+                  solver={"contraction_iterations": 5})
+    out = tmp_path / "run"
+    assert _invoke(["solve-beltrami", "--config", cfg, "--out", out]).exit_code == 0
+    report = json.loads((out / "report.json").read_text())
+    mu = BeltramiField.from_raw(builtin_field(
+        {"kind": "constant", "value": [0.3, 0.0]}, disc_domain(64)))
+    assert report["contraction_estimate"] == estimate_contraction(mu, 5)
+
+
+# Every numeric config read is checked: non-numbers, bools, non-finite
+# values and non-integral integers exit 1 before --out is created.
 @pytest.mark.parametrize("breakage", [
     {"schema_version": 99},
     {"mu": {"kind": "mystery"}},
     {"domain": {"half_width": 3.0, "resolution": 10,
                 "omega": {"shape": "disc", "radius": 1.0}, "margin": 0.8}},
+    {"domain": _domain(omega={"shape": "disc", "center": [0], "radius": 1.0})},
+    {"domain": _domain(resolution="abc")},
+    {"solver": {"tol": "x"}},
+    {"domain": _domain(omega={"shape": "rect", "corners": "abcd"})},
+    {"domain": _domain(omega={"shape": "disc", "radius": None})},
+    {"domain": _domain(resolution=32.7)},
+    {"solver": {"max_iter": 2.5}},
+    {"domain": _domain(half_width="inf")},
+    {"solver": {"tol": float("inf")}},
+    {"solver": {"contraction_iterations": True}},
+    {"solver": [1e-10]},
+    {"solver": {"tol": 10 ** 400}},
 ])
 def test_config_validation_exits_1(tmp_path, breakage):
     cfg = _config(tmp_path, **breakage)
-    result = _invoke(["solve-beltrami", "--config", cfg, "--out", tmp_path / "r"])
-    assert result.exit_code == 1
+    out = tmp_path / "r"
+    result = _invoke(["solve-beltrami", "--config", cfg, "--out", out])
+    assert result.exit_code == 1, result.output
+    assert not out.exists()
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["kind"] == "ValidationError"
+    assert payload["exit_code"] == 1
 
 
 def test_malformed_json_exits_1(tmp_path):

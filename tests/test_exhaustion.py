@@ -14,8 +14,10 @@ from beltrami import (
     gaussian_bump_field,
     make_coordinate_field,
     solve_dbar,
+    solve_immersion,
     taylor_project,
 )
+from beltrami.family import dbar_rhs
 
 
 def _compact_bump(domain):
@@ -135,6 +137,13 @@ def test_exhaustion_with_nonzero_mu(dom256):
     assert len(trace.steps) == 2
     assert trace.steps[1].approx_error <= trace.steps[1].budget
     assert np.all(np.isfinite(f.samples.view(np.float64)))
+    # the returned rhs is the one an independent immersion solve on the last
+    # disc rebuilds, bit for bit
+    mu_last = BeltramiField.from_raw(ComplexField(f.domain, mu.raw.samples))
+    g = solve_immersion(mu_last).g.samples
+    expected = dbar_rhs(mu_last.extended.samples, g, u.samples)
+    assert trace.rhs.domain == f.domain
+    assert np.array_equal(trace.rhs.samples, expected)
 
 
 def test_runge_failure_on_wide_data(dom128):

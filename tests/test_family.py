@@ -146,6 +146,28 @@ def test_dbar_const_mu_residual(dom256):
     assert res.diagnostics.moving_frame_residual <= 1e-2
 
 
+def test_dbar_solves_estimate_contraction_once(dom64, monkeypatch):
+    # the d-bar iteration runs behind the gate its immersion solve passed
+    import beltrami.family
+    import beltrami.solver
+    from beltrami import estimate_contraction, solve_dbar_form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return estimate_contraction(*args, **kwargs)
+
+    for module in (beltrami.solver, beltrami.family):
+        monkeypatch.setattr(module, "estimate_contraction", counted)
+    mu = mu_constant(dom64)
+    u = disc_indicator_field(dom64)
+    solve_dbar(mu, u)
+    assert calls == [mu]
+    calls.clear()
+    solve_dbar_form(mu, OneFormField("moving", constant_field(dom64, 0.0), u, mu=mu))
+    assert calls == [mu]
+
+
 def test_dbar_linearity_machine_precision(dom128):
     # rotationally symmetric mu makes the residual norms of a bump and its
     # quarter-turned copy identical, forcing equal iteration counts

@@ -140,7 +140,8 @@ def test_degenerate_immersion_guard(dom64):
     z = make_coordinate_field(dom64)
     zero = constant_field(dom64, 0.0)
     with pytest.raises(DegenerateImmersion):
-        ImmersionResult(h=z, g=zero, phi=zero, iterations=1, final_residual=0.0)
+        ImmersionResult(h=z, g=zero, phi=zero, iterations=1, final_residual=0.0,
+                        contraction=0.0)
 
 
 # ---------------------------------------------------------------------------

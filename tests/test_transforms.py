@@ -3,6 +3,8 @@ import pytest
 
 from beltrami import (
     BeltramiField,
+    Disc,
+    DomainSpec,
     ValidationError,
     beurling_transform,
     cauchy_transform,
@@ -13,11 +15,20 @@ from beltrami import (
     make_coordinate_field,
     omega_mask,
     sup_norm,
+    tapered_coordinate_conjugate,
     wirtinger_dbar,
+    wirtinger_dz,
 )
-from beltrami.transforms import _plan, cauchy_transform_direct
+from beltrami.grid import _multipliers
+from beltrami.transforms import _plan
 
-from conftest import corpus, disc_domain, mu_constant, smooth_random_field
+from conftest import (
+    cauchy_transform_direct,
+    corpus,
+    disc_domain,
+    mu_constant,
+    smooth_random_field,
+)
 
 
 def _sup_on(mask, samples):
@@ -154,6 +165,27 @@ def test_cross_method_agreement_random_smooth(dom64):
                       - beurling_transform(phi, "quadrature")).samples)
     assert dp <= 1e-2
     assert ds <= 3e-2
+
+
+def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
+    # one table per (N, L): a second Omega on the same grid reuses it
+    table = _multipliers(64, dom64.half_width)
+    other = DomainSpec(dom64.half_width, 64, Disc(0.2j, 0.5), dom64.margin)
+    assert _multipliers(other.resolution, other.half_width) is table
+    phi = smooth_random_field(dom64, seed=3)
+    spec = np.fft.fft2(phi.samples)
+    mean = spec[0, 0] / phi.samples.size
+    assert np.array_equal(wirtinger_dz(phi).samples,
+                          np.fft.ifft2(table.dz * spec))
+    # the plan keeps only the mean-mode profile: dz_w is wirtinger_dz of w
+    plan = _plan(dom64)
+    w = tapered_coordinate_conjugate(dom64)
+    assert np.array_equal(plan.w, w.samples)
+    assert np.array_equal(plan.dz_w, wirtinger_dz(w).samples)
+    assert np.array_equal(beurling_transform(phi).samples,
+                          np.fft.ifft2(table.S * spec) + mean * plan.dz_w)
+    assert np.array_equal(cauchy_transform(phi).samples,
+                          np.fft.ifft2(table.P * spec) + mean * plan.w)
 
 
 def test_quadrature_equals_direct_sum():
