@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 solver/verification error,
 from __future__ import annotations
 
 import json
-import math
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exhaustion import exhaustion_solve
 from .family import FamilySpec, solve_dbar, solve_family
-from .fieldgen import builtin_field
+from .fieldgen import _number, builtin_field
 from .grid import (
     BeltramiField,
     ComplexField,
@@ -96,24 +96,6 @@ def _require(cfg: dict, key: str, default=_MISSING):
     if key not in cfg and default is _MISSING:
         raise ValidationError(f"config is missing required key {key!r}")
     return cfg.get(key, default)
-
-
-def _number(value, what: str, integer: bool = False):
-    """A finite config number as a float (an integral one as an int when
-    ``integer``); anything else raises ValidationError, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    if integer:
-        if not x.is_integer():
-            raise ValidationError(f"{what} must be an integer, got {value!r}")
-        return int(value)
-    return x
 
 
 def _numbers(value, what: str, length: int | None = None) -> list:
@@ -199,7 +181,9 @@ def _write_report(out: Path, report: dict) -> None:
 
 def _execute(body, needs, config_path, out, threads, method):
     """Parse the domain and each input in ``needs``, and only then create
-    ``out`` (a config that fails validation leaves none) and run ``body``."""
+    ``out`` (a config that fails validation leaves none) and run ``body``.
+    If ``body`` fails, the directories this run created are removed; an
+    ``out`` that already existed is left as it is."""
     cfg = _load_config(config_path)
     run = SimpleNamespace(threads=threads, method=method,
                           domain=_domain_from_config(cfg))
@@ -207,9 +191,19 @@ def _execute(body, needs, config_path, out, threads, method):
         if key in needs:
             setattr(run, key, parse(cfg, run))
     run.out = out
-    run.out.mkdir(parents=True, exist_ok=True)
-    (run.out / "config.json").write_bytes(Path(config_path).read_bytes())
-    body(run)
+    created = None          # the outermost directory this run creates
+    for path in (out, *out.parents):
+        if path.exists():
+            break
+        created = path
+    try:
+        run.out.mkdir(parents=True, exist_ok=True)
+        (run.out / "config.json").write_bytes(Path(config_path).read_bytes())
+        body(run)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

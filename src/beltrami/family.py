@@ -48,11 +48,12 @@ from .grid import (
 )
 from .solver import (
     SolverConfig,
+    _beurling_buffer,
     _neumann_loop,
     check_nondegenerate,
     solve_immersion,
 )
-from .transforms import beurling_transform, cauchy_transform, estimate_contraction
+from .transforms import cauchy_transform, estimate_contraction
 
 FRAME_DEGENERACY_TOL = 1e-12
 
@@ -337,10 +338,6 @@ class _SeriesPoint:
     trace: list         # term sizes b^n max(sup|a_n|, sup|c_n|)
 
 
-def _beurling(samples: np.ndarray, domain, method: str) -> np.ndarray:
-    return beurling_transform(ComplexField(domain, samples), method=method).samples
-
-
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
                          u: ComplexField, cfg: SolverConfig,
                          method: str) -> Optional[DbarResult]:
@@ -353,10 +350,10 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     mu = family.realize(point.index)
     m = mu.extended.samples
     domain = u.domain
-    g = _beurling(point.phi, domain, method) + 1.0
+    g = _beurling_buffer(point.phi, domain, method) + 1.0
     if float(np.max(np.abs(m * g - point.phi))) <= cfg.tol:
         rhs = dbar_rhs(m, g, u.samples)
-        psi_step = rhs + m * _beurling(point.psi, domain, method) - point.psi
+        psi_step = rhs + m * _beurling_buffer(point.psi, domain, method) - point.psi
         residual = float(np.max(np.abs(psi_step)))
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
@@ -364,8 +361,6 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
                                 ComplexField(domain, point.psi),
                                 len(point.trace), residual,
                                 tuple(point.trace), method)
-    # the transforms froze the sums; keep summing into copies
-    point.phi, point.psi = point.phi.copy(), point.psi.copy()
     return None
 
 
@@ -406,25 +401,31 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
             data.append(u)
         live.append(_SeriesPoint(i, b, chain, np.zeros_like(m0), u.copy(), []))
 
-    a = m0                          # a_n
-    c = list(data)                  # c_{n-1} per chain
-    conj_g2, conj_g1 = 0.0, 1.0     # conj(g_{n-2}), conj(g_{n-1})
+    # the recurrence updates buffers allocated here, once per sweep
+    a, a_buffer = m0, np.empty_like(m0)     # a_n
+    c = [d.copy() for d in data]            # c_{n-1} per chain
+    conj_g, conj_g1, conj_g2 = (np.empty_like(m0) for _ in range(3))
+    conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
+    conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
+    weight, tmp = np.empty_like(m0), np.empty_like(m0)
+    magnitude = np.empty(m0.shape)
     n = 0
     while live and n < cfg.max_iter:
         n += 1
-        g = _beurling(a, domain, method)
-        conj_g = np.conj(g)
+        g = _beurling_buffer(a, domain, method)
+        np.conj(g, out=conj_g)
+        np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
         c_size = {}
         for j in sorted({p.chain for p in live}):
-            r = (conj_g - abs2 * conj_g2) * data[j]
-            c[j] = r + m0 * _beurling(c[j], domain, method)
-            c_size[j] = float(np.max(np.abs(c[j])))
-        a_size = float(np.max(np.abs(a)))
+            np.multiply(m0, _beurling_buffer(c[j], domain, method), out=c[j])
+            np.add(np.multiply(weight, data[j], out=tmp), c[j], out=c[j])
+            c_size[j] = float(np.max(np.abs(c[j], out=magnitude)))
+        a_size = float(np.max(np.abs(a, out=magnitude)))
         pending = []
         for p in live:
             bn = p.b ** n
-            p.phi += bn * a
-            p.psi += bn * c[p.chain]
+            p.phi += np.multiply(bn, a, out=tmp)
+            p.psi += np.multiply(bn, c[p.chain], out=tmp)
             p.trace.append(bn * max(a_size, c_size[p.chain]))
             if p.trace[-1] > cfg.tol:
                 pending.append(p)
@@ -440,8 +441,8 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
             else:
                 entries[p.index] = FamilyEntry(p.b, result)
         live = pending
-        a = m0 * g
-        conj_g2, conj_g1 = conj_g1, conj_g
+        a = np.multiply(m0, g, out=a_buffer)
+        conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
         exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
         entries[p.index] = FamilyEntry(p.b, None, error=str(exc))

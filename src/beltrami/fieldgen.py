@@ -2,10 +2,14 @@
 
 Every generator is deterministic in its parameters.  Field specs are plain
 dicts (the CLI config format): {"kind": ..., parameters...}.  Complex scalars
-are given either as a number or as a two-element [re, im] list.
+are given either as a number or as a two-element [re, im] list.  Every number
+is read through ``_number``: non-numbers, bools and non-finite values raise
+ValidationError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,19 +19,41 @@ from .grid import ComplexField, DomainSpec, _geometry, transition_profile
 DEFAULT_INDICATOR_WIDTH = 0.3
 
 
-def _as_complex(value) -> complex:
+def _number(value, what: str, integer: bool = False):
+    """A finite config number as a float (an integral one as an int when
+    ``integer``); anything else raises ValidationError, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    if integer:
+        if not x.is_integer():
+            raise ValidationError(f"{what} must be an integer, got {value!r}")
+        return int(value)
+    return x
+
+
+def _as_complex(value, what: str) -> complex:
+    """A finite complex scalar from a number or an [re, im] pair."""
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
-            raise ValidationError(f"complex values need [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    raise ValidationError(f"cannot interpret {value!r} as a complex scalar")
+            raise ValidationError(f"{what} needs [re, im], got {value!r}")
+        return complex(_number(value[0], f"{what} re"),
+                       _number(value[1], f"{what} im"))
+    if isinstance(value, complex):
+        return complex(_number(value.real, f"{what} re"),
+                       _number(value.imag, f"{what} im"))
+    return complex(_number(value, what))
 
 
 def constant_field(domain: DomainSpec, value: complex) -> ComplexField:
     return ComplexField(domain, np.full((domain.resolution,) * 2,
-                                        _as_complex(value), dtype=np.complex128))
+                                        _as_complex(value, "constant value"),
+                                        dtype=np.complex128))
 
 
 def disc_indicator_field(domain: DomainSpec, amplitude: complex = 1.0,
@@ -44,6 +70,8 @@ def disc_indicator_field(domain: DomainSpec, amplitude: complex = 1.0,
         if not isinstance(domain.omega, Disc):
             raise ValidationError("disc-indicator needs a radius for Rect domains")
         radius = domain.omega.radius
+    radius = _number(radius, "disc-indicator radius")
+    width = _number(width, "disc-indicator width")
     # width == 2*radius degenerates the flat part to the center point, which
     # is the compactly supported bump profile; wider than that is invalid
     if width <= 0 or width > 2 * radius:
@@ -51,7 +79,8 @@ def disc_indicator_field(domain: DomainSpec, amplitude: complex = 1.0,
     g = _geometry(domain)
     rho = np.abs(g.z - (domain.omega.center if hasattr(domain.omega, "center") else 0))
     profile = 1.0 - transition_profile((rho - (radius - width / 2)) / width)
-    return ComplexField(domain, _as_complex(amplitude) * profile)
+    return ComplexField(domain,
+                        _as_complex(amplitude, "disc-indicator amplitude") * profile)
 
 
 def gaussian_bump_field(domain: DomainSpec, amplitude: complex = 1.0,
@@ -61,17 +90,20 @@ def gaussian_bump_field(domain: DomainSpec, amplitude: complex = 1.0,
     The cutoff factor gives exact compact support; the peak sits where the
     cutoff is 1, so the sup-norm equals |amplitude|.
     """
+    width = _number(width, "gaussian-bump width")
     if width <= 0:
         raise ValidationError("gaussian width must be positive")
+    center = _as_complex(center, "gaussian-bump center")
+    amplitude = _as_complex(amplitude, "gaussian-bump amplitude")
     g = _geometry(domain)
-    bump = np.exp(-np.abs(g.z - _as_complex(center)) ** 2 / width ** 2)
-    return ComplexField(domain, _as_complex(amplitude) * bump * g.cutoff)
+    bump = np.exp(-np.abs(g.z - center) ** 2 / width ** 2)
+    return ComplexField(domain, amplitude * bump * g.cutoff)
 
 
 def linear_coordinate_field(domain: DomainSpec, coefficient: complex) -> ComplexField:
     """c * z; as a Beltrami raw coefficient this is mu(z) = c*z."""
     g = _geometry(domain)
-    return ComplexField(domain, _as_complex(coefficient) * g.z)
+    return ComplexField(domain, _as_complex(coefficient, "linear-z coefficient") * g.z)
 
 
 def builtin_field(spec: dict, domain: DomainSpec) -> ComplexField:
@@ -97,14 +129,15 @@ def builtin_field(spec: dict, domain: DomainSpec) -> ComplexField:
         return gaussian_bump_field(
             domain,
             amplitude=spec.get("amplitude", 1.0),
-            center=_as_complex(spec.get("center", 0.0)),
+            center=spec.get("center", 0.0),
             width=spec.get("width", 0.4),
         )
     if kind == "linear-z":
         return linear_coordinate_field(domain, spec.get("coefficient", 0.0))
     if kind == "file":
         from .io import read_field
-        if "path" not in spec:
-            raise ValidationError("file field spec needs a 'path'")
+        if not isinstance(spec.get("path"), str):
+            raise ValidationError(
+                f"file field spec needs a 'path' string, got {spec.get('path')!r}")
         return read_field(spec["path"], domain)
     raise ValidationError(f"unknown field kind {kind!r}")

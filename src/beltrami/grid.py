@@ -369,6 +369,25 @@ def _multipliers(resolution: int, half_width: float) -> _Multipliers:
     return table
 
 
+def _fourier_apply(x: np.ndarray, multiplier: np.ndarray,
+                   out: np.ndarray) -> complex:
+    """out = ifft2(multiplier * fft2(x)), allocating nothing; returns the
+    zero mode fft2(x)[0, 0].
+
+    Per-axis 1-D FFTs in fft2's axis order are bitwise fft2/ifft2, and run
+    in place in ``out`` (which may be ``x``).  The product keeps the
+    multiplier as its first operand: complex multiply is not bitwise
+    commutative.
+    """
+    np.fft.fft(x, axis=1, out=out)
+    np.fft.fft(out, axis=0, out=out)
+    zero_mode = out[0, 0]
+    np.multiply(multiplier, out, out=out)
+    np.fft.ifft(out, axis=1, out=out)
+    np.fft.ifft(out, axis=0, out=out)
+    return zero_mode
+
+
 def wirtinger_dz(f: ComplexField) -> ComplexField:
     """Spectral d/dz = (d/dx - i d/dy)/2 on the periodic square.
 
@@ -376,7 +395,9 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
     (all solver-produced fields, by construction of the margin).
     """
     m = _multipliers(f.domain.resolution, f.domain.half_width).dz
-    return ComplexField(f.domain, np.fft.ifft2(m * np.fft.fft2(f.samples)))
+    out = np.empty_like(f.samples)
+    _fourier_apply(f.samples, m, out)
+    return ComplexField(f.domain, out)
 
 
 def wirtinger_dbar(f: ComplexField) -> ComplexField:

@@ -127,23 +127,35 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
     return _neumann_loop(mu, rhs, q, cfg, method)
 
 
+def _beurling_buffer(samples: np.ndarray, domain: DomainSpec,
+                     method: str) -> np.ndarray:
+    """S(samples) as a new read-only array, through one public (traced)
+    beurling_transform call.  The field wraps a view, so ``samples`` stays
+    writable: loops keep their own buffers."""
+    return beurling_transform(ComplexField(domain, samples.view()),
+                              method=method).samples
+
+
 def _neumann_loop(mu: BeltramiField, rhs: ComplexField, contraction: float,
                   cfg: SolverConfig, method: str) -> NeumannResult:
     """The iteration of neumann_solve, for callers that already passed the
     contraction gate for mu (value ``contraction``) with rhs on its domain."""
     m = mu.extended.samples
     r = rhs.samples
-    phi = r.copy()
+    # phi and nxt ping-pong between two buffers owned by this call
+    phi, nxt, step = r.copy(), np.empty_like(r), np.empty_like(r)
+    magnitude = np.empty(r.shape)
     trace = []
     for k in range(1, cfg.max_iter + 1):
-        nxt = r + m * beurling_transform(
-            ComplexField(rhs.domain, phi), method=method).samples
-        residual = float(np.max(np.abs(nxt - phi)))  # exact residual of phi
+        s = _beurling_buffer(phi, rhs.domain, method)
+        np.add(r, np.multiply(m, s, out=nxt), out=nxt)
+        np.subtract(nxt, phi, out=step)  # exact residual of phi
+        residual = float(np.max(np.abs(step, out=magnitude)))
         trace.append(residual)
         if residual <= cfg.tol:
             return NeumannResult(ComplexField(rhs.domain, phi), k,
                                  residual, tuple(trace), contraction)
-        phi = nxt
+        phi, nxt = nxt, phi
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
 
 

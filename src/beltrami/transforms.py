@@ -40,6 +40,7 @@ from .grid import (
     BeltramiField,
     ComplexField,
     DomainSpec,
+    _fourier_apply,
     _multipliers,
     tapered_coordinate_conjugate,
     wirtinger_dz,
@@ -78,12 +79,23 @@ def _plan(domain: DomainSpec) -> _SpectralPlan:
     return _SpectralPlan(domain)
 
 
+# Byte size of the row blocks through which _spectral adds the mean term.  A
+# full-size temporary (4 MiB at N = 512) is a fresh mapping that is
+# page-faulted on every apply; blocks this small are reused heap memory.
+_MEAN_BLOCK_BYTES = 1 << 16
+
+
 def _spectral(samples: np.ndarray, multiplier: np.ndarray,
               mean_profile: np.ndarray) -> np.ndarray:
-    """Apply a multiplier; the mean mode is carried by ``mean_profile``."""
-    spec = np.fft.fft2(samples)
-    mean = spec[0, 0] / samples.size
-    return np.fft.ifft2(multiplier * spec) + mean * mean_profile
+    """Apply a multiplier; the mean mode is carried by ``mean_profile``.
+
+    Allocates the output; the mean term goes through small row blocks."""
+    out = np.empty_like(samples)
+    mean = _fourier_apply(samples, multiplier, out) / samples.size
+    rows = max(1, _MEAN_BLOCK_BYTES // out[0].nbytes)
+    for lo in range(0, out.shape[0], rows):
+        out[lo:lo + rows] += mean * mean_profile[lo:lo + rows]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +136,8 @@ def _quad_convolve(samples: np.ndarray, kernel_hat: np.ndarray,
     N = samples.shape[0]
     pad = np.zeros((2 * N, 2 * N), dtype=np.complex128)
     pad[:N, :N] = samples
-    out = np.fft.ifft2(np.fft.fft2(pad) * kernel_hat)[:N, :N]
-    return out * cell_area
+    _fourier_apply(pad, kernel_hat, pad)
+    return pad[:N, :N] * cell_area
 
 
 def _beurling(samples: np.ndarray, domain: DomainSpec, method: str) -> np.ndarray:
@@ -194,13 +206,17 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
         raise ValidationError(f"iterations must be >= 1, got {iterations!r}")
     _check_method(method)
     m = mu.extended.samples
-    v = m.copy()
+    magnitude = np.empty(m.shape)
+    norm = float(np.max(np.abs(m, out=magnitude)))
+    v = m
     q = 0.0
     for _ in range(iterations):
-        norm = float(np.max(np.abs(v)))
         if norm == 0.0:
             break
-        v = m * _beurling(v, mu.domain, method)
-        q = max(q, float(np.max(np.abs(v))) / norm)
+        v = _beurling(v, mu.domain, method)  # a fresh array: update it in place
+        np.multiply(m, v, out=v)
+        grown = float(np.max(np.abs(v, out=magnitude)))
+        q = max(q, grown / norm)
+        norm = grown
     return q
 

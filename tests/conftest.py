@@ -95,3 +95,29 @@ def cauchy_transform_direct(phi: ComplexField) -> ComplexField:
         kern[i] = 0.0
         out[i] = np.sum(kern * vals) * h2
     return ComplexField(phi.domain, out.reshape(phi.samples.shape))
+
+
+def fourier_apply_reference(x: np.ndarray, multiplier: np.ndarray,
+                            mean_profile: np.ndarray | None = None) -> np.ndarray:
+    """ifft2(multiplier * fft2(x)) [+ mean(x) * mean_profile] as the plain
+    numpy 2-D FFT expression; the library's in-place applies match it bit
+    for bit.
+
+    fft2(x) is named before the product on purpose: numpy evaluates
+    ``m * np.fft.fft2(x)`` for arrays of 256 KiB or more as the in-place
+    ``fft2(x) *= m``, and complex multiply is not bitwise commutative.
+    """
+    spec = np.fft.fft2(x)
+    out = np.fft.ifft2(multiplier * spec)
+    if mean_profile is not None:
+        out = out + spec[0, 0] / x.size * mean_profile
+    return out
+
+
+def quad_convolve_reference(x: np.ndarray, kernel_hat: np.ndarray,
+                            cell_area: float) -> np.ndarray:
+    """The zero-padded free-space convolution through fourier_apply_reference."""
+    N = x.shape[0]
+    pad = np.zeros((2 * N, 2 * N), dtype=np.complex128)
+    pad[:N, :N] = x
+    return fourier_apply_reference(pad, kernel_hat)[:N, :N] * cell_area

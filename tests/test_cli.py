@@ -99,8 +99,9 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
     assert report["contraction_estimate"] == estimate_contraction(mu, 5)
 
 
-# Every numeric config read is checked: non-numbers, bools, non-finite
-# values and non-integral integers exit 1 before --out is created.
+# Every numeric config read, field specs included, is checked: non-numbers,
+# bools, non-finite values and non-integral integers exit 1 before --out is
+# created.  solve-dbar reads the domain, solver, mu and u.
 @pytest.mark.parametrize("breakage", [
     {"schema_version": 99},
     {"mu": {"kind": "mystery"}},
@@ -118,11 +119,19 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
     {"solver": {"contraction_iterations": True}},
     {"solver": [1e-10]},
     {"solver": {"tol": 10 ** 400}},
+    {"u": {"kind": "gaussian-bump", "width": "x"}},
+    {"u": {"kind": "gaussian-bump", "amplitude": ["x", 0]}},
+    {"u": {"kind": "disc-indicator", "radius": "0.5"}},
+    {"u": {"kind": "disc-indicator", "width": float("nan")}},
+    {"u": {"kind": "gaussian-bump", "center": [0, True]}},
+    {"u": {"kind": "file", "path": 5}},
+    {"mu": {"kind": "constant", "value": True}},
+    {"mu": {"kind": "linear-z", "coefficient": [10 ** 400, 0]}},
 ])
 def test_config_validation_exits_1(tmp_path, breakage):
     cfg = _config(tmp_path, **breakage)
     out = tmp_path / "r"
-    result = _invoke(["solve-beltrami", "--config", cfg, "--out", out])
+    result = _invoke(["solve-dbar", "--config", cfg, "--out", out])
     assert result.exit_code == 1, result.output
     assert not out.exists()
     lines = result.stderr.strip().splitlines()
@@ -130,6 +139,27 @@ def test_config_validation_exits_1(tmp_path, breakage):
     payload = json.loads(lines[0])
     assert payload["kind"] == "ValidationError"
     assert payload["exit_code"] == 1
+
+
+def test_solver_failure_removes_the_out_directory_it_created(tmp_path):
+    cfg = _config(tmp_path, domain=_domain(32),
+                  solver={"contraction_cap": 0.05})
+    out = tmp_path / "new" / "run"
+    result = _invoke(["solve-dbar", "--config", cfg, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["kind"] == "ContractionTooLarge"
+    assert not (tmp_path / "new").exists()
+
+
+def test_solver_failure_keeps_an_out_directory_that_existed(tmp_path):
+    cfg = _config(tmp_path, domain=_domain(32),
+                  solver={"contraction_cap": 0.05})
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    result = _invoke(["solve-dbar", "--config", cfg, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_malformed_json_exits_1(tmp_path):

@@ -21,6 +21,7 @@ from beltrami import (
     gaussian_bump_field,
     interior_mask,
     make_coordinate_field,
+    neumann_solve,
     omega_mask,
     solve_dbar,
     solve_family,
@@ -256,6 +257,25 @@ def test_family_lipschitz_report(dom128):
         assert diff <= sweep.lipschitz_constant * (b_hi - b_lo) * (1 + 1e-12)
     # uniform 5-point grid: extrapolation gaps exist for interior quadruples
     assert len(sweep.extrapolation_errors) == 2
+
+
+def test_results_are_read_only_and_share_no_memory(dom64):
+    # no solver workspace buffer may leak into, or be shared by, results
+    mu = mu_constant(dom64)
+    u = smooth_random_field(dom64, seed=2)
+    family = FamilySpec(mu, (0.0, 0.5, 1.0))
+    arrays = []
+    for _ in range(2):
+        # the zero coefficient returns the loop's first buffer
+        arrays += [neumann_solve(m, u).phi.samples for m in (mu, mu.scaled(0.0))]
+        result = solve_dbar(mu, u)
+        arrays += [result.f.samples, result.rhs.samples]
+        for entry in solve_family(family, [u] * 3).entries:
+            arrays += [entry.result.f.samples, entry.result.rhs.samples]
+    assert not any(a.flags.writeable for a in arrays)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_family_misaligned_data_rejected(dom64):

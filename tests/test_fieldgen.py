@@ -91,6 +91,24 @@ def test_builtin_unknown_kind(dom64):
         builtin_field({"kind": "file"}, dom64)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "value": "0.1"},
+    {"kind": "constant", "value": [0.1, None]},
+    {"kind": "constant", "value": complex(float("inf"), 0)},
+    {"kind": "disc-indicator", "radius": "0.5"},
+    {"kind": "disc-indicator", "width": False},
+    {"kind": "disc-indicator", "amplitude": float("inf")},
+    {"kind": "gaussian-bump", "width": "x"},
+    {"kind": "gaussian-bump", "amplitude": ["x", 0]},
+    {"kind": "gaussian-bump", "center": [float("nan"), 0]},
+    {"kind": "linear-z", "coefficient": {"re": 1}},
+    {"kind": "file", "path": 5},
+])
+def test_field_spec_numbers_are_checked(dom64, spec):
+    with pytest.raises(ValidationError):
+        builtin_field(spec, dom64)
+
+
 def test_complex_scalar_parsing(dom64):
     with pytest.raises(ValidationError):
         builtin_field({"kind": "constant", "value": [1, 2, 3]}, dom64)

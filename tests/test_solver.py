@@ -3,6 +3,7 @@ import pytest
 
 from beltrami import (
     BeltramiField,
+    ComplexField,
     ContractionTooLarge,
     DegenerateImmersion,
     ImmersionResult,
@@ -15,10 +16,11 @@ from beltrami import (
     make_coordinate_field,
     neumann_solve,
     solve_immersion,
+    beurling_transform,
     tapered_coordinate_conjugate,
 )
 
-from conftest import corpus, mu_constant, mu_linear
+from conftest import corpus, mu_bump, mu_constant, mu_linear, smooth_random_field
 
 
 def test_solver_config_validation():
@@ -90,6 +92,24 @@ def test_neumann_no_convergence_carries_state(dom128):
     assert len(exc.trace) == 3
     assert exc.final_residual > 1e-30
     assert exc.phi.shape == (128, 128)
+
+
+def test_neumann_loop_matches_the_allocating_reference_bitwise(dom128):
+    # the buffered loop computes the same iterates as fresh-array arithmetic
+    mu = mu_bump(dom128, 0.5)
+    rhs = smooth_random_field(dom128, seed=5)
+    cfg = SolverConfig()
+    res = neumann_solve(mu, rhs, cfg)
+    m, r = mu.extended.samples, rhs.samples
+    phi, trace = r, []
+    while True:
+        nxt = r + m * beurling_transform(ComplexField(dom128, phi)).samples
+        trace.append(float(np.max(np.abs(nxt - phi))))
+        if trace[-1] <= cfg.tol:
+            break
+        phi = nxt
+    assert res.trace == tuple(trace)
+    assert np.array_equal(res.phi.samples, phi)
 
 
 def test_neumann_domain_mismatch(dom64, dom128):

@@ -3,6 +3,7 @@ import pytest
 
 from beltrami import (
     BeltramiField,
+    ComplexField,
     Disc,
     DomainSpec,
     ValidationError,
@@ -20,13 +21,16 @@ from beltrami import (
     wirtinger_dz,
 )
 from beltrami.grid import _multipliers
-from beltrami.transforms import _plan
+from beltrami.transforms import _plan, _quad_convolve, _quad_plan
 
 from conftest import (
     cauchy_transform_direct,
     corpus,
     disc_domain,
+    fourier_apply_reference,
+    mu_bump,
     mu_constant,
+    quad_convolve_reference,
     smooth_random_field,
 )
 
@@ -188,6 +192,30 @@ def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
                           np.fft.ifft2(table.P * spec) + mean * plan.w)
 
 
+@pytest.mark.parametrize("resolution", [32, 64, 128])
+def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
+    # the in-place per-axis FFT applies are the numpy fft2/ifft2 expression
+    dom = disc_domain(resolution)
+    rng = np.random.default_rng(resolution)
+    shape = (resolution, resolution)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phi = ComplexField(dom, x)
+    table = _multipliers(resolution, dom.half_width)
+    plan = _plan(dom)
+    assert np.array_equal(beurling_transform(phi).samples,
+                          fourier_apply_reference(x, table.S, plan.dz_w))
+    assert np.array_equal(cauchy_transform(phi).samples,
+                          fourier_apply_reference(x, table.P, plan.w))
+    assert np.array_equal(wirtinger_dz(phi).samples,
+                          fourier_apply_reference(x, table.dz))
+    q = _quad_plan(dom)
+    for kernel_hat in (q.cauchy_hat, q.beurling_hat):
+        assert np.array_equal(_quad_convolve(x, kernel_hat, q.cell_area),
+                              quad_convolve_reference(x, kernel_hat, q.cell_area))
+    assert np.array_equal(beurling_transform(phi, "quadrature").samples,
+                          quad_convolve_reference(x, q.beurling_hat, q.cell_area))
+
+
 def test_quadrature_equals_direct_sum():
     # the padded-FFT evaluation is literally the midpoint double sum
     dom = disc_domain(16)
@@ -220,6 +248,18 @@ def test_contraction_one_step_homogeneity(dom64):
     for t in (0.25, 0.5, 1.0):
         scaled = estimate_contraction(mu.scaled(t), 1)
         assert scaled == pytest.approx(t * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["spectral", "quadrature"])
+def test_contraction_matches_the_allocating_power_loop_bitwise(dom64, method):
+    mu = mu_bump(dom64, 0.5)
+    m = mu.extended.samples
+    v, q = m, 0.0
+    for _ in range(8):
+        norm = float(np.max(np.abs(v)))
+        v = m * beurling_transform(ComplexField(dom64, v), method).samples
+        q = max(q, float(np.max(np.abs(v))) / norm)
+    assert estimate_contraction(mu, 8, method=method) == q
 
 
 def test_contraction_validation(dom64):
