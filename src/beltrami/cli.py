@@ -182,8 +182,10 @@ def _write_report(out: Path, report: dict) -> None:
 def _execute(body, needs, config_path, out, threads, method):
     """Parse the domain and each input in ``needs``, and only then create
     ``out`` (a config that fails validation leaves none) and run ``body``.
-    If ``body`` fails, the directories this run created are removed; an
-    ``out`` that already existed is left as it is."""
+    If ``body`` fails, what this run created is removed: ``out`` with its
+    contents, then each parent it created, innermost first, while empty (a
+    parent another run has written into stays).  An ``out`` that already
+    existed is left as it is."""
     cfg = _load_config(config_path)
     run = SimpleNamespace(threads=threads, method=method,
                           domain=_domain_from_config(cfg))
@@ -191,18 +193,23 @@ def _execute(body, needs, config_path, out, threads, method):
         if key in needs:
             setattr(run, key, parse(cfg, run))
     run.out = out
-    created = None          # the outermost directory this run creates
+    created = []            # the directories this run creates, innermost first
     for path in (out, *out.parents):
         if path.exists():
             break
-        created = path
+        created.append(path)
     try:
         run.out.mkdir(parents=True, exist_ok=True)
         (run.out / "config.json").write_bytes(Path(config_path).read_bytes())
         body(run)
     except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
+        if created and created[0] == out:
+            shutil.rmtree(out, ignore_errors=True)
+        for parent in created[1:]:
+            try:
+                parent.rmdir()
+            except OSError:
+                break
         raise
 
 

@@ -10,6 +10,7 @@ ValidationError.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -22,7 +23,8 @@ DEFAULT_INDICATOR_WIDTH = 0.3
 def _number(value, what: str, integer: bool = False):
     """A finite config number as a float (an integral one as an int when
     ``integer``); anything else raises ValidationError, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
@@ -44,7 +46,7 @@ def _as_complex(value, what: str) -> complex:
             raise ValidationError(f"{what} needs [re, im], got {value!r}")
         return complex(_number(value[0], f"{what} re"),
                        _number(value[1], f"{what} im"))
-    if isinstance(value, complex):
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
         return complex(_number(value.real, f"{what} re"),
                        _number(value.imag, f"{what} im"))
     return complex(_number(value, what))

@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from beltrami import BeltramiField, builtin_field, estimate_contraction
+from beltrami import cli
 from beltrami.cli import main
+from beltrami.errors import ContractionTooLarge
 
 from conftest import disc_domain
 
@@ -101,7 +103,8 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
 
 # Every numeric config read, field specs included, is checked: non-numbers,
 # bools, non-finite values and non-integral integers exit 1 before --out is
-# created.  solve-dbar reads the domain, solver, mu and u.
+# created.  Each input runs on solve-beltrami (domain, solver, mu) and on
+# solve-dbar (the same plus u); a u input runs on solve-dbar only.
 @pytest.mark.parametrize("breakage", [
     {"schema_version": 99},
     {"mu": {"kind": "mystery"}},
@@ -130,15 +133,18 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
 ])
 def test_config_validation_exits_1(tmp_path, breakage):
     cfg = _config(tmp_path, **breakage)
-    out = tmp_path / "r"
-    result = _invoke(["solve-dbar", "--config", cfg, "--out", out])
-    assert result.exit_code == 1, result.output
-    assert not out.exists()
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["kind"] == "ValidationError"
-    assert payload["exit_code"] == 1
+    commands = ["solve-dbar"] if "u" in breakage else ["solve-beltrami",
+                                                          "solve-dbar"]
+    for command in commands:
+        out = tmp_path / command
+        result = _invoke([command, "--config", cfg, "--out", out])
+        assert result.exit_code == 1, (command, result.output)
+        assert not out.exists(), command
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, command
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "ValidationError", command
+        assert payload["exit_code"] == 1, command
 
 
 def test_solver_failure_removes_the_out_directory_it_created(tmp_path):
@@ -149,6 +155,24 @@ def test_solver_failure_removes_the_out_directory_it_created(tmp_path):
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr)["kind"] == "ContractionTooLarge"
     assert not (tmp_path / "new").exists()
+
+
+def test_solver_failure_keeps_what_another_run_wrote_under_its_parents(
+        tmp_path, monkeypatch):
+    # run A creates runs/ for --out runs/a; run B writes runs/b meanwhile
+    # and A then fails: A removes runs/a only, runs/ and runs/b stay
+    def other_run_then_fail(*args, **kwargs):
+        (tmp_path / "runs" / "b").mkdir()
+        (tmp_path / "runs" / "b" / "report.json").write_text("{}")
+        raise ContractionTooLarge(0.95, 0.9)
+
+    monkeypatch.setattr(cli, "solve_dbar", other_run_then_fail)
+    cfg = _config(tmp_path, domain=_domain(32))
+    result = _invoke(["solve-dbar", "--config", cfg,
+                      "--out", tmp_path / "runs" / "a"])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "runs" / "a").exists()
+    assert (tmp_path / "runs" / "b" / "report.json").read_text() == "{}"
 
 
 def test_solver_failure_keeps_an_out_directory_that_existed(tmp_path):

@@ -109,6 +109,18 @@ def test_field_spec_numbers_are_checked(dom64, spec):
         builtin_field(spec, dom64)
 
 
+def test_field_spec_numbers_accept_numpy_scalars(dom64):
+    ref = disc_indicator_field(dom64, amplitude=1.0, radius=1.0, width=0.5)
+    f = disc_indicator_field(dom64, amplitude=np.float32(1.0),
+                             radius=np.int64(1), width=np.float32(0.5))
+    assert np.array_equal(f.samples, ref.samples)
+    g = gaussian_bump_field(dom64, amplitude=np.complex64(1 + 0j),
+                            center=np.float64(0.0), width=np.float32(0.5))
+    assert np.array_equal(g.samples,
+                          gaussian_bump_field(dom64, width=0.5).samples)
+    assert constant_field(dom64, np.int64(1)).samples[0, 0] == 1
+
+
 def test_complex_scalar_parsing(dom64):
     with pytest.raises(ValidationError):
         builtin_field({"kind": "constant", "value": [1, 2, 3]}, dom64)
