@@ -130,13 +130,18 @@ def _domain_from_config(cfg: dict) -> DomainSpec:
 
 
 def _solver_from_config(cfg: dict) -> SolverConfig:
-    """Absent keys of the optional 'solver' object keep the defaults."""
+    """Absent keys of the optional 'solver' object keep the defaults; a key
+    that is not a SolverConfig field is refused."""
     spec = _require(cfg, "solver", {})
-    return SolverConfig(**{
+    solver = SolverConfig(**{
         f.name: _number(_require(spec, f.name, f.default), f"solver {f.name}",
                         integer=isinstance(f.default, int))
         for f in fields(SolverConfig)
     })
+    unknown = sorted(set(spec) - {f.name for f in fields(SolverConfig)})
+    if unknown:
+        raise ValidationError(f"unknown solver keys {unknown}")
+    return solver
 
 
 def _family_from_config(cfg: dict, domain: DomainSpec,
@@ -283,7 +288,7 @@ def _cmd_solve_beltrami(run):
         "iterations": result.iterations,
         "neumann_residual": result.final_residual,
         "interior_residual": residual,
-        "contraction_estimate": result.contraction,
+        "contraction_estimate": run.mu.sup_norm,
         "fields": ["mu_raw.field", "h.field", "g.field", "phi.field"],
     })
 
@@ -397,21 +402,27 @@ def _cmd_verify(out: Path):
     report_path = out / "report.json"
     if not report_path.exists():
         raise ValidationError(f"no report.json in {out}")
-    report = json.loads(report_path.read_text())
+    try:
+        report = json.loads(report_path.read_text())
+    except ValueError as exc:
+        raise ValidationError(f"report.json is not valid JSON: {exc}") from exc
     cfg = _load_config(out / "config.json")
     domain = _domain_from_config(cfg)
-    command = report.get("command")
+    command = _require(report, "command")
     if command not in ("solve-beltrami", "solve-dbar", "sweep-family", "exhaust"):
         raise ValidationError(f"cannot verify runs of command {command!r}")
     if command == "exhaust":
+        radii = _numbers(_require(report, "radii"), "report radii")
+        if not radii:
+            raise ValidationError("report radii must not be empty")
         domain = DomainSpec(domain.half_width, domain.resolution,
-                            Disc(0j, float(report["radii"][-1])), domain.margin)
+                            Disc(0j, radii[-1]), domain.margin)
     mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", domain))
 
-    def recheck(record: dict, what: str, mu_, name: str, rhs_name=None):
+    def recheck(record, what: str, mu_, name: str, rhs_name=None):
+        stored = _number(_require(record, "interior_residual"), what)
         f = read_field(out / name, domain)
         rhs = None if rhs_name is None else read_field(out / rhs_name, domain)
-        stored = record["interior_residual"]
         recomputed = beltrami_residual(f, mu_, rhs)
         if abs(stored - recomputed) > 1e-12:
             raise VerificationMismatch(
@@ -423,17 +434,18 @@ def _cmd_verify(out: Path):
     elif command in ("solve-dbar", "exhaust"):
         recheck(report, "interior_residual", mu, "f.field", "rhs.field")
     else:
-        table_specs = cfg.get("family", {}).get("mu_table", ())
-        for idx, record in enumerate(report["entries"]):
-            if "error" in record:
-                continue
-            if report["law"] == "linear":
-                mu_b = mu.scaled(record["b"])
-            else:
-                mu_b = BeltramiField.from_raw(
-                    builtin_field(table_specs[idx], domain))
-            recheck(record, f"entry {idx} interior_residual", mu_b,
-                    f"f_{idx:03d}.field", f"rhs_{idx:03d}.field")
+        family = _family_from_config(cfg, domain, mu)
+        entries = _require(report, "entries")
+        if (not isinstance(entries, list)
+                or len(entries) != len(family.parameter_grid)):
+            raise ValidationError(
+                f"report entries must be a list of one record per family "
+                f"parameter, got {entries!r}")
+        for idx, record in enumerate(entries):
+            if _require(record, "error", None) is None:
+                recheck(record, f"entry {idx} interior_residual",
+                        family.realize(idx), f"f_{idx:03d}.field",
+                        f"rhs_{idx:03d}.field")
     click.echo(f"verify: {command} run reproduced within 1e-12")
 
 

@@ -12,16 +12,18 @@ class ValidationError(BeltramiError):
 
 
 class ContractionTooLarge(BeltramiError):
-    """Estimated contraction factor of mu*S is at or above the configured cap.
+    """sup|mu_ext| of the coefficient is at or above the configured cap.
 
-    Signals that the Beltrami coefficient lies outside the ball on which the
-    Neumann series is guaranteed to converge.
+    The Beurling transform S is unitary on L^2, so sup|mu_ext| bounds the
+    contraction factor of mu*S and hence the rate of the Neumann series;
+    at or above the cap the series is refused.  ``estimate`` holds that
+    sup norm.
     """
 
     def __init__(self, estimate: float, cap: float):
         super().__init__(
-            f"contraction estimate {estimate:.6g} >= cap {cap:.6g}; "
-            "refusing to iterate a non-contractive operator"
+            f"sup|mu_ext| {estimate:.6g} >= contraction cap {cap:.6g}; "
+            "refusing to iterate the Neumann series"
         )
         self.estimate = estimate
         self.cap = cap

@@ -49,11 +49,11 @@ from .grid import (
 from .solver import (
     SolverConfig,
     _beurling_buffer,
-    _neumann_loop,
     check_nondegenerate,
+    neumann_solve,
     solve_immersion,
 )
-from .transforms import cauchy_transform, estimate_contraction
+from .transforms import cauchy_transform
 
 FRAME_DEGENERACY_TOL = 1e-12
 
@@ -247,8 +247,6 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     evaluated with the finite-difference derivative route on interior Omega.
 
     ``immersion`` may pass a precomputed solve_immersion result for mu.
-    The d-bar iteration runs behind the contraction gate that the immersion
-    solve for the same mu passed, so mu is estimated once.
     """
     if mu.domain != u.domain:
         raise ValidationError("mu and u live on different DomainSpecs")
@@ -256,7 +254,7 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
         solve_immersion(mu, cfg, method=method)
     g = imm.g.samples
     rhs = ComplexField(u.domain, dbar_rhs(mu.extended.samples, g, u.samples))
-    res = _neumann_loop(mu, rhs, imm.contraction, cfg, method)
+    res = neumann_solve(mu, rhs, cfg, method)
     return _dbar_result(mu, g, u, rhs, res.phi, res.iterations,
                         res.final_residual, res.trace, method)
 
@@ -377,21 +375,20 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
     applies per term (one more per extra distinct datum).  Each point adds
     b^n times the new terms to its own sums and is finished once its term size
     reaches cfg.tol and its measured residuals pass, so its result is bitwise
-    independent of the other grid points.  One contraction estimate of mu_0
-    gates every point at b * q_0.
+    independent of the other grid points.  Point b is gated on
+    sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve.
     """
     grid = family.parameter_grid
     domain = family.base_mu.domain
     m0 = family.base_mu.extended.samples
     abs2 = np.abs(m0) ** 2
-    q0 = estimate_contraction(family.base_mu, cfg.contraction_iterations,
-                              method=method)
+    sup0 = family.base_mu.sup_norm
     entries = [None] * len(grid)
     data = []                       # distinct data, one d-bar chain each
     live = []
     for i, b in enumerate(grid):
-        if b * q0 >= cfg.contraction_cap:
-            exc = ContractionTooLarge(b * q0, cfg.contraction_cap)
+        if b * sup0 >= cfg.contraction_cap:
+            exc = ContractionTooLarge(b * sup0, cfg.contraction_cap)
             entries[i] = FamilyEntry(b, None, error=str(exc))
             continue
         u = u_family[i].samples

@@ -1,7 +1,7 @@
 """Neumann-series inversion of I - mu*S and quasiconformal immersions.
 
-For a Beltrami coefficient mu with a small contraction factor, the operator
-I - mu*S is inverted by the fixed-point iteration
+For a Beltrami coefficient mu with sup|mu_ext| < 1, the operator I - mu*S is
+inverted by the fixed-point iteration
 
     phi_{k+1} = rhs + mu * S(phi_k),    phi_0 = rhs,
 
@@ -35,7 +35,7 @@ from .grid import (
     interior_mask,
     make_coordinate_field,
 )
-from .transforms import beurling_transform, cauchy_transform, estimate_contraction
+from .transforms import beurling_transform, cauchy_transform
 
 DEGENERACY_TOL = 1e-9
 
@@ -46,16 +46,14 @@ class SolverConfig:
 
     tol: sup-norm residual stop for the fixed-point iteration.
     max_iter: iteration cap; exceeding it raises NoConvergence.
-    contraction_cap: reject coefficients whose estimated contraction factor
-        q reaches this value (the computable stand-in for the smallness ball
-        the series needs).
-    contraction_iterations: power steps used by the precheck estimate.
+    contraction_cap: reject coefficients whose sup|mu_ext| reaches this
+        value.  S is unitary on L^2, so ||mu S|| <= sup|mu_ext| bounds the
+        rate of the series.
     """
 
     tol: float = 1e-10
     max_iter: int = 200
     contraction_cap: float = 0.9
-    contraction_iterations: int = 8
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -66,8 +64,6 @@ class SolverConfig:
             raise ValidationError(
                 f"contraction_cap must lie in (0, 1), got {self.contraction_cap!r}"
             )
-        if self.contraction_iterations < 1:
-            raise ValidationError("contraction_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,19 +72,17 @@ class NeumannResult:
     iterations: int
     final_residual: float
     trace: tuple  # sup-norm residual per iteration
-    contraction: float  # the gate's estimate of the contraction factor
 
 
 @dataclass(frozen=True)
 class ImmersionResult:
-    """Immersion h, g = dh/dz, the Neumann fixed point and its gate estimate."""
+    """Immersion h, g = dh/dz and the Neumann fixed point."""
 
     h: ComplexField
     g: ComplexField
     phi: ComplexField
     iterations: int
     final_residual: float
-    contraction: float
     trace: tuple = field(repr=False, default=())
 
     def __post_init__(self):
@@ -113,33 +107,15 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
     Raises
     ------
     ContractionTooLarge
-        If the power-iteration estimate of the contraction factor reaches
-        cfg.contraction_cap before any iteration is attempted.
+        If sup|mu_ext| reaches cfg.contraction_cap, before any iteration.
     NoConvergence
         If cfg.max_iter applications leave the residual above cfg.tol; the
         exception carries the partial iterate and the residual trace.
     """
     if mu.domain != rhs.domain:
         raise ValidationError("mu and rhs live on different DomainSpecs")
-    q = estimate_contraction(mu, cfg.contraction_iterations, method=method)
-    if q >= cfg.contraction_cap:
-        raise ContractionTooLarge(q, cfg.contraction_cap)
-    return _neumann_loop(mu, rhs, q, cfg, method)
-
-
-def _beurling_buffer(samples: np.ndarray, domain: DomainSpec,
-                     method: str) -> np.ndarray:
-    """S(samples) as a new read-only array, through one public (traced)
-    beurling_transform call.  The field wraps a view, so ``samples`` stays
-    writable: loops keep their own buffers."""
-    return beurling_transform(ComplexField(domain, samples.view()),
-                              method=method).samples
-
-
-def _neumann_loop(mu: BeltramiField, rhs: ComplexField, contraction: float,
-                  cfg: SolverConfig, method: str) -> NeumannResult:
-    """The iteration of neumann_solve, for callers that already passed the
-    contraction gate for mu (value ``contraction``) with rhs on its domain."""
+    if mu.sup_norm >= cfg.contraction_cap:
+        raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
     m = mu.extended.samples
     r = rhs.samples
     # phi and nxt ping-pong between two buffers owned by this call
@@ -154,9 +130,18 @@ def _neumann_loop(mu: BeltramiField, rhs: ComplexField, contraction: float,
         trace.append(residual)
         if residual <= cfg.tol:
             return NeumannResult(ComplexField(rhs.domain, phi), k,
-                                 residual, tuple(trace), contraction)
+                                 residual, tuple(trace))
         phi, nxt = nxt, phi
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
+
+
+def _beurling_buffer(samples: np.ndarray, domain: DomainSpec,
+                     method: str) -> np.ndarray:
+    """S(samples) as a new read-only array, through one public (traced)
+    beurling_transform call.  The field wraps a view, so ``samples`` stays
+    writable: loops keep their own buffers."""
+    return beurling_transform(ComplexField(domain, samples.view()),
+                              method=method).samples
 
 
 def solve_immersion(mu: BeltramiField, cfg: SolverConfig = SolverConfig(),
@@ -172,8 +157,7 @@ def solve_immersion(mu: BeltramiField, cfg: SolverConfig = SolverConfig(),
     h = z + cauchy_transform(res.phi, method=method)
     g = beurling_transform(res.phi, method=method) + 1.0
     return ImmersionResult(h=h, g=g, phi=res.phi, iterations=res.iterations,
-                           final_residual=res.final_residual,
-                           contraction=res.contraction, trace=res.trace)
+                           final_residual=res.final_residual, trace=res.trace)
 
 
 def beltrami_residual(h: ComplexField, mu: BeltramiField,

@@ -198,9 +198,10 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
     """Power-iteration estimate of the contraction factor of phi -> mu*S(phi).
 
     Starts from the extended coefficient itself and returns the maximum
-    sup-norm growth ratio over ``iterations`` applications -- the computable
-    surrogate for the operator-norm smallness the Neumann series needs.
-    Deterministic; returns 0 for mu identically zero.
+    sup-norm growth ratio over ``iterations`` applications.  A diagnostic:
+    no solve gates on it (the gate compares sup|mu_ext|, which bounds
+    ||mu S|| on L^2), and it can read below or far above the observed
+    Neumann rate.  Deterministic; returns 0 for mu identically zero.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations!r}")

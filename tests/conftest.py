@@ -53,6 +53,19 @@ def mu_bump(domain: DomainSpec, amplitude=0.3) -> BeltramiField:
     return BeltramiField.from_raw(gaussian_bump_field(domain, amplitude, width=0.566))
 
 
+def mu_strong(domain: DomainSpec) -> BeltramiField:
+    """Constant 0.5 plus a centred 0.3 bump: sup |mu| = 0.8."""
+    raw = constant_field(domain, 0.5) + gaussian_bump_field(domain, 0.3, width=0.5)
+    return BeltramiField.from_raw(raw)
+
+
+def mu_angular(domain: DomainSpec, value: float) -> BeltramiField:
+    """value * z / zbar (0 at z = 0): |mu| = value, discontinuous at 0."""
+    z = make_coordinate_field(domain).samples
+    raw = np.divide(value * z, np.conj(z), out=np.zeros_like(z), where=z != 0)
+    return BeltramiField.from_raw(ComplexField(domain, raw))
+
+
 def corpus(domain: DomainSpec) -> dict:
     """The standard coefficient corpus: constant, linear-z, gaussian bump."""
     return {

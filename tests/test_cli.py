@@ -1,14 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from beltrami import BeltramiField, builtin_field, estimate_contraction
+from beltrami import BeltramiField, builtin_field
 from beltrami import cli
 from beltrami.cli import main
 from beltrami.errors import ContractionTooLarge
+from beltrami.solver import SolverConfig
 
 from conftest import disc_domain
 
@@ -91,20 +93,20 @@ def test_contraction_error_exits_2(tmp_path):
 
 
 def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
-    cfg = _config(tmp_path, domain=_domain(64),
-                  solver={"contraction_iterations": 5})
+    cfg = _config(tmp_path, domain=_domain(64))
     out = tmp_path / "run"
     assert _invoke(["solve-beltrami", "--config", cfg, "--out", out]).exit_code == 0
     report = json.loads((out / "report.json").read_text())
     mu = BeltramiField.from_raw(builtin_field(
         {"kind": "constant", "value": [0.3, 0.0]}, disc_domain(64)))
-    assert report["contraction_estimate"] == estimate_contraction(mu, 5)
+    assert report["contraction_estimate"] == mu.sup_norm
 
 
 # Every numeric config read, field specs included, is checked: non-numbers,
 # bools, non-finite values and non-integral integers exit 1 before --out is
-# created.  Each input runs on solve-beltrami (domain, solver, mu) and on
-# solve-dbar (the same plus u); a u input runs on solve-dbar only.
+# created, as do solver keys that are not SolverConfig fields.  Each input
+# runs on solve-beltrami (domain, solver, mu) and on solve-dbar (the same
+# plus u); a u input runs on solve-dbar only.
 @pytest.mark.parametrize("breakage", [
     {"schema_version": 99},
     {"mu": {"kind": "mystery"}},
@@ -130,6 +132,8 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
     {"u": {"kind": "file", "path": 5}},
     {"mu": {"kind": "constant", "value": True}},
     {"mu": {"kind": "linear-z", "coefficient": [10 ** 400, 0]}},
+    {"solver": {"contraction_iterations": 8}},
+    {"solver": {"max_iters": 10}},
 ])
 def test_config_validation_exits_1(tmp_path, breakage):
     cfg = _config(tmp_path, **breakage)
@@ -218,6 +222,31 @@ def test_verify_detects_tampering(tmp_path):
     assert result.exit_code == 2
     payload = json.loads(result.output.strip().splitlines()[-1])
     assert payload["kind"] == "VerificationMismatch"
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("solve-dbar", lambda report: "not json"),
+    ("solve-dbar", lambda report: "[1, 2]"),
+    ("solve-dbar", lambda report: json.dumps({"command": "solve-dbar"})),
+    ("solve-dbar", lambda report: json.dumps(dict(report,
+                                                  interior_residual="x"))),
+    ("sweep-family", lambda report: json.dumps(dict(report, entries="x"))),
+], ids=["not-json", "not-an-object", "missing-residual", "string-residual",
+        "string-entries"])
+def test_verify_malformed_report_exits_1(tmp_path, command, edit):
+    cfg = _config(tmp_path, domain=_domain(32),
+                  family={"law": "linear", "grid": [0.0, 0.5, 1.0]})
+    out = tmp_path / command
+    assert _invoke([command, "--config", cfg, "--out", out]).exit_code == 0
+    report = json.loads((out / "report.json").read_text())
+    (out / "report.json").write_text(edit(report))
+    result = _invoke(["verify", "--out", out])
+    assert result.exit_code == 1, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["kind"] == "ValidationError"
+    assert payload["exit_code"] == 1
 
 
 def test_verify_without_report_exits_1(tmp_path):
@@ -322,6 +351,24 @@ def test_quadrature_method_lane(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["method"] == "quadrature"
     assert report["interior_residual"] <= 5e-2
+
+
+def test_readme_config_schema_parses(tmp_path):
+    # the documented schema is a config every parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema (version 1)", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "schema.json"
+    path.write_text(block)
+    cfg = cli._load_config(path)
+    domain = cli._domain_from_config(cfg)
+    assert cli._solver_from_config(cfg) == SolverConfig(**cfg["solver"])
+    assert cli._exhaustion_from_config(cfg) == (
+        cfg["exhaustion"]["radii"], cfg["exhaustion"]["taylor_degree"])
+    mu = BeltramiField.from_raw(builtin_field(cfg["mu"], domain))
+    builtin_field(cfg["u"], domain)
+    family = cli._family_from_config(cfg, domain, mu)
+    assert family.parameter_grid == tuple(cfg["family"]["grid"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from beltrami import (
     solve_immersion,
 )
 
-from conftest import disc_domain, mu_bump, mu_constant, smooth_random_field
+from conftest import (
+    disc_domain,
+    mu_bump,
+    mu_constant,
+    mu_strong,
+    smooth_random_field,
+)
 
 
 def _random_instance(domain, seed):
@@ -147,26 +154,31 @@ def test_dbar_const_mu_residual(dom256):
     assert res.diagnostics.moving_frame_residual <= 1e-2
 
 
-def test_dbar_solves_estimate_contraction_once(dom64, monkeypatch):
-    # the d-bar iteration runs behind the gate its immersion solve passed
-    import beltrami.family
-    import beltrami.solver
-    from beltrami import estimate_contraction, solve_dbar_form
-    calls = []
+def test_no_solve_runs_the_power_iteration(dom64, monkeypatch):
+    # every gate compares sup|mu_ext|; the power iteration is a diagnostic
+    from beltrami import exhaustion_solve, solve_dbar_form
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return estimate_contraction(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran estimate_contraction")
 
-    for module in (beltrami.solver, beltrami.family):
-        monkeypatch.setattr(module, "estimate_contraction", counted)
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "beltrami"
+               and hasattr(m, "estimate_contraction")]
+    assert modules
+    for module in modules:
+        monkeypatch.setattr(module, "estimate_contraction", refuse)
     mu = mu_constant(dom64)
     u = disc_indicator_field(dom64)
     solve_dbar(mu, u)
-    assert calls == [mu]
-    calls.clear()
     solve_dbar_form(mu, OneFormField("moving", constant_field(dom64, 0.0), u, mu=mu))
-    assert calls == [mu]
+    for family in (FamilySpec(mu, (0.0, 0.5, 1.0)),
+                   FamilySpec(mu, (0.0, 1.0), law="table",
+                              table=(mu.scaled(0.5), mu))):
+        sweep = solve_family(family, [u] * len(family.parameter_grid))
+        assert all(e.result is not None for e in sweep.entries)
+    exhaustion_solve(BeltramiField.from_raw(constant_field(dom64, 0.0)),
+                     disc_indicator_field(dom64, radius=0.25, width=0.5),
+                     [1.0, 1.5], taylor_degree=8)
 
 
 def test_dbar_linearity_machine_precision(dom128):
@@ -299,12 +311,6 @@ def test_single_point_family_reduces_to_dbar(dom64):
 # ---------------------------------------------------------------------------
 
 EIGHTHS = tuple(k / 8 for k in range(9))
-
-
-def mu_strong(domain):
-    """Constant 0.5 plus a centred 0.3 bump: sup |mu| = 0.8."""
-    raw = constant_field(domain, 0.5) + gaussian_bump_field(domain, 0.3, width=0.5)
-    return BeltramiField.from_raw(raw)
 
 
 @pytest.mark.parametrize("resolution", [64, 128])

@@ -12,6 +12,7 @@ from beltrami import (
     ValidationError,
     beltrami_residual,
     constant_field,
+    disc_indicator_field,
     interior_mask,
     make_coordinate_field,
     neumann_solve,
@@ -20,7 +21,16 @@ from beltrami import (
     tapered_coordinate_conjugate,
 )
 
-from conftest import corpus, mu_bump, mu_constant, mu_linear, smooth_random_field
+from conftest import (
+    corpus,
+    disc_domain,
+    mu_angular,
+    mu_bump,
+    mu_constant,
+    mu_linear,
+    mu_strong,
+    smooth_random_field,
+)
 
 
 def test_solver_config_validation():
@@ -32,8 +42,6 @@ def test_solver_config_validation():
         SolverConfig(contraction_cap=1.0)
     with pytest.raises(ValidationError):
         SolverConfig(contraction_cap=0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(contraction_iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +83,67 @@ def test_neumann_geometric_decay_on_corpus(dom256):
 
 def test_neumann_contraction_gate(dom128):
     mu = mu_constant(dom128)
-    cfg = SolverConfig(contraction_cap=0.1)  # estimate ~0.23 trips the gate
+    cfg = SolverConfig(contraction_cap=0.1)  # sup|mu_ext| = 0.3 trips the gate
     with pytest.raises(ContractionTooLarge) as info:
         neumann_solve(mu, mu.extended, cfg)
     assert info.value.estimate >= 0.1
+    assert info.value.estimate == mu.sup_norm
     assert info.value.cap == 0.1
+
+
+def _random_mu(domain, seed, sup):
+    raw = smooth_random_field(domain, seed)
+    return BeltramiField.from_raw(raw * (sup / np.max(np.abs(raw.samples))))
+
+
+# the test corpus, strong and near-cap coefficients, the discontinuous
+# angular coefficient c z/zbar and six seeded smooth coefficients
+GATE_CASES = {
+    **{name: (lambda dom, name=name: corpus(dom)[name])
+       for name in ("constant", "linear-z", "bump")},
+    "strong": mu_strong,
+    "constant-0.85": lambda dom: mu_constant(dom, 0.85),
+    "angular-0.3": lambda dom: mu_angular(dom, 0.3),
+    "angular-0.6": lambda dom: mu_angular(dom, 0.6),
+    **{f"random-{seed}": (lambda dom, seed=seed, sup=sup:
+                          _random_mu(dom, seed, sup))
+       for seed, sup in enumerate(np.linspace(0.3, 0.85, 6))},
+}
+
+
+@pytest.mark.parametrize("rhs_kind", ["mu", "disc-indicator"])
+@pytest.mark.parametrize("case", list(GATE_CASES))
+@pytest.mark.parametrize("resolution", [64, 128])
+def test_gate_bounds_the_observed_rate(resolution, case, rhs_kind):
+    # the observed tail rate (geometric-mean residual ratio over the second
+    # half of the trace) never exceeds the gated quantity: a cap at that
+    # rate refuses the coefficient
+    dom = disc_domain(resolution)
+    mu = GATE_CASES[case](dom)
+    rhs = mu.extended if rhs_kind == "mu" else disc_indicator_field(dom)
+    trace = neumann_solve(mu, rhs).trace
+    half = len(trace) // 2
+    assert len(trace) - half >= 3
+    rate = (trace[-1] / trace[half]) ** (1.0 / (len(trace) - 1 - half))
+    with pytest.raises(ContractionTooLarge) as info:
+        neumann_solve(mu, rhs, SolverConfig(contraction_cap=rate))
+    assert info.value.estimate == mu.sup_norm
+
+
+def test_angular_coefficient_solves(dom128):
+    # 0.3 z/zbar: |mu| = 0.3 everywhere, but its power-iteration estimate
+    # exceeds 1, so an estimate gate would refuse it
+    mu = mu_angular(dom128, 0.3)
+    res = solve_immersion(mu)
+    assert res.final_residual <= SolverConfig().tol
+    assert res.iterations <= 30
+
+
+def test_constant_at_the_cap_is_refused(dom128):
+    mu = mu_constant(dom128, 0.9)
+    with pytest.raises(ContractionTooLarge) as info:
+        neumann_solve(mu, mu.extended)
+    assert info.value.estimate == 0.9
 
 
 def test_neumann_no_convergence_carries_state(dom128):
@@ -160,8 +224,7 @@ def test_degenerate_immersion_guard(dom64):
     z = make_coordinate_field(dom64)
     zero = constant_field(dom64, 0.0)
     with pytest.raises(DegenerateImmersion):
-        ImmersionResult(h=z, g=zero, phi=zero, iterations=1, final_residual=0.0,
-                        contraction=0.0)
+        ImmersionResult(h=z, g=zero, phi=zero, iterations=1, final_residual=0.0)
 
 
 # ---------------------------------------------------------------------------
