@@ -57,6 +57,10 @@ from .transforms import beurling_transform, cauchy_transform
 
 CONFIG_SCHEMA_VERSION = 1
 
+# Every solve runs on the spectral transforms (the quadrature ones are the
+# oracle of oracle-compare); reports keep the key for a stable schema.
+SOLVE_METHOD = "spectral"
+
 
 class VerificationMismatch(BeltramiError):
     pass
@@ -184,7 +188,7 @@ def _write_report(out: Path, report: dict) -> None:
         fh.write("\n")
 
 
-def _execute(body, needs, config_path, out, threads, method):
+def _execute(body, needs, config_path, out, threads):
     """Parse the domain and each input in ``needs``, and only then create
     ``out`` (a config that fails validation leaves none) and run ``body``.
     If ``body`` fails, what this run created is removed: ``out`` with its
@@ -192,8 +196,7 @@ def _execute(body, needs, config_path, out, threads, method):
     parent another run has written into stays).  An ``out`` that already
     existed is left as it is."""
     cfg = _load_config(config_path)
-    run = SimpleNamespace(threads=threads, method=method,
-                          domain=_domain_from_config(cfg))
+    run = SimpleNamespace(threads=threads, domain=_domain_from_config(cfg))
     for key, parse in _INPUTS.items():
         if key in needs:
             setattr(run, key, parse(cfg, run))
@@ -254,14 +257,12 @@ def _command(name: str, *needs: str):
                       type=click.Path(exists=True, dir_okay=False, path_type=Path))
         @click.option("--out", required=True, help="Output directory.",
                       type=click.Path(file_okay=False, path_type=Path))
-        @click.option("--threads", type=int, default=0, show_default=True,
+        @click.option("--threads", type=click.IntRange(min=0), default=0,
+                      show_default=True,
                       help="Worker threads for table-law family sweeps "
                            "(0 = auto); linear-law sweeps run on one thread.")
-        @click.option("--method", type=click.Choice(["spectral", "quadrature"]),
-                      default="spectral", show_default=True,
-                      help="Transform implementation.")
-        def command(config, out, threads, method):
-            _run(_execute, body, needs, config, out, threads, method)
+        def command(config, out, threads):
+            _run(_execute, body, needs, config, out, threads)
         return body
     return register
 
@@ -273,7 +274,7 @@ def _command(name: str, *needs: str):
 @_command("solve-beltrami", "solver", "mu")
 def _cmd_solve_beltrami(run):
     """Solve the homogeneous Beltrami equation for the immersion h."""
-    result = solve_immersion(run.mu, run.solver, method=run.method)
+    result = solve_immersion(run.mu, run.solver)
     residual = beltrami_residual(result.h, run.mu)
     out = run.out
     write_field(out / "mu_raw.field", run.mu.raw)
@@ -284,7 +285,7 @@ def _cmd_solve_beltrami(run):
     write_pgm_heatmaps(out, "h", result.h)
     _write_report(out, {
         "command": "solve-beltrami",
-        "method": run.method,
+        "method": SOLVE_METHOD,
         "iterations": result.iterations,
         "neumann_residual": result.final_residual,
         "interior_residual": residual,
@@ -296,7 +297,7 @@ def _cmd_solve_beltrami(run):
 @_command("solve-dbar", "solver", "mu", "u")
 def _cmd_solve_dbar(run):
     """Solve the d-bar equation for the configured mu and datum u."""
-    result = solve_dbar(run.mu, run.u, run.solver, method=run.method)
+    result = solve_dbar(run.mu, run.u, run.solver)
     out = run.out
     write_field(out / "mu_raw.field", run.mu.raw)
     write_field(out / "u.field", run.u)
@@ -306,7 +307,7 @@ def _cmd_solve_dbar(run):
     write_pgm_heatmaps(out, "f", result.f)
     _write_report(out, {
         "command": "solve-dbar",
-        "method": run.method,
+        "method": SOLVE_METHOD,
         "iterations": result.diagnostics.iterations,
         "neumann_residual": result.diagnostics.neumann_residual,
         "interior_residual": result.diagnostics.interior_residual,
@@ -321,7 +322,7 @@ def _cmd_sweep_family(run):
     family, out = run.family, run.out
     grid = family.parameter_grid
     sweep = solve_family(family, [run.u] * len(grid), run.solver,
-                         method=run.method, threads=run.threads)
+                         threads=run.threads)
     write_field(out / "mu_raw.field", run.mu.raw)
     write_field(out / "u.field", run.u)
     entries_report = []
@@ -338,7 +339,7 @@ def _cmd_sweep_family(run):
     write_family_report_csv(out / "family_report.csv", sweep)
     _write_report(out, {
         "command": "sweep-family",
-        "method": run.method,
+        "method": SOLVE_METHOD,
         "law": family.law,
         "parameters": list(grid),
         "entries": entries_report,
@@ -352,8 +353,7 @@ def _cmd_sweep_family(run):
 def _cmd_exhaust(run):
     """Global solve on the plane via the disc exhaustion scheme."""
     (radii, degree), out = run.exhaustion, run.out
-    f, trace = exhaustion_solve(run.mu, run.u, radii, degree, run.solver,
-                                method=run.method)
+    f, trace = exhaustion_solve(run.mu, run.u, radii, degree, run.solver)
     mu_last = BeltramiField.from_raw(ComplexField(f.domain, run.mu.raw.samples))
     residual = beltrami_residual(f, mu_last, trace.rhs)
     write_field(out / "mu_raw.field", run.mu.raw)
@@ -364,7 +364,7 @@ def _cmd_exhaust(run):
     write_pgm_heatmaps(out, "f", f)
     _write_report(out, {
         "command": "exhaust",
-        "method": run.method,
+        "method": SOLVE_METHOD,
         "radii": radii,
         "taylor_degree": degree,
         "interior_residual": residual,

@@ -134,8 +134,8 @@ class ExhaustionTrace:
 
 def exhaustion_solve(mu: BeltramiField, u: ComplexField,
                      radii: Sequence[float], taylor_degree: int,
-                     cfg: SolverConfig = SolverConfig(),
-                     method: str = "spectral") -> tuple[ComplexField, ExhaustionTrace]:
+                     cfg: SolverConfig = SolverConfig()
+                     ) -> tuple[ComplexField, ExhaustionTrace]:
     """Solve the d-bar problem on the plane by exhausting with concentric discs.
 
     ``mu`` and ``u`` must be supported inside the first disc (the exhaustion
@@ -167,7 +167,7 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     def solve_on(domain: DomainSpec) -> DbarResult:
         mu_n = BeltramiField.from_raw(rebase(mu.raw, domain))
         u_n = ComplexField(domain, _geometry(domain).cutoff * u.samples)
-        return solve_dbar(mu_n, u_n, cfg, method=method)
+        return solve_dbar(mu_n, u_n, cfg)
 
     result = solve_on(step_domain(radii[0]))
     current = result.f

@@ -210,10 +210,9 @@ def dbar_rhs(m: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
                  rhs: ComplexField, phi: ComplexField, iterations: int,
-                 neumann_residual: float, trace: tuple,
-                 method: str) -> DbarResult:
+                 neumann_residual: float, trace: tuple) -> DbarResult:
     """f = P(phi) and its finite-difference residuals on interior Omega."""
-    f = cauchy_transform(phi, method=method)
+    f = cauchy_transform(phi)
     m = mu.extended.samples
     inner = interior_mask(u.domain)
     lhs = _fd_beltrami_defect(f, mu)
@@ -236,7 +235,7 @@ def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
 
 def solve_dbar(mu: BeltramiField, u: ComplexField,
                cfg: SolverConfig = SolverConfig(),
-               method: str = "spectral", immersion=None) -> DbarResult:
+               immersion=None) -> DbarResult:
     """Solve the d-bar equation for the structure of mu with datum u.
 
     ``u`` is the moving-frame (0,1) coefficient (cutoff-tapered).  The solve
@@ -250,13 +249,12 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     """
     if mu.domain != u.domain:
         raise ValidationError("mu and u live on different DomainSpecs")
-    imm = immersion if immersion is not None else \
-        solve_immersion(mu, cfg, method=method)
+    imm = immersion if immersion is not None else solve_immersion(mu, cfg)
     g = imm.g.samples
     rhs = ComplexField(u.domain, dbar_rhs(mu.extended.samples, g, u.samples))
-    res = neumann_solve(mu, rhs, cfg, method)
+    res = neumann_solve(mu, rhs, cfg)
     return _dbar_result(mu, g, u, rhs, res.phi, res.iterations,
-                        res.final_residual, res.trace, method)
+                        res.final_residual, res.trace)
 
 
 # relative size above which a would-be (0,1) datum's moving (1,0) part is
@@ -265,8 +263,7 @@ COMPATIBILITY_RTOL = 1e-8
 
 
 def solve_dbar_form(mu: BeltramiField, form: OneFormField,
-                    cfg: SolverConfig = SolverConfig(),
-                    method: str = "spectral") -> DbarResult:
+                    cfg: SolverConfig = SolverConfig()) -> DbarResult:
     """Solve the d-bar equation with the datum given as a 1-form.
 
     Accepts either frame: a background-frame form is converted to the moving
@@ -277,7 +274,7 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
     """
     if form.domain != mu.domain:
         raise ValidationError("form and mu live on different DomainSpecs")
-    imm = solve_immersion(mu, cfg, method=method)
+    imm = solve_immersion(mu, cfg)
     if form.frame == "background":
         moving = convert_to_moving(form, mu, imm.g)
     else:
@@ -292,7 +289,7 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    return solve_dbar(mu, moving.coeff_01, cfg, method=method, immersion=imm)
+    return solve_dbar(mu, moving.coeff_01, cfg, immersion=imm)
 
 
 @dataclass(frozen=True)
@@ -337,8 +334,7 @@ class _SeriesPoint:
 
 
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
-                         u: ComplexField, cfg: SolverConfig,
-                         method: str) -> Optional[DbarResult]:
+                         u: ComplexField, cfg: SolverConfig) -> Optional[DbarResult]:
     """The result of a point whose last term met the stop test.
 
     Returns None while a measured residual is still above cfg.tol: the
@@ -348,22 +344,21 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     mu = family.realize(point.index)
     m = mu.extended.samples
     domain = u.domain
-    g = _beurling_buffer(point.phi, domain, method) + 1.0
+    g = _beurling_buffer(point.phi, domain) + 1.0
     if float(np.max(np.abs(m * g - point.phi))) <= cfg.tol:
         rhs = dbar_rhs(m, g, u.samples)
-        psi_step = rhs + m * _beurling_buffer(point.psi, domain, method) - point.psi
+        psi_step = rhs + m * _beurling_buffer(point.psi, domain) - point.psi
         residual = float(np.max(np.abs(psi_step)))
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
             return _dbar_result(mu, g, u, ComplexField(domain, rhs),
                                 ComplexField(domain, point.psi),
                                 len(point.trace), residual,
-                                tuple(point.trace), method)
+                                tuple(point.trace))
     return None
 
 
-def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
-                         method: str) -> list:
+def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> list:
     """Entries of a linear-law sweep from the b-power series of both fixed points.
 
     For mu_b = b mu_0 the immersion fixed point is phi_b = sum_{n>=1} b^n a_n
@@ -409,12 +404,12 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
     n = 0
     while live and n < cfg.max_iter:
         n += 1
-        g = _beurling_buffer(a, domain, method)
+        g = _beurling_buffer(a, domain)
         np.conj(g, out=conj_g)
         np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
         c_size = {}
         for j in sorted({p.chain for p in live}):
-            np.multiply(m0, _beurling_buffer(c[j], domain, method), out=c[j])
+            np.multiply(m0, _beurling_buffer(c[j], domain), out=c[j])
             np.add(np.multiply(weight, data[j], out=tmp), c[j], out=c[j])
             c_size[j] = float(np.max(np.abs(c[j], out=magnitude)))
         a_size = float(np.max(np.abs(a, out=magnitude)))
@@ -428,8 +423,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
                 pending.append(p)
                 continue
             try:
-                result = _finish_series_point(family, p, u_family[p.index],
-                                              cfg, method)
+                result = _finish_series_point(family, p, u_family[p.index], cfg)
             except BeltramiError as exc:
                 entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
                 continue
@@ -447,7 +441,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig,
 
 
 def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(),
-                 method: str = "spectral", threads: int = 1) -> FamilySweepResult:
+                 threads: int = 1) -> FamilySweepResult:
     """Solve the d-bar problem at every parameter of the family.
 
     ``u_family`` is a list of moving-frame data aligned with the parameter
@@ -474,14 +468,14 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
 
     def solve_one(i: int) -> FamilyEntry:
         try:
-            result = solve_dbar(family.realize(i), u_family[i], cfg, method=method)
+            result = solve_dbar(family.realize(i), u_family[i], cfg)
             return FamilyEntry(grid[i], result)
         except BeltramiError as exc:
             return FamilyEntry(grid[i], None, error=str(exc))
 
     indices = range(len(grid))
     if family.law == "linear" and len(grid) > 1:
-        entries = _solve_linear_series(family, u_family, cfg, method)
+        entries = _solve_linear_series(family, u_family, cfg)
     elif threads == 1 or len(grid) == 1:
         entries = [solve_one(i) for i in indices]
     else:

@@ -38,6 +38,9 @@ CUTOFF_SHARPNESS = 4.5
 INTERIOR_DEPTH_FRACTION = 2.0 / 3.0
 
 MIN_RESOLUTION = 16
+# Largest accepted N: one complex field costs 16 N^2 bytes (256 MiB at 4096),
+# a solve holds dozens and the quadrature oracle works on (2N)^2 arrays.
+MAX_RESOLUTION = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +75,7 @@ class DomainSpec:
     half_width : float
         Half-width L of the square [-L, L]^2.
     resolution : int
-        Number of samples N per axis; even, at least 16.
+        Number of samples N per axis; even, from 16 to MAX_RESOLUTION.
     omega : Disc or Rect
         The working subdomain.  Its closure plus the margin collar must fit
         strictly inside the open square.
@@ -88,10 +91,10 @@ class DomainSpec:
 
     def __post_init__(self):
         L, N = self.half_width, self.resolution
-        if not (isinstance(N, (int, np.integer)) and N >= MIN_RESOLUTION and N % 2 == 0):
-            raise ValidationError(
-                f"resolution must be an even integer >= {MIN_RESOLUTION}, got {N!r}"
-            )
+        if not (isinstance(N, (int, np.integer)) and N % 2 == 0
+                and MIN_RESOLUTION <= N <= MAX_RESOLUTION):
+            raise ValidationError(f"resolution must be an even integer from "
+                                  f"{MIN_RESOLUTION} to {MAX_RESOLUTION}, got {N!r}")
         if not L > 0:
             raise ValidationError(f"half_width must be positive, got {L!r}")
         if not self.margin > 0:

@@ -100,8 +100,7 @@ def check_nondegenerate(g: np.ndarray, domain: DomainSpec) -> None:
 
 
 def neumann_solve(mu: BeltramiField, rhs: ComplexField,
-                  cfg: SolverConfig = SolverConfig(),
-                  method: str = "spectral") -> NeumannResult:
+                  cfg: SolverConfig = SolverConfig()) -> NeumannResult:
     """Invert (I - mu*S) phi = rhs by fixed-point iteration.
 
     Raises
@@ -123,7 +122,7 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
     magnitude = np.empty(r.shape)
     trace = []
     for k in range(1, cfg.max_iter + 1):
-        s = _beurling_buffer(phi, rhs.domain, method)
+        s = _beurling_buffer(phi, rhs.domain)
         np.add(r, np.multiply(m, s, out=nxt), out=nxt)
         np.subtract(nxt, phi, out=step)  # exact residual of phi
         residual = float(np.max(np.abs(step, out=magnitude)))
@@ -135,27 +134,25 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
 
 
-def _beurling_buffer(samples: np.ndarray, domain: DomainSpec,
-                     method: str) -> np.ndarray:
-    """S(samples) as a new read-only array, through one public (traced)
-    beurling_transform call.  The field wraps a view, so ``samples`` stays
-    writable: loops keep their own buffers."""
-    return beurling_transform(ComplexField(domain, samples.view()),
-                              method=method).samples
+def _beurling_buffer(samples: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """Spectral S(samples) as a new read-only array, through one public
+    (traced) beurling_transform call.  The field wraps a view, so
+    ``samples`` stays writable: loops keep their own buffers."""
+    return beurling_transform(ComplexField(domain, samples.view())).samples
 
 
-def solve_immersion(mu: BeltramiField, cfg: SolverConfig = SolverConfig(),
-                    method: str = "spectral") -> ImmersionResult:
+def solve_immersion(mu: BeltramiField,
+                    cfg: SolverConfig = SolverConfig()) -> ImmersionResult:
     """Solve the homogeneous Beltrami equation for the near-identity immersion.
 
     Returns h = z + P(phi) and g = 1 + S(phi) where phi solves
     (I - mu*S) phi = mu.  For mu identically zero this reduces exactly to
     h = z, g = 1 in one iteration.
     """
-    res = neumann_solve(mu, mu.extended, cfg, method=method)
+    res = neumann_solve(mu, mu.extended, cfg)
     z = make_coordinate_field(mu.domain)
-    h = z + cauchy_transform(res.phi, method=method)
-    g = beurling_transform(res.phi, method=method) + 1.0
+    h = z + cauchy_transform(res.phi)
+    g = beurling_transform(res.phi) + 1.0
     return ImmersionResult(h=h, g=g, phi=res.phi, iterations=res.iterations,
                            final_residual=res.final_residual, trace=res.trace)
 

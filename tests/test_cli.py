@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from beltrami import BeltramiField, builtin_field
 from beltrami import cli
 from beltrami.cli import main
 from beltrami.errors import ContractionTooLarge
+from beltrami.grid import MAX_RESOLUTION
 from beltrami.solver import SolverConfig
 
 from conftest import disc_domain
@@ -338,19 +341,59 @@ def test_oracle_compare(tmp_path):
     assert report["beurling_sup_difference_on_omega"] <= 1e-2
 
 
-def test_quadrature_method_lane(tmp_path):
-    cfg = _config(tmp_path, domain={
-        "half_width": 3.0, "resolution": 64,
-        "omega": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
-        "margin": 0.8,
-    })
-    out = tmp_path / "q"
-    result = _invoke(["solve-beltrami", "--config", cfg, "--out", out,
-                      "--method", "quadrature"])
-    assert result.exit_code == 0, result.output
-    report = json.loads((out / "report.json").read_text())
-    assert report["method"] == "quadrature"
-    assert report["interior_residual"] <= 5e-2
+def _module_run(args):
+    """Run ``python -m beltrami`` (the console entry, which maps click usage
+    errors to exit 1) and return the process."""
+    return subprocess.run([sys.executable, "-m", "beltrami", *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def _assert_refused(code, stderr, out):
+    """Exit 1, exactly one JSON line on stderr, and no ``out``."""
+    assert code == 1, stderr
+    assert not out.exists()
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["exit_code"] == 1
+
+
+RUN_COMMANDS = ("solve-beltrami", "solve-dbar", "sweep-family", "exhaust",
+                "oracle-compare")
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_run_commands_offer_only_config_out_threads(command):
+    text = _invoke([command, "--help"]).output
+    offered = set(re.findall(r"^\s+(--[\w-]+)", text, re.MULTILINE))
+    assert offered == {"--config", "--out", "--threads", "--help"}, text
+
+
+@pytest.mark.parametrize("flags", [["--method", "quadrature"],
+                                   ["--threads", "-1"]],
+                         ids=["method", "negative-threads"])
+def test_removed_and_out_of_range_flags_exit_1(tmp_path, flags):
+    # solves run on the spectral transforms only; --threads counts workers
+    cfg = _config(tmp_path, domain=_domain(32), family={"grid": [0.0, 0.5]})
+    for command in ("solve-beltrami", "sweep-family"):
+        out = tmp_path / command
+        proc = _module_run([command, "--config", cfg, "--out", out, *flags])
+        _assert_refused(proc.returncode, proc.stderr, out)
+
+
+@pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 2, 10 ** 12])
+def test_resolution_above_the_ceiling_exits_1_before_allocating(tmp_path,
+                                                                resolution):
+    cfg = _config(tmp_path, domain=_domain(resolution))
+    out = tmp_path / "big"
+    tracemalloc.start()
+    try:
+        result = _invoke(["solve-beltrami", "--config", cfg, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_refused(result.exit_code, result.stderr, out)
+    assert "resolution" in json.loads(result.stderr)["error"]
+    assert peak < 2 ** 20, peak   # one field at N = 4098 would be 16 N^2 bytes
 
 
 def test_readme_config_schema_parses(tmp_path):
@@ -384,11 +427,8 @@ def test_identical_configs_are_bitwise_identical(tmp_path):
 
 
 def test_module_entry_point_maps_usage_errors_to_1(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "beltrami", "solve-beltrami",
-         "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
-    )
+    proc = _module_run(["solve-beltrami", "--config", tmp_path / "missing.json",
+                        "--out", tmp_path / "o"])
     assert proc.returncode == 1
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["exit_code"] == 1

@@ -20,6 +20,7 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
+from beltrami.grid import MAX_RESOLUTION
 
 from conftest import disc_domain, smooth_random_field
 
@@ -28,10 +29,17 @@ from conftest import disc_domain, smooth_random_field
 # DomainSpec validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad_n", [2, 8, 14, 15, 17, 33])
+@pytest.mark.parametrize("bad_n", [2, 8, 14, 15, 17, 33, MAX_RESOLUTION + 2,
+                                   10 ** 12])
 def test_resolution_rejected(bad_n):
     with pytest.raises(ValidationError):
         DomainSpec(3.0, bad_n, Disc(0j, 1.0), 0.8)
+
+
+def test_resolution_ceiling_bounds_one_field():
+    # a DomainSpec allocates nothing; the ceiling is checked arithmetically
+    assert DomainSpec(3.0, MAX_RESOLUTION, Disc(0j, 1.0), 0.8).resolution == 4096
+    assert 16 * MAX_RESOLUTION ** 2 == 256 * 2 ** 20   # complex128 bytes
 
 
 def test_collar_must_fit():
