@@ -260,7 +260,8 @@ def _command(name: str, *needs: str):
         @click.option("--threads", type=click.IntRange(min=0), default=0,
                       show_default=True,
                       help="Worker threads for table-law family sweeps "
-                           "(0 = auto); linear-law sweeps run on one thread.")
+                           "(0 = one per CPU core; never more than the grid "
+                           "points); linear-law sweeps run on one thread.")
         def command(config, out, threads):
             _run(_execute, body, needs, config, out, threads)
         return body

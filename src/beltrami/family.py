@@ -22,6 +22,7 @@ solved by one Neumann inversion followed by the Cauchy transform.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal, Optional
@@ -451,7 +452,8 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     ``iterations`` is the number of series terms it used, its ``trace`` the
     sizes of those terms.  Table-law families and one-point grids run one
     immersion and one Neumann d-bar solve per parameter; only these use
-    ``threads`` (results are stored by index, so thread scheduling cannot
+    ``threads`` worker threads (0 = ``os.cpu_count()``, never more than the
+    grid points; results are stored by index, so thread scheduling cannot
     change the output).  Either way an entry does not depend on the other
     grid points, and per-parameter failures are recorded in their entry
     rather than failing the sweep.  The report carries adjacent sup
@@ -474,12 +476,12 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
             return FamilyEntry(grid[i], None, error=str(exc))
 
     indices = range(len(grid))
+    workers = min(threads or os.cpu_count() or 1, len(grid))
     if family.law == "linear" and len(grid) > 1:
         entries = _solve_linear_series(family, u_family, cfg)
-    elif threads == 1 or len(grid) == 1:
+    elif workers == 1:
         entries = [solve_one(i) for i in indices]
     else:
-        workers = threads if threads > 0 else None
         with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(solve_one, indices))
 

@@ -19,12 +19,12 @@ for the residual checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ValidationError
 
@@ -137,11 +137,14 @@ def transition_profile(t) -> np.ndarray:
     the ends; the erf tails there are ~1e-10, below every tolerance in the
     library.  A mollified step with a Gaussian spectrum: fields built from it
     are spectrally resolved once the transition covers a few grid cells.
+    erf is ``math.erf``, evaluated on the collar points 0 < t < 1 only, so
+    the cutoff needs no special-function library.
     """
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    out = 0.5 * (1.0 + erf(CUTOFF_SHARPNESS * (2.0 * t - 1.0)))
-    out = np.where(t <= 0.0, 0.0, out)
-    out = np.where(t >= 1.0, 1.0, out)
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    collar = ~((t <= 0.0) | (t >= 1.0))
+    s = CUTOFF_SHARPNESS * (2.0 * t[collar] - 1.0)
+    out[collar] = 0.5 * (1.0 + np.fromiter(map(math.erf, s.tolist()), float, s.size))
     return out
 
 

@@ -348,6 +348,17 @@ def _module_run(args):
                           capture_output=True, text=True)
 
 
+def test_cli_import_loads_no_scipy():
+    # the margin cutoff's erf is math.erf, so start-up pays no scipy import
+    probe = ("import sys, beltrami, beltrami.cli; "
+             "print([m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _assert_refused(code, stderr, out):
     """Exit 1, exactly one JSON line on stderr, and no ``out``."""
     assert code == 1, stderr

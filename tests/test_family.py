@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beltrami.family as family_module
 from beltrami import (
     BeltramiField,
     ComplexField,
@@ -246,6 +247,59 @@ def test_family_threads_bitwise_equal(dom64):
     threaded = solve_family(FamilySpec(mu, grid), [u] * 3, threads=3)
     for a, b in zip(serial.entries, threaded.entries):
         assert np.array_equal(a.result.f.samples, b.result.f.samples)
+
+
+def _table_family(domain):
+    mu = mu_constant(domain)
+    return FamilySpec(mu, (0.0, 0.5, 1.0), law="table",
+                      table=(mu.scaled(0.2), mu.scaled(0.6), mu))
+
+
+def test_family_table_law_threads_bitwise_equal(dom64):
+    # a table-law sweep is the one that runs the worker pool
+    family = _table_family(dom64)
+    u = [disc_indicator_field(dom64)] * 3
+    serial = solve_family(family, u, threads=1)
+    for threads in (2, 0):
+        pooled = solve_family(family, u, threads=threads)
+        for a, b in zip(serial.entries, pooled.entries):
+            assert a.b == b.b
+            assert a.result.diagnostics == b.result.diagnostics
+            assert np.array_equal(a.result.f.samples, b.result.f.samples)
+            assert np.array_equal(a.result.rhs.samples, b.result.rhs.samples)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    calls = []
+
+    def __init__(self, max_workers=None):
+        self.calls.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,threads,expected",
+                         [(64, 0, [3]), (2, 0, [2]), (None, 0, []),
+                          (1, 0, []), (2, 8, [3]), (64, 1, [])])
+def test_family_pool_never_exceeds_cores_or_grid_points(dom64, monkeypatch,
+                                                        cpus, threads, expected):
+    monkeypatch.setattr(family_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(family_module, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    family = _table_family(dom64)
+    sweep = solve_family(family, [disc_indicator_field(dom64)] * 3,
+                         threads=threads)
+    assert _RecordingPool.calls == expected
+    assert all(e.result is not None for e in sweep.entries)
 
 
 def test_family_per_parameter_errors_isolated(dom64):

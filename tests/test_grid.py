@@ -20,7 +20,7 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from beltrami.grid import MAX_RESOLUTION
+from beltrami.grid import CUTOFF_SHARPNESS, MAX_RESOLUTION, transition_profile
 
 from conftest import disc_domain, smooth_random_field
 
@@ -63,6 +63,38 @@ def test_bad_scalars_rejected():
 def test_spacing():
     dom = DomainSpec(3.0, 64, Disc(0j, 1.0), 0.8)
     assert dom.spacing == pytest.approx(6.0 / 64, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# margin cutoff profile
+# ---------------------------------------------------------------------------
+
+def test_transition_profile_is_exact_outside_the_collar():
+    t = np.array([-np.inf, -1.0, -1e-300, 0.0, 1.0, 1.0 + 1e-15, 2.0, np.inf])
+    out = transition_profile(t)
+    assert out.tolist() == [0.0] * 4 + [1.0] * 4
+    assert transition_profile(0.5) == 0.5
+
+
+@pytest.mark.parametrize("t", [0.25, np.float64(0.25), [0.25], [[0.1, 0.9]],
+                               np.zeros((3, 4)), np.empty(0)])
+def test_transition_profile_keeps_the_input_shape(t):
+    out = transition_profile(t)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == np.shape(t)
+
+
+def test_transition_profile_nondecreasing():
+    out = transition_profile(np.linspace(-0.05, 1.05, 200_001))
+    assert np.all(np.diff(out) >= 0.0)
+    assert 0.0 <= out.min() and out.max() <= 1.0
+
+
+def test_transition_profile_matches_scipy_erf():
+    special = pytest.importorskip("scipy.special")
+    t = np.linspace(0.0, 1.0, 200_001)[1:-1]
+    oracle = 0.5 * (1.0 + special.erf(CUTOFF_SHARPNESS * (2.0 * t - 1.0)))
+    assert np.max(np.abs(transition_profile(t) - oracle)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
