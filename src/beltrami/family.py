@@ -42,6 +42,7 @@ from .grid import (
     _fd_beltrami_defect,
     _geometry,
     _holder_seminorm_masked,
+    _support_box,
     interior_mask,
     sup_norm,
     wirtinger_dbar,
@@ -49,12 +50,11 @@ from .grid import (
 )
 from .solver import (
     SolverConfig,
-    _beurling_buffer,
     check_nondegenerate,
     neumann_solve,
     solve_immersion,
 )
-from .transforms import cauchy_transform
+from .transforms import _PrunedBeurling, cauchy_transform
 
 FRAME_DEGENERACY_TOL = 1e-12
 
@@ -322,6 +322,28 @@ def _quadratic_extrapolation_gap(f_prev, f_mid, f_next, f_target) -> float:
     return float(np.max(np.abs(f_target.samples - pred)))
 
 
+def _difference_positions(entries) -> list:
+    """Positions i, in report order, of the entries whose pair
+    (entries[i - 1], entries[i]) has an adjacent difference: both solved,
+    at different parameters."""
+    return [i for i in range(1, len(entries))
+            if entries[i - 1].result is not None and entries[i].result is not None
+            and entries[i].b != entries[i - 1].b]
+
+
+def _extrapolation_positions(entries) -> list:
+    """Positions i, in report order, of the entries with an extrapolation
+    gap against the quadratic through entries i - 3 .. i - 1: on uniform
+    grids of at least four points, when all four are solved."""
+    grid = [e.b for e in entries]
+    steps = [b2 - b1 for b1, b2 in zip(grid, grid[1:])]
+    uniform = steps and all(math.isclose(s, steps[0], rel_tol=1e-12) for s in steps)
+    if not uniform or len(grid) < 4:
+        return []
+    return [i for i in range(3, len(grid))
+            if all(e.result is not None for e in entries[i - 3:i + 1])]
+
+
 @dataclass
 class _SeriesPoint:
     """A linear-law grid point whose b-power series is still being summed."""
@@ -335,21 +357,26 @@ class _SeriesPoint:
 
 
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
-                         u: ComplexField, cfg: SolverConfig) -> Optional[DbarResult]:
+                         u: ComplexField, cfg: SolverConfig,
+                         beurling: _PrunedBeurling) -> Optional[DbarResult]:
     """The result of a point whose last term met the stop test.
 
     Returns None while a measured residual is still above cfg.tol: the
     immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
-    d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|.
+    d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|.  Both vanish off the
+    support box, so they are measured on it.
     """
     mu = family.realize(point.index)
     m = mu.extended.samples
     domain = u.domain
-    g = _beurling_buffer(point.phi, domain) + 1.0
-    if float(np.max(np.abs(m * g - point.phi))) <= cfg.tol:
+    box = beurling.box
+    beurling(point.phi)
+    g = beurling.finish() + 1.0
+    immersion_step = m[box] * g[box] - point.phi[box]
+    if float(np.max(np.abs(immersion_step), initial=0.0)) <= cfg.tol:
         rhs = dbar_rhs(m, g, u.samples)
-        psi_step = rhs + m * _beurling_buffer(point.psi, domain) - point.psi
-        residual = float(np.max(np.abs(psi_step)))
+        psi_step = rhs[box] + m[box] * beurling(point.psi) - point.psi[box]
+        residual = float(np.max(np.abs(psi_step), initial=0.0))
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
             return _dbar_result(mu, g, u, ComplexField(domain, rhs),
@@ -372,12 +399,13 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
     b^n times the new terms to its own sums and is finished once its term size
     reaches cfg.tol and its measured residuals pass, so its result is bitwise
     independent of the other grid points.  Point b is gated on
-    sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve.
+    sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve.  Every
+    term vanishes off the box of the nonzero samples of mu_0 and the data,
+    so the recurrence and the sums run on that box.
     """
     grid = family.parameter_grid
     domain = family.base_mu.domain
     m0 = family.base_mu.extended.samples
-    abs2 = np.abs(m0) ** 2
     sup0 = family.base_mu.sup_norm
     entries = [None] * len(grid)
     data = []                       # distinct data, one d-bar chain each
@@ -394,37 +422,48 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
             data.append(u)
         live.append(_SeriesPoint(i, b, chain, np.zeros_like(m0), u.copy(), []))
 
-    # the recurrence updates buffers allocated here, once per sweep
-    a, a_buffer = m0, np.empty_like(m0)     # a_n
+    box = _support_box(m0, *data)
+    a_beurling = _PrunedBeurling(domain, box)   # g_n = S(a_n)
+    c_beurling = _PrunedBeurling(domain, box)   # S(c_{n-1}) and point finishes
+    m0_box = m0[box]
+    abs2 = np.abs(m0_box) ** 2
+    data_box = [d[box] for d in data]
+    # the recurrence updates buffers allocated here, once per sweep; a and c
+    # are whole-grid inputs of the applies, zero off the box
+    a, a_buffer = m0, np.zeros_like(m0)     # a_n
     c = [d.copy() for d in data]            # c_{n-1} per chain
-    conj_g, conj_g1, conj_g2 = (np.empty_like(m0) for _ in range(3))
+    conj_g, conj_g1, conj_g2 = (np.empty_like(m0_box) for _ in range(3))
     conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
     conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
-    weight, tmp = np.empty_like(m0), np.empty_like(m0)
-    magnitude = np.empty(m0.shape)
+    weight, tmp = np.empty_like(m0_box), np.empty_like(m0_box)
+    magnitude = np.empty(m0_box.shape)
     n = 0
     while live and n < cfg.max_iter:
         n += 1
-        g = _beurling_buffer(a, domain)
+        g = a_beurling(a)
         np.conj(g, out=conj_g)
         np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
         c_size = {}
         for j in sorted({p.chain for p in live}):
-            np.multiply(m0, _beurling_buffer(c[j], domain), out=c[j])
-            np.add(np.multiply(weight, data[j], out=tmp), c[j], out=c[j])
-            c_size[j] = float(np.max(np.abs(c[j], out=magnitude)))
-        a_size = float(np.max(np.abs(a, out=magnitude)))
+            c_box = c[j][box]
+            np.multiply(m0_box, c_beurling(c[j]), out=c_box)
+            np.add(np.multiply(weight, data_box[j], out=tmp), c_box, out=c_box)
+            c_size[j] = float(np.max(np.abs(c_box, out=magnitude), initial=0.0))
+        a_box = a[box]
+        a_size = float(np.max(np.abs(a_box, out=magnitude), initial=0.0))
         pending = []
         for p in live:
             bn = p.b ** n
-            p.phi += np.multiply(bn, a, out=tmp)
-            p.psi += np.multiply(bn, c[p.chain], out=tmp)
+            phi_box, psi_box = p.phi[box], p.psi[box]
+            np.add(phi_box, np.multiply(bn, a_box, out=tmp), out=phi_box)
+            np.add(psi_box, np.multiply(bn, c[p.chain][box], out=tmp), out=psi_box)
             p.trace.append(bn * max(a_size, c_size[p.chain]))
             if p.trace[-1] > cfg.tol:
                 pending.append(p)
                 continue
             try:
-                result = _finish_series_point(family, p, u_family[p.index], cfg)
+                result = _finish_series_point(family, p, u_family[p.index], cfg,
+                                              c_beurling)
             except BeltramiError as exc:
                 entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
                 continue
@@ -433,7 +472,8 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
             else:
                 entries[p.index] = FamilyEntry(p.b, result)
         live = pending
-        a = np.multiply(m0, g, out=a_buffer)
+        a = a_buffer
+        np.multiply(m0_box, g, out=a[box])
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
         exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
@@ -486,24 +526,14 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
             entries = list(pool.map(solve_one, indices))
 
     diffs = []
-    for lo, hi in zip(entries, entries[1:]):
-        if lo.result is None or hi.result is None or hi.b == lo.b:
-            continue
+    for i in _difference_positions(entries):
+        lo, hi = entries[i - 1], entries[i]
         d = sup_norm(hi.result.f - lo.result.f, on_omega=True)
         diffs.append((lo.b, hi.b, d, d / abs(hi.b - lo.b)))
     lipschitz = max((r for *_, r in diffs), default=None)
-
-    extrap = []
-    steps = [b2 - b1 for b1, b2 in zip(grid, grid[1:])]
-    uniform = steps and all(math.isclose(s, steps[0], rel_tol=1e-12) for s in steps)
-    if uniform and len(grid) >= 4:
-        for i in range(1, len(grid) - 2):
-            window = entries[i - 1:i + 3]
-            if any(e.result is None for e in window):
-                continue
-            gap = _quadratic_extrapolation_gap(*(e.result.f for e in window))
-            extrap.append((grid[i + 2], gap))
-
+    extrap = [(entries[i].b, _quadratic_extrapolation_gap(
+                  *(e.result.f for e in entries[i - 3:i + 1])))
+              for i in _extrapolation_positions(entries)]
     return FamilySweepResult(tuple(entries), tuple(diffs), lipschitz, tuple(extrap))
 
 

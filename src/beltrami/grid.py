@@ -375,8 +375,30 @@ def _multipliers(resolution: int, half_width: float) -> _Multipliers:
     return table
 
 
+def _full_box(a: np.ndarray) -> tuple:
+    """The (rows, cols) slices covering all of ``a``."""
+    return slice(0, a.shape[0]), slice(0, a.shape[1])
+
+
+def _support_box(*samples: np.ndarray) -> tuple:
+    """The smallest (rows, cols) slices holding every nonzero sample.
+
+    Read from the values, not from the cutoff support: a constant datum is
+    nonzero on the whole grid.  All-zero samples give an empty box.
+    """
+    nonzero = samples[0] != 0
+    for s in samples[1:]:
+        nonzero |= s != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    return (slice(int(rows[0]), int(rows[-1]) + 1),
+            slice(int(cols[0]), int(cols[-1]) + 1))
+
+
 def _fourier_apply(x: np.ndarray, multiplier: np.ndarray,
-                   out: np.ndarray) -> complex:
+                   out: np.ndarray, box: tuple | None = None) -> complex:
     """out = ifft2(multiplier * fft2(x)), allocating nothing; returns the
     zero mode fft2(x)[0, 0].
 
@@ -384,13 +406,22 @@ def _fourier_apply(x: np.ndarray, multiplier: np.ndarray,
     in place in ``out`` (which may be ``x``).  The product keeps the
     multiplier as its first operand: complex multiply is not bitwise
     commutative.
+
+    ``box`` = (rows, cols), by default the whole grid, prunes the apply for
+    an ``x`` that vanishes off ``rows``: the forward row FFTs run on those
+    rows only (the other rows of ``out`` are zeroed) and the last inverse
+    FFTs on ``cols`` only.  ``out`` is then exact on the ``cols`` columns;
+    the others hold the row-inverse stage until their column FFTs run.
     """
-    np.fft.fft(x, axis=1, out=out)
+    rows, cols = _full_box(out) if box is None else box
+    out[:rows.start] = 0
+    out[rows.stop:] = 0
+    np.fft.fft(x[rows], axis=1, out=out[rows])
     np.fft.fft(out, axis=0, out=out)
     zero_mode = out[0, 0]
     np.multiply(multiplier, out, out=out)
     np.fft.ifft(out, axis=1, out=out)
-    np.fft.ifft(out, axis=0, out=out)
+    np.fft.ifft(out[:, cols], axis=0, out=out[:, cols])
     return zero_mode
 
 

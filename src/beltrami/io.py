@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldFormatError, ValidationError
+from .family import _difference_positions, _extrapolation_positions
 from .grid import ComplexField, DomainSpec
 
 MAGIC = b"CPXFIELD"
@@ -123,18 +124,24 @@ def write_residual_trace_csv(path, trace) -> None:
 
 
 def write_family_report_csv(path, sweep) -> None:
-    """Columns: b, iterations, residual, adjacent-difference, extrapolation-error."""
-    adjacent = {hi: diff for _, hi, diff, _ in sweep.adjacent_differences}
-    extrap = dict(sweep.extrapolation_errors)
+    """Columns: b, iterations, residual, adjacent-difference, extrapolation-error.
+
+    The last two are keyed by entry position, not by b, so a grid that
+    repeats a parameter labels every row with its own values.
+    """
+    adjacent = dict(zip(_difference_positions(sweep.entries),
+                        (diff for _, _, diff, _ in sweep.adjacent_differences)))
+    extrap = dict(zip(_extrapolation_positions(sweep.entries),
+                      (gap for _, gap in sweep.extrapolation_errors)))
     with open(path, "w") as fh:
         fh.write("b,iterations,residual,adjacent_difference,extrapolation_error\n")
-        for entry in sweep.entries:
+        for i, entry in enumerate(sweep.entries):
             if entry.result is None:
                 fh.write(f"{entry.b:.17g},,,,\n")
                 continue
             diag = entry.result.diagnostics
-            adj = adjacent.get(entry.b)
-            ext = extrap.get(entry.b)
+            adj = adjacent.get(i)
+            ext = extrap.get(i)
             fh.write(f"{entry.b:.17g},{diag.iterations},"
                      f"{diag.interior_residual:.17g},"
                      f"{'' if adj is None else format(adj, '.17g')},"

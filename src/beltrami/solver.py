@@ -7,7 +7,11 @@ inverted by the fixed-point iteration
 
 which sums the geometric operator series term by term.  The residual of the
 k-th iterate is exactly ||phi_{k+1} - phi_k|| in sup norm, so each iteration
-costs one Beurling apply and the stop test is free.
+costs one Beurling apply and the stop test is free.  mu_ext and rhs vanish
+off the row x column box of their nonzero samples, and there every iterate
+equals rhs; the apply is therefore pruned to the box (forward row FFTs on
+its rows, last inverse column FFTs on its columns, the mean term on the box)
+and the pointwise update and residual run on the box alone.
 
 The immersion for the homogeneous Beltrami equation f_zbar = mu * f_z close
 to the identity is assembled as h = z + P(phi) with phi the fixed point for
@@ -32,10 +36,11 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _fd_beltrami_defect,
+    _support_box,
     interior_mask,
     make_coordinate_field,
 )
-from .transforms import beurling_transform, cauchy_transform
+from .transforms import _PrunedBeurling, cauchy_transform
 
 DEGENERACY_TOL = 1e-9
 
@@ -111,34 +116,44 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
         If cfg.max_iter applications leave the residual above cfg.tol; the
         exception carries the partial iterate and the residual trace.
     """
+    return _neumann(mu, rhs, cfg)[0]
+
+
+def _neumann(mu: BeltramiField, rhs: ComplexField,
+             cfg: SolverConfig) -> tuple[NeumannResult, _PrunedBeurling]:
+    """neumann_solve, plus the apply that holds S(phi) on the support box.
+
+    mu_ext and rhs vanish off the box of their nonzero samples, so every
+    iterate equals rhs there: the loop runs on the box alone, and the
+    apply's ``finish`` gives the whole S(phi).
+    """
     if mu.domain != rhs.domain:
         raise ValidationError("mu and rhs live on different DomainSpecs")
     if mu.sup_norm >= cfg.contraction_cap:
         raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
     m = mu.extended.samples
     r = rhs.samples
+    box = _support_box(m, r)
+    beurling = _PrunedBeurling(rhs.domain, box)
+    m_box, r_box = m[box], r[box]
     # phi and nxt ping-pong between two buffers owned by this call
-    phi, nxt, step = r.copy(), np.empty_like(r), np.empty_like(r)
-    magnitude = np.empty(r.shape)
+    phi, nxt = r.copy(), r.copy()
+    step = np.empty_like(r_box)
+    magnitude = np.empty(r_box.shape)
     trace = []
     for k in range(1, cfg.max_iter + 1):
-        s = _beurling_buffer(phi, rhs.domain)
-        np.add(r, np.multiply(m, s, out=nxt), out=nxt)
-        np.subtract(nxt, phi, out=step)  # exact residual of phi
-        residual = float(np.max(np.abs(step, out=magnitude)))
+        s = beurling(phi)
+        nxt_box = nxt[box]
+        np.add(r_box, np.multiply(m_box, s, out=nxt_box), out=nxt_box)
+        np.subtract(nxt_box, phi[box], out=step)  # exact residual of phi
+        residual = float(np.max(np.abs(step, out=magnitude), initial=0.0))
         trace.append(residual)
         if residual <= cfg.tol:
-            return NeumannResult(ComplexField(rhs.domain, phi), k,
-                                 residual, tuple(trace))
+            result = NeumannResult(ComplexField(rhs.domain, phi), k,
+                                   residual, tuple(trace))
+            return result, beurling
         phi, nxt = nxt, phi
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
-
-
-def _beurling_buffer(samples: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Spectral S(samples) as a new read-only array, through one public
-    (traced) beurling_transform call.  The field wraps a view, so
-    ``samples`` stays writable: loops keep their own buffers."""
-    return beurling_transform(ComplexField(domain, samples.view())).samples
 
 
 def solve_immersion(mu: BeltramiField,
@@ -146,13 +161,13 @@ def solve_immersion(mu: BeltramiField,
     """Solve the homogeneous Beltrami equation for the near-identity immersion.
 
     Returns h = z + P(phi) and g = 1 + S(phi) where phi solves
-    (I - mu*S) phi = mu.  For mu identically zero this reduces exactly to
-    h = z, g = 1 in one iteration.
+    (I - mu*S) phi = mu; S(phi) is the last apply of the iteration.  For mu
+    identically zero this reduces exactly to h = z, g = 1 in one iteration.
     """
-    res = neumann_solve(mu, mu.extended, cfg)
+    res, beurling = _neumann(mu, mu.extended, cfg)
     z = make_coordinate_field(mu.domain)
     h = z + cauchy_transform(res.phi)
-    g = beurling_transform(res.phi) + 1.0
+    g = ComplexField(mu.domain, beurling.finish() + 1.0)
     return ImmersionResult(h=h, g=g, phi=res.phi, iterations=res.iterations,
                            final_residual=res.final_residual, trace=res.trace)
 

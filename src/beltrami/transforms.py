@@ -41,6 +41,7 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _fourier_apply,
+    _full_box,
     _multipliers,
     tapered_coordinate_conjugate,
     wirtinger_dz,
@@ -79,10 +80,20 @@ def _plan(domain: DomainSpec) -> _SpectralPlan:
     return _SpectralPlan(domain)
 
 
-# Byte size of the row blocks through which _spectral adds the mean term.  A
+# Byte size of the row blocks through which the mean term is added.  A
 # full-size temporary (4 MiB at N = 512) is a fresh mapping that is
 # page-faulted on every apply; blocks this small are reused heap memory.
 _MEAN_BLOCK_BYTES = 1 << 16
+
+
+def _add_mean(out: np.ndarray, mean: complex, mean_profile: np.ndarray,
+              rows: slice, cols: slice) -> None:
+    """out[rows, cols] += mean * mean_profile[rows, cols], in row blocks."""
+    width = max(1, cols.stop - cols.start)
+    step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * width))
+    for lo in range(rows.start, rows.stop, step):
+        block = out[lo:min(lo + step, rows.stop), cols]
+        np.add(block, mean * mean_profile[lo:lo + block.shape[0], cols], out=block)
 
 
 def _spectral(samples: np.ndarray, multiplier: np.ndarray,
@@ -92,10 +103,43 @@ def _spectral(samples: np.ndarray, multiplier: np.ndarray,
     Allocates the output; the mean term goes through small row blocks."""
     out = np.empty_like(samples)
     mean = _fourier_apply(samples, multiplier, out) / samples.size
-    rows = max(1, _MEAN_BLOCK_BYTES // out[0].nbytes)
-    for lo in range(0, out.shape[0], rows):
-        out[lo:lo + rows] += mean * mean_profile[lo:lo + rows]
+    _add_mean(out, mean, mean_profile, *_full_box(out))
     return out
+
+
+class _PrunedBeurling:
+    """S of fields that vanish off one (rows, cols) box, into one buffer.
+
+    A call computes S(x) on the box only, through the pruned
+    ``_fourier_apply`` and a box-only mean term, and returns the box view of
+    ``out``; ``finish`` completes ``out`` to the whole S(x).  Either way the
+    samples are bitwise those of ``_spectral``.  The iterations of a solve
+    reuse ``out``, so an apply allocates no full-size array.
+    """
+
+    def __init__(self, domain: DomainSpec, box: tuple):
+        self.box = box
+        self.multiplier = _multipliers(domain.resolution, domain.half_width).S
+        self.mean_profile = _plan(domain).dz_w
+        self.out = np.empty((domain.resolution,) * 2, dtype=np.complex128)
+        self.mean = 0j
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.mean = _fourier_apply(x, self.multiplier, self.out, self.box) / x.size
+        _add_mean(self.out, self.mean, self.mean_profile, *self.box)
+        return self.out[self.box]
+
+    def finish(self) -> np.ndarray:
+        """The whole S(x) of the last call: the column FFTs and the mean
+        term off the box."""
+        out, (rows, cols) = self.out, self.box
+        n = out.shape[0]
+        for rest in (slice(0, cols.start), slice(cols.stop, n)):
+            np.fft.ifft(out[:, rest], axis=0, out=out[:, rest])
+            _add_mean(out, self.mean, self.mean_profile, slice(0, n), rest)
+        for rest in (slice(0, rows.start), slice(rows.stop, n)):
+            _add_mean(out, self.mean, self.mean_profile, rest, cols)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,12 @@ def quad_convolve_reference(x: np.ndarray, kernel_hat: np.ndarray,
     pad = np.zeros((2 * N, 2 * N), dtype=np.complex128)
     pad[:N, :N] = x
     return fourier_apply_reference(pad, kernel_hat)[:N, :N] * cell_area
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-for-bit equality of two complex arrays.
+
+    np.array_equal counts -0.0 and +0.0 as equal; the uint64 views do not.
+    """
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))

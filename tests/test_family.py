@@ -11,6 +11,8 @@ from beltrami import (
     BeltramiField,
     ComplexField,
     DegenerateFrame,
+    Disc,
+    DomainSpec,
     FamilySpec,
     OneFormField,
     SolverConfig,
@@ -25,6 +27,7 @@ from beltrami import (
     make_coordinate_field,
     neumann_solve,
     omega_mask,
+    rebase,
     solve_dbar,
     solve_family,
     solve_immersion,
@@ -35,6 +38,7 @@ from conftest import (
     mu_bump,
     mu_constant,
     mu_strong,
+    same_bits,
     smooth_random_field,
 )
 
@@ -236,7 +240,7 @@ def test_family_reversed_grid_bitwise(dom64):
     rev = solve_family(FamilySpec(mu, grid[::-1]), [u] * 5)
     for e_fwd, e_rev in zip(fwd.entries, reversed(rev.entries)):
         assert e_fwd.b == e_rev.b
-        assert np.array_equal(e_fwd.result.f.samples, e_rev.result.f.samples)
+        assert same_bits(e_fwd.result.f.samples, e_rev.result.f.samples)
 
 
 def test_family_threads_bitwise_equal(dom64):
@@ -246,7 +250,7 @@ def test_family_threads_bitwise_equal(dom64):
     serial = solve_family(FamilySpec(mu, grid), [u] * 3, threads=1)
     threaded = solve_family(FamilySpec(mu, grid), [u] * 3, threads=3)
     for a, b in zip(serial.entries, threaded.entries):
-        assert np.array_equal(a.result.f.samples, b.result.f.samples)
+        assert same_bits(a.result.f.samples, b.result.f.samples)
 
 
 def _table_family(domain):
@@ -387,6 +391,24 @@ def test_linear_sweep_matches_per_entry_dbar(resolution, make_mu):
             entry.result.diagnostics.iterations
 
 
+def test_linear_sweep_with_data_wider_than_mu(dom64):
+    # the series runs on the box of mu_0 and every datum, here the data's
+    small = DomainSpec(3.0, 64, Disc(0j, 0.5), 0.8)
+    wide = DomainSpec(3.0, 64, Disc(0.3 + 0.2j, 1.8), 0.8)
+    mu = BeltramiField.from_raw(rebase(gaussian_bump_field(small, 0.6), dom64))
+    u_wide = rebase(smooth_random_field(wide, seed=11), dom64)
+    u_disc = disc_indicator_field(dom64)
+    grid = (0.25, 0.5, 0.75, 1.0)
+    data = [u_disc, u_wide, u_disc, u_wide]
+    cfg = SolverConfig()
+    sweep = solve_family(FamilySpec(mu, grid), data, cfg)
+    om = omega_mask(dom64)
+    for i, entry in enumerate(sweep.entries):
+        direct = solve_dbar(mu.scaled(grid[i]), data[i], cfg)
+        gap = np.max(np.abs((entry.result.f - direct.f).samples[om]))
+        assert gap <= 1e-10, (entry.b, gap)
+
+
 def test_linear_sweep_no_convergence_only_where_terms_run_out(dom64):
     family = FamilySpec(mu_strong(dom64), (0.0, 0.001, 0.01, 0.5, 1.0))
     u = disc_indicator_field(dom64)
@@ -416,7 +438,7 @@ def test_family_entries_return_their_rhs(dom128):
     table = FamilySpec(mu, (0.0, 1.0), law="table", table=(mu.scaled(0.5), mu))
     for i, entry in enumerate(solve_family(table, [u] * 2).entries):
         direct = solve_dbar(table.realize(i), u)
-        assert np.array_equal(entry.result.rhs.samples, direct.rhs.samples)
+        assert same_bits(entry.result.rhs.samples, direct.rhs.samples)
 
 
 _DOM32 = disc_domain(32)
@@ -434,7 +456,7 @@ def test_linear_sweep_entries_independent_of_grid(indices):
     sweep = solve_family(FamilySpec(_MU32, grid), [_U32] * len(grid))
     for i, entry in zip(indices, sweep.entries):
         assert entry.b == _FULL32[i].b
-        assert np.array_equal(entry.result.f.samples, _FULL32[i].result.f.samples)
+        assert same_bits(entry.result.f.samples, _FULL32[i].result.f.samples)
 
 
 # ---------------------------------------------------------------------------

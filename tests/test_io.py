@@ -129,6 +129,45 @@ def test_family_csv_writer(tmp_path, dom64):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("grid, adjacent_rows", [
+    ((0.25, 0.5, 0.25), (1, 2)),    # the first row has no predecessor
+    ((0.25, 0.5, 0.5), (1,)),       # the repeated pair has no difference
+])
+def test_family_csv_keys_columns_by_position(tmp_path, grid, adjacent_rows):
+    from beltrami import BeltramiField, FamilySpec, solve_family
+    from beltrami import disc_indicator_field
+    dom = DomainSpec(3.0, 32, Disc(0j, 1.0), 0.8)
+    mu = BeltramiField.from_raw(constant_field(dom, 0.3))
+    sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom)] * 3,
+                         SolverConfig())
+    write_family_report_csv(tmp_path / "fam.csv", sweep)
+    rows = [line.split(",")
+            for line in (tmp_path / "fam.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == list(grid)
+    diffs = [format(d, ".17g") for _, _, d, _ in sweep.adjacent_differences]
+    assert len(diffs) == len(adjacent_rows)
+    for i, row in enumerate(rows):
+        expected = diffs[adjacent_rows.index(i)] if i in adjacent_rows else ""
+        assert row[3] == expected, (i, row)
+        assert row[4] == ""
+
+
+def test_family_csv_extrapolation_column_on_a_uniform_grid(tmp_path, dom64):
+    from beltrami import BeltramiField, FamilySpec, solve_family
+    from beltrami import disc_indicator_field
+    mu = BeltramiField.from_raw(constant_field(dom64, 0.3))
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom64)] * 5,
+                         SolverConfig())
+    write_family_report_csv(tmp_path / "fam.csv", sweep)
+    rows = [line.split(",")
+            for line in (tmp_path / "fam.csv").read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == ["", "", ""] + [
+        format(gap, ".17g") for _, gap in sweep.extrapolation_errors]
+    assert [r[3] for r in rows] == [""] + [
+        format(d, ".17g") for _, _, d, _ in sweep.adjacent_differences]
+
+
 def test_exhaustion_csv_writer(tmp_path, dom256):
     from beltrami import BeltramiField, constant_field, disc_indicator_field
     from beltrami import exhaustion_solve

@@ -6,20 +6,27 @@ from beltrami import (
     ComplexField,
     ContractionTooLarge,
     DegenerateImmersion,
+    Disc,
+    DomainSpec,
     ImmersionResult,
     NoConvergence,
+    Rect,
     SolverConfig,
     ValidationError,
     beltrami_residual,
     constant_field,
     disc_indicator_field,
+    gaussian_bump_field,
     interior_mask,
     make_coordinate_field,
     neumann_solve,
+    rebase,
     solve_immersion,
     beurling_transform,
     tapered_coordinate_conjugate,
 )
+
+from beltrami.grid import _support_box
 
 from conftest import (
     corpus,
@@ -29,6 +36,7 @@ from conftest import (
     mu_constant,
     mu_linear,
     mu_strong,
+    same_bits,
     smooth_random_field,
 )
 
@@ -158,22 +166,86 @@ def test_neumann_no_convergence_carries_state(dom128):
     assert exc.phi.shape == (128, 128)
 
 
-def test_neumann_loop_matches_the_allocating_reference_bitwise(dom128):
-    # the buffered loop computes the same iterates as fresh-array arithmetic
-    mu = mu_bump(dom128, 0.5)
-    rhs = smooth_random_field(dom128, seed=5)
-    cfg = SolverConfig()
-    res = neumann_solve(mu, rhs, cfg)
+def _allocating_neumann(mu, rhs, cfg):
+    """The Neumann loop as fresh-array arithmetic on the whole grid."""
     m, r = mu.extended.samples, rhs.samples
     phi, trace = r, []
     while True:
-        nxt = r + m * beurling_transform(ComplexField(dom128, phi)).samples
+        nxt = r + m * beurling_transform(ComplexField(rhs.domain, phi)).samples
         trace.append(float(np.max(np.abs(nxt - phi))))
         if trace[-1] <= cfg.tol:
-            break
+            return phi, tuple(trace)
         phi = nxt
-    assert res.trace == tuple(trace)
+
+
+def _assert_matches_the_allocating_loop(mu, rhs, cfg=SolverConfig()):
+    """neumann_solve gives the allocating loop's trace and, bit for bit, its
+    iterate on the support box of mu_ext and rhs.  Off the box mu_ext
+    vanishes and phi is rhs itself, bit for bit; the allocating loop holds
+    rhs + 0 * S(phi) there, the same value with the sign of zero that
+    rounding gives."""
+    res = neumann_solve(mu, rhs, cfg)
+    phi, trace = _allocating_neumann(mu, rhs, cfg)
+    assert res.trace == trace
+    box = _support_box(mu.extended.samples, rhs.samples)
+    assert same_bits(res.phi.samples[box], phi[box])
+    off = np.ones(phi.shape, dtype=bool)
+    off[box] = False
+    assert same_bits(res.phi.samples[off], rhs.samples[off])
     assert np.array_equal(res.phi.samples, phi)
+    return res, box
+
+
+def test_neumann_loop_matches_the_allocating_reference_bitwise(dom128):
+    # the buffered loop computes the same iterates as fresh-array arithmetic
+    _assert_matches_the_allocating_loop(mu_bump(dom128, 0.5),
+                                        smooth_random_field(dom128, seed=5))
+
+
+def test_neumann_loop_matches_the_allocating_reference_on_a_wider_rhs(dom128):
+    # rhs tapered to a larger disc: the box is rhs's, wider than mu_ext's
+    wide = DomainSpec(3.0, 128, Disc(0j, 1.8), 0.8)
+    rhs = rebase(smooth_random_field(wide, seed=6), dom128)
+    mu = mu_bump(dom128, 0.5)
+    _, box = _assert_matches_the_allocating_loop(mu, rhs)
+    assert _support_box(mu.extended.samples) != box
+    assert box == _support_box(rhs.samples)
+
+
+def test_neumann_full_support_rhs_runs_on_the_whole_grid(dom64):
+    # a constant rhs is nonzero everywhere, so every sample is the reference's
+    mu, rhs = mu_bump(dom64, 0.5), constant_field(dom64, 0.2 - 0.1j)
+    res, box = _assert_matches_the_allocating_loop(mu, rhs)
+    assert box == (slice(0, 64), slice(0, 64))
+    phi, _ = _allocating_neumann(mu, rhs, SolverConfig())
+    assert same_bits(res.phi.samples, phi)
+
+
+def test_neumann_zero_data_has_an_empty_box(dom64):
+    zero = constant_field(dom64, 0.0)
+    mu = BeltramiField.from_raw(zero)
+    assert _support_box(mu.extended.samples, zero.samples) == (slice(0, 0),
+                                                               slice(0, 0))
+    res = neumann_solve(mu, zero)
+    assert (res.iterations, res.final_residual, res.trace) == (1, 0.0, (0.0,))
+    assert same_bits(res.phi.samples, zero.samples)
+
+
+def test_neumann_off_centre_rect(dom64):
+    dom = DomainSpec(3.0, 64, Rect(-0.4, 0.3, 1.2, 1.1), 0.5)
+    mu = BeltramiField.from_raw(gaussian_bump_field(dom, 0.4 + 0.2j, width=0.6,
+                                                     center=0.4 + 0.7j))
+    rhs = smooth_random_field(dom, seed=7)
+    _, (rows, cols) = _assert_matches_the_allocating_loop(mu, rhs)
+    # the box follows Omega off the centre of the square
+    assert rows.start > 64 - rows.stop and cols.start != 64 - cols.stop
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear-z", "bump"])
+def test_immersion_g_is_one_plus_the_beurling_transform_of_phi(dom128, kind):
+    # g comes from the last apply of the iteration, finished off the box
+    res = solve_immersion(corpus(dom128)[kind])
+    assert same_bits(res.g.samples, (beurling_transform(res.phi) + 1.0).samples)
 
 
 def test_neumann_domain_mismatch(dom64, dom128):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     BeltramiField,
@@ -21,7 +23,13 @@ from beltrami import (
     wirtinger_dz,
 )
 from beltrami.grid import _multipliers
-from beltrami.transforms import _plan, _quad_convolve, _quad_plan
+from beltrami.transforms import (
+    _PrunedBeurling,
+    _plan,
+    _quad_convolve,
+    _quad_plan,
+    _spectral,
+)
 
 from conftest import (
     cauchy_transform_direct,
@@ -31,6 +39,7 @@ from conftest import (
     mu_bump,
     mu_constant,
     quad_convolve_reference,
+    same_bits,
     smooth_random_field,
 )
 
@@ -214,6 +223,39 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
                               quad_convolve_reference(x, kernel_hat, q.cell_area))
     assert np.array_equal(beurling_transform(phi, "quadrature").samples,
                           quad_convolve_reference(x, q.beurling_hat, q.cell_area))
+
+
+@st.composite
+def _boxes(draw):
+    n = draw(st.sampled_from([16, 32, 64]))
+    r0 = draw(st.integers(0, n - 1))
+    c0 = draw(st.integers(0, n - 1))
+    return (n, r0, draw(st.integers(r0 + 1, n)), c0, draw(st.integers(c0 + 1, n)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_boxes())
+@example((32, 0, 32, 0, 32, 1))      # the whole grid
+@example((32, 7, 8, 0, 32, 2))       # one row
+@example((16, 0, 16, 5, 6, 3))       # one column
+@example((64, 0, 9, 50, 64, 4))      # touching row 0 and column N - 1
+@example((64, 41, 64, 0, 3, 5))      # touching row N - 1 and column 0
+@example((16, 15, 16, 15, 16, 6))    # the last sample alone
+def test_pruned_beurling_matches_spectral_bitwise(case):
+    # box values, and the whole output after finish, are the full apply's
+    n, r0, r1, c0, c1, seed = case
+    dom = disc_domain(n)
+    rng = np.random.default_rng(seed)
+    box = slice(r0, r1), slice(c0, c1)
+    x = np.zeros((n, n), dtype=np.complex128)
+    x[box] = rng.normal(size=x[box].shape) + 1j * rng.normal(size=x[box].shape)
+    ref = _spectral(x, _multipliers(n, dom.half_width).S, _plan(dom).dz_w)
+    apply = _PrunedBeurling(dom, box)
+    assert same_bits(apply(x), ref[box])
+    assert same_bits(apply.finish(), ref)
+    # a second call reuses the buffer and gives the same bits
+    assert same_bits(apply(x), ref[box])
 
 
 def test_quadrature_equals_direct_sum():
