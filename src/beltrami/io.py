@@ -130,9 +130,11 @@ def write_family_report_csv(path, sweep) -> None:
     repeats a parameter labels every row with its own values.
     """
     adjacent = dict(zip(_difference_positions(sweep.entries),
-                        (diff for _, _, diff, _ in sweep.adjacent_differences)))
+                        (diff for _, _, diff, _ in sweep.adjacent_differences),
+                        strict=True))
     extrap = dict(zip(_extrapolation_positions(sweep.entries),
-                      (gap for _, gap in sweep.extrapolation_errors)))
+                      (gap for _, gap in sweep.extrapolation_errors),
+                      strict=True))
     with open(path, "w") as fh:
         fh.write("b,iterations,residual,adjacent_difference,extrapolation_error\n")
         for i, entry in enumerate(sweep.entries):

@@ -168,6 +168,22 @@ def test_family_csv_extrapolation_column_on_a_uniform_grid(tmp_path, dom64):
         format(d, ".17g") for _, _, d, _ in sweep.adjacent_differences]
 
 
+def test_family_csv_rejects_lists_that_disagree_with_the_entries(tmp_path, dom64):
+    """A sweep built or filtered by hand must not shift values onto other rows."""
+    import dataclasses
+
+    from beltrami import BeltramiField, FamilySpec, solve_family
+    from beltrami import disc_indicator_field
+    mu = BeltramiField.from_raw(constant_field(dom64, 0.3))
+    grid = (0.0, 0.25, 0.5, 0.75)
+    sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom64)] * 4,
+                         SolverConfig())
+    for field in ("adjacent_differences", "extrapolation_errors"):
+        short = dataclasses.replace(sweep, **{field: getattr(sweep, field)[:-1]})
+        with pytest.raises(ValueError):
+            write_family_report_csv(tmp_path / "fam.csv", short)
+
+
 def test_exhaustion_csv_writer(tmp_path, dom256):
     from beltrami import BeltramiField, constant_field, disc_indicator_field
     from beltrami import exhaustion_solve

@@ -2,13 +2,13 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_layers.py --sizes 256 512 1024 --repeat 5 \
+    python3 tools/bench_layers.py --sizes 256 512 1024 \
         --baseline /path/to/other/checkout --out BENCH_<label>.json
 
-Each (tree, N) pair runs in a fresh child process that imports ``beltrami``
-from that tree's ``src/`` and prints one JSON object of rows.  With
-``--baseline`` the two trees alternate, N by N and round by round, so both
-see the same machine load; each row keeps the best time over all rounds.
+Each (tree, N) pair runs in ROUNDS fresh child processes that import
+``beltrami`` from that tree's ``src/`` and print one JSON object of rows.
+With ``--baseline`` the two trees alternate, N by N and round by round, so
+both see the same machine load; each row keeps the best time over all rounds.
 Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
 
     beurling.full     public beurling_transform of a field (validated)
@@ -35,6 +35,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5  # calls per row and round; ten times as many for the applies
+SWEEP_REPEAT = 2  # calls of the 9-point sweep per round
+ROUNDS = 3  # child processes per tree and N
 
 
 def _best(fn, repeat: int) -> float:
@@ -46,7 +49,7 @@ def _best(fn, repeat: int) -> float:
     return best
 
 
-def _child(resolution: int, repeat: int, sweep_repeat: int) -> dict:
+def _child(resolution: int) -> dict:
     """Time every row in this process; ``beltrami`` comes from sys.path."""
     import numpy as np
 
@@ -59,32 +62,31 @@ def _child(resolution: int, repeat: int, sweep_repeat: int) -> dict:
     cfg = bl.SolverConfig()
     phi = bl.solve_immersion(mu, cfg).phi
     # an apply is cheap and noisy: time it ten times as often
-    rows = {"beurling.full": _best(lambda: bl.beurling_transform(phi), 10 * repeat)}
+    rows = {"beurling.full": _best(lambda: bl.beurling_transform(phi), 10 * REPEAT)}
     pruned = getattr(transforms, "_PrunedBeurling", None)
     if pruned is not None:
         from beltrami.grid import _support_box
 
         apply = pruned(domain, _support_box(mu.extended.samples, u.samples))
         x = np.array(phi.samples)
-        rows["beurling.pruned"] = _best(lambda: apply(x), 10 * repeat)
-    rows["solve_immersion"] = _best(lambda: bl.solve_immersion(mu, cfg), repeat)
-    rows["solve_dbar"] = _best(lambda: bl.solve_dbar(mu, u, cfg), repeat)
+        rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
+    rows["solve_immersion"] = _best(lambda: bl.solve_immersion(mu, cfg), REPEAT)
+    rows["solve_dbar"] = _best(lambda: bl.solve_dbar(mu, u, cfg), REPEAT)
     raw0 = (bl.constant_field(domain, 0.5)
             + bl.gaussian_bump_field(domain, 0.3, width=0.5))
     family = bl.FamilySpec(bl.BeltramiField.from_raw(raw0),
                            tuple(k / 8 for k in range(9)))
     data = [u] * 9
     rows["sweep.linear9"] = _best(lambda: bl.solve_family(family, data, cfg),
-                                  sweep_repeat)
+                                  SWEEP_REPEAT)
     return {"N": resolution, "numpy": np.__version__, "rows": rows}
 
 
-def _run_child(tree: Path, resolution: int, repeat: int, sweep_repeat: int) -> dict:
+def _run_child(tree: Path, resolution: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child",
-         "--sizes", str(resolution), "--repeat", str(repeat),
-         "--sweep-repeat", str(sweep_repeat)],
+         "--sizes", str(resolution)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -98,13 +100,6 @@ def _commit(tree: Path) -> str | None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[256, 512, 1024])
-    ap.add_argument("--repeat", type=int, default=5,
-                    help="calls per row and round, ten times as many for "
-                         "the applies (best of these)")
-    ap.add_argument("--sweep-repeat", type=int, default=2,
-                    help="calls of the 9-point sweep per round")
-    ap.add_argument("--rounds", type=int, default=2,
-                    help="child processes per tree and N")
     ap.add_argument("--baseline", type=Path,
                     help="a second checkout to time alternately (its src/)")
     ap.add_argument("--out", type=Path, help="write the JSON here as well")
@@ -112,7 +107,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.child:
-        print(json.dumps(_child(args.sizes[0], args.repeat, args.sweep_repeat)))
+        print(json.dumps(_child(args.sizes[0])))
         return 0
 
     trees = {"change": ROOT}
@@ -121,11 +116,11 @@ def main(argv=None) -> int:
     best = {name: {} for name in trees}
     numpy_version = None
     for n in args.sizes:
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             # alternate which tree goes first from round to round
             order = list(trees.items())
             for name, tree in (order if r % 2 == 0 else order[::-1]):
-                child = _run_child(tree, n, args.repeat, args.sweep_repeat)
+                child = _run_child(tree, n)
                 numpy_version = child["numpy"]
                 rows = best[name].setdefault(str(n), {})
                 for row, seconds in child["rows"].items():
@@ -134,9 +129,9 @@ def main(argv=None) -> int:
     report = {
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy_version},
-        "method": (f"best of {args.repeat} calls ({10 * args.repeat} for the "
-                   f"applies, {args.sweep_repeat} for sweep.linear9) in each of "
-                   f"{args.rounds} child processes per tree and N, trees "
+        "method": (f"best of {REPEAT} calls ({10 * REPEAT} for the "
+                   f"applies, {SWEEP_REPEAT} for sweep.linear9) in each of "
+                   f"{ROUNDS} child processes per tree and N, trees "
                    "alternating; seconds per call"),
         "commits": {name: _commit(tree) for name, tree in trees.items()},
         "seconds": best,
