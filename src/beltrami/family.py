@@ -217,10 +217,9 @@ def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
     m = mu.extended.samples
     inner = interior_mask(u.domain)
     lhs = _fd_beltrami_defect(f, mu)
-    interior_residual = float(np.max(np.abs((lhs - rhs.samples)[inner])))
+    interior_residual = float(np.max(np.abs(lhs - rhs.samples[inner])))
     denom = (1.0 - np.abs(m[inner]) ** 2) * np.conj(g[inner])
-    moving_frame_residual = float(np.max(np.abs(lhs[inner] / denom
-                                                - u.samples[inner])))
+    moving_frame_residual = float(np.max(np.abs(lhs / denom - u.samples[inner])))
     return DbarResult(
         f=f,
         diagnostics=DbarDiagnostics(

@@ -176,6 +176,8 @@ class _Geometry:
         # cutoff: 1 on the closure of Omega, 0 beyond the collar
         self.cutoff = 1.0 - transition_profile(np.maximum(dist, 0.0) / domain.margin)
         self.support_mask = self.cutoff > 0.0
+        # the only region where the residuals read the FD defect
+        self.interior_box = _support_box(self.interior_mask)
         for arr in (self.z, self.cutoff, self.omega_mask,
                     self.interior_mask, self.support_mask):
             arr.setflags(write=False)
@@ -450,15 +452,25 @@ def wirtinger_dbar(f: ComplexField) -> ComplexField:
 # finite-difference Wirtinger derivatives (seam-insensitive)
 # ---------------------------------------------------------------------------
 
-def _fd4(samples: np.ndarray, axis: int, h: float) -> np.ndarray:
-    r = np.roll
-    return (-r(samples, -2, axis) + 8 * r(samples, -1, axis)
-            - 8 * r(samples, 1, axis) + r(samples, 2, axis)) / (12.0 * h)
+def _fd4(p: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """4th-order centered difference along ``axis`` of p, whose first and
+    last two entries along that axis are a halo."""
+    size = p.shape[axis] - 4
+
+    def at(k: int) -> np.ndarray:  # at(k)[i] = p[2 + i + k] along axis
+        return p[(slice(None),) * axis + (slice(2 + k, 2 + k + size),)]
+
+    return (-at(2) + 8 * at(1) - 8 * at(-1) + at(-2)) / (12.0 * h)
 
 
-def _fd_xy(f: ComplexField) -> tuple:
-    h = f.domain.spacing
-    return _fd4(f.samples, 1, h), _fd4(f.samples, 0, h)
+def _fd_xy(samples: np.ndarray, box: tuple, h: float) -> tuple:
+    """The x and y stencils of ``samples`` on the (rows, cols) box, from one
+    copy of the box plus a 2-cell halo indexed mod N (the periodic wrap)."""
+    rows, cols = box
+    n = samples.shape[0]
+    p = samples[np.ix_(np.arange(rows.start - 2, rows.stop + 2) % n,
+                       np.arange(cols.start - 2, cols.stop + 2) % n)]
+    return _fd4(p[2:-2], 1, h), _fd4(p[:, 2:-2], 0, h)
 
 
 def fd_wirtinger_dz(f: ComplexField) -> ComplexField:
@@ -468,21 +480,31 @@ def fd_wirtinger_dz(f: ComplexField) -> ComplexField:
     and columns, far outside Omega.  Used by the residual checks as the
     derivative route independent of the spectral pipeline.
     """
-    fx, fy = _fd_xy(f)
+    fx, fy = _fd_xy(f.samples, _full_box(f.samples), f.domain.spacing)
     return ComplexField(f.domain, 0.5 * (fx - 1j * fy))
 
 
 def fd_wirtinger_dbar(f: ComplexField) -> ComplexField:
     """4th-order centered-difference d/dzbar; see fd_wirtinger_dz."""
-    fx, fy = _fd_xy(f)
+    fx, fy = _fd_xy(f.samples, _full_box(f.samples), f.domain.spacing)
     return ComplexField(f.domain, 0.5 * (fx + 1j * fy))
 
 
 def _fd_beltrami_defect(f: ComplexField, mu: BeltramiField) -> np.ndarray:
-    """Samples of f_zbar - mu f_z from one pair of 4th-order x/y stencils;
-    callers check that f and mu share a DomainSpec."""
-    fx, fy = _fd_xy(f)
-    return 0.5 * (fx + 1j * fy) - mu.extended.samples * (0.5 * (fx - 1j * fy))
+    """f_zbar - mu f_z at the interior points, in ``interior_mask`` order,
+    from one pair of 4th-order x/y stencils on the interior box; callers
+    check that f and mu share a DomainSpec.
+
+    mu is the second operand of the product at every N, the order in which
+    the residuals of the shipped configs were always computed: complex
+    multiply is not bitwise commutative.
+    """
+    g = _geometry(f.domain)
+    box = g.interior_box
+    inner = g.interior_mask[box]
+    fx, fy = _fd_xy(f.samples, box, f.domain.spacing)
+    fx, fy, m = fx[inner], fy[inner], mu.extended.samples[box][inner]
+    return 0.5 * (fx + 1j * fy) - (0.5 * (fx - 1j * fy)) * m
 
 
 # ---------------------------------------------------------------------------

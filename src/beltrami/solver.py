@@ -22,6 +22,7 @@ for h to be an immersion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +82,10 @@ class NeumannResult:
 
 @dataclass(frozen=True)
 class ImmersionResult:
-    """Immersion h, g = dh/dz and the Neumann fixed point."""
+    """Immersion h, g = dh/dz and the Neumann fixed point.
 
-    h: ComplexField
+    h = z + P(phi) costs a Cauchy apply, so it is built on first use."""
+
     g: ComplexField
     phi: ComplexField
     iterations: int
@@ -92,6 +94,10 @@ class ImmersionResult:
 
     def __post_init__(self):
         check_nondegenerate(self.g.samples, self.g.domain)
+
+    @cached_property
+    def h(self) -> ComplexField:
+        return make_coordinate_field(self.phi.domain) + cauchy_transform(self.phi)
 
 
 def check_nondegenerate(g: np.ndarray, domain: DomainSpec) -> None:
@@ -165,10 +171,8 @@ def solve_immersion(mu: BeltramiField,
     identically zero this reduces exactly to h = z, g = 1 in one iteration.
     """
     res, beurling = _neumann(mu, mu.extended, cfg)
-    z = make_coordinate_field(mu.domain)
-    h = z + cauchy_transform(res.phi)
     g = ComplexField(mu.domain, beurling.finish() + 1.0)
-    return ImmersionResult(h=h, g=g, phi=res.phi, iterations=res.iterations,
+    return ImmersionResult(g=g, phi=res.phi, iterations=res.iterations,
                            final_residual=res.final_residual, trace=res.trace)
 
 
@@ -187,5 +191,5 @@ def beltrami_residual(h: ComplexField, mu: BeltramiField,
     if rhs is not None:
         if rhs.domain != h.domain:
             raise ValidationError("rhs lives on a different DomainSpec")
-        res = res - rhs.samples
-    return float(np.max(np.abs(res[interior_mask(h.domain)])))
+        res = res - rhs.samples[interior_mask(h.domain)]
+    return float(np.max(np.abs(res)))

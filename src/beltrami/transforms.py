@@ -107,6 +107,14 @@ def _spectral(samples: np.ndarray, multiplier: np.ndarray,
     return out
 
 
+# Complex samples of padding after each row of the pruned apply's buffer.
+# An unpadded row of N = 512 or 1024 samples is a power-of-two stride, so
+# every sample of a column maps to the same cache set and the column FFTs
+# thrash; one 64-byte cache line of padding measured best at both sizes.
+# The FFT results are bitwise those of a contiguous buffer.
+_ROW_PAD = 4
+
+
 class _PrunedBeurling:
     """S of fields that vanish off one (rows, cols) box, into one buffer.
 
@@ -114,14 +122,16 @@ class _PrunedBeurling:
     ``_fourier_apply`` and a box-only mean term, and returns the box view of
     ``out``; ``finish`` completes ``out`` to the whole S(x).  Either way the
     samples are bitwise those of ``_spectral``.  The iterations of a solve
-    reuse ``out``, so an apply allocates no full-size array.
+    reuse ``out``, an N x N view of a row-padded array (see ``_ROW_PAD``),
+    so an apply allocates no full-size array.
     """
 
     def __init__(self, domain: DomainSpec, box: tuple):
+        n = domain.resolution
         self.box = box
-        self.multiplier = _multipliers(domain.resolution, domain.half_width).S
+        self.multiplier = _multipliers(n, domain.half_width).S
         self.mean_profile = _plan(domain).dz_w
-        self.out = np.empty((domain.resolution,) * 2, dtype=np.complex128)
+        self.out = np.empty((n, n + _ROW_PAD), dtype=np.complex128)[:, :n]
         self.mean = 0j
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

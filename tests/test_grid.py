@@ -11,6 +11,7 @@ from beltrami import (
     constant_field,
     cutoff_field,
     fd_wirtinger_dbar,
+    fd_wirtinger_dz,
     holder_seminorm,
     interior_mask,
     make_coordinate_field,
@@ -20,9 +21,14 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from beltrami.grid import CUTOFF_SHARPNESS, MAX_RESOLUTION, transition_profile
+from beltrami.grid import (
+    CUTOFF_SHARPNESS,
+    MAX_RESOLUTION,
+    _fd_beltrami_defect,
+    transition_profile,
+)
 
-from conftest import disc_domain, smooth_random_field
+from conftest import disc_domain, same_bits, smooth_random_field
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +332,49 @@ def test_tapered_conjugate_equals_zbar_on_omega(dom64):
     assert np.array_equal(w.samples[om], np.conj(z.samples[om]))
     far = cutoff_field(dom64) == 0.0
     assert np.all(w.samples[far] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference stencils against the whole-grid np.roll form
+# ---------------------------------------------------------------------------
+
+# the halo of the interior box wraps the periodic seam (interior row 1)
+SEAM_DOMAIN = DomainSpec(3.0, 16, Disc(0j, 2.8), 0.1)
+
+
+def _roll_fd_xy(samples, h):
+    def fd4(axis):
+        r = np.roll
+        return (-r(samples, -2, axis) + 8 * r(samples, -1, axis)
+                - 8 * r(samples, 1, axis) + r(samples, 2, axis)) / (12.0 * h)
+    return fd4(1), fd4(0)
+
+
+def _random_samples(domain, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    shape = (domain.resolution,) * 2
+    return scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+
+
+@pytest.mark.parametrize("domain", [
+    disc_domain(64), disc_domain(256), SEAM_DOMAIN,
+    DomainSpec(3.0, 32, Rect(-2.5, -0.4, 0.3, 2.6), 0.3),
+], ids=["disc-64", "disc-256", "seam-16", "rect-32"])
+def test_fd_defect_on_the_interior_box_matches_the_whole_grid_bitwise(domain):
+    # mu-last product at every N: numpy reorders mu * B into B * mu only on
+    # temporaries of 256 KiB or more, and complex multiply is not commutative
+    f = ComplexField(domain, _random_samples(domain, 1))
+    mu = BeltramiField.from_raw(ComplexField(domain, _random_samples(domain, 2, 0.6)))
+    fx, fy = _roll_fd_xy(f.samples, domain.spacing)
+    whole = 0.5 * (fx + 1j * fy) - (0.5 * (fx - 1j * fy)) * mu.extended.samples
+    inner = interior_mask(domain)
+    assert same_bits(_fd_beltrami_defect(f, mu), whole[inner])
+
+
+@pytest.mark.parametrize("domain", [disc_domain(16), disc_domain(64), SEAM_DOMAIN],
+                         ids=["disc-16", "disc-64", "seam-16"])
+def test_fd_wirtinger_matches_the_roll_form_bitwise(domain):
+    f = ComplexField(domain, _random_samples(domain, 3))
+    fx, fy = _roll_fd_xy(f.samples, domain.spacing)
+    assert same_bits(fd_wirtinger_dz(f).samples, 0.5 * (fx - 1j * fy))
+    assert same_bits(fd_wirtinger_dbar(f).samples, 0.5 * (fx + 1j * fy))

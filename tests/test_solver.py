@@ -14,6 +14,7 @@ from beltrami import (
     SolverConfig,
     ValidationError,
     beltrami_residual,
+    cauchy_transform,
     constant_field,
     disc_indicator_field,
     gaussian_bump_field,
@@ -292,11 +293,20 @@ def test_immersion_stability_min_g(dom256):
         assert om_min >= 0.5, f"{name}: min |g| = {om_min}"
 
 
-def test_degenerate_immersion_guard(dom64):
+def test_immersion_builds_h_on_first_use(dom64):
+    # a d-bar solve reads only g and phi, so h = z + P(phi) waits for a reader
+    res = solve_immersion(mu_bump(dom64))
+    assert "h" not in vars(res)
+    h = res.h
+    assert res.h is h
     z = make_coordinate_field(dom64)
+    assert same_bits(h.samples, (z + cauchy_transform(res.phi)).samples)
+
+
+def test_degenerate_immersion_guard(dom64):
     zero = constant_field(dom64, 0.0)
     with pytest.raises(DegenerateImmersion):
-        ImmersionResult(h=z, g=zero, phi=zero, iterations=1, final_residual=0.0)
+        ImmersionResult(g=zero, phi=zero, iterations=1, final_residual=0.0)
 
 
 # ---------------------------------------------------------------------------

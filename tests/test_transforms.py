@@ -12,6 +12,7 @@ from beltrami import (
     beurling_transform,
     cauchy_transform,
     constant_field,
+    cutoff_field,
     disc_indicator_field,
     estimate_contraction,
     interior_mask,
@@ -22,7 +23,7 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from beltrami.grid import _multipliers
+from beltrami.grid import _multipliers, _support_box
 from beltrami.transforms import (
     _PrunedBeurling,
     _plan,
@@ -227,11 +228,30 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
 
 @st.composite
 def _boxes(draw):
-    n = draw(st.sampled_from([16, 32, 64]))
+    # 18 and 30 give rows that are no multiple of a SIMD width
+    n = draw(st.sampled_from([16, 18, 30, 32, 64]))
     r0 = draw(st.integers(0, n - 1))
     c0 = draw(st.integers(0, n - 1))
     return (n, r0, draw(st.integers(r0 + 1, n)), c0, draw(st.integers(c0 + 1, n)),
             draw(st.integers(0, 2**32 - 1)))
+
+
+def _check_pruned_beurling(dom, box, seed):
+    # box values, and the whole output after finish, are the full apply's
+    # and the numpy fft2 expression's, though the buffer's rows are padded
+    n = dom.resolution
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, n), dtype=np.complex128)
+    x[box] = rng.normal(size=x[box].shape) + 1j * rng.normal(size=x[box].shape)
+    S, dz_w = _multipliers(n, dom.half_width).S, _plan(dom).dz_w
+    ref = _spectral(x, S, dz_w)
+    assert same_bits(ref, fourier_apply_reference(x, S, dz_w))
+    apply = _PrunedBeurling(dom, box)
+    assert apply.out.strides[0] != n * apply.out.itemsize
+    assert same_bits(apply(x), ref[box])
+    assert same_bits(apply.finish(), ref)
+    # a second call reuses the buffer and gives the same bits
+    assert same_bits(apply(x), ref[box])
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -242,20 +262,18 @@ def _boxes(draw):
 @example((64, 0, 9, 50, 64, 4))      # touching row 0 and column N - 1
 @example((64, 41, 64, 0, 3, 5))      # touching row N - 1 and column 0
 @example((16, 15, 16, 15, 16, 6))    # the last sample alone
+@example((18, 0, 18, 0, 18, 7))      # whole grids of odd half-length
+@example((30, 3, 27, 4, 29, 8))
 def test_pruned_beurling_matches_spectral_bitwise(case):
-    # box values, and the whole output after finish, are the full apply's
     n, r0, r1, c0, c1, seed = case
-    dom = disc_domain(n)
-    rng = np.random.default_rng(seed)
-    box = slice(r0, r1), slice(c0, c1)
-    x = np.zeros((n, n), dtype=np.complex128)
-    x[box] = rng.normal(size=x[box].shape) + 1j * rng.normal(size=x[box].shape)
-    ref = _spectral(x, _multipliers(n, dom.half_width).S, _plan(dom).dz_w)
-    apply = _PrunedBeurling(dom, box)
-    assert same_bits(apply(x), ref[box])
-    assert same_bits(apply.finish(), ref)
-    # a second call reuses the buffer and gives the same bits
-    assert same_bits(apply(x), ref[box])
+    _check_pruned_beurling(disc_domain(n), (slice(r0, r1), slice(c0, c1)), seed)
+
+
+@pytest.mark.parametrize("resolution", [256, 512])
+def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
+    # the support box of the d-bar solves at the sizes the padding targets
+    dom = disc_domain(resolution)
+    _check_pruned_beurling(dom, _support_box(cutoff_field(dom)), resolution)
 
 
 def test_quadrature_equals_direct_sum():

@@ -15,6 +15,7 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     beurling.pruned   the private pruned apply on the support box of mu and u
                       (missing in a tree that has none)
     solve_immersion   mu = 0.3 constant
+    fd.residual       beltrami_residual(h, mu) of that immersion (the FD defect)
     solve_dbar        mu = 0.3 constant, u the disc indicator
     sweep.linear9     solve_family, linear law on 0.5 + 0.3 bump, b = k/8
 
@@ -35,7 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEAT = 5  # calls per row and round; ten times as many for the applies
+REPEAT = 5  # calls per row and round; ten times as many for the cheap rows
 SWEEP_REPEAT = 2  # calls of the 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
 
@@ -60,8 +61,9 @@ def _child(resolution: int) -> dict:
     mu = bl.BeltramiField.from_raw(bl.constant_field(domain, 0.3))
     u = bl.builtin_field({"kind": "disc-indicator"}, domain)
     cfg = bl.SolverConfig()
-    phi = bl.solve_immersion(mu, cfg).phi
-    # an apply is cheap and noisy: time it ten times as often
+    imm = bl.solve_immersion(mu, cfg)
+    phi, h = imm.phi, imm.h
+    # an apply or a residual is cheap and noisy: time it ten times as often
     rows = {"beurling.full": _best(lambda: bl.beurling_transform(phi), 10 * REPEAT)}
     pruned = getattr(transforms, "_PrunedBeurling", None)
     if pruned is not None:
@@ -71,6 +73,7 @@ def _child(resolution: int) -> dict:
         x = np.array(phi.samples)
         rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
     rows["solve_immersion"] = _best(lambda: bl.solve_immersion(mu, cfg), REPEAT)
+    rows["fd.residual"] = _best(lambda: bl.beltrami_residual(h, mu), 10 * REPEAT)
     rows["solve_dbar"] = _best(lambda: bl.solve_dbar(mu, u, cfg), REPEAT)
     raw0 = (bl.constant_field(domain, 0.5)
             + bl.gaussian_bump_field(domain, 0.3, width=0.5))
@@ -130,9 +133,9 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy_version},
         "method": (f"best of {REPEAT} calls ({10 * REPEAT} for the "
-                   f"applies, {SWEEP_REPEAT} for sweep.linear9) in each of "
-                   f"{ROUNDS} child processes per tree and N, trees "
-                   "alternating; seconds per call"),
+                   f"applies and fd.residual, {SWEEP_REPEAT} for "
+                   f"sweep.linear9) in each of {ROUNDS} child processes per "
+                   "tree and N, trees alternating; seconds per call"),
         "commits": {name: _commit(tree) for name, tree in trees.items()},
         "seconds": best,
     }
