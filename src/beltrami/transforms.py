@@ -108,10 +108,10 @@ def _spectral(samples: np.ndarray, multiplier: np.ndarray,
 
 
 # Complex samples of padding after each row of the pruned apply's buffer.
-# An unpadded row of N = 512 or 1024 samples is a power-of-two stride, so
-# every sample of a column maps to the same cache set and the column FFTs
-# thrash; one 64-byte cache line of padding measured best at both sizes.
-# The FFT results are bitwise those of a contiguous buffer.
+# An unpadded row of N = 512 or 1024 samples is a power-of-two stride, so a
+# column's samples share one cache set and the column FFTs thrash.  One
+# 64-byte cache line (4 samples) measured best at N = 1024, level with 2 or
+# 8 at N = 512; the FFT results are bitwise those of a contiguous buffer.
 _ROW_PAD = 4
 
 
