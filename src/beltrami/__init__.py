@@ -28,11 +28,9 @@ from .family import (
     FamilyEntry,
     FamilySpec,
     FamilySweepResult,
-    GainReport,
     OneFormField,
     convert_to_background,
     convert_to_moving,
-    gain_of_derivative_report,
     solve_dbar,
     solve_dbar_form,
     solve_family,
@@ -53,7 +51,6 @@ from .grid import (
     cutoff_field,
     fd_wirtinger_dbar,
     fd_wirtinger_dz,
-    holder_seminorm,
     interior_mask,
     make_coordinate_field,
     omega_mask,
@@ -64,13 +61,7 @@ from .grid import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from .io import (
-    field_to_csv,
-    read_field,
-    read_field_raw,
-    write_field,
-    write_pgm_heatmaps,
-)
+from .io import read_field, read_field_raw, write_field, write_pgm_heatmaps
 from .solver import (
     ImmersionResult,
     NeumannResult,
@@ -88,18 +79,17 @@ __all__ = [
     "ExhaustionStep", "ExhaustionTrace", "TaylorJet",
     "exhaustion_solve", "taylor_project",
     "DbarDiagnostics", "DbarResult", "FamilyEntry", "FamilySpec",
-    "FamilySweepResult", "GainReport", "OneFormField",
-    "convert_to_background", "convert_to_moving", "gain_of_derivative_report",
-    "solve_dbar", "solve_dbar_form", "solve_family",
+    "FamilySweepResult", "OneFormField",
+    "convert_to_background", "convert_to_moving", "solve_dbar",
+    "solve_dbar_form", "solve_family",
     "builtin_field", "constant_field", "disc_indicator_field",
     "gaussian_bump_field", "linear_coordinate_field",
     "BeltramiField", "ComplexField", "Disc", "DomainSpec", "Rect",
     "cutoff_field", "fd_wirtinger_dbar", "fd_wirtinger_dz",
-    "holder_seminorm", "interior_mask", "make_coordinate_field", "omega_mask",
+    "interior_mask", "make_coordinate_field", "omega_mask",
     "rebase", "sup_norm", "tapered_coordinate_conjugate", "transition_profile",
     "wirtinger_dbar", "wirtinger_dz",
-    "field_to_csv", "read_field", "read_field_raw", "write_field",
-    "write_pgm_heatmaps",
+    "read_field", "read_field_raw", "write_field", "write_pgm_heatmaps",
     "ImmersionResult", "NeumannResult", "SolverConfig",
     "beltrami_residual", "neumann_solve", "solve_immersion",
     "beurling_transform", "cauchy_transform", "estimate_contraction",

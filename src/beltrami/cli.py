@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exhaustion import exhaustion_solve
 from .family import FamilySpec, solve_dbar, solve_family
-from .fieldgen import _number, builtin_field
+from .fieldgen import _check_keys, _number, builtin_field
 from .grid import (
     BeltramiField,
     ComplexField,
@@ -113,13 +113,16 @@ def _numbers(value, what: str, length: int | None = None) -> list:
 def _domain_from_config(cfg: dict) -> DomainSpec:
     spec = _require(cfg, "domain")
     omega_spec = _require(spec, "omega")
+    _check_keys(spec, ("half_width", "resolution", "omega", "margin"), "domain")
     shape = _require(omega_spec, "shape", None)
     if shape == "disc":
+        _check_keys(omega_spec, ("shape", "center", "radius"), "disc omega")
         cx, cy = _numbers(_require(omega_spec, "center", [0.0, 0.0]),
                           "disc center", 2)
         omega = Disc(complex(cx, cy),
                      _number(_require(omega_spec, "radius"), "disc radius"))
     elif shape == "rect":
+        _check_keys(omega_spec, ("shape", "corners"), "rect omega")
         omega = Rect(*_numbers(_require(omega_spec, "corners"),
                                "rect corners [x0, y0, x1, y1]", 4))
     else:
@@ -142,9 +145,7 @@ def _solver_from_config(cfg: dict) -> SolverConfig:
                         integer=isinstance(f.default, int))
         for f in fields(SolverConfig)
     })
-    unknown = sorted(set(spec) - {f.name for f in fields(SolverConfig)})
-    if unknown:
-        raise ValidationError(f"unknown solver keys {unknown}")
+    _check_keys(spec, [f.name for f in fields(SolverConfig)], "solver")
     return solver
 
 
@@ -153,6 +154,8 @@ def _family_from_config(cfg: dict, domain: DomainSpec,
     spec = _require(cfg, "family")
     grid = _numbers(_require(spec, "grid"), "family grid")
     law = _require(spec, "law", "linear")
+    _check_keys(spec, ("law", "grid", "mu_table") if law == "table"
+                else ("law", "grid"), f"{law} family")
     table = None
     if law == "table":
         specs = _require(spec, "mu_table")
@@ -166,9 +169,10 @@ def _family_from_config(cfg: dict, domain: DomainSpec,
 
 def _exhaustion_from_config(cfg: dict) -> tuple:
     spec = _require(cfg, "exhaustion")
-    return (_numbers(_require(spec, "radii"), "exhaustion radii"),
-            _number(_require(spec, "taylor_degree"), "taylor_degree",
-                    integer=True))
+    radii = _numbers(_require(spec, "radii"), "exhaustion radii")
+    _check_keys(spec, ("radii", "taylor_degree"), "exhaustion")
+    return radii, _number(_require(spec, "taylor_degree"), "taylor_degree",
+                          integer=True)
 
 
 # Config inputs in parse order; a parser sees the inputs parsed before it.

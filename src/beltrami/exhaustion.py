@@ -85,14 +85,14 @@ def _lagrange_patch_interpolate(f: ComplexField, points: np.ndarray) -> np.ndarr
 
 
 def taylor_project(f: ComplexField, center: complex, degree: int,
-                   circle_radius: float, samples: int | None = None) -> TaylorJet:
+                   circle_radius: float) -> TaylorJet:
     """Taylor coefficients of f at ``center`` by circle Cauchy integrals.
 
     a_k = (1 / 2 pi i) contour integral of f(zeta) / (zeta - center)^(k+1),
-    evaluated by the trapezoid rule on ``samples`` equispaced circle points
-    (default max(64, 8*degree); the trapezoid rule is spectrally accurate for
-    periodic integrands).  Off-grid circle values come from a local Lagrange
-    patch, exact on polynomials through degree 5.
+    evaluated by the trapezoid rule on max(64, 8*degree) equispaced circle
+    points (the trapezoid rule is spectrally accurate for periodic
+    integrands).  Off-grid circle values come from a local Lagrange patch,
+    exact on polynomials through degree 5.
 
     The jet represents f only where f is holomorphic inside the circle; the
     returned circle_residual flags inputs that are not.
@@ -101,8 +101,7 @@ def taylor_project(f: ComplexField, center: complex, degree: int,
         raise ValidationError("degree must be nonnegative")
     if circle_radius <= 0:
         raise ValidationError("circle_radius must be positive")
-    if samples is None:
-        samples = max(64, 8 * max(degree, 1))
+    samples = max(64, 8 * degree)
     theta = 2.0 * np.pi * np.arange(samples) / samples
     ring = center + circle_radius * np.exp(1j * theta)
     values = _lagrange_patch_interpolate(f, ring)

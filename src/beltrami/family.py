@@ -40,13 +40,9 @@ from .grid import (
     BeltramiField,
     ComplexField,
     _fd_beltrami_defect,
-    _geometry,
-    _holder_seminorm_masked,
     _support_box,
     interior_mask,
     sup_norm,
-    wirtinger_dbar,
-    wirtinger_dz,
 )
 from .solver import (
     SolverConfig,
@@ -234,8 +230,7 @@ def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
 
 
 def solve_dbar(mu: BeltramiField, u: ComplexField,
-               cfg: SolverConfig = SolverConfig(),
-               immersion=None) -> DbarResult:
+               cfg: SolverConfig = SolverConfig()) -> DbarResult:
     """Solve the d-bar equation for the structure of mu with datum u.
 
     ``u`` is the moving-frame (0,1) coefficient (cutoff-tapered).  The solve
@@ -244,13 +239,15 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     solution f = P(phi).  Both residuals of the result are reported: the
     background Beltrami residual and the equivalent moving-frame one,
     evaluated with the finite-difference derivative route on interior Omega.
-
-    ``immersion`` may pass a precomputed solve_immersion result for mu.
     """
     if mu.domain != u.domain:
         raise ValidationError("mu and u live on different DomainSpecs")
-    imm = immersion if immersion is not None else solve_immersion(mu, cfg)
-    g = imm.g.samples
+    return _solve_dbar(mu, u, solve_immersion(mu, cfg).g.samples, cfg)
+
+
+def _solve_dbar(mu: BeltramiField, u: ComplexField, g: np.ndarray,
+                cfg: SolverConfig) -> DbarResult:
+    """solve_dbar given g = dh/dz of mu's immersion."""
     rhs = ComplexField(u.domain, dbar_rhs(mu.extended.samples, g, u.samples))
     res = neumann_solve(mu, rhs, cfg)
     return _dbar_result(mu, g, u, rhs, res.phi, res.iterations,
@@ -289,7 +286,7 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    return solve_dbar(mu, moving.coeff_01, cfg, immersion=imm)
+    return _solve_dbar(mu, moving.coeff_01, imm.g.samples, cfg)
 
 
 @dataclass(frozen=True)
@@ -527,62 +524,10 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     diffs = []
     for i in _difference_positions(entries):
         lo, hi = entries[i - 1], entries[i]
-        d = sup_norm(hi.result.f - lo.result.f, on_omega=True)
+        d = sup_norm(hi.result.f - lo.result.f)
         diffs.append((lo.b, hi.b, d, d / abs(hi.b - lo.b)))
     lipschitz = max((r for *_, r in diffs), default=None)
     extrap = [(entries[i].b, _quadratic_extrapolation_gap(
                   *(e.result.f for e in entries[i - 3:i + 1])))
               for i in _extrapolation_positions(entries)]
     return FamilySweepResult(tuple(entries), tuple(diffs), lipschitz, tuple(extrap))
-
-
-# ---------------------------------------------------------------------------
-# gain-of-derivative diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GainReport:
-    """Holder-seminorm comparison of a d-bar datum and its solution's gradient.
-
-    A diagnostic artifact, no hard pass/fail: the solution of the d-bar
-    problem is expected to be one derivative smoother than the datum, so the
-    seminorms of dz f and dzbar f should be finite and stable under grid
-    refinement whenever the datum's seminorm is.
-    """
-
-    alpha: float
-    seminorm_u: float
-    seminorm_dz_f: float
-    seminorm_dbar_f: float
-    ratio_dz: float
-    ratio_dbar: float
-
-
-def gain_of_derivative_report(u: ComplexField, f: ComplexField, alpha: float,
-                              pairs: int = 2000, seed: int = 0) -> GainReport:
-    """Holder seminorms of u, dz f, dzbar f on interior Omega and their ratios.
-
-    Derivatives of f are spectral (solutions are periodic by construction);
-    the seminorms use the randomized pair estimator restricted to the
-    reporting interior.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if u.domain != f.domain:
-        raise ValidationError("u and f live on different DomainSpecs")
-    g = _geometry(u.domain)
-    mask = interior_mask(u.domain)
-
-    def semi(field_: ComplexField) -> float:
-        return _holder_seminorm_masked(field_.samples, g.z, mask, alpha, pairs, seed)
-
-    s_u = semi(u)
-    s_dz = semi(wirtinger_dz(f))
-    s_db = semi(wirtinger_dbar(f))
-
-    def ratio(num: float) -> float:
-        if s_u == 0.0:
-            return 0.0 if num == 0.0 else float("inf")
-        return num / s_u
-
-    return GainReport(alpha, s_u, s_dz, s_db, ratio(s_dz), ratio(s_db))

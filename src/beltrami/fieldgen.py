@@ -39,6 +39,13 @@ def _number(value, what: str, integer: bool = False):
     return x
 
 
+def _check_keys(spec: dict, allowed, what: str) -> None:
+    """Refuse the keys of a config object that its reader does not read."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {unknown}")
+
+
 def _as_complex(value, what: str) -> complex:
     """A finite complex scalar from a number or an [re, im] pair."""
     if isinstance(value, (list, tuple)):
@@ -108,38 +115,38 @@ def linear_coordinate_field(domain: DomainSpec, coefficient: complex) -> Complex
     return ComplexField(domain, _as_complex(coefficient, "linear-z coefficient") * g.z)
 
 
+# kind -> (generator, its parameters in order with their config defaults);
+# a spec with any other key is refused
+_KINDS = {
+    "constant": (constant_field, {"value": 0.0}),
+    "disc-indicator": (disc_indicator_field, {
+        "amplitude": 1.0, "radius": None, "width": DEFAULT_INDICATOR_WIDTH}),
+    "gaussian-bump": (gaussian_bump_field, {
+        "amplitude": 1.0, "center": 0.0, "width": 0.4}),
+    "linear-z": (linear_coordinate_field, {"coefficient": 0.0}),
+}
+
+
 def builtin_field(spec: dict, domain: DomainSpec) -> ComplexField:
     """Construct a named field from a config spec dict.
 
     Kinds: constant {value}, disc-indicator {amplitude, radius, width},
     gaussian-bump {amplitude, center, width}, linear-z {coefficient},
-    file {path} (the binary field format).
+    file {path} (the binary field format).  Any other key is refused.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError(f"field spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
-    if kind == "constant":
-        return constant_field(domain, spec.get("value", 0.0))
-    if kind == "disc-indicator":
-        return disc_indicator_field(
-            domain,
-            amplitude=spec.get("amplitude", 1.0),
-            radius=spec.get("radius"),
-            width=spec.get("width", DEFAULT_INDICATOR_WIDTH),
-        )
-    if kind == "gaussian-bump":
-        return gaussian_bump_field(
-            domain,
-            amplitude=spec.get("amplitude", 1.0),
-            center=spec.get("center", 0.0),
-            width=spec.get("width", 0.4),
-        )
-    if kind == "linear-z":
-        return linear_coordinate_field(domain, spec.get("coefficient", 0.0))
     if kind == "file":
         from .io import read_field
+        _check_keys(spec, ("kind", "path"), "file field spec")
         if not isinstance(spec.get("path"), str):
             raise ValidationError(
                 f"file field spec needs a 'path' string, got {spec.get('path')!r}")
         return read_field(spec["path"], domain)
-    raise ValidationError(f"unknown field kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(f"unknown field kind {kind!r}")
+    build, defaults = _KINDS[kind]
+    _check_keys(spec, ("kind", *defaults), f"{kind} field spec")
+    return build(domain, *(spec.get(key, value) for key, value in defaults.items()))
+

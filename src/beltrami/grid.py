@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -165,6 +165,7 @@ class _Geometry:
     """Immutable per-domain tables shared by every operation on that domain."""
 
     def __init__(self, domain: DomainSpec):
+        self._domain = domain
         L, N = domain.half_width, domain.resolution
         h = domain.spacing
         axis = -L + h * np.arange(N)
@@ -181,6 +182,24 @@ class _Geometry:
         for arr in (self.z, self.cutoff, self.omega_mask,
                     self.interior_mask, self.support_mask):
             arr.setflags(write=False)
+
+    # The mean-mode profile of the spectral transforms, built on first use so
+    # that a domain that runs no transform (a verify run's, an exhaustion's
+    # base domain) allocates none:
+    # w = cutoff * conj(z) has d/dzbar w = 1 on Omega, and dz_w is its
+    # spectral d/dz, so S = d/dz o P holds exactly, mean mode included.
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return ComplexField(self._domain, self.cutoff * np.conj(self.z)).samples
+
+    @cached_property
+    def w_mean(self) -> complex:
+        return complex(np.mean(self.w))
+
+    @cached_property
+    def dz_w(self) -> np.ndarray:
+        return wirtinger_dz(ComplexField(self._domain, self.w)).samples
 
 
 @lru_cache(maxsize=64)
@@ -292,8 +311,7 @@ def tapered_coordinate_conjugate(domain: DomainSpec) -> ComplexField:
     d/dzbar of it is 1 on Omega.  This is the profile that carries the mean
     component through the periodic Cauchy transform.
     """
-    g = _geometry(domain)
-    return ComplexField(domain, g.cutoff * np.conj(g.z))
+    return ComplexField(domain, _geometry(domain).w)
 
 
 class BeltramiField:
@@ -508,45 +526,9 @@ def _fd_beltrami_defect(f: ComplexField, mu: BeltramiField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# norms and seminorms
+# norms
 # ---------------------------------------------------------------------------
 
-def sup_norm(f: ComplexField, on_omega: bool = True) -> float:
-    """Max of |samples| over Omega (default) or over the whole square."""
-    if on_omega:
-        return float(np.max(np.abs(f.samples[omega_mask(f.domain)])))
-    return float(np.max(np.abs(f.samples)))
-
-
-def _holder_seminorm_masked(samples: np.ndarray, z: np.ndarray, mask: np.ndarray,
-                            alpha: float, pairs: int, seed: int) -> float:
-    pts = np.flatnonzero(mask.ravel())
-    vals = samples.ravel()[pts]
-    zs = z.ravel()[pts]
-    rng = np.random.default_rng(seed)
-    # one deterministic stream: the first k draws are a prefix of the first
-    # k' > k draws, so the running max never decreases when pairs grows
-    idx = rng.integers(0, len(pts), size=(pairs, 2))
-    keep = idx[:, 0] != idx[:, 1]
-    if not np.any(keep):
-        return 0.0
-    a, b = idx[keep, 0], idx[keep, 1]
-    num = np.abs(vals[a] - vals[b])
-    den = np.abs(zs[a] - zs[b]) ** alpha
-    return float(np.max(num / den))
-
-
-def holder_seminorm(f: ComplexField, alpha: float, pairs: int, seed: int) -> float:
-    """Randomized Holder-alpha seminorm surrogate over grid points of Omega.
-
-    Max of |f(x) - f(y)| / |x - y|^alpha over ``pairs`` pseudo-random pairs of
-    distinct Omega grid points; deterministic given ``seed``, and monotone
-    under extending ``pairs`` with the same seed.  The exact grid seminorm is
-    an O(N^4) pair scan, affordable only at small N (the tests do it there).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if pairs < 1:
-        raise ValidationError(f"pairs must be >= 1, got {pairs!r}")
-    g = _geometry(f.domain)
-    return _holder_seminorm_masked(f.samples, g.z, g.omega_mask, alpha, pairs, seed)
+def sup_norm(f: ComplexField) -> float:
+    """Max of |samples| over Omega."""
+    return float(np.max(np.abs(f.samples[omega_mask(f.domain)])))

@@ -1,4 +1,4 @@
-"""Binary field format, CSV exports, and PGM heatmaps.
+"""Binary field format, CSV reports, and PGM heatmaps.
 
 Field binary format (all little-endian):
 
@@ -73,22 +73,6 @@ def read_field(path, domain: DomainSpec) -> ComplexField:
             f"domain (N={domain.resolution}, L={domain.half_width})"
         )
     return ComplexField(domain, samples)
-
-
-def field_to_csv(path, field: ComplexField) -> None:
-    """One row per sample: i, j, x, y, re, im."""
-    N = field.domain.resolution
-    L = field.domain.half_width
-    h = field.domain.spacing
-    with open(path, "w") as fh:
-        fh.write("i,j,x,y,re,im\n")
-        for i in range(N):
-            y = -L + i * h
-            row = field.samples[i]
-            for j in range(N):
-                x = -L + j * h
-                fh.write(f"{i},{j},{x:.17g},{y:.17g},"
-                         f"{row[j].real:.17g},{row[j].imag:.17g}\n")
 
 
 def _to_pgm_bytes(values: np.ndarray) -> tuple[bytes, float, float]:

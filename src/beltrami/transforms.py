@@ -42,9 +42,8 @@ from .grid import (
     DomainSpec,
     _fourier_apply,
     _full_box,
+    _geometry,
     _multipliers,
-    tapered_coordinate_conjugate,
-    wirtinger_dz,
 )
 
 METHODS = ("spectral", "quadrature")
@@ -58,27 +57,8 @@ def _check_method(method: str):
 
 
 # ---------------------------------------------------------------------------
-# spectral plan
+# spectral path
 # ---------------------------------------------------------------------------
-
-class _SpectralPlan:
-    """One domain's mean-mode profile (the multipliers are per (N, L)).
-
-    ``w`` is the tapered conjugate coordinate carrying the mean mode and
-    ``dz_w`` its spectral z-derivative, so the identity S = d/dz o P holds
-    exactly, mean mode included."""
-
-    def __init__(self, domain: DomainSpec):
-        w = tapered_coordinate_conjugate(domain)
-        self.w = w.samples
-        self.w_mean = complex(np.mean(self.w))
-        self.dz_w = wirtinger_dz(w).samples
-
-
-@lru_cache(maxsize=64)
-def _plan(domain: DomainSpec) -> _SpectralPlan:
-    return _SpectralPlan(domain)
-
 
 # Byte size of the row blocks through which the mean term is added.  A
 # full-size temporary (4 MiB at N = 512) is a fresh mapping that is
@@ -130,7 +110,7 @@ class _PrunedBeurling:
         n = domain.resolution
         self.box = box
         self.multiplier = _multipliers(n, domain.half_width).S
-        self.mean_profile = _plan(domain).dz_w
+        self.mean_profile = _geometry(domain).dz_w
         self.out = np.empty((n, n + _ROW_PAD), dtype=np.complex128)[:, :n]
         self.mean = 0j
 
@@ -197,7 +177,7 @@ def _quad_convolve(samples: np.ndarray, kernel_hat: np.ndarray,
 def _beurling(samples: np.ndarray, domain: DomainSpec, method: str) -> np.ndarray:
     if method == "spectral":
         m_S = _multipliers(domain.resolution, domain.half_width).S
-        return _spectral(samples, m_S, _plan(domain).dz_w)
+        return _spectral(samples, m_S, _geometry(domain).dz_w)
     q = _quad_plan(domain)
     return _quad_convolve(samples, q.beurling_hat, q.cell_area)
 
@@ -228,11 +208,11 @@ def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexFiel
     d = phi.domain
     if method == "spectral":
         m_P = _multipliers(d.resolution, d.half_width).P
-        return ComplexField(d, _spectral(phi.samples, m_P, _plan(d).w))
+        return ComplexField(d, _spectral(phi.samples, m_P, _geometry(d).w))
     q = _quad_plan(d)
     out = _quad_convolve(phi.samples, q.cauchy_hat, q.cell_area)
     # re-pin the additive constant to the spectral gauge
-    out += np.mean(phi.samples) * _plan(d).w_mean - np.mean(out)
+    out += np.mean(phi.samples) * _geometry(d).w_mean - np.mean(out)
     return ComplexField(d, out)
 
 

@@ -107,9 +107,10 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
 
 # Every numeric config read, field specs included, is checked: non-numbers,
 # bools, non-finite values and non-integral integers exit 1 before --out is
-# created, as do solver keys that are not SolverConfig fields.  Each input
-# runs on solve-beltrami (domain, solver, mu) and on solve-dbar (the same
-# plus u); a u input runs on solve-dbar only.
+# created, as do keys that the domain, omega, solver, family, exhaustion or
+# field-spec reader does not read.  Each input runs on solve-beltrami
+# (domain, solver, mu) and on solve-dbar (the same plus u); a u input runs
+# on solve-dbar only, a family on sweep-family and an exhaustion on exhaust.
 @pytest.mark.parametrize("breakage", [
     {"schema_version": 99},
     {"mu": {"kind": "mystery"}},
@@ -137,11 +138,29 @@ def test_solve_beltrami_reports_the_gate_estimate(tmp_path):
     {"mu": {"kind": "linear-z", "coefficient": [10 ** 400, 0]}},
     {"solver": {"contraction_iterations": 8}},
     {"solver": {"max_iters": 10}},
+    {"u": {"kind": "gaussian-bump", "widht": 0.05}},
+    {"domain": _domain(omega={"shape": "disc", "centre": [0.5, 0.0],
+                              "radius": 1.0})},
+    {"domain": _domain(omega={"shape": "rect", "corners": [-1, -1, 1, 1],
+                              "radius": 1.0})},
+    {"domain": _domain(margins=0.5)},
+    {"mu": {"kind": "constant", "value": [0.3, 0.0], "amplitude": 2.0}},
+    {"u": {"kind": "disc-indicator", "center": [0.5, 0.0]}},
+    {"family": {"lwa": "table", "grid": [0.0, 0.5]}},
+    {"family": {"law": "linear", "grid": [0.0, 0.5],
+                "mu_table": [{"kind": "constant", "value": 0.1}] * 2}},
+    {"family": {"law": "table", "grid": [0.0, 0.5],
+                "mu_table": [{"kind": "constant", "value": 0.1},
+                             {"kind": "constant", "valeu": 0.2}]}},
+    {"exhaustion": {"radii": [1.0, 1.5], "taylor_degree": 8, "degree": 4}},
+    {"mu": {"kind": "file", "path": "mu.field", "format": 1}},
 ])
 def test_config_validation_exits_1(tmp_path, breakage):
     cfg = _config(tmp_path, **breakage)
-    commands = ["solve-dbar"] if "u" in breakage else ["solve-beltrami",
-                                                          "solve-dbar"]
+    commands = (["sweep-family"] if "family" in breakage
+                else ["exhaust"] if "exhaustion" in breakage
+                else ["solve-dbar"] if "u" in breakage
+                else ["solve-beltrami", "solve-dbar"])
     for command in commands:
         out = tmp_path / command
         result = _invoke([command, "--config", cfg, "--out", out])

@@ -21,7 +21,6 @@ from beltrami import (
     convert_to_background,
     convert_to_moving,
     disc_indicator_field,
-    gain_of_derivative_report,
     gaussian_bump_field,
     interior_mask,
     make_coordinate_field,
@@ -41,6 +40,7 @@ from conftest import (
     same_bits,
     smooth_random_field,
 )
+from diagnostics import gain_of_derivative_report
 
 
 def _random_instance(domain, seed):
@@ -528,6 +528,29 @@ def test_solve_dbar_form_accepts_either_frame(dom128):
     assert np.array_equal(from_moving.f.samples, direct.f.samples)
     gap = np.max(np.abs(from_background.f.samples - direct.f.samples))
     assert gap <= 1e-10 * max(np.max(np.abs(direct.f.samples)), 1.0)
+
+
+def test_solve_dbar_form_solves_the_immersion_once(dom64, monkeypatch):
+    # the form's frame conversion and the solve share one immersion, and
+    # the result is bitwise solve_dbar on the converted moving datum
+    from beltrami import solve_dbar_form
+    mu = mu_constant(dom64)
+    g = solve_immersion(mu).g
+    moving = OneFormField("moving", constant_field(dom64, 0.0),
+                          disc_indicator_field(dom64), mu=mu)
+    background = convert_to_background(moving, mu, g)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_immersion(*args, **kwargs)
+
+    monkeypatch.setattr(family_module, "solve_immersion", counted)
+    result = solve_dbar_form(mu, background)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    u = convert_to_moving(background, mu, g).coeff_01
+    assert same_bits(result.f.samples, solve_dbar(mu, u).f.samples)
 
 
 def test_solve_dbar_form_rejects_incompatible_datum(dom128):

@@ -8,7 +8,6 @@ from beltrami import (
     SolverConfig,
     ValidationError,
     constant_field,
-    field_to_csv,
     read_field,
     read_field_raw,
     write_field,
@@ -72,19 +71,6 @@ def test_read_field_domain_mismatch(tmp_path, dom64):
     other = DomainSpec(3.0, 128, Disc(0j, 1.0), 0.8)
     with pytest.raises(ValidationError):
         read_field(p, other)
-
-
-def test_csv_export(tmp_path, dom64):
-    f = constant_field(dom64, 1.5 - 0.5j)
-    p = tmp_path / "f.csv"
-    field_to_csv(p, f)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "i,j,x,y,re,im"
-    assert len(lines) == 1 + 64 * 64
-    first = lines[1].split(",")
-    assert first[:2] == ["0", "0"]
-    assert float(first[2]) == -3.0 and float(first[3]) == -3.0
-    assert float(first[4]) == 1.5 and float(first[5]) == -0.5
 
 
 def test_pgm_heatmaps(tmp_path, dom64):

@@ -23,10 +23,9 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from beltrami.grid import _multipliers, _support_box
+from beltrami.grid import _geometry, _multipliers, _support_box
 from beltrami.transforms import (
     _PrunedBeurling,
-    _plan,
     _quad_convolve,
     _quad_plan,
     _spectral,
@@ -148,7 +147,7 @@ def test_beurling_is_dz_of_cauchy(dom128):
     from beltrami import wirtinger_dz
     composed = wirtinger_dz(cauchy_transform(f))
     fused = beurling_transform(f)
-    assert sup_norm(fused - composed, on_omega=True) <= 1e-8
+    assert sup_norm(fused - composed) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +190,27 @@ def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
     mean = spec[0, 0] / phi.samples.size
     assert np.array_equal(wirtinger_dz(phi).samples,
                           np.fft.ifft2(table.dz * spec))
-    # the plan keeps only the mean-mode profile: dz_w is wirtinger_dz of w
-    plan = _plan(dom64)
+    # the geometry holds the mean-mode profile: dz_w is wirtinger_dz of w
+    geo = _geometry(dom64)
     w = tapered_coordinate_conjugate(dom64)
-    assert np.array_equal(plan.w, w.samples)
-    assert np.array_equal(plan.dz_w, wirtinger_dz(w).samples)
+    assert np.array_equal(geo.w, w.samples)
+    assert np.array_equal(geo.dz_w, wirtinger_dz(w).samples)
     assert np.array_equal(beurling_transform(phi).samples,
-                          np.fft.ifft2(table.S * spec) + mean * plan.dz_w)
+                          np.fft.ifft2(table.S * spec) + mean * geo.dz_w)
     assert np.array_equal(cauchy_transform(phi).samples,
-                          np.fft.ifft2(table.P * spec) + mean * plan.w)
+                          np.fft.ifft2(table.P * spec) + mean * geo.w)
+
+
+def test_mean_mode_profile_is_built_on_first_use():
+    # a domain that runs no transform builds none of w, w_mean and dz_w
+    dom = DomainSpec(3.0, 32, Disc(0.25 + 0.5j, 0.75), 0.8)
+    geo = _geometry(dom)
+    phi = constant_field(dom, 1.0)
+    assert not {"w", "w_mean", "dz_w"} & set(vars(geo))
+    cauchy_transform(phi)
+    assert "w" in vars(geo) and "dz_w" not in vars(geo)
+    beurling_transform(phi)
+    assert "dz_w" in vars(geo) and not geo.dz_w.flags.writeable
 
 
 @pytest.mark.parametrize("resolution", [32, 64, 128])
@@ -211,11 +222,11 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     phi = ComplexField(dom, x)
     table = _multipliers(resolution, dom.half_width)
-    plan = _plan(dom)
+    geo = _geometry(dom)
     assert np.array_equal(beurling_transform(phi).samples,
-                          fourier_apply_reference(x, table.S, plan.dz_w))
+                          fourier_apply_reference(x, table.S, geo.dz_w))
     assert np.array_equal(cauchy_transform(phi).samples,
-                          fourier_apply_reference(x, table.P, plan.w))
+                          fourier_apply_reference(x, table.P, geo.w))
     assert np.array_equal(wirtinger_dz(phi).samples,
                           fourier_apply_reference(x, table.dz))
     q = _quad_plan(dom)
@@ -243,7 +254,7 @@ def _check_pruned_beurling(dom, box, seed):
     rng = np.random.default_rng(seed)
     x = np.zeros((n, n), dtype=np.complex128)
     x[box] = rng.normal(size=x[box].shape) + 1j * rng.normal(size=x[box].shape)
-    S, dz_w = _multipliers(n, dom.half_width).S, _plan(dom).dz_w
+    S, dz_w = _multipliers(n, dom.half_width).S, _geometry(dom).dz_w
     ref = _spectral(x, S, dz_w)
     assert same_bits(ref, fourier_apply_reference(x, S, dz_w))
     apply = _PrunedBeurling(dom, box)
@@ -282,8 +293,8 @@ def test_quadrature_equals_direct_sum():
     phi = smooth_random_field(dom, seed=13, modes=3)
     direct = cauchy_transform_direct(phi).samples
     # align the raw sum to the library's additive-constant pinning
-    plan = _plan(dom)
-    direct = direct + np.mean(phi.samples) * plan.w_mean - np.mean(direct)
+    direct = (direct + np.mean(phi.samples) * _geometry(dom).w_mean
+              - np.mean(direct))
     fast = cauchy_transform(phi, method="quadrature").samples
     assert np.max(np.abs(fast - direct)) <= 1e-12
 

@@ -8,7 +8,9 @@ Usage (from the repository root):
 Each (tree, N) pair runs in ROUNDS fresh child processes that import
 ``beltrami`` from that tree's ``src/`` and print one JSON object of rows.
 With ``--baseline`` the two trees alternate, N by N and round by round, so
-both see the same machine load; each row keeps the best time over all rounds.
+both see the same machine load.  Each row keeps the best time over all
+rounds and, as its spread, the min and max of the rounds' best times; a
+difference that the two trees' spreads overlap is not resolved.
 Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
 
     beurling.full     public beurling_transform of a field (validated)
@@ -116,7 +118,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
-    best = {name: {} for name in trees}
+    rounds = {name: {} for name in trees}   # tree -> N -> row -> round bests
     numpy_version = None
     for n in args.sizes:
         for r in range(ROUNDS):
@@ -125,9 +127,14 @@ def main(argv=None) -> int:
             for name, tree in (order if r % 2 == 0 else order[::-1]):
                 child = _run_child(tree, n)
                 numpy_version = child["numpy"]
-                rows = best[name].setdefault(str(n), {})
+                rows = rounds[name].setdefault(str(n), {})
                 for row, seconds in child["rows"].items():
-                    rows[row] = min(rows.get(row, float("inf")), seconds)
+                    rows.setdefault(row, []).append(seconds)
+
+    def per_row(stat):
+        return {name: {n: {row: stat(times) for row, times in rows.items()}
+                       for n, rows in by_n.items()}
+                for name, by_n in rounds.items()}
 
     report = {
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
@@ -135,9 +142,12 @@ def main(argv=None) -> int:
         "method": (f"best of {REPEAT} calls ({10 * REPEAT} for the "
                    f"applies and fd.residual, {SWEEP_REPEAT} for "
                    f"sweep.linear9) in each of {ROUNDS} child processes per "
-                   "tree and N, trees alternating; seconds per call"),
+                   "tree and N, trees alternating; 'seconds' holds each "
+                   "row's best over the processes and 'spread' the "
+                   "[min, max] of the processes' bests, in seconds per call"),
         "commits": {name: _commit(tree) for name, tree in trees.items()},
-        "seconds": best,
+        "seconds": per_row(min),
+        "spread": per_row(lambda times: [min(times), max(times)]),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
