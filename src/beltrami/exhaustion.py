@@ -64,24 +64,30 @@ def _lagrange_patch_interpolate(f: ComplexField, points: np.ndarray) -> np.ndarr
     """Evaluate a grid field at off-grid points with a 6x6 Lagrange patch."""
     domain = f.domain
     N, L, h = domain.resolution, domain.half_width, domain.spacing
-    half = PATCH_ORDER // 2
+    points = points.ravel()
+    offsets = np.arange(PATCH_ORDER) - PATCH_ORDER // 2 + 1
+    # patch node indices per point, x (columns) and y (rows)
+    jj = np.floor((points.real + L) / h).astype(int)[:, None] + offsets
+    ii = np.floor((points.imag + L) / h).astype(int)[:, None] + offsets
+    if min(jj.min(), ii.min()) < 0 or max(jj.max(), ii.max()) >= N:
+        raise ValidationError("interpolation circle leaves the grid")
+    wx = _lagrange_weights(points.real, -L + h * jj)
+    wy = _lagrange_weights(points.imag, -L + h * ii)
     out = np.empty(points.shape, dtype=np.complex128)
-    for m, p in enumerate(points.ravel()):
-        j0 = int(np.floor((p.real + L) / h)) - half + 1
-        i0 = int(np.floor((p.imag + L) / h)) - half + 1
-        if j0 < 0 or i0 < 0 or j0 + PATCH_ORDER > N or i0 + PATCH_ORDER > N:
-            raise ValidationError("interpolation circle leaves the grid")
-        jj = np.arange(j0, j0 + PATCH_ORDER)
-        ii = np.arange(i0, i0 + PATCH_ORDER)
-        xn = -L + h * jj
-        yn = -L + h * ii
-        wx = np.empty(PATCH_ORDER)
-        wy = np.empty(PATCH_ORDER)
-        for a in range(PATCH_ORDER):
-            wx[a] = np.prod((p.real - np.delete(xn, a)) / (xn[a] - np.delete(xn, a)))
-            wy[a] = np.prod((p.imag - np.delete(yn, a)) / (yn[a] - np.delete(yn, a)))
-        out.ravel()[m] = wy @ f.samples[np.ix_(ii, jj)] @ wx
+    for m in range(points.size):
+        out[m] = wy[m] @ f.samples[np.ix_(ii[m], jj[m])] @ wx[m]
     return out
+
+
+def _lagrange_weights(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Lagrange basis weights w[m, a] = prod over b != a of
+    (t[m] - x_b) / (x_a - x_b), with x = nodes[m], for all points at once;
+    the factors are multiplied in increasing b."""
+    order = nodes.shape[1]
+    others = np.array([[b for b in range(order) if b != a] for a in range(order)])
+    rest = nodes[:, others]                       # x_b, b != a, per (m, a)
+    factors = (t[:, None, None] - rest) / (nodes[:, :, None] - rest)
+    return np.prod(factors, axis=2)
 
 
 def taylor_project(f: ComplexField, center: complex, degree: int,

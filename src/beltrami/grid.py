@@ -367,29 +367,40 @@ class BeltramiField:
 # ---------------------------------------------------------------------------
 
 class _Multipliers(NamedTuple):
-    """Fourier multipliers of one (N, L) grid, zero on the Nyquist lines:
-    dz = symbol of d/dz, P = 1 / symbol of d/dzbar (0 at the zero mode) and
-    S = dz * P = conj(xi)/xi, the unimodular Beurling symbol."""
+    """Cached Fourier multipliers of one (N, L) grid, zero on the Nyquist
+    lines: P = 1 / symbol of d/dzbar (0 at the zero mode) and
+    S = dz * P = conj(xi)/xi, the unimodular Beurling symbol.  The symbol dz
+    of d/dz is formed on demand by ``_dz_multiplier``: only ``wirtinger_dz``
+    reads it, once per domain's mean profile."""
 
-    dz: np.ndarray
     P: np.ndarray
     S: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _multipliers(resolution: int, half_width: float) -> _Multipliers:
+def _wavenumbers(resolution: int, half_width: float) -> tuple:
+    """xi = kx + i ky on the (N, L) grid, and the 0/1 mask of its Nyquist lines."""
     h = 2.0 * half_width / resolution
     k = 2.0 * np.pi * np.fft.fftfreq(resolution, d=h)
     KX, KY = np.meshgrid(k, k)
     keep = np.ones((resolution, resolution))
     keep[resolution // 2, :] = 0.0
     keep[:, resolution // 2] = 0.0
-    xi = KX + 1j * KY
+    return KX + 1j * KY, keep
+
+
+def _dz_multiplier(resolution: int, half_width: float) -> np.ndarray:
+    """The symbol of d/dz, zero on the Nyquist lines; not cached."""
+    xi, keep = _wavenumbers(resolution, half_width)
+    return 0.5j * np.conj(xi) * keep
+
+
+@lru_cache(maxsize=64)
+def _multipliers(resolution: int, half_width: float) -> _Multipliers:
+    xi, keep = _wavenumbers(resolution, half_width)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
     m_P[0, 0] = 0.0
-    m_dz = 0.5j * np.conj(xi) * keep
-    table = _Multipliers(m_dz, m_P, m_dz * m_P)
+    table = _Multipliers(m_P, _dz_multiplier(resolution, half_width) * m_P)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -434,15 +445,26 @@ def _fourier_apply(x: np.ndarray, multiplier: np.ndarray,
     the others hold the row-inverse stage until their column FFTs run.
     """
     rows, cols = _full_box(out) if box is None else box
+    zero_mode = _fourier_forward(x, out, rows)
+    _fourier_inverse(multiplier, out, cols)
+    return zero_mode
+
+
+def _fourier_forward(x: np.ndarray, out: np.ndarray, rows: slice) -> complex:
+    """The forward stage of ``_fourier_apply``: out = fft2(x) for an x that
+    vanishes off ``rows``; returns the zero mode."""
     out[:rows.start] = 0
     out[rows.stop:] = 0
     np.fft.fft(x[rows], axis=1, out=out[rows])
     np.fft.fft(out, axis=0, out=out)
-    zero_mode = out[0, 0]
+    return out[0, 0]
+
+
+def _fourier_inverse(multiplier: np.ndarray, out: np.ndarray, cols: slice) -> None:
+    """The inverse stage of ``_fourier_apply`` on the spectrum in ``out``."""
     np.multiply(multiplier, out, out=out)
     np.fft.ifft(out, axis=1, out=out)
     np.fft.ifft(out[:, cols], axis=0, out=out[:, cols])
-    return zero_mode
 
 
 def wirtinger_dz(f: ComplexField) -> ComplexField:
@@ -451,7 +473,7 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
     Accurate on Omega for fields smooth on the square and near-periodic
     (all solver-produced fields, by construction of the margin).
     """
-    m = _multipliers(f.domain.resolution, f.domain.half_width).dz
+    m = _dz_multiplier(f.domain.resolution, f.domain.half_width)
     out = np.empty_like(f.samples)
     _fourier_apply(f.samples, m, out)
     return ComplexField(f.domain, out)

@@ -13,6 +13,23 @@ equals rhs; the apply is therefore pruned to the box (forward row FFTs on
 its rows, last inverse column FFTs on its columns, the mean term on the box)
 and the pointwise update and residual run on the box alone.
 
+Warm start.  When mu_ext is nonzero and both mu_ext and rhs are resolved
+on the N/2 grid -- every Fourier mode outside its band, |k| >= N/4 on
+either axis, has amplitude |x^(k)| / N^2 <= tol -- the same problem is first
+solved cold on the N/2 grid of the same square, Omega and margin, from the
+samples at even indices.  Its solution, zero-padded in the spectrum, is the
+starting iterate on the support box.  The rhs test reads the spectrum of the
+first apply, so a refused solve costs one scan of it and is bitwise the cold
+loop; mu_ext is transformed only when it is not the rhs itself, as in a
+d-bar solve.  An invalid N/2 (odd, or below 16) or an N/2 solve that does
+not converge falls back to the cold loop.  The stop test is unchanged, so a
+warm-started phi meets the same tol; it differs from the cold one by the
+sum of their a-posteriori errors, which the tests bound by
+2 tol / (1 - sup|mu_ext|).  ``iterations`` and ``trace`` count the
+fine-grid iterations only.  On the default geometry mu_ext = 0.3 is
+resolved from N = 512 up and its d-bar rhs with the disc indicator from
+N = 1024 up; the shipped configs, all at N <= 256, run cold.
+
 The immersion for the homogeneous Beltrami equation f_zbar = mu * f_z close
 to the identity is assembled as h = z + P(phi) with phi the fixed point for
 rhs = mu; its z-derivative is g = 1 + S(phi), which must stay away from zero
@@ -41,7 +58,7 @@ from .grid import (
     interior_mask,
     make_coordinate_field,
 )
-from .transforms import _PrunedBeurling, cauchy_transform
+from .transforms import _PrunedBeurling, _coarse_tables, cauchy_transform
 
 DEGENERACY_TOL = 1e-9
 
@@ -131,35 +148,93 @@ def _neumann(mu: BeltramiField, rhs: ComplexField,
 
     mu_ext and rhs vanish off the box of their nonzero samples, so every
     iterate equals rhs there: the loop runs on the box alone, and the
-    apply's ``finish`` gives the whole S(phi).
+    apply's ``finish`` gives the whole S(phi).  The loop starts from rhs, or
+    from ``_warm_start``'s guess on the box.
     """
     if mu.domain != rhs.domain:
         raise ValidationError("mu and rhs live on different DomainSpecs")
     if mu.sup_norm >= cfg.contraction_cap:
         raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
-    m = mu.extended.samples
-    r = rhs.samples
-    box = _support_box(m, r)
-    beurling = _PrunedBeurling(rhs.domain, box)
+    m, r = mu.extended.samples, rhs.samples
+    beurling = _PrunedBeurling(rhs.domain, _support_box(m, r))
+    phi = r.copy()
+    beurling.forward(phi)  # fft2(rhs): the first apply's, and the gate's
+    if _warm_start(mu, rhs, cfg, beurling, phi):
+        beurling.forward(phi)
+    phi, k, trace = _iterate(m, r, phi, beurling, cfg)
+    return NeumannResult(ComplexField(rhs.domain, phi), k, trace[-1],
+                         tuple(trace)), beurling
+
+
+def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
+             beurling: _PrunedBeurling, cfg: SolverConfig) -> tuple:
+    """The fixed-point loop from phi, whose spectrum ``beurling`` holds;
+    returns the first iterate that meets cfg.tol, its iteration number and
+    the residual trace.  The iterates overwrite phi and one more buffer."""
+    box = beurling.box
     m_box, r_box = m[box], r[box]
-    # phi and nxt ping-pong between two buffers owned by this call
-    phi, nxt = r.copy(), r.copy()
+    # phi and nxt ping-pong between two buffers owned by the solve
+    nxt = r.copy()
     step = np.empty_like(r_box)
     magnitude = np.empty(r_box.shape)
     trace = []
     for k in range(1, cfg.max_iter + 1):
-        s = beurling(phi)
+        s = beurling.inverse()
         nxt_box = nxt[box]
         np.add(r_box, np.multiply(m_box, s, out=nxt_box), out=nxt_box)
         np.subtract(nxt_box, phi[box], out=step)  # exact residual of phi
         residual = float(np.max(np.abs(step, out=magnitude), initial=0.0))
         trace.append(residual)
         if residual <= cfg.tol:
-            result = NeumannResult(ComplexField(rhs.domain, phi), k,
-                                   residual, tuple(trace))
-            return result, beurling
+            return phi, k, trace
         phi, nxt = nxt, phi
+        beurling.forward(phi)
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
+
+
+def _warm_start(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig,
+                beurling: _PrunedBeurling, phi: np.ndarray) -> bool:
+    """Write the N/2-grid solution, prolonged, into phi on the support box.
+
+    Runs when mu_ext is nonzero and both the rhs and mu_ext are resolved on
+    the N/2 grid: every mode of their spectra outside the N/2 band has
+    amplitude |x^(k)| / N^2 <= cfg.tol.  ``beurling`` holds fft2(rhs) on
+    entry, so the rhs test costs one scan of it; mu_ext is transformed only
+    when the rhs passes and is not mu_ext itself.  The two grids nest, so
+    the N/2 problem takes mu_ext and rhs at even indices, on the same
+    square, Omega and margin; it is solved cold by the same loop, and its
+    solution is zero-padded in the spectrum onto the fine grid (see
+    ``_PrunedBeurling.interpolate``).  Returns False, with phi and the
+    spectrum of the rhs in ``beurling`` as they were, when a test refuses,
+    when N/2 is no valid resolution, or when the N/2 solve does not
+    converge.
+    """
+    d = rhs.domain
+    if mu.sup_norm == 0.0:
+        return False   # the cold loop stops at its first iteration
+    try:
+        coarse = DomainSpec(d.half_width, d.resolution // 2, d.omega, d.margin)
+    except ValidationError:
+        return False
+    if not beurling.resolved_at_half(cfg.tol):
+        return False
+    m, r = mu.extended.samples, rhs.samples
+    if m is not r:
+        beurling.forward(m)
+        resolved = beurling.resolved_at_half(cfg.tol)
+        beurling.forward(phi)   # fft2(rhs) again, for the cold loop
+        if not resolved:
+            return False
+    m, r = m[::2, ::2], r[::2, ::2]
+    apply = _PrunedBeurling(coarse, _support_box(m, r), _coarse_tables(d))
+    guess = r.copy()
+    apply.forward(guess)
+    try:
+        guess = _iterate(m, r, guess, apply, cfg)[0]
+    except NoConvergence:
+        return False
+    phi[beurling.box] = beurling.interpolate(guess)
+    return True
 
 
 def solve_immersion(mu: BeltramiField,

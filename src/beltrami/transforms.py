@@ -41,6 +41,8 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _fourier_apply,
+    _fourier_forward,
+    _fourier_inverse,
     _full_box,
     _geometry,
     _multipliers,
@@ -103,19 +105,34 @@ class _PrunedBeurling:
     ``out``; ``finish`` completes ``out`` to the whole S(x).  Either way the
     samples are bitwise those of ``_spectral``.  The iterations of a solve
     reuse ``out``, an N x N view of a row-padded array (see ``_ROW_PAD``),
-    so an apply allocates no full-size array.
+    so an apply allocates no full-size array.  A call is ``forward`` (out
+    holds fft2(x)) then ``inverse``; the Neumann loop runs the two stages
+    apart, so that its warm start can read the spectrum of the rhs.
+
+    ``tables`` = (multiplier, mean profile) replaces the domain's own, as
+    ``_coarse_tables`` gives them for the N/2 grid.
     """
 
-    def __init__(self, domain: DomainSpec, box: tuple):
+    def __init__(self, domain: DomainSpec, box: tuple, tables: tuple | None = None):
         n = domain.resolution
         self.box = box
-        self.multiplier = _multipliers(n, domain.half_width).S
-        self.mean_profile = _geometry(domain).dz_w
+        if tables is None:
+            tables = (_multipliers(n, domain.half_width).S, _geometry(domain).dz_w)
+        self.multiplier, self.mean_profile = tables
         self.out = np.empty((n, n + _ROW_PAD), dtype=np.complex128)[:, :n]
         self.mean = 0j
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.mean = _fourier_apply(x, self.multiplier, self.out, self.box) / x.size
+        self.forward(x)
+        return self.inverse()
+
+    def forward(self, x: np.ndarray) -> None:
+        """out = fft2(x), for an x that vanishes off the box rows."""
+        self.mean = _fourier_forward(x, self.out, self.box[0]) / x.size
+
+    def inverse(self) -> np.ndarray:
+        """S(x) on the box from the spectrum ``forward`` left in out."""
+        _fourier_inverse(self.multiplier, self.out, self.box[1])
         _add_mean(self.out, self.mean, self.mean_profile, *self.box)
         return self.out[self.box]
 
@@ -130,6 +147,70 @@ class _PrunedBeurling:
         for rest in (slice(0, rows.start), slice(rows.stop, n)):
             _add_mean(out, self.mean, self.mean_profile, rest, cols)
         return out
+
+    def resolved_at_half(self, bound: float) -> bool:
+        """Whether every mode of the spectrum in out outside the band of the
+        N/2 grid (|k| >= N/4 on either axis) has amplitude |x^(k)| / N^2 at
+        most ``bound``.  Scans out in small row blocks, as ``_add_mean``
+        does, and stops at the first block above the bound."""
+        out = self.out
+        n = out.shape[0]
+        lo, hi = n // 4, n - n // 4 + 1
+        limit = bound * out.size
+        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * n))
+        for rows, cols in ((slice(lo, hi), slice(0, n)),
+                           (slice(0, lo), slice(lo, hi)),
+                           (slice(hi, n), slice(lo, hi))):
+            for top in range(rows.start, rows.stop, step):
+                block = out[top:min(top + step, rows.stop), cols]
+                if np.max(np.abs(block), initial=0.0) > limit:
+                    return False
+        return True
+
+    def interpolate(self, coarse: np.ndarray) -> np.ndarray:
+        """The trigonometric interpolant of N/2-grid samples, on the box.
+
+        Zero-pads the spectrum of ``coarse`` (overwritten by it), with its
+        Nyquist lines zeroed, into out and inverts it: the column FFTs run
+        on the band's columns only, the row FFTs on the box rows only.
+        Returns the box view of out; at even indices it equals ``coarse``
+        up to rounding and to the zeroed Nyquist lines.
+        """
+        out, (rows, cols) = self.out, self.box
+        n, half = out.shape[0], coarse.shape[0] // 2
+        np.fft.fft(coarse, axis=1, out=coarse)
+        np.fft.fft(coarse, axis=0, out=coarse)
+        coarse[half] = 0
+        coarse[:, half] = 0
+        coarse *= (n / coarse.shape[0]) ** 2   # ifft2 on N divides by N^2
+        low, high = slice(0, half), slice(n - half, n)
+        out.fill(0)
+        for fine_rows, coarse_rows in ((low, low), (high, slice(half, None))):
+            out[fine_rows, low] = coarse[coarse_rows, :half]
+            out[fine_rows, high] = coarse[coarse_rows, half:]
+        for band in (low, slice(n - half + 1, n)):
+            np.fft.ifft(out[:, band], axis=0, out=out[:, band])
+        np.fft.ifft(out[rows], axis=1, out=out[rows])
+        return out[self.box]
+
+
+def _coarse_tables(domain: DomainSpec) -> tuple:
+    """The Beurling multiplier and mean profile of the N/2 grid of a domain,
+    derived from its own tables, which stay the only cached ones.
+
+    The two grids nest: the N/2 grid's frequencies are the fine grid's
+    |k| <= N/4, so its multiplier is the fine S on that band with its
+    Nyquist lines (k = -N/4) zeroed.  Its mean profile is the fine dz_w at
+    even indices, the N/2 grid's spectral d/dz of w[::2, ::2] up to the
+    modes of w outside that band.
+    """
+    n = domain.resolution
+    half = n // 4
+    band = np.r_[0:half, n - half:n]
+    S = _multipliers(n, domain.half_width).S[np.ix_(band, band)]
+    S[half] = 0
+    S[:, half] = 0
+    return S, _geometry(domain).dz_w[::2, ::2]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ from beltrami import (
     solve_immersion,
     taylor_project,
 )
+from beltrami.exhaustion import PATCH_ORDER, _lagrange_patch_interpolate
 from beltrami.family import dbar_rhs
+
+from conftest import same_bits, smooth_random_field
 
 
 def _compact_bump(domain):
@@ -72,6 +75,35 @@ def test_taylor_off_center(dom256):
     # (z)^2 = c^2 + 2c (z-c) + (z-c)^2
     expected = np.array([center ** 2, 2 * center, 1.0])
     assert np.max(np.abs(np.array(jet.coefficients) - expected)) <= 1e-8
+
+
+def _patch_interpolate_pointwise(f, points):
+    """The 6x6 Lagrange patch one point at a time, each weight a product
+    over np.delete of the other nodes."""
+    L, h, half = f.domain.half_width, f.domain.spacing, PATCH_ORDER // 2
+    out = np.empty(points.size, dtype=np.complex128)
+    for m, p in enumerate(points.ravel()):
+        jj = np.arange(PATCH_ORDER) + int(np.floor((p.real + L) / h)) - half + 1
+        ii = np.arange(PATCH_ORDER) + int(np.floor((p.imag + L) / h)) - half + 1
+        xn, yn = -L + h * jj, -L + h * ii
+        wx = [np.prod((p.real - np.delete(xn, a)) / (xn[a] - np.delete(xn, a)))
+              for a in range(PATCH_ORDER)]
+        wy = [np.prod((p.imag - np.delete(yn, a)) / (yn[a] - np.delete(yn, a)))
+              for a in range(PATCH_ORDER)]
+        out[m] = np.array(wy) @ f.samples[np.ix_(ii, jj)] @ np.array(wx)
+    return out
+
+
+def test_patch_weights_for_all_points_are_the_pointwise_ones(dom128):
+    # the weights built for all circle points at once are bitwise the
+    # one-point products, so taylor_project's jets are unchanged
+    f = smooth_random_field(dom128, seed=9)
+    rng = np.random.default_rng(9)
+    ring = 0.3 + 0.1j + 1.1 * np.exp(2j * np.pi * np.arange(64) / 64)
+    scattered = rng.uniform(-2.5, 2.5, 200) + 1j * rng.uniform(-2.5, 2.5, 200)
+    for points in (ring, scattered):
+        assert same_bits(_lagrange_patch_interpolate(f, points),
+                         _patch_interpolate_pointwise(f, points))
 
 
 def test_taylor_validation(dom64):

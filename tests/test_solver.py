@@ -27,7 +27,10 @@ from beltrami import (
     tapered_coordinate_conjugate,
 )
 
+import beltrami.solver as solver_module
+from beltrami.family import dbar_rhs
 from beltrami.grid import _support_box
+from beltrami.transforms import _PrunedBeurling
 
 from conftest import (
     corpus,
@@ -368,3 +371,182 @@ def test_scaling_family_extrapolation_order(dom256):
     e_full, e_half = gap(d), gap(d / 2)
     assert e_half > 0
     assert e_full / e_half >= 6.0
+
+
+# ---------------------------------------------------------------------------
+# warm start from the N/2 grid
+# ---------------------------------------------------------------------------
+
+def _cold(monkeypatch):
+    """Force the cold loop: the warm-start helper declines every solve."""
+    monkeypatch.setattr(solver_module, "_warm_start", lambda *args: False)
+
+
+def _count_loops(monkeypatch) -> list:
+    """Record the grid size of every run of the fixed-point loop."""
+    sizes, loop = [], solver_module._iterate
+
+    def counted(m, r, *args):
+        sizes.append(r.shape[0])
+        return loop(m, r, *args)
+
+    monkeypatch.setattr(solver_module, "_iterate", counted)
+    return sizes
+
+
+def _out_of_band(x: np.ndarray) -> float:
+    """max |fft2(x)(k)| / N^2 over the modes with |k| >= N/4 on either axis."""
+    n = x.shape[0]
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    outside = (k[:, None] >= n // 4) | (k[None, :] >= n // 4)
+    return float(np.max(np.abs(np.fft.fft2(x)[outside]))) / n**2
+
+
+def _dbar_rhs_samples(mu, u):
+    return dbar_rhs(mu.extended.samples, solve_immersion(mu).g.samples, u.samples)
+
+
+GATE_RHS = {
+    # rhs kind -> gate verdict at N = 256, 512, 1024
+    "shipped mu_ext": ((False, True, True),
+                       lambda dom: mu_constant(dom).extended.samples),
+    "shipped d-bar rhs": ((False, False, True),
+                          lambda dom: _dbar_rhs_samples(mu_constant(dom),
+                                                        disc_indicator_field(dom))),
+    "0.3 z/zbar": ((False, False, False),
+                   lambda dom: mu_angular(dom, 0.3).extended.samples),
+}
+
+
+@pytest.mark.parametrize("kind", list(GATE_RHS))
+@pytest.mark.parametrize("position, resolution", enumerate([256, 512, 1024]))
+def test_warm_start_gate_reads_the_out_of_band_modes(kind, position, resolution):
+    # the gate reads the spectrum of the first apply: every mode outside the
+    # N/2 band at most tol in amplitude |x^(k)| / N^2
+    verdicts, make = GATE_RHS[kind]
+    dom = disc_domain(resolution)
+    x = make(dom)
+    apply = _PrunedBeurling(dom, _support_box(x))
+    apply.forward(x)
+    tol = SolverConfig().tol
+    assert apply.resolved_at_half(tol) == (_out_of_band(x) <= tol)
+    assert apply.resolved_at_half(tol) == verdicts[position]
+
+
+def test_refused_solves_are_bitwise_the_cold_loop(dom256, monkeypatch):
+    # refused on the rhs (mu_ext at N = 256), and on mu_ext with a resolved
+    # rhs (a constant): one loop runs, and its bits are the cold loop's
+    tol = SolverConfig().tol
+    bump, constant = mu_bump(dom256, 0.5), constant_field(dom256, 0.2 - 0.1j)
+    assert _out_of_band(constant.samples) <= tol < _out_of_band(bump.extended.samples)
+    sizes = _count_loops(monkeypatch)
+    for mu, rhs in ((mu_constant(dom256), None), (bump, constant)):
+        rhs = mu.extended if rhs is None else rhs
+        warm = neumann_solve(mu, rhs)
+        assert sizes == [256]
+        with monkeypatch.context() as cold:
+            _cold(cold)
+            ref = neumann_solve(mu, rhs)
+        sizes.clear()
+        assert same_bits(warm.phi.samples, ref.phi.samples)
+        assert warm.trace == ref.trace
+
+
+def _warm_corpus(dom):
+    # sup|mu_ext| from 0.25 to 0.8; each is resolved on the N/2 grid at 512
+    return {"bump-0.25": mu_bump(dom, 0.25), "constant-0.3": mu_constant(dom),
+            "linear-z": mu_linear(dom), "bump-0.45": mu_bump(dom, 0.45),
+            "strong-0.8": mu_strong(dom)}
+
+
+def test_warm_started_immersions_match_the_cold_solve(dom512, monkeypatch):
+    # the fine loop's stop test is the cold loop's, so an accepted solve meets
+    # the same tol; its field is within 2 tol / (1 - sup|mu_ext|) of the cold
+    # one, the sum of their a-posteriori error bounds at the gated rate
+    tol = SolverConfig().tol
+    sizes = _count_loops(monkeypatch)
+    for name, mu in _warm_corpus(dom512).items():
+        warm = solve_immersion(mu)
+        assert sizes == [256, 512], name
+        with monkeypatch.context() as cold:
+            _cold(cold)
+            ref = solve_immersion(mu)
+        sizes.clear()
+        assert warm.final_residual <= tol, name
+        assert warm.iterations <= ref.iterations, name
+        assert len(warm.trace) == warm.iterations, name
+        bound = 2 * tol / (1 - mu.sup_norm)
+        for got, want in ((warm.phi, ref.phi), (warm.g, ref.g), (warm.h, ref.h)):
+            assert np.max(np.abs((got - want).samples)) <= bound, name
+        residual = beltrami_residual(warm.h, mu)
+        assert residual <= 1e-3, name
+        assert abs(residual - beltrami_residual(ref.h, mu)) <= 1e-9, name
+
+
+def test_warm_started_iterate_equals_the_rhs_off_the_box(dom512):
+    mu = mu_bump(dom512, 0.45)
+    res = neumann_solve(mu, mu.extended)
+    assert res.iterations < 10
+    box = _support_box(mu.extended.samples)
+    off = np.ones(res.phi.samples.shape, dtype=bool)
+    off[box] = False
+    assert off.any()
+    assert same_bits(res.phi.samples[off], mu.extended.samples[off])
+
+
+def test_warm_started_solves_are_deterministic(dom512):
+    mu = mu_linear(dom512)
+    a, b = solve_immersion(mu), solve_immersion(mu)
+    assert a.trace == b.trace
+    for x, y in ((a.phi, b.phi), (a.g, b.g)):
+        assert same_bits(x.samples, y.samples)
+
+
+def _band_limited_problem(resolution):
+    """mu_ext and rhs with Fourier modes |k| <= 2 only: resolved on every
+    grid from N = 16 up, whatever N/2."""
+    dom = DomainSpec(3.0, resolution, Disc(0j, 1.0), 0.8)
+    z = make_coordinate_field(dom).samples
+    wave = np.exp(1j * np.pi / 3.0 * (2 * z.real - z.imag))
+    m = ComplexField(dom, 0.2 * wave + 0.1)
+    mu = BeltramiField(m, m)
+    return mu, ComplexField(dom, 0.5 * np.conj(wave) - 0.3j)
+
+
+@pytest.mark.parametrize("resolution, warm", [(16, False), (20, False),
+                                              (34, False), (64, True)])
+def test_warm_start_needs_a_valid_half_resolution(resolution, warm, monkeypatch):
+    # N/2 = 8 and 10 are below 16 and 17 is odd: the cold loop runs alone,
+    # bit for bit; at N = 64 the same kind of problem is warm-started
+    mu, rhs = _band_limited_problem(resolution)
+    sizes = _count_loops(monkeypatch)
+    res = neumann_solve(mu, rhs)
+    assert sizes == ([resolution // 2, resolution] if warm else [resolution])
+    with monkeypatch.context() as cold:
+        _cold(cold)
+        ref = neumann_solve(mu, rhs)
+    assert res.final_residual <= SolverConfig().tol
+    if not warm:
+        assert same_bits(res.phi.samples, ref.phi.samples)
+        assert res.trace == ref.trace
+
+
+def test_warm_start_falls_back_when_the_coarse_solve_fails(dom512, monkeypatch):
+    # a coarse solve that raises NoConvergence leaves the cold loop to run
+    # from the rhs, bit for bit
+    mu = mu_bump(dom512, 0.45)
+    loop = solver_module._iterate
+
+    def failing(m, r, phi, beurling, cfg):
+        if r.shape[0] < 512:
+            raise NoConvergence(phi, cfg.max_iter, 1.0, (1.0,))
+        return loop(m, r, phi, beurling, cfg)
+
+    monkeypatch.setattr(solver_module, "_iterate", failing)
+    res = solve_immersion(mu)
+    monkeypatch.setattr(solver_module, "_iterate", loop)
+    _cold(monkeypatch)
+    ref = solve_immersion(mu)
+    assert res.trace == ref.trace
+    for x, y in ((res.phi, ref.phi), (res.g, ref.g)):
+        assert same_bits(x.samples, y.samples)

@@ -23,12 +23,13 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from beltrami.grid import _geometry, _multipliers, _support_box
+from beltrami.grid import _dz_multiplier, _geometry, _multipliers, _support_box
 from beltrami.transforms import (
     _PrunedBeurling,
     _quad_convolve,
     _quad_plan,
     _spectral,
+    _coarse_tables,
 )
 
 from conftest import (
@@ -188,8 +189,11 @@ def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
     phi = smooth_random_field(dom64, seed=3)
     spec = np.fft.fft2(phi.samples)
     mean = spec[0, 0] / phi.samples.size
-    assert np.array_equal(wirtinger_dz(phi).samples,
-                          np.fft.ifft2(table.dz * spec))
+    dz = _dz_multiplier(64, dom64.half_width)
+    assert np.array_equal(wirtinger_dz(phi).samples, np.fft.ifft2(dz * spec))
+    # the cached table keeps P and S only; S is dz * P, bit for bit
+    assert table._fields == ("P", "S")
+    assert same_bits(table.S, dz * table.P)
     # the geometry holds the mean-mode profile: dz_w is wirtinger_dz of w
     geo = _geometry(dom64)
     w = tapered_coordinate_conjugate(dom64)
@@ -228,7 +232,8 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
     assert np.array_equal(cauchy_transform(phi).samples,
                           fourier_apply_reference(x, table.P, geo.w))
     assert np.array_equal(wirtinger_dz(phi).samples,
-                          fourier_apply_reference(x, table.dz))
+                          fourier_apply_reference(x, _dz_multiplier(resolution,
+                                                                    dom.half_width)))
     q = _quad_plan(dom)
     for kernel_hat in (q.cauchy_hat, q.beurling_hat):
         assert np.array_equal(_quad_convolve(x, kernel_hat, q.cell_area),
@@ -345,3 +350,33 @@ def test_contraction_quadrature_method(dom64):
     q_quad = estimate_contraction(mu, 4, method="quadrature")
     assert 0 < q_quad < 0.9
     assert abs(q_spec - q_quad) <= 0.2
+
+
+def test_interpolate_prolongs_band_limited_samples(dom128):
+    # the even samples of a field with modes |k| < N/4 give back the field
+    # on the apply's box, through the apply's own buffer
+    n = 128
+    rng = np.random.default_rng(11)
+    idx = np.arange(n)
+    x = np.zeros((n, n), dtype=np.complex128)
+    for kx, ky in rng.integers(-n // 4 + 1, n // 4, size=(12, 2)):
+        amp = rng.normal() + 1j * rng.normal()
+        x += amp * np.exp(2j * np.pi * (kx * idx[None, :] + ky * idx[:, None]) / n)
+    box = (slice(10, 100), slice(5, 121))
+    apply = _PrunedBeurling(dom128, box)
+    got = apply.interpolate(x[::2, ::2].copy())
+    assert np.shares_memory(got, apply.out)
+    assert np.max(np.abs(got - x[box])) <= 1e-12
+
+
+def test_coarse_tables_derive_from_the_fine_grid(dom256):
+    # the N/2 grid's S is the fine S on the band, Nyquist lines zeroed, and
+    # its mean profile is the fine dz_w at even indices, a view
+    S, profile = _coarse_tables(dom256)
+    own = _multipliers(128, dom256.half_width).S
+    assert S.shape == (128, 128)
+    assert np.all(S[64] == 0) and np.all(S[:, 64] == 0)
+    assert np.max(np.abs(S - own)) <= 1e-15
+    fine = _geometry(dom256).dz_w
+    assert np.shares_memory(profile, fine)
+    assert same_bits(profile, fine[::2, ::2])

@@ -17,6 +17,9 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     beurling.pruned   the private pruned apply on the support box of mu and u
                       (missing in a tree that has none)
     solve_immersion   mu = 0.3 constant
+    solve_immersion.strong
+                      mu = 0.5 + 0.3 bump, sup|mu| = 0.8, where the N/2-grid
+                      warm start saves the fewest iterations
     fd.residual       beltrami_residual(h, mu) of that immersion (the FD defect)
     solve_dbar        mu = 0.3 constant, u the disc indicator
     sweep.linear9     solve_family, linear law on 0.5 + 0.3 bump, b = k/8
@@ -75,12 +78,14 @@ def _child(resolution: int) -> dict:
         x = np.array(phi.samples)
         rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
     rows["solve_immersion"] = _best(lambda: bl.solve_immersion(mu, cfg), REPEAT)
-    rows["fd.residual"] = _best(lambda: bl.beltrami_residual(h, mu), 10 * REPEAT)
-    rows["solve_dbar"] = _best(lambda: bl.solve_dbar(mu, u, cfg), REPEAT)
     raw0 = (bl.constant_field(domain, 0.5)
             + bl.gaussian_bump_field(domain, 0.3, width=0.5))
-    family = bl.FamilySpec(bl.BeltramiField.from_raw(raw0),
-                           tuple(k / 8 for k in range(9)))
+    strong = bl.BeltramiField.from_raw(raw0)
+    rows["solve_immersion.strong"] = _best(lambda: bl.solve_immersion(strong, cfg),
+                                           REPEAT)
+    rows["fd.residual"] = _best(lambda: bl.beltrami_residual(h, mu), 10 * REPEAT)
+    rows["solve_dbar"] = _best(lambda: bl.solve_dbar(mu, u, cfg), REPEAT)
+    family = bl.FamilySpec(strong, tuple(k / 8 for k in range(9)))
     data = [u] * 9
     rows["sweep.linear9"] = _best(lambda: bl.solve_family(family, data, cfg),
                                   SWEEP_REPEAT)
