@@ -22,6 +22,7 @@ from beltrami import (
     make_coordinate_field,
     neumann_solve,
     rebase,
+    solve_dbar,
     solve_immersion,
     beurling_transform,
     tapered_coordinate_conjugate,
@@ -435,19 +436,31 @@ def test_warm_start_gate_reads_the_out_of_band_modes(kind, position, resolution)
 
 def test_refused_solves_are_bitwise_the_cold_loop(dom256, monkeypatch):
     # refused on the rhs (mu_ext at N = 256), and on mu_ext with a resolved
-    # rhs (a constant): one loop runs, and its bits are the cold loop's
+    # rhs (a constant): one loop runs, and its bits are the cold loop's.  The
+    # rhs test reads the first apply's forward transform, so a solve refused
+    # there runs one forward per iteration, as the cold loop does; the mu_ext
+    # test costs two more (mu_ext, then the rhs again)
     tol = SolverConfig().tol
     bump, constant = mu_bump(dom256, 0.5), constant_field(dom256, 0.2 - 0.1j)
     assert _out_of_band(constant.samples) <= tol < _out_of_band(bump.extended.samples)
     sizes = _count_loops(monkeypatch)
-    for mu, rhs in ((mu_constant(dom256), None), (bump, constant)):
+    forwards, forward = [], _PrunedBeurling.forward
+
+    def counted(apply, x):
+        forwards.append(x.shape[0])
+        forward(apply, x)
+
+    monkeypatch.setattr(_PrunedBeurling, "forward", counted)
+    for mu, rhs, extra in ((mu_constant(dom256), None, 0), (bump, constant, 2)):
         rhs = mu.extended if rhs is None else rhs
         warm = neumann_solve(mu, rhs)
         assert sizes == [256]
+        assert forwards == [256] * (warm.iterations + extra)
         with monkeypatch.context() as cold:
             _cold(cold)
             ref = neumann_solve(mu, rhs)
         sizes.clear()
+        forwards.clear()
         assert same_bits(warm.phi.samples, ref.phi.samples)
         assert warm.trace == ref.trace
 
@@ -481,6 +494,25 @@ def test_warm_started_immersions_match_the_cold_solve(dom512, monkeypatch):
         residual = beltrami_residual(warm.h, mu)
         assert residual <= 1e-3, name
         assert abs(residual - beltrami_residual(ref.h, mu)) <= 1e-9, name
+
+
+def test_dbar_with_a_warm_started_immersion_matches_the_cold_solve(dom512,
+                                                                  monkeypatch):
+    # at N = 512 the immersion is warm-started and the d-bar chain, whose
+    # disc-indicator rhs is not resolved on the N/2 grid, runs cold from it
+    mu, u = mu_bump(dom512, 0.45), disc_indicator_field(dom512)
+    sizes = _count_loops(monkeypatch)
+    warm = solve_dbar(mu, u)
+    assert sizes == [256, 512, 512]
+    with monkeypatch.context() as cold:
+        _cold(cold)
+        ref = solve_dbar(mu, u)
+    d, c = warm.diagnostics, ref.diagnostics
+    assert d.neumann_residual <= SolverConfig().tol
+    assert d.interior_residual <= 1e-2 and d.moving_frame_residual <= 1e-2
+    assert abs(d.interior_residual - c.interior_residual) <= 1e-9
+    assert np.max(np.abs((warm.f - ref.f).samples)) <= 2 * SolverConfig().tol / (
+        1 - mu.sup_norm)
 
 
 def test_warm_started_iterate_equals_the_rhs_off_the_box(dom512):
