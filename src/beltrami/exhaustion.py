@@ -37,6 +37,11 @@ PATCH_ORDER = 6
 
 CIRCLE_RADIUS_FRACTION = 0.8
 
+# Largest taylor_degree exhaustion_solve accepts.  taylor_project builds a
+# (degree + 1) x max(64, 8 degree) complex phase table: 0.5 MiB at 64, but
+# 115 GB at degree 30000.  The shipped config uses 8.
+MAX_TAYLOR_DEGREE = 64
+
 
 @dataclass(frozen=True)
 class TaylorJet:
@@ -152,7 +157,8 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     radius 0.8 * previous_radius, and subtracts it, so earlier discs stay
     fixed within the geometric budget 2^-step * cfg.tol.
 
-    With a single radius this is exactly solve_dbar on that disc.  The trace
+    ``taylor_degree`` runs from 1 to MAX_TAYLOR_DEGREE.  With a single
+    radius this is exactly solve_dbar on that disc.  The trace
     also carries the rhs that the returned f solves on the last disc.
     """
     radii = [float(r) for r in radii]
@@ -160,8 +166,9 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
         raise ValidationError("radii must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
-    if taylor_degree < 1:
-        raise ValidationError("taylor_degree must be >= 1")
+    if not 1 <= taylor_degree <= MAX_TAYLOR_DEGREE:
+        raise ValidationError(f"taylor_degree must be from 1 to {MAX_TAYLOR_DEGREE}, "
+                              f"got {taylor_degree!r}")
     base = mu.domain
     if radii[-1] >= base.half_width - base.margin:
         raise ValidationError("last radius must satisfy r < L - margin")

@@ -40,6 +40,8 @@ from .grid import (
     BeltramiField,
     ComplexField,
     _fd_beltrami_defect,
+    _FourierApply,
+    _on_grid,
     _support_box,
     interior_mask,
     sup_norm,
@@ -50,7 +52,7 @@ from .solver import (
     neumann_solve,
     solve_immersion,
 )
-from .transforms import _PrunedBeurling, cauchy_transform
+from .transforms import cauchy_transform
 
 FRAME_DEGENERACY_TOL = 1e-12
 
@@ -347,20 +349,21 @@ class _SeriesPoint:
     index: int
     b: float
     chain: int          # which datum's d-bar chain feeds psi
-    phi: np.ndarray     # sum of b^n a_n so far
-    psi: np.ndarray     # sum of b^n c_n so far
+    phi: np.ndarray     # sum of b^n a_n so far, on the support box
+    psi: np.ndarray     # sum of b^n c_n so far, on the support box
     trace: list         # term sizes b^n max(sup|a_n|, sup|c_n|)
 
 
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
                          u: ComplexField, cfg: SolverConfig,
-                         beurling: _PrunedBeurling) -> Optional[DbarResult]:
+                         beurling: _FourierApply) -> Optional[DbarResult]:
     """The result of a point whose last term met the stop test.
 
     Returns None while a measured residual is still above cfg.tol: the
     immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
     d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|.  Both vanish off the
-    support box, so they are measured on it.
+    support box, so they are measured on it.  The whole-grid psi_b is built
+    only for a result, from a copy of u.
     """
     mu = family.realize(point.index)
     m = mu.extended.samples
@@ -368,15 +371,16 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     box = beurling.box
     beurling(point.phi)
     g = beurling.finish() + 1.0
-    immersion_step = m[box] * g[box] - point.phi[box]
+    immersion_step = m[box] * g[box] - point.phi
     if float(np.max(np.abs(immersion_step), initial=0.0)) <= cfg.tol:
         rhs = dbar_rhs(m, g, u.samples)
-        psi_step = rhs[box] + m[box] * beurling(point.psi) - point.psi[box]
+        psi_step = rhs[box] + m[box] * beurling(point.psi) - point.psi
         residual = float(np.max(np.abs(psi_step), initial=0.0))
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
             return _dbar_result(mu, g, u, ComplexField(domain, rhs),
-                                ComplexField(domain, point.psi),
+                                ComplexField(domain, _on_grid(u.samples, box,
+                                                              point.psi)),
                                 len(point.trace), residual,
                                 tuple(point.trace))
     return None
@@ -397,7 +401,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
     independent of the other grid points.  Point b is gated on
     sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve.  Every
     term vanishes off the box of the nonzero samples of mu_0 and the data,
-    so the recurrence and the sums run on that box.
+    so the recurrence and the sums are box arrays.
     """
     grid = family.parameter_grid
     domain = family.base_mu.domain
@@ -405,7 +409,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
     sup0 = family.base_mu.sup_norm
     entries = [None] * len(grid)
     data = []                       # distinct data, one d-bar chain each
-    live = []
+    chains = []                     # (index, b, chain) of each gated point
     for i, b in enumerate(grid):
         if b * sup0 >= cfg.contraction_cap:
             exc = ContractionTooLarge(b * sup0, cfg.contraction_cap)
@@ -416,18 +420,19 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
                      len(data))
         if chain == len(data):
             data.append(u)
-        live.append(_SeriesPoint(i, b, chain, np.zeros_like(m0), u.copy(), []))
+        chains.append((i, b, chain))
 
     box = _support_box(m0, *data)
-    a_beurling = _PrunedBeurling(domain, box)   # g_n = S(a_n)
-    c_beurling = _PrunedBeurling(domain, box)   # S(c_{n-1}) and point finishes
+    a_beurling = _FourierApply.beurling(domain, box)   # g_n = S(a_n)
+    c_beurling = _FourierApply.beurling(domain, box)   # S(c_{n-1}), point finishes
     m0_box = m0[box]
     abs2 = np.abs(m0_box) ** 2
     data_box = [d[box] for d in data]
-    # the recurrence updates buffers allocated here, once per sweep; a and c
-    # are whole-grid inputs of the applies, zero off the box
-    a, a_buffer = m0, np.zeros_like(m0)     # a_n
-    c = [d.copy() for d in data]            # c_{n-1} per chain
+    live = [_SeriesPoint(i, b, j, np.zeros_like(m0_box), data_box[j].copy(), [])
+            for i, b, j in chains]
+    # the recurrence updates buffers allocated here, once per sweep
+    a, a_buffer = m0_box, np.empty_like(m0_box)     # a_n
+    c = [d.copy() for d in data_box]                # c_{n-1} per chain
     conj_g, conj_g1, conj_g2 = (np.empty_like(m0_box) for _ in range(3))
     conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
     conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
@@ -441,18 +446,15 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
         np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
         c_size = {}
         for j in sorted({p.chain for p in live}):
-            c_box = c[j][box]
-            np.multiply(m0_box, c_beurling(c[j]), out=c_box)
-            np.add(np.multiply(weight, data_box[j], out=tmp), c_box, out=c_box)
-            c_size[j] = float(np.max(np.abs(c_box, out=magnitude), initial=0.0))
-        a_box = a[box]
-        a_size = float(np.max(np.abs(a_box, out=magnitude), initial=0.0))
+            np.multiply(m0_box, c_beurling(c[j]), out=c[j])
+            np.add(np.multiply(weight, data_box[j], out=tmp), c[j], out=c[j])
+            c_size[j] = float(np.max(np.abs(c[j], out=magnitude), initial=0.0))
+        a_size = float(np.max(np.abs(a, out=magnitude), initial=0.0))
         pending = []
         for p in live:
             bn = p.b ** n
-            phi_box, psi_box = p.phi[box], p.psi[box]
-            np.add(phi_box, np.multiply(bn, a_box, out=tmp), out=phi_box)
-            np.add(psi_box, np.multiply(bn, c[p.chain][box], out=tmp), out=psi_box)
+            np.add(p.phi, np.multiply(bn, a, out=tmp), out=p.phi)
+            np.add(p.psi, np.multiply(bn, c[p.chain], out=tmp), out=p.psi)
             p.trace.append(bn * max(a_size, c_size[p.chain]))
             if p.trace[-1] > cfg.tol:
                 pending.append(p)
@@ -469,7 +471,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
                 entries[p.index] = FamilyEntry(p.b, result)
         live = pending
         a = a_buffer
-        np.multiply(m0_box, g, out=a[box])
+        np.multiply(m0_box, g, out=a)
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
         exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))

@@ -428,43 +428,153 @@ def _support_box(*samples: np.ndarray) -> tuple:
             slice(int(cols[0]), int(cols[-1]) + 1))
 
 
-def _fourier_apply(x: np.ndarray, multiplier: np.ndarray,
-                   out: np.ndarray, box: tuple | None = None) -> complex:
-    """out = ifft2(multiplier * fft2(x)), allocating nothing; returns the
-    zero mode fft2(x)[0, 0].
+# Byte size of the row blocks through which the mean term is added and the
+# spectrum is scanned.  A full-size temporary (4 MiB at N = 512) is a fresh
+# mapping that is page-faulted on every apply; blocks this small are reused
+# heap memory.
+_MEAN_BLOCK_BYTES = 1 << 16
 
-    Per-axis 1-D FFTs in fft2's axis order are bitwise fft2/ifft2, and run
-    in place in ``out`` (which may be ``x``).  The product keeps the
-    multiplier as its first operand: complex multiply is not bitwise
-    commutative.
+# Complex samples of padding after each row of a padded apply buffer.  An
+# unpadded row of 512 or 1024 samples is a power-of-two stride, so a
+# column's samples share one cache set and the column FFTs thrash.  One
+# 64-byte cache line (4 samples) measured best at N = 1024, level with 2 or
+# 8 at N = 512; the FFT results are bitwise those of a contiguous buffer.
+_ROW_PAD = 4
 
-    ``box`` = (rows, cols), by default the whole grid, prunes the apply for
-    an ``x`` that vanishes off ``rows``: the forward row FFTs run on those
-    rows only (the other rows of ``out`` are zeroed) and the last inverse
-    FFTs on ``cols`` only.  ``out`` is then exact on the ``cols`` columns;
-    the others hold the row-inverse stage until their column FFTs run.
+
+class _FourierApply:
+    """ifft2(multiplier * fft2(x)) [+ mean(x) * mean_profile] for a field x
+    on the multiplier's n x n grid that vanishes off one (rows, cols) box.
+
+    The one Fourier multiplier apply of the library: P, S and d/dz on the
+    whole grid, S on the support box of a Neumann loop, a linear series or
+    the N/2 grid of a warm start, and the quadrature kernels, whose box is
+    the N x N data on the zero-padded 2N grid.  Its input is the box samples
+    of x.  ``forward`` leaves fft2(x) in ``out`` (row FFTs on the box rows
+    only); ``inverse`` returns the box view of the result (last column FFTs
+    on the box columns only); ``finish`` completes the whole result.  out is
+    an n x n view of a row-padded array (``_ROW_PAD``; ``pad=0`` makes it
+    contiguous) that every call reuses.  Per-axis 1-D FFTs in fft2's order,
+    and the multiplier as the first operand of the product (complex multiply
+    is not bitwise commutative), make the samples bitwise the numpy fft2
+    expression's.  d/dz and the quadrature kernels take no mean profile.
     """
-    rows, cols = _full_box(out) if box is None else box
-    zero_mode = _fourier_forward(x, out, rows)
-    _fourier_inverse(multiplier, out, cols)
-    return zero_mode
+
+    def __init__(self, multiplier: np.ndarray, mean_profile: np.ndarray | None,
+                 box: tuple, pad: int = _ROW_PAD):
+        n = multiplier.shape[0]
+        self.multiplier, self.mean_profile, self.box = multiplier, mean_profile, box
+        self.out = np.empty((n, n + pad), dtype=np.complex128)[:, :n]
+        self.mean = 0j
+
+    @classmethod
+    def beurling(cls, domain: DomainSpec, box: tuple) -> "_FourierApply":
+        """S on the grid of ``domain``, with its mean profile dz_w."""
+        return cls(_multipliers(domain.resolution, domain.half_width).S,
+                   _geometry(domain).dz_w, box)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.forward(x)
+        return self.inverse()
+
+    def forward(self, x: np.ndarray) -> None:
+        """out = fft2 of the field whose box samples are x."""
+        out, (rows, cols) = self.out, self.box
+        out[:rows.start] = 0
+        out[rows.stop:] = 0
+        band = out[rows]
+        band[:, :cols.start] = 0
+        band[:, cols] = x
+        band[:, cols.stop:] = 0
+        np.fft.fft(band, axis=1, out=band)
+        np.fft.fft(out, axis=0, out=out)
+        self.mean = out[0, 0] / out.size
+
+    def inverse(self) -> np.ndarray:
+        """The result on the box, from the spectrum ``forward`` left in out."""
+        out, (rows, cols) = self.out, self.box
+        np.multiply(self.multiplier, out, out=out)
+        np.fft.ifft(out, axis=1, out=out)
+        np.fft.ifft(out[:, cols], axis=0, out=out[:, cols])
+        self._add_mean(rows, cols)
+        return out[self.box]
+
+    def finish(self) -> np.ndarray:
+        """The whole result of the last call: the column FFTs and the mean
+        term off the box."""
+        out, (rows, cols) = self.out, self.box
+        n = out.shape[0]
+        for rest in (slice(0, cols.start), slice(cols.stop, n)):
+            np.fft.ifft(out[:, rest], axis=0, out=out[:, rest])
+            self._add_mean(slice(0, n), rest)
+        for rest in (slice(0, rows.start), slice(rows.stop, n)):
+            self._add_mean(rest, cols)
+        return out
+
+    def _add_mean(self, rows: slice, cols: slice) -> None:
+        """out[rows, cols] += mean * mean_profile[rows, cols], in row blocks;
+        nothing without a mean profile."""
+        out, profile = self.out, self.mean_profile
+        if profile is None:
+            return
+        width = max(1, cols.stop - cols.start)
+        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * width))
+        for lo in range(rows.start, rows.stop, step):
+            block = out[lo:min(lo + step, rows.stop), cols]
+            np.add(block, self.mean * profile[lo:lo + block.shape[0], cols], out=block)
+
+    def resolved_at_half(self, bound: float) -> bool:
+        """Whether every mode of the spectrum in out outside the band of the
+        n/2 grid (|k| >= n/4 on either axis) has amplitude |x^(k)| / n^2 at
+        most ``bound``.  Scans out in small row blocks, as the mean term is
+        added, and stops at the first block above the bound."""
+        out = self.out
+        n = out.shape[0]
+        lo, hi = n // 4, n - n // 4 + 1
+        limit = bound * out.size
+        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * n))
+        for rows, cols in ((slice(lo, hi), slice(0, n)),
+                           (slice(0, lo), slice(lo, hi)),
+                           (slice(hi, n), slice(lo, hi))):
+            for top in range(rows.start, rows.stop, step):
+                block = out[top:min(top + step, rows.stop), cols]
+                if np.max(np.abs(block), initial=0.0) > limit:
+                    return False
+        return True
+
+    def interpolate(self, coarse: np.ndarray) -> np.ndarray:
+        """The trigonometric interpolant of n/2-grid samples, on the box.
+
+        Zero-pads the spectrum of ``coarse`` (overwritten by it), with its
+        Nyquist lines zeroed, into out and inverts it: the column FFTs run
+        on the band's columns only, the row FFTs on the box rows only.
+        Returns the box view of out; at even indices it equals ``coarse``
+        up to rounding and to the zeroed Nyquist lines.
+        """
+        out, (rows, cols) = self.out, self.box
+        n, half = out.shape[0], coarse.shape[0] // 2
+        np.fft.fft(coarse, axis=1, out=coarse)
+        np.fft.fft(coarse, axis=0, out=coarse)
+        coarse[half] = 0
+        coarse[:, half] = 0
+        coarse *= (n / coarse.shape[0]) ** 2   # ifft2 on n divides by n^2
+        low, high = slice(0, half), slice(n - half, n)
+        out.fill(0)
+        for fine_rows, coarse_rows in ((low, low), (high, slice(half, None))):
+            out[fine_rows, low] = coarse[coarse_rows, :half]
+            out[fine_rows, high] = coarse[coarse_rows, half:]
+        for band in (low, slice(n - half + 1, n)):
+            np.fft.ifft(out[:, band], axis=0, out=out[:, band])
+        np.fft.ifft(out[rows], axis=1, out=out[rows])
+        return out[self.box]
 
 
-def _fourier_forward(x: np.ndarray, out: np.ndarray, rows: slice) -> complex:
-    """The forward stage of ``_fourier_apply``: out = fft2(x) for an x that
-    vanishes off ``rows``; returns the zero mode."""
-    out[:rows.start] = 0
-    out[rows.stop:] = 0
-    np.fft.fft(x[rows], axis=1, out=out[rows])
-    np.fft.fft(out, axis=0, out=out)
-    return out[0, 0]
-
-
-def _fourier_inverse(multiplier: np.ndarray, out: np.ndarray, cols: slice) -> None:
-    """The inverse stage of ``_fourier_apply`` on the spectrum in ``out``."""
-    np.multiply(multiplier, out, out=out)
-    np.fft.ifft(out, axis=1, out=out)
-    np.fft.ifft(out[:, cols], axis=0, out=out[:, cols])
+def _on_grid(base: np.ndarray, box: tuple, x: np.ndarray) -> np.ndarray:
+    """A copy of the whole-grid ``base`` with the box samples x written in:
+    off the box it keeps base's values, signed zeros included."""
+    whole = base.copy()
+    whole[box] = x
+    return whole
 
 
 def wirtinger_dz(f: ComplexField) -> ComplexField:
@@ -474,9 +584,9 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
     (all solver-produced fields, by construction of the margin).
     """
     m = _dz_multiplier(f.domain.resolution, f.domain.half_width)
-    out = np.empty_like(f.samples)
-    _fourier_apply(f.samples, m, out)
-    return ComplexField(f.domain, out)
+    apply = _FourierApply(m, None, _full_box(f.samples), pad=0)
+    apply(f.samples)
+    return ComplexField(f.domain, apply.finish())
 
 
 def wirtinger_dbar(f: ComplexField) -> ComplexField:

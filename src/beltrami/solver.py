@@ -10,8 +10,10 @@ k-th iterate is exactly ||phi_{k+1} - phi_k|| in sup norm, so each iteration
 costs one Beurling apply and the stop test is free.  mu_ext and rhs vanish
 off the row x column box of their nonzero samples, and there every iterate
 equals rhs; the apply is therefore pruned to the box (forward row FFTs on
-its rows, last inverse column FFTs on its columns, the mean term on the box)
-and the pointwise update and residual run on the box alone.
+its rows, last inverse column FFTs on its columns, the mean term on the box),
+and the iterates, the pointwise update and the residual are box arrays.  The
+whole-grid phi is built once, from a copy of rhs with the box written in,
+for the result the solve returns.
 
 Warm start.  When mu_ext is nonzero and both mu_ext and rhs are resolved
 on the N/2 grid -- every Fourier mode outside its band, |k| >= N/4 on
@@ -54,11 +56,13 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _fd_beltrami_defect,
+    _FourierApply,
+    _on_grid,
     _support_box,
     interior_mask,
     make_coordinate_field,
 )
-from .transforms import _PrunedBeurling, _coarse_tables, cauchy_transform
+from .transforms import _coarse_tables, cauchy_transform
 
 DEGENERACY_TOL = 1e-9
 
@@ -81,8 +85,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"max_iter must be an integer >= 1, got {n!r}")
         if not 0.0 < self.contraction_cap < 1.0:
             raise ValidationError(
                 f"contraction_cap must lie in (0, 1), got {self.contraction_cap!r}"
@@ -143,46 +148,51 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
 
 
 def _neumann(mu: BeltramiField, rhs: ComplexField,
-             cfg: SolverConfig) -> tuple[NeumannResult, _PrunedBeurling]:
+             cfg: SolverConfig) -> tuple[NeumannResult, _FourierApply]:
     """neumann_solve, plus the apply that holds S(phi) on the support box.
 
     mu_ext and rhs vanish off the box of their nonzero samples, so every
-    iterate equals rhs there: the loop runs on the box alone, and the
-    apply's ``finish`` gives the whole S(phi).  The loop starts from rhs, or
-    from ``_warm_start``'s guess on the box.
+    iterate equals rhs there: the loop holds box arrays only, and the
+    whole-grid phi is built once, from a copy of rhs, for the result (or
+    for NoConvergence).  The apply's ``finish`` gives the whole S(phi).  The
+    loop starts from rhs, or from ``_warm_start``'s guess on the box.
     """
     if mu.domain != rhs.domain:
         raise ValidationError("mu and rhs live on different DomainSpecs")
     if mu.sup_norm >= cfg.contraction_cap:
         raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
     m, r = mu.extended.samples, rhs.samples
-    beurling = _PrunedBeurling(rhs.domain, _support_box(m, r))
-    phi = r.copy()
+    box = _support_box(m, r)
+    beurling = _FourierApply.beurling(rhs.domain, box)
+    phi = r[box].copy()
     beurling.forward(phi)  # fft2(rhs): the first apply's, and the gate's
     if _warm_start(mu, rhs, cfg, beurling, phi):
         beurling.forward(phi)
-    phi, k, trace = _iterate(m, r, phi, beurling, cfg)
-    return NeumannResult(ComplexField(rhs.domain, phi), k, trace[-1],
-                         tuple(trace)), beurling
+    try:
+        phi, k, trace = _iterate(m[box], r[box], phi, beurling, cfg)
+    except NoConvergence as exc:
+        exc.phi = _on_grid(r, box, exc.phi)
+        raise
+    return NeumannResult(ComplexField(rhs.domain, _on_grid(r, box, phi)), k,
+                         trace[-1], tuple(trace)), beurling
 
 
 def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
-             beurling: _PrunedBeurling, cfg: SolverConfig) -> tuple:
-    """The fixed-point loop from phi, whose spectrum ``beurling`` holds;
-    returns the first iterate that meets cfg.tol, its iteration number and
-    the residual trace.  The iterates overwrite phi and one more buffer."""
-    box = beurling.box
-    m_box, r_box = m[box], r[box]
+             beurling: _FourierApply, cfg: SolverConfig) -> tuple:
+    """The fixed-point loop on the box samples m of mu_ext and r of rhs,
+    from the box iterate phi, whose spectrum ``beurling`` holds; returns the
+    first iterate that meets cfg.tol, its iteration number and the residual
+    trace, or raises NoConvergence with the last box iterate.  The iterates
+    overwrite phi and one more box buffer."""
     # phi and nxt ping-pong between two buffers owned by the solve
-    nxt = r.copy()
-    step = np.empty_like(r_box)
-    magnitude = np.empty(r_box.shape)
+    nxt = np.empty_like(r)
+    step = np.empty_like(r)
+    magnitude = np.empty(r.shape)
     trace = []
     for k in range(1, cfg.max_iter + 1):
         s = beurling.inverse()
-        nxt_box = nxt[box]
-        np.add(r_box, np.multiply(m_box, s, out=nxt_box), out=nxt_box)
-        np.subtract(nxt_box, phi[box], out=step)  # exact residual of phi
+        np.add(r, np.multiply(m, s, out=nxt), out=nxt)
+        np.subtract(nxt, phi, out=step)  # exact residual of phi
         residual = float(np.max(np.abs(step, out=magnitude), initial=0.0))
         trace.append(residual)
         if residual <= cfg.tol:
@@ -193,8 +203,8 @@ def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
 
 
 def _warm_start(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig,
-                beurling: _PrunedBeurling, phi: np.ndarray) -> bool:
-    """Write the N/2-grid solution, prolonged, into phi on the support box.
+                beurling: _FourierApply, phi: np.ndarray) -> bool:
+    """Write the N/2-grid solution, prolonged, into the box iterate phi.
 
     Runs when mu_ext is nonzero and both the rhs and mu_ext are resolved on
     the N/2 grid: every mode of their spectra outside the N/2 band has
@@ -202,38 +212,39 @@ def _warm_start(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig,
     entry, so the rhs test costs one scan of it; mu_ext is transformed only
     when the rhs passes and is not mu_ext itself.  The two grids nest, so
     the N/2 problem takes mu_ext and rhs at even indices, on the same
-    square, Omega and margin; it is solved cold by the same loop, and its
-    solution is zero-padded in the spectrum onto the fine grid (see
-    ``_PrunedBeurling.interpolate``).  Returns False, with phi and the
-    spectrum of the rhs in ``beurling`` as they were, when a test refuses,
-    when N/2 is no valid resolution, or when the N/2 solve does not
+    square, Omega and margin; it is solved cold by the same loop on its own
+    support box, and its solution is zero-padded in the spectrum onto the
+    fine grid (see ``_FourierApply.interpolate``).  Returns False, with phi
+    and the spectrum of the rhs in ``beurling`` as they were, when a test
+    refuses, when N/2 is no valid resolution, or when the N/2 solve does not
     converge.
     """
     d = rhs.domain
     if mu.sup_norm == 0.0:
         return False   # the cold loop stops at its first iteration
     try:
-        coarse = DomainSpec(d.half_width, d.resolution // 2, d.omega, d.margin)
+        DomainSpec(d.half_width, d.resolution // 2, d.omega, d.margin)
     except ValidationError:
         return False
     if not beurling.resolved_at_half(cfg.tol):
         return False
     m, r = mu.extended.samples, rhs.samples
     if m is not r:
-        beurling.forward(m)
+        beurling.forward(m[beurling.box])
         resolved = beurling.resolved_at_half(cfg.tol)
         beurling.forward(phi)   # fft2(rhs) again, for the cold loop
         if not resolved:
             return False
     m, r = m[::2, ::2], r[::2, ::2]
-    apply = _PrunedBeurling(coarse, _support_box(m, r), _coarse_tables(d))
-    guess = r.copy()
+    box = _support_box(m, r)
+    apply = _FourierApply(*_coarse_tables(d), box)
+    guess = r[box].copy()
     apply.forward(guess)
     try:
-        guess = _iterate(m, r, guess, apply, cfg)[0]
+        guess = _iterate(m[box], r[box], guess, apply, cfg)[0]
     except NoConvergence:
         return False
-    phi[beurling.box] = beurling.interpolate(guess)
+    phi[...] = beurling.interpolate(_on_grid(r, box, guess))
     return True
 
 

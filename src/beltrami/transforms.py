@@ -26,7 +26,10 @@ so that d/dzbar P(phi) = phi.  Two implementations are provided:
     convention so both methods answer in the same gauge.
 
 The spectral path is the production route; quadrature is the slow,
-free-space oracle used by the cross-method acceptance checks.
+free-space oracle used by the cross-method acceptance checks.  Both run
+through the solvers' box apply ``grid._FourierApply``: on the whole grid,
+or on the 2N grid with the N x N data as its box, so the zero padding costs
+no row FFTs and no last column FFTs.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ from .grid import (
     BeltramiField,
     ComplexField,
     DomainSpec,
-    _fourier_apply,
-    _fourier_forward,
-    _fourier_inverse,
+    _FourierApply,
     _full_box,
     _geometry,
     _multipliers,
@@ -59,140 +60,8 @@ def _check_method(method: str):
 
 
 # ---------------------------------------------------------------------------
-# spectral path
+# tables of the N/2 grid
 # ---------------------------------------------------------------------------
-
-# Byte size of the row blocks through which the mean term is added.  A
-# full-size temporary (4 MiB at N = 512) is a fresh mapping that is
-# page-faulted on every apply; blocks this small are reused heap memory.
-_MEAN_BLOCK_BYTES = 1 << 16
-
-
-def _add_mean(out: np.ndarray, mean: complex, mean_profile: np.ndarray,
-              rows: slice, cols: slice) -> None:
-    """out[rows, cols] += mean * mean_profile[rows, cols], in row blocks."""
-    width = max(1, cols.stop - cols.start)
-    step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * width))
-    for lo in range(rows.start, rows.stop, step):
-        block = out[lo:min(lo + step, rows.stop), cols]
-        np.add(block, mean * mean_profile[lo:lo + block.shape[0], cols], out=block)
-
-
-def _spectral(samples: np.ndarray, multiplier: np.ndarray,
-              mean_profile: np.ndarray) -> np.ndarray:
-    """Apply a multiplier; the mean mode is carried by ``mean_profile``.
-
-    Allocates the output; the mean term goes through small row blocks."""
-    out = np.empty_like(samples)
-    mean = _fourier_apply(samples, multiplier, out) / samples.size
-    _add_mean(out, mean, mean_profile, *_full_box(out))
-    return out
-
-
-# Complex samples of padding after each row of the pruned apply's buffer.
-# An unpadded row of N = 512 or 1024 samples is a power-of-two stride, so a
-# column's samples share one cache set and the column FFTs thrash.  One
-# 64-byte cache line (4 samples) measured best at N = 1024, level with 2 or
-# 8 at N = 512; the FFT results are bitwise those of a contiguous buffer.
-_ROW_PAD = 4
-
-
-class _PrunedBeurling:
-    """S of fields that vanish off one (rows, cols) box, into one buffer.
-
-    A call computes S(x) on the box only, through the pruned
-    ``_fourier_apply`` and a box-only mean term, and returns the box view of
-    ``out``; ``finish`` completes ``out`` to the whole S(x).  Either way the
-    samples are bitwise those of ``_spectral``.  The iterations of a solve
-    reuse ``out``, an N x N view of a row-padded array (see ``_ROW_PAD``),
-    so an apply allocates no full-size array.  A call is ``forward`` (out
-    holds fft2(x)) then ``inverse``; the Neumann loop runs the two stages
-    apart, so that its warm start can read the spectrum of the rhs.
-
-    ``tables`` = (multiplier, mean profile) replaces the domain's own, as
-    ``_coarse_tables`` gives them for the N/2 grid.
-    """
-
-    def __init__(self, domain: DomainSpec, box: tuple, tables: tuple | None = None):
-        n = domain.resolution
-        self.box = box
-        if tables is None:
-            tables = (_multipliers(n, domain.half_width).S, _geometry(domain).dz_w)
-        self.multiplier, self.mean_profile = tables
-        self.out = np.empty((n, n + _ROW_PAD), dtype=np.complex128)[:, :n]
-        self.mean = 0j
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.forward(x)
-        return self.inverse()
-
-    def forward(self, x: np.ndarray) -> None:
-        """out = fft2(x), for an x that vanishes off the box rows."""
-        self.mean = _fourier_forward(x, self.out, self.box[0]) / x.size
-
-    def inverse(self) -> np.ndarray:
-        """S(x) on the box from the spectrum ``forward`` left in out."""
-        _fourier_inverse(self.multiplier, self.out, self.box[1])
-        _add_mean(self.out, self.mean, self.mean_profile, *self.box)
-        return self.out[self.box]
-
-    def finish(self) -> np.ndarray:
-        """The whole S(x) of the last call: the column FFTs and the mean
-        term off the box."""
-        out, (rows, cols) = self.out, self.box
-        n = out.shape[0]
-        for rest in (slice(0, cols.start), slice(cols.stop, n)):
-            np.fft.ifft(out[:, rest], axis=0, out=out[:, rest])
-            _add_mean(out, self.mean, self.mean_profile, slice(0, n), rest)
-        for rest in (slice(0, rows.start), slice(rows.stop, n)):
-            _add_mean(out, self.mean, self.mean_profile, rest, cols)
-        return out
-
-    def resolved_at_half(self, bound: float) -> bool:
-        """Whether every mode of the spectrum in out outside the band of the
-        N/2 grid (|k| >= N/4 on either axis) has amplitude |x^(k)| / N^2 at
-        most ``bound``.  Scans out in small row blocks, as ``_add_mean``
-        does, and stops at the first block above the bound."""
-        out = self.out
-        n = out.shape[0]
-        lo, hi = n // 4, n - n // 4 + 1
-        limit = bound * out.size
-        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * n))
-        for rows, cols in ((slice(lo, hi), slice(0, n)),
-                           (slice(0, lo), slice(lo, hi)),
-                           (slice(hi, n), slice(lo, hi))):
-            for top in range(rows.start, rows.stop, step):
-                block = out[top:min(top + step, rows.stop), cols]
-                if np.max(np.abs(block), initial=0.0) > limit:
-                    return False
-        return True
-
-    def interpolate(self, coarse: np.ndarray) -> np.ndarray:
-        """The trigonometric interpolant of N/2-grid samples, on the box.
-
-        Zero-pads the spectrum of ``coarse`` (overwritten by it), with its
-        Nyquist lines zeroed, into out and inverts it: the column FFTs run
-        on the band's columns only, the row FFTs on the box rows only.
-        Returns the box view of out; at even indices it equals ``coarse``
-        up to rounding and to the zeroed Nyquist lines.
-        """
-        out, (rows, cols) = self.out, self.box
-        n, half = out.shape[0], coarse.shape[0] // 2
-        np.fft.fft(coarse, axis=1, out=coarse)
-        np.fft.fft(coarse, axis=0, out=coarse)
-        coarse[half] = 0
-        coarse[:, half] = 0
-        coarse *= (n / coarse.shape[0]) ** 2   # ifft2 on N divides by N^2
-        low, high = slice(0, half), slice(n - half, n)
-        out.fill(0)
-        for fine_rows, coarse_rows in ((low, low), (high, slice(half, None))):
-            out[fine_rows, low] = coarse[coarse_rows, :half]
-            out[fine_rows, high] = coarse[coarse_rows, half:]
-        for band in (low, slice(n - half + 1, n)):
-            np.fft.ifft(out[:, band], axis=0, out=out[:, band])
-        np.fft.ifft(out[rows], axis=1, out=out[rows])
-        return out[self.box]
-
 
 def _coarse_tables(domain: DomainSpec) -> tuple:
     """The Beurling multiplier and mean profile of the N/2 grid of a domain,
@@ -246,26 +115,26 @@ def _quad_plan(domain: DomainSpec) -> _QuadraturePlan:
     return _QuadraturePlan(domain)
 
 
-def _quad_convolve(samples: np.ndarray, kernel_hat: np.ndarray,
-                   cell_area: float) -> np.ndarray:
-    N = samples.shape[0]
-    pad = np.zeros((2 * N, 2 * N), dtype=np.complex128)
-    pad[:N, :N] = samples
-    _fourier_apply(pad, kernel_hat, pad)
-    return pad[:N, :N] * cell_area
-
-
-def _beurling(samples: np.ndarray, domain: DomainSpec, method: str) -> np.ndarray:
-    if method == "spectral":
-        m_S = _multipliers(domain.resolution, domain.half_width).S
-        return _spectral(samples, m_S, _geometry(domain).dz_w)
-    q = _quad_plan(domain)
-    return _quad_convolve(samples, q.beurling_hat, q.cell_area)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
+
+def _apply(samples: np.ndarray, domain: DomainSpec, method: str,
+           kind: str) -> np.ndarray:
+    """P (``kind`` "P") or S ("S") of whole-grid samples, in a fresh
+    contiguous array, which a ComplexField takes without a copy."""
+    n = domain.resolution
+    if method == "spectral":
+        geo = _geometry(domain)
+        apply = _FourierApply(getattr(_multipliers(n, domain.half_width), kind),
+                              geo.w if kind == "P" else geo.dz_w,
+                              _full_box(samples), pad=0)
+        apply(samples)
+        return apply.finish()
+    q = _quad_plan(domain)
+    hat = q.cauchy_hat if kind == "P" else q.beurling_hat
+    return _FourierApply(hat, None, (slice(0, n), slice(0, n)))(samples) * q.cell_area
+
 
 def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexField:
     """Solve d/dzbar(P phi) = phi on Omega for cutoff-supported phi.
@@ -287,13 +156,10 @@ def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexFiel
     """
     _check_method(method)
     d = phi.domain
-    if method == "spectral":
-        m_P = _multipliers(d.resolution, d.half_width).P
-        return ComplexField(d, _spectral(phi.samples, m_P, _geometry(d).w))
-    q = _quad_plan(d)
-    out = _quad_convolve(phi.samples, q.cauchy_hat, q.cell_area)
-    # re-pin the additive constant to the spectral gauge
-    out += np.mean(phi.samples) * _geometry(d).w_mean - np.mean(out)
+    out = _apply(phi.samples, d, method, "P")
+    if method == "quadrature":
+        # re-pin the additive constant to the spectral gauge
+        out += np.mean(phi.samples) * _geometry(d).w_mean - np.mean(out)
     return ComplexField(d, out)
 
 
@@ -305,7 +171,7 @@ def beurling_transform(phi: ComplexField, method: str = "spectral") -> ComplexFi
     -1/(pi zeta^2) (principal value, singular cell exactly 0).
     """
     _check_method(method)
-    return ComplexField(phi.domain, _beurling(phi.samples, phi.domain, method))
+    return ComplexField(phi.domain, _apply(phi.samples, phi.domain, method, "S"))
 
 
 def estimate_contraction(mu: BeltramiField, iterations: int = 8,
@@ -329,7 +195,7 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
     for _ in range(iterations):
         if norm == 0.0:
             break
-        v = _beurling(v, mu.domain, method)  # a fresh array: update it in place
+        v = _apply(v, mu.domain, method, "S")  # a fresh array: update it in place
         np.multiply(m, v, out=v)
         grown = float(np.max(np.abs(v, out=magnitude)))
         q = max(q, grown / norm)

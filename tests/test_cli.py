@@ -426,6 +426,22 @@ def test_resolution_above_the_ceiling_exits_1_before_allocating(tmp_path,
     assert peak < 2 ** 20, peak   # one field at N = 4098 would be 16 N^2 bytes
 
 
+def test_taylor_degree_above_the_bound_exits_1_before_allocating(tmp_path):
+    # degree 30000 would build a 30001 x 240000 complex phase table
+    cfg = _config(tmp_path, domain=_domain(64),
+                  exhaustion={"radii": [1.0, 1.5], "taylor_degree": 30000})
+    out = tmp_path / "ex"
+    tracemalloc.start()
+    try:
+        result = _invoke(["exhaust", "--config", cfg, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_refused(result.exit_code, result.stderr, out)
+    assert "taylor_degree" in json.loads(result.stderr)["error"]
+    assert peak < 2 ** 22, peak
+
+
 def test_readme_config_schema_parses(tmp_path):
     # the documented schema is a config every parser accepts
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

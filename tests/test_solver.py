@@ -30,8 +30,7 @@ from beltrami import (
 
 import beltrami.solver as solver_module
 from beltrami.family import dbar_rhs
-from beltrami.grid import _support_box
-from beltrami.transforms import _PrunedBeurling
+from beltrami.grid import _FourierApply, _support_box
 
 from conftest import (
     corpus,
@@ -55,6 +54,14 @@ def test_solver_config_validation():
         SolverConfig(contraction_cap=1.0)
     with pytest.raises(ValidationError):
         SolverConfig(contraction_cap=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, np.True_, "3"])
+def test_solver_config_refuses_a_non_integer_max_iter(max_iter):
+    # a float cap failed inside the loop, and True ran "True iterations"
+    with pytest.raises(ValidationError, match="max_iter"):
+        SolverConfig(max_iter=max_iter)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +391,13 @@ def _cold(monkeypatch):
 
 
 def _count_loops(monkeypatch) -> list:
-    """Record the grid size of every run of the fixed-point loop."""
+    """Record the grid size of every run of the fixed-point loop, read from
+    its apply: the loop itself holds box arrays only."""
     sizes, loop = [], solver_module._iterate
 
-    def counted(m, r, *args):
-        sizes.append(r.shape[0])
-        return loop(m, r, *args)
+    def counted(m, r, phi, beurling, cfg):
+        sizes.append(beurling.out.shape[0])
+        return loop(m, r, phi, beurling, cfg)
 
     monkeypatch.setattr(solver_module, "_iterate", counted)
     return sizes
@@ -427,8 +435,9 @@ def test_warm_start_gate_reads_the_out_of_band_modes(kind, position, resolution)
     verdicts, make = GATE_RHS[kind]
     dom = disc_domain(resolution)
     x = make(dom)
-    apply = _PrunedBeurling(dom, _support_box(x))
-    apply.forward(x)
+    box = _support_box(x)
+    apply = _FourierApply.beurling(dom, box)
+    apply.forward(x[box])
     tol = SolverConfig().tol
     assert apply.resolved_at_half(tol) == (_out_of_band(x) <= tol)
     assert apply.resolved_at_half(tol) == verdicts[position]
@@ -444,13 +453,13 @@ def test_refused_solves_are_bitwise_the_cold_loop(dom256, monkeypatch):
     bump, constant = mu_bump(dom256, 0.5), constant_field(dom256, 0.2 - 0.1j)
     assert _out_of_band(constant.samples) <= tol < _out_of_band(bump.extended.samples)
     sizes = _count_loops(monkeypatch)
-    forwards, forward = [], _PrunedBeurling.forward
+    forwards, forward = [], _FourierApply.forward
 
     def counted(apply, x):
-        forwards.append(x.shape[0])
+        forwards.append(apply.out.shape[0])
         forward(apply, x)
 
-    monkeypatch.setattr(_PrunedBeurling, "forward", counted)
+    monkeypatch.setattr(_FourierApply, "forward", counted)
     for mu, rhs, extra in ((mu_constant(dom256), None, 0), (bump, constant, 2)):
         rhs = mu.extended if rhs is None else rhs
         warm = neumann_solve(mu, rhs)
@@ -570,7 +579,7 @@ def test_warm_start_falls_back_when_the_coarse_solve_fails(dom512, monkeypatch):
     loop = solver_module._iterate
 
     def failing(m, r, phi, beurling, cfg):
-        if r.shape[0] < 512:
+        if beurling.out.shape[0] < 512:
             raise NoConvergence(phi, cfg.max_iter, 1.0, (1.0,))
         return loop(m, r, phi, beurling, cfg)
 

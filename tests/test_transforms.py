@@ -23,14 +23,14 @@ from beltrami import (
     wirtinger_dbar,
     wirtinger_dz,
 )
-from beltrami.grid import _dz_multiplier, _geometry, _multipliers, _support_box
-from beltrami.transforms import (
-    _PrunedBeurling,
-    _quad_convolve,
-    _quad_plan,
-    _spectral,
-    _coarse_tables,
+from beltrami.grid import (
+    _FourierApply,
+    _dz_multiplier,
+    _geometry,
+    _multipliers,
+    _support_box,
 )
+from beltrami.transforms import _coarse_tables, _quad_plan
 
 from conftest import (
     cauchy_transform_direct,
@@ -235,9 +235,6 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
                           fourier_apply_reference(x, _dz_multiplier(resolution,
                                                                     dom.half_width)))
     q = _quad_plan(dom)
-    for kernel_hat in (q.cauchy_hat, q.beurling_hat):
-        assert np.array_equal(_quad_convolve(x, kernel_hat, q.cell_area),
-                              quad_convolve_reference(x, kernel_hat, q.cell_area))
     assert np.array_equal(beurling_transform(phi, "quadrature").samples,
                           quad_convolve_reference(x, q.beurling_hat, q.cell_area))
 
@@ -252,22 +249,42 @@ def _boxes(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
-def _check_pruned_beurling(dom, box, seed):
-    # box values, and the whole output after finish, are the full apply's
-    # and the numpy fft2 expression's, though the buffer's rows are padded
-    n = dom.resolution
+def _check_apply(multiplier, mean_profile, x, box):
+    """The box values of the apply, and its whole output after finish, are
+    the numpy fft2 expression's, though the buffer's rows are padded; a
+    second call reuses the buffer and gives the same bits."""
+    n = x.shape[0]
+    ref = fourier_apply_reference(x, multiplier, mean_profile)
+    apply = _FourierApply(multiplier, mean_profile, box)
+    assert apply.out.strides[0] != n * apply.out.itemsize
+    assert same_bits(apply(x[box]), ref[box])
+    assert same_bits(apply.finish(), ref)
+    assert same_bits(apply(x[box]), ref[box])
+    return apply
+
+
+def _random_on_box(n, box, seed):
     rng = np.random.default_rng(seed)
     x = np.zeros((n, n), dtype=np.complex128)
     x[box] = rng.normal(size=x[box].shape) + 1j * rng.normal(size=x[box].shape)
-    S, dz_w = _multipliers(n, dom.half_width).S, _geometry(dom).dz_w
-    ref = _spectral(x, S, dz_w)
-    assert same_bits(ref, fourier_apply_reference(x, S, dz_w))
-    apply = _PrunedBeurling(dom, box)
-    assert apply.out.strides[0] != n * apply.out.itemsize
-    assert same_bits(apply(x), ref[box])
-    assert same_bits(apply.finish(), ref)
-    # a second call reuses the buffer and gives the same bits
-    assert same_bits(apply(x), ref[box])
+    return x
+
+
+def _check_box_applies(dom, box, seed):
+    # S with its mean profile and d/dz without one on the box, and both
+    # quadrature kernels on the N x N data box of the zero-padded 2N grid
+    n = dom.resolution
+    x = _random_on_box(n, box, seed)
+    _check_apply(_multipliers(n, dom.half_width).S, _geometry(dom).dz_w, x, box)
+    _check_apply(_dz_multiplier(n, dom.half_width), None, x, box)
+    q = _quad_plan(dom)
+    pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    pad[:n, :n] = x
+    data = (slice(0, n), slice(0, n))
+    for kernel_hat in (q.cauchy_hat, q.beurling_hat):
+        apply = _check_apply(kernel_hat, None, pad, data)
+        assert same_bits(apply(x) * q.cell_area,
+                         quad_convolve_reference(x, kernel_hat, q.cell_area))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -280,16 +297,18 @@ def _check_pruned_beurling(dom, box, seed):
 @example((16, 15, 16, 15, 16, 6))    # the last sample alone
 @example((18, 0, 18, 0, 18, 7))      # whole grids of odd half-length
 @example((30, 3, 27, 4, 29, 8))
-def test_pruned_beurling_matches_spectral_bitwise(case):
+def test_box_applies_match_the_fft2_expression_bitwise(case):
     n, r0, r1, c0, c1, seed = case
-    _check_pruned_beurling(disc_domain(n), (slice(r0, r1), slice(c0, c1)), seed)
+    _check_box_applies(disc_domain(n), (slice(r0, r1), slice(c0, c1)), seed)
 
 
 @pytest.mark.parametrize("resolution", [256, 512])
 def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
     # the support box of the d-bar solves at the sizes the padding targets
     dom = disc_domain(resolution)
-    _check_pruned_beurling(dom, _support_box(cutoff_field(dom)), resolution)
+    box = _support_box(cutoff_field(dom))
+    _check_apply(_multipliers(resolution, dom.half_width).S, _geometry(dom).dz_w,
+                 _random_on_box(resolution, box, resolution), box)
 
 
 def test_quadrature_equals_direct_sum():
@@ -363,7 +382,7 @@ def test_interpolate_prolongs_band_limited_samples(dom128):
         amp = rng.normal() + 1j * rng.normal()
         x += amp * np.exp(2j * np.pi * (kx * idx[None, :] + ky * idx[:, None]) / n)
     box = (slice(10, 100), slice(5, 121))
-    apply = _PrunedBeurling(dom128, box)
+    apply = _FourierApply.beurling(dom128, box)
     got = apply.interpolate(x[::2, ::2].copy())
     assert np.shares_memory(got, apply.out)
     assert np.max(np.abs(got - x[box])) <= 1e-12

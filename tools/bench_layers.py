@@ -14,8 +14,13 @@ difference that the two trees' spreads overlap is not resolved.
 Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
 
     beurling.full     public beurling_transform of a field (validated)
-    beurling.pruned   the private pruned apply on the support box of mu and u
-                      (missing in a tree that has none)
+    beurling.pruned   the private box apply of S on the support box of mu and
+                      u, fed the box samples (in a tree from before the one
+                      box apply, its pruned Beurling apply, fed the whole
+                      grid, as its solvers fed it); a tree with neither
+                      fails the run
+    beurling.quadrature
+                      public beurling_transform by quadrature (the 2N grid)
     solve_immersion   mu = 0.3 constant
     solve_immersion.strong
                       mu = 0.5 + 0.3 bump, sup|mu| = 0.8, where the N/2-grid
@@ -60,7 +65,7 @@ def _child(resolution: int) -> dict:
     import numpy as np
 
     import beltrami as bl
-    from beltrami import transforms
+    from beltrami import grid, transforms
 
     domain = bl.DomainSpec(3.0, resolution, bl.Disc(0j, 1.0), 0.8)
     mu = bl.BeltramiField.from_raw(bl.constant_field(domain, 0.3))
@@ -70,13 +75,14 @@ def _child(resolution: int) -> dict:
     phi, h = imm.phi, imm.h
     # an apply or a residual is cheap and noisy: time it ten times as often
     rows = {"beurling.full": _best(lambda: bl.beurling_transform(phi), 10 * REPEAT)}
-    pruned = getattr(transforms, "_PrunedBeurling", None)
-    if pruned is not None:
-        from beltrami.grid import _support_box
-
-        apply = pruned(domain, _support_box(mu.extended.samples, u.samples))
-        x = np.array(phi.samples)
-        rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
+    box = grid._support_box(mu.extended.samples, u.samples)
+    if hasattr(grid, "_FourierApply"):
+        apply, x = grid._FourierApply.beurling(domain, box), phi.samples[box].copy()
+    else:
+        apply, x = transforms._PrunedBeurling(domain, box), np.array(phi.samples)
+    rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
+    rows["beurling.quadrature"] = _best(
+        lambda: bl.beurling_transform(phi, "quadrature"), REPEAT)
     rows["solve_immersion"] = _best(lambda: bl.solve_immersion(mu, cfg), REPEAT)
     raw0 = (bl.constant_field(domain, 0.5)
             + bl.gaussian_bump_field(domain, 0.3, width=0.5))
@@ -145,7 +151,7 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy_version},
         "method": (f"best of {REPEAT} calls ({10 * REPEAT} for the "
-                   f"applies and fd.residual, {SWEEP_REPEAT} for "
+                   f"spectral applies and fd.residual, {SWEEP_REPEAT} for "
                    f"sweep.linear9) in each of {ROUNDS} child processes per "
                    "tree and N, trees alternating; 'seconds' holds each "
                    "row's best over the processes and 'spread' the "
