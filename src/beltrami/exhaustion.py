@@ -37,9 +37,9 @@ PATCH_ORDER = 6
 
 CIRCLE_RADIUS_FRACTION = 0.8
 
-# Largest taylor_degree exhaustion_solve accepts.  taylor_project builds a
-# (degree + 1) x max(64, 8 degree) complex phase table: 0.5 MiB at 64, but
-# 115 GB at degree 30000.  The shipped config uses 8.
+# Largest degree taylor_project (and so exhaustion_solve) accepts.  The
+# projection builds a (degree + 1) x max(64, 8 degree) complex phase table:
+# 0.5 MiB at 64, but 115 GB at degree 30000.  The shipped config uses 8.
 MAX_TAYLOR_DEGREE = 64
 
 
@@ -95,6 +95,16 @@ def _lagrange_weights(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.prod(factors, axis=2)
 
 
+def _check_degree(degree, what: str) -> None:
+    """Refuse a degree outside 1..MAX_TAYLOR_DEGREE before anything is
+    allocated for it."""
+    if (isinstance(degree, (bool, np.bool_))
+            or not isinstance(degree, (int, np.integer))
+            or not 1 <= degree <= MAX_TAYLOR_DEGREE):
+        raise ValidationError(f"{what} must be an integer from 1 to "
+                              f"{MAX_TAYLOR_DEGREE}, got {degree!r}")
+
+
 def taylor_project(f: ComplexField, center: complex, degree: int,
                    circle_radius: float) -> TaylorJet:
     """Taylor coefficients of f at ``center`` by circle Cauchy integrals.
@@ -106,10 +116,10 @@ def taylor_project(f: ComplexField, center: complex, degree: int,
     exact on polynomials through degree 5.
 
     The jet represents f only where f is holomorphic inside the circle; the
-    returned circle_residual flags inputs that are not.
+    returned circle_residual flags inputs that are not.  ``degree`` runs
+    from 1 to MAX_TAYLOR_DEGREE.
     """
-    if degree < 0:
-        raise ValidationError("degree must be nonnegative")
+    _check_degree(degree, "degree")
     if circle_radius <= 0:
         raise ValidationError("circle_radius must be positive")
     samples = max(64, 8 * degree)
@@ -166,9 +176,7 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
         raise ValidationError("radii must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
-    if not 1 <= taylor_degree <= MAX_TAYLOR_DEGREE:
-        raise ValidationError(f"taylor_degree must be from 1 to {MAX_TAYLOR_DEGREE}, "
-                              f"got {taylor_degree!r}")
+    _check_degree(taylor_degree, "taylor_degree")
     base = mu.domain
     if radii[-1] >= base.half_width - base.margin:
         raise ValidationError("last radius must satisfy r < L - margin")
@@ -186,15 +194,16 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     steps = [ExhaustionStep(1, radii[0], result.diagnostics.iterations,
                             0.0, 0.0, cfg.tol * 0.5)]
 
+    z = _geometry(base).coordinates()
     for n, r in enumerate(radii[1:], start=2):
         prev_radius = radii[n - 2]
-        prev_mask = np.abs(_geometry(base).z) <= prev_radius
+        prev_mask = np.abs(z) <= prev_radius
         result = solve_on(step_domain(r))
         diff_samples = result.f.samples - current.samples
         diff = ComplexField(result.f.domain, diff_samples)
         jet = taylor_project(diff, 0j, taylor_degree,
                              CIRCLE_RADIUS_FRACTION * prev_radius)
-        poly = jet.evaluate(_geometry(result.f.domain).z)
+        poly = jet.evaluate(z)
         budget = (0.5 ** n) * cfg.tol
         approx_error = float(np.max(np.abs((diff_samples - poly)[prev_mask])))
         if approx_error > budget:

@@ -207,16 +207,21 @@ def dbar_rhs(m: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (1.0 - np.abs(m) ** 2) * np.conj(g) * u
 
 
-def _dbar_result(mu: BeltramiField, g: np.ndarray, u: ComplexField,
+def _frame_denominator(m: np.ndarray, g: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """(1 - |mu|^2) conj(g) at the interior points, in ``inner`` order: all
+    that a d-bar result reads of g, so g can go before the solve."""
+    return (1.0 - np.abs(m[inner]) ** 2) * np.conj(g[inner])
+
+
+def _dbar_result(mu: BeltramiField, denom: np.ndarray, u: ComplexField,
                  rhs: ComplexField, phi: ComplexField, iterations: int,
                  neumann_residual: float, trace: tuple) -> DbarResult:
-    """f = P(phi) and its finite-difference residuals on interior Omega."""
+    """f = P(phi) and its finite-difference residuals on interior Omega;
+    ``denom`` is ``_frame_denominator`` of mu and g."""
     f = cauchy_transform(phi)
-    m = mu.extended.samples
     inner = interior_mask(u.domain)
     lhs = _fd_beltrami_defect(f, mu)
     interior_residual = float(np.max(np.abs(lhs - rhs.samples[inner])))
-    denom = (1.0 - np.abs(m[inner]) ** 2) * np.conj(g[inner])
     moving_frame_residual = float(np.max(np.abs(lhs / denom - u.samples[inner])))
     return DbarResult(
         f=f,
@@ -249,10 +254,14 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
 
 def _solve_dbar(mu: BeltramiField, u: ComplexField, g: np.ndarray,
                 cfg: SolverConfig) -> DbarResult:
-    """solve_dbar given g = dh/dz of mu's immersion."""
-    rhs = ComplexField(u.domain, dbar_rhs(mu.extended.samples, g, u.samples))
+    """solve_dbar given g = dh/dz of mu's immersion; g is dropped before
+    the Neumann solve."""
+    m = mu.extended.samples
+    rhs = ComplexField(u.domain, dbar_rhs(m, g, u.samples))
+    denom = _frame_denominator(m, g, interior_mask(u.domain))
+    del g
     res = neumann_solve(mu, rhs, cfg)
-    return _dbar_result(mu, g, u, rhs, res.phi, res.iterations,
+    return _dbar_result(mu, denom, u, rhs, res.phi, res.iterations,
                         res.final_residual, res.trace)
 
 
@@ -378,7 +387,9 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
         residual = float(np.max(np.abs(psi_step), initial=0.0))
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
-            return _dbar_result(mu, g, u, ComplexField(domain, rhs),
+            denom = _frame_denominator(m, g, interior_mask(domain))
+            del g   # before the Cauchy transform
+            return _dbar_result(mu, denom, u, ComplexField(domain, rhs),
                                 ComplexField(domain, _on_grid(u.samples, box,
                                                               point.psi)),
                                 len(point.trace), residual,

@@ -85,8 +85,8 @@ def disc_indicator_field(domain: DomainSpec, amplitude: complex = 1.0,
     # is the compactly supported bump profile; wider than that is invalid
     if width <= 0 or width > 2 * radius:
         raise ValidationError(f"indicator width {width!r} out of range")
-    g = _geometry(domain)
-    rho = np.abs(g.z - (domain.omega.center if hasattr(domain.omega, "center") else 0))
+    z = _geometry(domain).coordinates()
+    rho = np.abs(z - (domain.omega.center if hasattr(domain.omega, "center") else 0))
     profile = 1.0 - transition_profile((rho - (radius - width / 2)) / width)
     return ComplexField(domain,
                         _as_complex(amplitude, "disc-indicator amplitude") * profile)
@@ -105,14 +105,14 @@ def gaussian_bump_field(domain: DomainSpec, amplitude: complex = 1.0,
     center = _as_complex(center, "gaussian-bump center")
     amplitude = _as_complex(amplitude, "gaussian-bump amplitude")
     g = _geometry(domain)
-    bump = np.exp(-np.abs(g.z - center) ** 2 / width ** 2)
+    bump = np.exp(-np.abs(g.coordinates() - center) ** 2 / width ** 2)
     return ComplexField(domain, amplitude * bump * g.cutoff)
 
 
 def linear_coordinate_field(domain: DomainSpec, coefficient: complex) -> ComplexField:
     """c * z; as a Beltrami raw coefficient this is mu(z) = c*z."""
-    g = _geometry(domain)
-    return ComplexField(domain, _as_complex(coefficient, "linear-z coefficient") * g.z)
+    z = _geometry(domain).coordinates()
+    return ComplexField(domain, _as_complex(coefficient, "linear-z coefficient") * z)
 
 
 # kind -> (generator, its parameters in order with their config defaults);

@@ -161,45 +161,69 @@ def _signed_distance(domain: DomainSpec, z: np.ndarray) -> np.ndarray:
     return np.where((dx > 0) | (dy > 0), outside, inside)
 
 
+class _TaperedConjugate:
+    """w = cutoff * conj(z), read block by block: ``w[rows, cols]`` (slices)
+    forms that block only, so the whole-grid profile is never held.
+
+    conj(z) is written straight from the axis (real part x, imaginary part
+    -y): bitwise conj(x + 1j * y), whose real part is x and whose imaginary
+    part is -y, -0.0 on the row y = 0 included.
+    """
+
+    def __init__(self, axis: np.ndarray, cutoff: np.ndarray):
+        self._axis, self._cutoff = axis, cutoff
+
+    def __getitem__(self, box: tuple) -> np.ndarray:
+        rows, cols = box
+        x, y = self._axis[cols], self._axis[rows]
+        w = np.empty((y.size, x.size), dtype=np.complex128)
+        w.real = x
+        w.imag = -y[:, None]
+        return np.multiply(self._cutoff[rows, cols], w, out=w)
+
+
 class _Geometry:
-    """Immutable per-domain tables shared by every operation on that domain."""
+    """Immutable per-domain tables shared by every operation on that domain.
+
+    The 1-D ``axis`` stands for the coordinate z, which a reader forms with
+    ``coordinates`` when it needs it: a cached z would cost one field per
+    domain.
+    """
 
     def __init__(self, domain: DomainSpec):
         self._domain = domain
         L, N = domain.half_width, domain.resolution
-        h = domain.spacing
-        axis = -L + h * np.arange(N)
-        X, Y = np.meshgrid(axis, axis)
-        self.z = X + 1j * Y
-        dist = _signed_distance(domain, self.z)
+        self.axis = -L + domain.spacing * np.arange(N)
+        dist = _signed_distance(domain, self.coordinates())
         self.omega_mask = dist <= 0.0
         self.interior_mask = dist <= -INTERIOR_DEPTH_FRACTION * domain.margin
         # cutoff: 1 on the closure of Omega, 0 beyond the collar
         self.cutoff = 1.0 - transition_profile(np.maximum(dist, 0.0) / domain.margin)
-        self.support_mask = self.cutoff > 0.0
         # the only region where the residuals read the FD defect
         self.interior_box = _support_box(self.interior_mask)
-        for arr in (self.z, self.cutoff, self.omega_mask,
-                    self.interior_mask, self.support_mask):
+        for arr in (self.axis, self.cutoff, self.omega_mask, self.interior_mask):
             arr.setflags(write=False)
+        # the mean-mode profile of P, formed a row block at a time by the apply
+        self.w = _TaperedConjugate(self.axis, self.cutoff)
 
-    # The mean-mode profile of the spectral transforms, built on first use so
-    # that a domain that runs no transform (a verify run's, an exhaustion's
-    # base domain) allocates none:
+    def coordinates(self) -> np.ndarray:
+        """The grid samples of z, a fresh array: bitwise the meshgrid
+        X + 1j * Y."""
+        return self.axis + 1j * self.axis[:, None]
+
+    # The mean-mode data of the spectral transforms, built on first use from
+    # a transient w, so that a domain that runs no transform (a verify run's,
+    # an exhaustion's base domain) allocates none:
     # w = cutoff * conj(z) has d/dzbar w = 1 on Omega, and dz_w is its
     # spectral d/dz, so S = d/dz o P holds exactly, mean mode included.
 
     @cached_property
-    def w(self) -> np.ndarray:
-        return ComplexField(self._domain, self.cutoff * np.conj(self.z)).samples
-
-    @cached_property
     def w_mean(self) -> complex:
-        return complex(np.mean(self.w))
+        return complex(np.mean(self.w[:, :]))
 
     @cached_property
     def dz_w(self) -> np.ndarray:
-        return wirtinger_dz(ComplexField(self._domain, self.w)).samples
+        return wirtinger_dz(ComplexField(self._domain, self.w[:, :])).samples
 
 
 @lru_cache(maxsize=64)
@@ -301,7 +325,7 @@ def rebase(field: ComplexField, domain: DomainSpec) -> ComplexField:
 
 def make_coordinate_field(domain: DomainSpec) -> ComplexField:
     """Sample the identity coordinate z = x + iy on the grid."""
-    return ComplexField(domain, _geometry(domain).z)
+    return ComplexField(domain, _geometry(domain).coordinates())
 
 
 def tapered_coordinate_conjugate(domain: DomainSpec) -> ComplexField:
@@ -311,7 +335,7 @@ def tapered_coordinate_conjugate(domain: DomainSpec) -> ComplexField:
     d/dzbar of it is 1 on Omega.  This is the profile that carries the mean
     component through the periodic Cauchy transform.
     """
-    return ComplexField(domain, _geometry(domain).w)
+    return ComplexField(domain, _geometry(domain).w[:, :])
 
 
 class BeltramiField:
@@ -457,10 +481,12 @@ class _FourierApply:
     contiguous) that every call reuses.  Per-axis 1-D FFTs in fft2's order,
     and the multiplier as the first operand of the product (complex multiply
     is not bitwise commutative), make the samples bitwise the numpy fft2
-    expression's.  d/dz and the quadrature kernels take no mean profile.
+    expression's.  The mean profile is read by ``profile[rows, cols]``
+    blocks: dz_w is an array, and P's w forms each block as it is read.  d/dz
+    and the quadrature kernels take no mean profile.
     """
 
-    def __init__(self, multiplier: np.ndarray, mean_profile: np.ndarray | None,
+    def __init__(self, multiplier: np.ndarray, mean_profile,
                  box: tuple, pad: int = _ROW_PAD):
         n = multiplier.shape[0]
         self.multiplier, self.mean_profile, self.box = multiplier, mean_profile, box

@@ -34,7 +34,7 @@ no row FFTs and no last column FFTs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,27 +87,48 @@ def _coarse_tables(domain: DomainSpec) -> tuple:
 # ---------------------------------------------------------------------------
 
 class _QuadraturePlan:
-    """FFT tables for the zero-padded free-space kernel convolutions."""
+    """FFT tables for the zero-padded free-space kernel convolutions.
+
+    Each hat is built on first use, so a call keeps only the kernel it
+    applies: one complex (2N)^2 array, four fields.  The kernels are formed
+    from the 1-D lattice offsets by broadcasting, in place in one buffer, and
+    transformed in it; the samples are bitwise those of the meshgrid
+    construction ``np.fft.fft2`` of the whole-array expressions.
+    """
 
     def __init__(self, domain: DomainSpec):
-        N = domain.resolution
-        h = domain.spacing
-        M = 2 * N
-        idx = np.arange(M)
-        off = (idx + N) % M - N          # lattice offsets, [-N, N-1]
-        DJ, DI = np.meshgrid(off, off)   # DJ: x offset, DI: y offset
-        w = (DJ * h) + 1j * (DI * h)
-        unused = (DI == -N) | (DJ == -N)  # slots no aperiodic pair reaches
-        diag = (DI == 0) & (DJ == 0)
+        self._n = domain.resolution
+        self._h = domain.spacing
+        self.cell_area = self._h * self._h
+
+    def _hat(self, power: int) -> np.ndarray:
+        """fft2 of the kernel 1/(pi w) (``power`` 1) or -1/(pi w^2) (2) on the
+        2N lattice offsets w, zero at w = 0 (the exact centered-cell
+        integral) and on the row and column of offset -N, which no aperiodic
+        pair reaches."""
+        n, h = self._n, self._h
+        off = (np.arange(2 * n) + n) % (2 * n) - n     # lattice offsets, [-N, N-1]
+        w = off * h + 1j * (off * h)[:, None]          # x offset + i y offset
+        kern = np.multiply(np.pi, w)
+        if power == 2:
+            np.multiply(kern, w, out=kern)
+        del w
         with np.errstate(divide="ignore", invalid="ignore"):
-            cauchy = 1.0 / (np.pi * w)
-            beurling = -1.0 / (np.pi * w * w)
-        for kern in (cauchy, beurling):
-            kern[diag] = 0.0  # exact centered-cell integral vanishes
-            kern[unused] = 0.0
-        self.cauchy_hat = np.fft.fft2(cauchy)
-        self.beurling_hat = np.fft.fft2(beurling)
-        self.cell_area = h * h
+            np.divide(1.0 if power == 1 else -1.0, kern, out=kern)
+        kern[0, 0] = 0.0
+        kern[n] = 0.0
+        kern[:, n] = 0.0
+        np.fft.fft(kern, axis=1, out=kern)
+        np.fft.fft(kern, axis=0, out=kern)
+        return kern
+
+    @cached_property
+    def cauchy_hat(self) -> np.ndarray:
+        return self._hat(1)
+
+    @cached_property
+    def beurling_hat(self) -> np.ndarray:
+        return self._hat(2)
 
 
 @lru_cache(maxsize=16)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,54 @@ def cauchy_transform_direct(phi: ComplexField) -> ComplexField:
         kern[i] = 0.0
         out[i] = np.sum(kern * vals) * h2
     return ComplexField(phi.domain, out.reshape(phi.samples.shape))
+
+
+def coordinate_reference(domain: DomainSpec) -> np.ndarray:
+    """z = X + 1j * Y from the meshgrid of the grid axis, as one whole-array
+    expression; the library forms z from the 1-D axis, bit for bit the same."""
+    axis = -domain.half_width + domain.spacing * np.arange(domain.resolution)
+    X, Y = np.meshgrid(axis, axis)
+    return X + 1j * Y
+
+
+def tapered_conjugate_reference(domain: DomainSpec) -> np.ndarray:
+    """P's mean-mode profile w = cutoff * conj(z) as one whole-array
+    expression; the library forms it a block at a time."""
+    return cutoff_field(domain) * np.conj(coordinate_reference(domain))
+
+
+def quadrature_hats_reference(domain: DomainSpec) -> tuple:
+    """fft2 of the Cauchy and Beurling kernels on the 2N lattice offsets,
+    built from int meshgrids and whole-array expressions: the construction
+    the quadrature plan matches bit for bit from 1-D offsets."""
+    N, h = domain.resolution, domain.spacing
+    M = 2 * N
+    off = (np.arange(M) + N) % M - N
+    DJ, DI = np.meshgrid(off, off)   # DJ: x offset, DI: y offset
+    w = (DJ * h) + 1j * (DI * h)
+    unused = (DI == -N) | (DJ == -N)
+    diag = (DI == 0) & (DJ == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cauchy = 1.0 / (np.pi * w)
+        beurling = -1.0 / (np.pi * w * w)
+    for kern in (cauchy, beurling):
+        kern[diag] = 0.0
+        kern[unused] = 0.0
+    return np.fft.fft2(cauchy), np.fft.fft2(beurling)
+
+
+def traced_fields(fn, resolution: int) -> tuple:
+    """Run fn under tracemalloc; return (peak, kept) of the memory it
+    allocated, in fields of 16 N^2 bytes, and fn's result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = 16.0 * resolution ** 2
+    return (peak - base) / field, (kept - base) / field, result
 
 
 def fourier_apply_reference(x: np.ndarray, multiplier: np.ndarray,

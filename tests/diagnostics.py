@@ -46,7 +46,8 @@ def holder_seminorm(f: ComplexField, alpha: float, pairs: int, seed: int) -> flo
     if pairs < 1:
         raise ValidationError(f"pairs must be >= 1, got {pairs!r}")
     g = _geometry(f.domain)
-    return _holder_seminorm_masked(f.samples, g.z, g.omega_mask, alpha, pairs, seed)
+    return _holder_seminorm_masked(f.samples, g.coordinates(), g.omega_mask, alpha,
+                                   pairs, seed)
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,11 @@ def gain_of_derivative_report(u: ComplexField, f: ComplexField, alpha: float,
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     if u.domain != f.domain:
         raise ValidationError("u and f live on different DomainSpecs")
-    g = _geometry(u.domain)
+    z = _geometry(u.domain).coordinates()
     mask = interior_mask(u.domain)
 
     def semi(field_: ComplexField) -> float:
-        return _holder_seminorm_masked(field_.samples, g.z, mask, alpha, pairs, seed)
+        return _holder_seminorm_masked(field_.samples, z, mask, alpha, pairs, seed)
 
     s_u = semi(u)
     s_dz = semi(wirtinger_dz(f))

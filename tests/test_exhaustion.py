@@ -17,10 +17,14 @@ from beltrami import (
     solve_immersion,
     taylor_project,
 )
-from beltrami.exhaustion import PATCH_ORDER, _lagrange_patch_interpolate
+from beltrami.exhaustion import (
+    MAX_TAYLOR_DEGREE,
+    PATCH_ORDER,
+    _lagrange_patch_interpolate,
+)
 from beltrami.family import dbar_rhs
 
-from conftest import same_bits, smooth_random_field
+from conftest import same_bits, smooth_random_field, traced_fields
 
 
 def _compact_bump(domain):
@@ -108,12 +112,26 @@ def test_patch_weights_for_all_points_are_the_pointwise_ones(dom128):
 
 def test_taylor_validation(dom64):
     f = constant_field(dom64, 1.0)
-    with pytest.raises(ValidationError):
-        taylor_project(f, 0j, -1, 0.5)
+    for degree in (-1, 0, MAX_TAYLOR_DEGREE + 1, 2.0, True, "3"):
+        with pytest.raises(ValidationError, match="degree"):
+            taylor_project(f, 0j, degree, 0.5)
+    assert len(taylor_project(f, 0j, MAX_TAYLOR_DEGREE, 0.5).coefficients) == 65
     with pytest.raises(ValidationError):
         taylor_project(f, 0j, 2, 0.0)
     with pytest.raises(ValidationError):
         taylor_project(f, 0j, 2, 10.0)  # circle leaves the grid
+
+
+def test_taylor_degree_above_the_bound_is_refused_before_allocating(dom64):
+    # degree 30000 would build a 30001 x 240000 complex phase table
+    f = constant_field(dom64, 1.0)
+
+    def project():
+        with pytest.raises(ValidationError, match="degree"):
+            taylor_project(f, 0j, 30000, 0.5)
+
+    peak = traced_fields(project, 64)[0] * 16 * 64 ** 2
+    assert peak < 2 ** 22, peak
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from conftest import (
     mu_strong,
     same_bits,
     smooth_random_field,
+    traced_fields,
 )
 from diagnostics import gain_of_derivative_report
 
@@ -184,6 +185,19 @@ def test_no_solve_runs_the_power_iteration(dom64, monkeypatch):
     exhaustion_solve(BeltramiField.from_raw(constant_field(dom64, 0.0)),
                      disc_indicator_field(dom64, radius=0.25, width=0.5),
                      [1.0, 1.5], taylor_degree=8)
+
+
+def test_first_solve_dbar_peaks_at_most_seven_fields_above_its_inputs():
+    # a half-width no other test uses, so the call also builds the grid's
+    # multiplier table and dz_w; with w and z cached and g alive through
+    # the d-bar solve the peak was 8.6 fields of 16 N^2 bytes
+    dom = DomainSpec(3.125, 256, Disc(0j, 1.0), 0.8)
+    raw = (constant_field(dom, 0.175)
+           + gaussian_bump_field(dom, 0.175, center=0.2 + 0.3j, width=0.5))
+    mu, u = BeltramiField.from_raw(raw), disc_indicator_field(dom)
+    peak, _, result = traced_fields(lambda: solve_dbar(mu, u), 256)
+    assert result.diagnostics.moving_frame_residual <= 1e-2
+    assert peak <= 7.0, peak
 
 
 def test_dbar_linearity_machine_precision(dom128):

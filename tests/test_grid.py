@@ -24,10 +24,18 @@ from beltrami.grid import (
     CUTOFF_SHARPNESS,
     MAX_RESOLUTION,
     _fd_beltrami_defect,
+    _Geometry,
     transition_profile,
 )
 
-from conftest import disc_domain, same_bits, smooth_random_field
+from conftest import (
+    coordinate_reference,
+    disc_domain,
+    same_bits,
+    smooth_random_field,
+    tapered_conjugate_reference,
+    traced_fields,
+)
 from diagnostics import holder_seminorm
 
 
@@ -331,6 +339,23 @@ def test_tapered_conjugate_equals_zbar_on_omega(dom64):
     assert np.array_equal(w.samples[om], np.conj(z.samples[om]))
     far = cutoff_field(dom64) == 0.0
     assert np.all(w.samples[far] == 0.0)
+
+
+@pytest.mark.parametrize("omega", [Disc(0.25 + 0.5j, 0.75),
+                                   Rect(-1.0, -0.5, 1.25, 0.75)])
+def test_coordinates_are_the_meshgrid_construction_bitwise(omega):
+    # z and w are formed from the 1-D axis when read, not cached
+    dom = DomainSpec(2.75, 48, omega, 0.6)
+    assert same_bits(make_coordinate_field(dom).samples, coordinate_reference(dom))
+    assert same_bits(tapered_coordinate_conjugate(dom).samples,
+                     tapered_conjugate_reference(dom))
+
+
+def test_a_fresh_geometry_keeps_at_most_one_field():
+    # the cutoff is half a field and each mask 1/16; a cached z was one more
+    dom = disc_domain(256)
+    kept = traced_fields(lambda: _Geometry(dom), 256)[1]
+    assert kept <= 1.0, kept
 
 
 # ---------------------------------------------------------------------------

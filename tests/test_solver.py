@@ -64,6 +64,25 @@ def test_solver_config_refuses_a_non_integer_max_iter(max_iter):
     assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tol", True), ("tol", np.True_), ("tol", "1e-10"), ("tol", None),
+    ("tol", 1e-10 + 0j), ("tol", float("inf")), ("tol", float("nan")),
+    ("contraction_cap", True), ("contraction_cap", np.True_),
+    ("contraction_cap", "0.5"), ("contraction_cap", None),
+    ("contraction_cap", 0.5 + 0j),
+])
+def test_solver_config_refuses_a_tol_or_cap_that_is_no_real_number(key, value):
+    # True read as tol 1.0, inf stopped every loop at once, and a string
+    # raised TypeError from the comparison
+    with pytest.raises(ValidationError, match=key):
+        SolverConfig(**{key: value})
+
+
+def test_solver_config_takes_numpy_reals():
+    cfg = SolverConfig(tol=np.float64(1e-9), contraction_cap=np.float32(0.5))
+    assert cfg.tol == 1e-9 and cfg.contraction_cap == np.float32(0.5)
+
+
 # ---------------------------------------------------------------------------
 # Neumann iteration
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from beltrami.grid import (
     _multipliers,
     _support_box,
 )
-from beltrami.transforms import _coarse_tables, _quad_plan
+from beltrami.transforms import _coarse_tables, _quad_plan, _QuadraturePlan
 
 from conftest import (
     cauchy_transform_direct,
@@ -40,8 +40,11 @@ from conftest import (
     mu_bump,
     mu_constant,
     quad_convolve_reference,
+    quadrature_hats_reference,
     same_bits,
     smooth_random_field,
+    tapered_conjugate_reference,
+    traced_fields,
 )
 
 
@@ -196,25 +199,36 @@ def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
     assert same_bits(table.S, dz * table.P)
     # the geometry holds the mean-mode profile: dz_w is wirtinger_dz of w
     geo = _geometry(dom64)
+    w_ref = tapered_conjugate_reference(dom64)
     w = tapered_coordinate_conjugate(dom64)
-    assert np.array_equal(geo.w, w.samples)
+    assert np.array_equal(w_ref, w.samples)
     assert np.array_equal(geo.dz_w, wirtinger_dz(w).samples)
     assert np.array_equal(beurling_transform(phi).samples,
                           np.fft.ifft2(table.S * spec) + mean * geo.dz_w)
     assert np.array_equal(cauchy_transform(phi).samples,
-                          np.fft.ifft2(table.P * spec) + mean * geo.w)
+                          np.fft.ifft2(table.P * spec) + mean * w_ref)
 
 
 def test_mean_mode_profile_is_built_on_first_use():
-    # a domain that runs no transform builds none of w, w_mean and dz_w
+    # a domain that runs no transform builds neither w_mean nor dz_w, and P
+    # reads its profile w block by block: no whole w is ever cached
     dom = DomainSpec(3.0, 32, Disc(0.25 + 0.5j, 0.75), 0.8)
     geo = _geometry(dom)
     phi = constant_field(dom, 1.0)
-    assert not {"w", "w_mean", "dz_w"} & set(vars(geo))
+    assert not {"w_mean", "dz_w"} & set(vars(geo))
     cauchy_transform(phi)
-    assert "w" in vars(geo) and "dz_w" not in vars(geo)
+    assert not {"w_mean", "dz_w"} & set(vars(geo))
     beurling_transform(phi)
     assert "dz_w" in vars(geo) and not geo.dz_w.flags.writeable
+    cauchy_transform(phi, "quadrature")
+    assert geo.w_mean == complex(np.mean(tapered_conjugate_reference(dom)))
+    assert {k for k, v in vars(geo).items()
+            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {"dz_w"}
+    # any block of w is the block of the whole-array expression
+    w_ref = tapered_conjugate_reference(dom)
+    for box in ((slice(0, 32), slice(0, 32)), (slice(3, 9), slice(20, 31)),
+                (slice(31, 32), slice(0, 1))):
+        assert same_bits(geo.w[box], w_ref[box])
 
 
 @pytest.mark.parametrize("resolution", [32, 64, 128])
@@ -230,7 +244,8 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
     assert np.array_equal(beurling_transform(phi).samples,
                           fourier_apply_reference(x, table.S, geo.dz_w))
     assert np.array_equal(cauchy_transform(phi).samples,
-                          fourier_apply_reference(x, table.P, geo.w))
+                          fourier_apply_reference(x, table.P,
+                                                  tapered_conjugate_reference(dom)))
     assert np.array_equal(wirtinger_dz(phi).samples,
                           fourier_apply_reference(x, _dz_multiplier(resolution,
                                                                     dom.half_width)))
@@ -309,6 +324,28 @@ def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
     box = _support_box(cutoff_field(dom))
     _check_apply(_multipliers(resolution, dom.half_width).S, _geometry(dom).dz_w,
                  _random_on_box(resolution, box, resolution), box)
+
+
+@pytest.mark.parametrize("resolution, half_width", [(16, 3.0), (32, 2.5),
+                                                   (64, 3.0), (128, 3.7)])
+def test_quadrature_hats_match_the_meshgrid_construction(resolution, half_width):
+    dom = DomainSpec(half_width, resolution, Disc(0j, 1.0), 0.8)
+    cauchy, beurling = quadrature_hats_reference(dom)
+    q = _QuadraturePlan(dom)
+    assert same_bits(q.beurling_hat, beurling)
+    assert same_bits(q.cauchy_hat, cauchy)
+
+
+@pytest.mark.parametrize("resolution", [128, 256])
+def test_quadrature_plan_builds_only_the_hat_a_call_needs(resolution):
+    # one hat is four fields of 16 N^2 bytes; the parent plan built both
+    # from int meshgrids, peaking at ~29 fields and keeping 8
+    q = _QuadraturePlan(disc_domain(resolution))
+    peak, kept, _ = traced_fields(lambda: q.beurling_hat, resolution)
+    assert peak <= 16 and kept <= 4.01
+    assert "cauchy_hat" not in vars(q)
+    peak, kept, _ = traced_fields(lambda: q.cauchy_hat, resolution)
+    assert peak <= 16 and kept <= 4.01
 
 
 def test_quadrature_equals_direct_sum():

@@ -29,6 +29,14 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     solve_dbar        mu = 0.3 constant, u the disc indicator
     sweep.linear9     solve_family, linear law on 0.5 + 0.3 bump, b = k/8
 
+Memory rows ("fields"): for solve_immersion, solve_dbar, sweep.linear9 and
+beurling.quadrature, the tracemalloc peak of the row's first call above its
+inputs, in fields of 16 N^2 bytes.  Each is taken once per tree and N, in a
+child process of its own, apart from the timing rounds: the inputs are built
+before tracing starts, and the per-grid caches (multiplier table, mean
+profile, quadrature plan) are cold, so the peak includes building them.
+Allocations are deterministic, so one child per row suffices.
+
 The script prints the JSON it writes.  Timings are wall clock
 (``time.perf_counter``) and depend on the host: record its CPU count and
 the numpy version beside them, as the output does.
@@ -49,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # calls per row and round; ten times as many for the cheap rows
 SWEEP_REPEAT = 2  # calls of the 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
+MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature")
 
 
 def _best(fn, repeat: int) -> float:
@@ -98,10 +107,39 @@ def _child(resolution: int) -> dict:
     return {"N": resolution, "numpy": np.__version__, "rows": rows}
 
 
-def _run_child(tree: Path, resolution: int) -> dict:
+def _memory_child(resolution: int, row: str) -> dict:
+    """The tracemalloc peak of one cold call of ``row`` above its inputs."""
+    import tracemalloc
+
+    import beltrami as bl
+
+    domain = bl.DomainSpec(3.0, resolution, bl.Disc(0j, 1.0), 0.8)
+    mu = bl.BeltramiField.from_raw(bl.constant_field(domain, 0.3))
+    u = bl.builtin_field({"kind": "disc-indicator"}, domain)
+    strong = bl.BeltramiField.from_raw(
+        bl.constant_field(domain, 0.5) + bl.gaussian_bump_field(domain, 0.3, width=0.5))
+    cfg = bl.SolverConfig()
+    call = {
+        "solve_immersion": lambda: bl.solve_immersion(mu, cfg),
+        "solve_dbar": lambda: bl.solve_dbar(mu, u, cfg),
+        "sweep.linear9": lambda: bl.solve_family(
+            bl.FamilySpec(strong, tuple(k / 8 for k in range(9))), [u] * 9, cfg),
+        "beurling.quadrature": lambda: bl.beurling_transform(u, "quadrature"),
+    }[row]
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"N": resolution, "row": row, "fields": (peak - base) / (16 * resolution ** 2)}
+
+
+def _run_child(tree: Path, resolution: int, memory_row: str | None = None) -> dict:
+    """A timing child, or with ``memory_row`` a memory child for that row."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    flags = ["--memory-row", memory_row] if memory_row else ["--child"]
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child",
+        [sys.executable, str(Path(__file__).resolve()), *flags,
          "--sizes", str(resolution)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -120,10 +158,14 @@ def main(argv=None) -> int:
                     help="a second checkout to time alternately (its src/)")
     ap.add_argument("--out", type=Path, help="write the JSON here as well")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--memory-row", choices=MEMORY_ROWS, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.child:
         print(json.dumps(_child(args.sizes[0])))
+        return 0
+    if args.memory_row:
+        print(json.dumps(_memory_child(args.sizes[0], args.memory_row)))
         return 0
 
     trees = {"change": ROOT}
@@ -142,6 +184,13 @@ def main(argv=None) -> int:
                 for row, seconds in child["rows"].items():
                     rows.setdefault(row, []).append(seconds)
 
+    fields = {name: {} for name in trees}   # tree -> N -> row -> fields
+    for n in args.sizes:
+        for row in MEMORY_ROWS:
+            for name, tree in trees.items():
+                child = _run_child(tree, n, row)
+                fields[name].setdefault(str(n), {})[row] = round(child["fields"], 3)
+
     def per_row(stat):
         return {name: {n: {row: stat(times) for row, times in rows.items()}
                        for n, rows in by_n.items()}
@@ -156,9 +205,13 @@ def main(argv=None) -> int:
                    "tree and N, trees alternating; 'seconds' holds each "
                    "row's best over the processes and 'spread' the "
                    "[min, max] of the processes' bests, in seconds per call"),
+        "memory_method": ("tracemalloc peak of the row's first call above its "
+                          "inputs, per-grid caches cold, one child process per "
+                          "tree, N and row; in fields of 16 N^2 bytes"),
         "commits": {name: _commit(tree) for name, tree in trees.items()},
         "seconds": per_row(min),
         "spread": per_row(lambda times: [min(times), max(times)]),
+        "fields": fields,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
