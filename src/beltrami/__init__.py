@@ -56,9 +56,7 @@ from .grid import (
     omega_mask,
     rebase,
     sup_norm,
-    tapered_coordinate_conjugate,
     transition_profile,
-    wirtinger_dbar,
     wirtinger_dz,
 )
 from .io import read_field, read_field_raw, write_field, write_pgm_heatmaps
@@ -87,8 +85,7 @@ __all__ = [
     "BeltramiField", "ComplexField", "Disc", "DomainSpec", "Rect",
     "cutoff_field", "fd_wirtinger_dbar", "fd_wirtinger_dz",
     "interior_mask", "make_coordinate_field", "omega_mask",
-    "rebase", "sup_norm", "tapered_coordinate_conjugate", "transition_profile",
-    "wirtinger_dbar", "wirtinger_dz",
+    "rebase", "sup_norm", "transition_profile", "wirtinger_dz",
     "read_field", "read_field_raw", "write_field", "write_pgm_heatmaps",
     "ImmersionResult", "NeumannResult", "SolverConfig",
     "beltrami_residual", "neumann_solve", "solve_immersion",

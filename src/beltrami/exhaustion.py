@@ -181,25 +181,19 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     if radii[-1] >= base.half_width - base.margin:
         raise ValidationError("last radius must satisfy r < L - margin")
 
-    def step_domain(r: float) -> DomainSpec:
-        return DomainSpec(base.half_width, base.resolution, Disc(0j, r), base.margin)
-
-    def solve_on(domain: DomainSpec) -> DbarResult:
+    def solve_on(r: float) -> DbarResult:
+        domain = DomainSpec(base.half_width, base.resolution, Disc(0j, r), base.margin)
         mu_n = BeltramiField.from_raw(rebase(mu.raw, domain))
         u_n = ComplexField(domain, _geometry(domain).cutoff * u.samples)
         return solve_dbar(mu_n, u_n, cfg)
 
-    result = solve_on(step_domain(radii[0]))
-    current = result.f
-    steps = [ExhaustionStep(1, radii[0], result.diagnostics.iterations,
-                            0.0, 0.0, cfg.tol * 0.5)]
-
-    z = _geometry(base).coordinates()
-    for n, r in enumerate(radii[1:], start=2):
+    def corrected(n: int, result: DbarResult, current: np.ndarray) -> tuple:
+        """Step n's f less the Taylor polynomial of its difference with the
+        corrected samples of step n - 1, and the step's record."""
+        z = _geometry(base).coordinates()   # formed per step: not held by a solve
         prev_radius = radii[n - 2]
         prev_mask = np.abs(z) <= prev_radius
-        result = solve_on(step_domain(r))
-        diff_samples = result.f.samples - current.samples
+        diff_samples = result.f.samples - current
         diff = ComplexField(result.f.domain, diff_samples)
         jet = taylor_project(diff, 0j, taylor_degree,
                              CIRCLE_RADIUS_FRACTION * prev_radius)
@@ -208,9 +202,22 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
         approx_error = float(np.max(np.abs((diff_samples - poly)[prev_mask])))
         if approx_error > budget:
             raise RungeApproximationFailure(n, approx_error, budget)
-        current = ComplexField(result.f.domain, result.f.samples - poly)
-        steps.append(ExhaustionStep(
-            n, r, result.diagnostics.iterations,
-            float(np.max(np.abs(poly[prev_mask]))), approx_error, budget))
+        return result.f.samples - poly, ExhaustionStep(
+            n, radii[n - 1], result.diagnostics.iterations,
+            float(np.max(np.abs(poly[prev_mask]))), approx_error, budget)
 
-    return current, ExhaustionTrace(tuple(steps), result.rhs)
+    # A step keeps only the corrected samples of the last disc: the last
+    # result, and with it its domain and that domain's tables, goes before
+    # the next solve.
+    result = solve_on(radii[0])
+    current = result.f.samples
+    steps = [ExhaustionStep(1, radii[0], result.diagnostics.iterations,
+                            0.0, 0.0, cfg.tol * 0.5)]
+    for n, r in enumerate(radii[1:], start=2):
+        del result
+        result = solve_on(r)
+        current, step = corrected(n, result, current)
+        steps.append(step)
+
+    return (ComplexField(result.f.domain, current),
+            ExhaustionTrace(tuple(steps), result.rhs))

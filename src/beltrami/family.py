@@ -249,17 +249,22 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     """
     if mu.domain != u.domain:
         raise ValidationError("mu and u live on different DomainSpecs")
-    return _solve_dbar(mu, u, solve_immersion(mu, cfg).g.samples, cfg)
+    return _solve_dbar(mu, u, *_dbar_data(mu, u, solve_immersion(mu, cfg).g.samples),
+                       cfg)
 
 
-def _solve_dbar(mu: BeltramiField, u: ComplexField, g: np.ndarray,
-                cfg: SolverConfig) -> DbarResult:
-    """solve_dbar given g = dh/dz of mu's immersion; g is dropped before
-    the Neumann solve."""
+def _dbar_data(mu: BeltramiField, u: ComplexField, g: np.ndarray) -> tuple:
+    """The rhs field of the d-bar solve and ``_frame_denominator``: all that
+    the solve reads of g = dh/dz, so a caller that holds no other reference
+    to g frees it before the Neumann solve."""
     m = mu.extended.samples
-    rhs = ComplexField(u.domain, dbar_rhs(m, g, u.samples))
-    denom = _frame_denominator(m, g, interior_mask(u.domain))
-    del g
+    return (ComplexField(u.domain, dbar_rhs(m, g, u.samples)),
+            _frame_denominator(m, g, interior_mask(u.domain)))
+
+
+def _solve_dbar(mu: BeltramiField, u: ComplexField, rhs: ComplexField,
+                denom: np.ndarray, cfg: SolverConfig) -> DbarResult:
+    """solve_dbar given ``_dbar_data``."""
     res = neumann_solve(mu, rhs, cfg)
     return _dbar_result(mu, denom, u, rhs, res.phi, res.iterations,
                         res.final_residual, res.trace)
@@ -282,22 +287,25 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
     """
     if form.domain != mu.domain:
         raise ValidationError("form and mu live on different DomainSpecs")
-    imm = solve_immersion(mu, cfg)
+    g = solve_immersion(mu, cfg).g   # phi goes with the immersion
     if form.frame == "background":
-        moving = convert_to_moving(form, mu, imm.g)
+        moving = convert_to_moving(form, mu, g)
     else:
         if form.mu is not mu and not np.array_equal(
                 form.mu.extended.samples, mu.extended.samples):
             raise ValidationError("form is framed by a different coefficient")
         moving = form
-    scale = float(np.max(np.abs(moving.coeff_01.samples)))
+    u = moving.coeff_01
+    scale = float(np.max(np.abs(u.samples)))
     stray = float(np.max(np.abs(moving.coeff_10.samples)))
     if stray > COMPATIBILITY_RTOL * max(scale, 1e-300):
         raise ValidationError(
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    return _solve_dbar(mu, moving.coeff_01, imm.g.samples, cfg)
+    data = _dbar_data(mu, u, g.samples)
+    del g, moving   # before the d-bar solve
+    return _solve_dbar(mu, u, *data, cfg)
 
 
 @dataclass(frozen=True)

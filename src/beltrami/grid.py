@@ -20,9 +20,10 @@ for the residual checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -46,6 +47,13 @@ MAX_RESOLUTION = 4096
 # ---------------------------------------------------------------------------
 # domain specification
 # ---------------------------------------------------------------------------
+
+def _finite_real(value) -> bool:
+    """A finite real number that is not a bool (Python's or numpy's)."""
+    return (isinstance(value, numbers.Real)
+            and not isinstance(value, (bool, np.bool_))
+            and math.isfinite(value))
+
 
 @dataclass(frozen=True)
 class Disc:
@@ -82,6 +90,12 @@ class DomainSpec:
     margin : float
         Width of the cutoff collar between the boundary of Omega and the
         region where extended fields vanish.
+
+    Every length, corner and center coordinate must be a finite real
+    number.  A domain owns its tables (cutoff, masks, Fourier multipliers,
+    mean profiles): they are built on first use and freed with the domain.
+    Equal domains built separately do not share them, so build one
+    DomainSpec and pass that instance to every field and solve on it.
     """
 
     half_width: float
@@ -95,21 +109,28 @@ class DomainSpec:
                 and MIN_RESOLUTION <= N <= MAX_RESOLUTION):
             raise ValidationError(f"resolution must be an even integer from "
                                   f"{MIN_RESOLUTION} to {MAX_RESOLUTION}, got {N!r}")
-        if not L > 0:
-            raise ValidationError(f"half_width must be positive, got {L!r}")
-        if not self.margin > 0:
-            raise ValidationError(f"margin must be positive, got {self.margin!r}")
+        for name, value in (("half_width", L), ("margin", self.margin)):
+            if not (_finite_real(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, "
+                                      f"got {value!r}")
         if isinstance(self.omega, Disc):
-            if not self.omega.radius > 0:
-                raise ValidationError("disc radius must be positive")
-            cx, cy = self.omega.center.real, self.omega.center.imag
-            span = self.omega.radius + self.margin
+            c, radius = self.omega.center, self.omega.radius
+            if not (_finite_real(radius) and radius > 0):
+                raise ValidationError(f"disc radius must be finite and positive, "
+                                      f"got {radius!r}")
+            if not (isinstance(c, numbers.Complex) and not isinstance(c, (bool, np.bool_))
+                    and _finite_real(c.real) and _finite_real(c.imag)):
+                raise ValidationError(f"disc center must be finite, got {c!r}")
+            cx, cy = c.real, c.imag
+            span = radius + self.margin
             if abs(cx) + span >= L or abs(cy) + span >= L:
                 raise ValidationError(
                     "omega plus margin collar does not fit inside the open square"
                 )
         elif isinstance(self.omega, Rect):
             r = self.omega
+            if not all(map(_finite_real, (r.x0, r.y0, r.x1, r.y1))):
+                raise ValidationError(f"rectangle corners must be finite, got {r!r}")
             if not (r.x0 < r.x1 and r.y0 < r.y1):
                 raise ValidationError("rectangle corners must satisfy x0 < x1, y0 < y1")
             if (max(abs(r.x0), abs(r.x1)) + self.margin >= L
@@ -125,9 +146,13 @@ class DomainSpec:
         """Grid spacing h = 2L/N, uniform in both axes."""
         return 2.0 * self.half_width / self.resolution
 
+    @cached_property
+    def _tables(self) -> _Geometry:
+        return _Geometry(self)
+
 
 # ---------------------------------------------------------------------------
-# cached per-domain geometry tables
+# per-domain geometry tables
 # ---------------------------------------------------------------------------
 
 def transition_profile(t) -> np.ndarray:
@@ -183,16 +208,18 @@ class _TaperedConjugate:
 
 
 class _Geometry:
-    """Immutable per-domain tables shared by every operation on that domain.
+    """Immutable tables of one domain, owned by its DomainSpec.
 
     The 1-D ``axis`` stands for the coordinate z, which a reader forms with
     ``coordinates`` when it needs it: a cached z would cost one field per
-    domain.
+    domain.  The geometry keeps the grid's (N, L), not the domain: without a
+    reference back to its owner it forms no cycle, so reference counting
+    frees it with the domain's last field.
     """
 
     def __init__(self, domain: DomainSpec):
-        self._domain = domain
         L, N = domain.half_width, domain.resolution
+        self._grid = (N, L)
         self.axis = -L + domain.spacing * np.arange(N)
         dist = _signed_distance(domain, self.coordinates())
         self.omega_mask = dist <= 0.0
@@ -211,11 +238,28 @@ class _Geometry:
         X + 1j * Y."""
         return self.axis + 1j * self.axis[:, None]
 
-    # The mean-mode data of the spectral transforms, built on first use from
-    # a transient w, so that a domain that runs no transform (a verify run's,
-    # an exhaustion's base domain) allocates none:
+    # The tables of the spectral transforms, built on first use, so that a
+    # domain that runs no transform (a verify run's, an exhaustion's base
+    # domain) allocates none.  The multipliers vanish on the Nyquist lines:
+    # P = 1 / symbol of d/dzbar (0 at the zero mode) and S = dz * P =
+    # conj(xi)/xi, with dz the symbol of d/dz (``_dz_multiplier``, not kept).
     # w = cutoff * conj(z) has d/dzbar w = 1 on Omega, and dz_w is its
     # spectral d/dz, so S = d/dz o P holds exactly, mean mode included.
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        xi, keep = _wavenumbers(*self._grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
+        m_P[0, 0] = 0.0
+        m_P.setflags(write=False)
+        return m_P
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        m_S = _dz_multiplier(*self._grid) * self.P
+        m_S.setflags(write=False)
+        return m_S
 
     @cached_property
     def w_mean(self) -> complex:
@@ -223,12 +267,14 @@ class _Geometry:
 
     @cached_property
     def dz_w(self) -> np.ndarray:
-        return wirtinger_dz(ComplexField(self._domain, self.w[:, :])).samples
+        dz_w = _spectral_dz(self.w[:, :], *self._grid)
+        dz_w.setflags(write=False)
+        return dz_w
 
 
-@lru_cache(maxsize=64)
 def _geometry(domain: DomainSpec) -> _Geometry:
-    return _Geometry(domain)
+    """The tables of ``domain``, built on its first use and stored on it."""
+    return domain._tables
 
 
 def omega_mask(domain: DomainSpec) -> np.ndarray:
@@ -328,16 +374,6 @@ def make_coordinate_field(domain: DomainSpec) -> ComplexField:
     return ComplexField(domain, _geometry(domain).coordinates())
 
 
-def tapered_coordinate_conjugate(domain: DomainSpec) -> ComplexField:
-    """The margin-tapered conjugate coordinate: cutoff * conj(z).
-
-    Identically conj(z) on the closure of Omega, zero outside the collar, and
-    d/dzbar of it is 1 on Omega.  This is the profile that carries the mean
-    component through the periodic Cauchy transform.
-    """
-    return ComplexField(domain, _geometry(domain).w[:, :])
-
-
 class BeltramiField:
     """A Beltrami coefficient mu with |mu| < 1 and its cutoff extension.
 
@@ -390,17 +426,6 @@ class BeltramiField:
 # spectral Wirtinger derivatives
 # ---------------------------------------------------------------------------
 
-class _Multipliers(NamedTuple):
-    """Cached Fourier multipliers of one (N, L) grid, zero on the Nyquist
-    lines: P = 1 / symbol of d/dzbar (0 at the zero mode) and
-    S = dz * P = conj(xi)/xi, the unimodular Beurling symbol.  The symbol dz
-    of d/dz is formed on demand by ``_dz_multiplier``: only ``wirtinger_dz``
-    reads it, once per domain's mean profile."""
-
-    P: np.ndarray
-    S: np.ndarray
-
-
 def _wavenumbers(resolution: int, half_width: float) -> tuple:
     """xi = kx + i ky on the (N, L) grid, and the 0/1 mask of its Nyquist lines."""
     h = 2.0 * half_width / resolution
@@ -413,21 +438,9 @@ def _wavenumbers(resolution: int, half_width: float) -> tuple:
 
 
 def _dz_multiplier(resolution: int, half_width: float) -> np.ndarray:
-    """The symbol of d/dz, zero on the Nyquist lines; not cached."""
+    """The symbol of d/dz, zero on the Nyquist lines; not kept."""
     xi, keep = _wavenumbers(resolution, half_width)
     return 0.5j * np.conj(xi) * keep
-
-
-@lru_cache(maxsize=64)
-def _multipliers(resolution: int, half_width: float) -> _Multipliers:
-    xi, keep = _wavenumbers(resolution, half_width)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
-    m_P[0, 0] = 0.0
-    table = _Multipliers(m_P, _dz_multiplier(resolution, half_width) * m_P)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
 
 
 def _full_box(a: np.ndarray) -> tuple:
@@ -496,8 +509,8 @@ class _FourierApply:
     @classmethod
     def beurling(cls, domain: DomainSpec, box: tuple) -> "_FourierApply":
         """S on the grid of ``domain``, with its mean profile dz_w."""
-        return cls(_multipliers(domain.resolution, domain.half_width).S,
-                   _geometry(domain).dz_w, box)
+        geo = _geometry(domain)
+        return cls(geo.S, geo.dz_w, box)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.forward(x)
@@ -609,19 +622,16 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
     Accurate on Omega for fields smooth on the square and near-periodic
     (all solver-produced fields, by construction of the margin).
     """
-    m = _dz_multiplier(f.domain.resolution, f.domain.half_width)
-    apply = _FourierApply(m, None, _full_box(f.samples), pad=0)
-    apply(f.samples)
-    return ComplexField(f.domain, apply.finish())
+    return ComplexField(f.domain, _spectral_dz(f.samples, f.domain.resolution,
+                                               f.domain.half_width))
 
 
-def wirtinger_dbar(f: ComplexField) -> ComplexField:
-    """Spectral d/dzbar = (d/dx + i d/dy)/2 on the periodic square.
-
-    Implemented as conj(dz(conj(f))), so the conjugation symmetry
-    dbar(f) == conj(dz(conj(f))) holds bit for bit.
-    """
-    return wirtinger_dz(f.conj()).conj()
+def _spectral_dz(samples: np.ndarray, resolution: int, half_width: float) -> np.ndarray:
+    """The samples of wirtinger_dz, in a fresh contiguous array."""
+    apply = _FourierApply(_dz_multiplier(resolution, half_width), None,
+                          _full_box(samples), pad=0)
+    apply(samples)
+    return apply.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ for h to be an immersion.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,6 +56,7 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _fd_beltrami_defect,
+    _finite_real,
     _FourierApply,
     _on_grid,
     _support_box,
@@ -67,12 +66,6 @@ from .grid import (
 from .transforms import _coarse_tables, cauchy_transform
 
 DEGENERACY_TOL = 1e-9
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a bool (Python's or numpy's)."""
-    return (isinstance(value, numbers.Real)
-            and not isinstance(value, (bool, np.bool_)))
 
 
 @dataclass(frozen=True)
@@ -91,13 +84,14 @@ class SolverConfig:
     contraction_cap: float = 0.9
 
     def __post_init__(self):
-        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
+        if not (_finite_real(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be a finite positive number, "
                                   f"got {self.tol!r}")
         n = self.max_iter
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError(f"max_iter must be an integer >= 1, got {n!r}")
-        if not (_is_real(self.contraction_cap) and 0.0 < self.contraction_cap < 1.0):
+        if not (_finite_real(self.contraction_cap)
+                and 0.0 < self.contraction_cap < 1.0):
             raise ValidationError(
                 f"contraction_cap must lie in (0, 1), got {self.contraction_cap!r}"
             )

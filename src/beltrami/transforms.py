@@ -34,8 +34,6 @@ no row FFTs and no last column FFTs.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-
 import numpy as np
 
 from .errors import ValidationError
@@ -46,7 +44,6 @@ from .grid import (
     _FourierApply,
     _full_box,
     _geometry,
-    _multipliers,
 )
 
 METHODS = ("spectral", "quadrature")
@@ -65,7 +62,7 @@ def _check_method(method: str):
 
 def _coarse_tables(domain: DomainSpec) -> tuple:
     """The Beurling multiplier and mean profile of the N/2 grid of a domain,
-    derived from its own tables, which stay the only cached ones.
+    derived from its own tables, which stay the only stored ones.
 
     The two grids nest: the N/2 grid's frequencies are the fine grid's
     |k| <= N/4, so its multiplier is the fine S on that band with its
@@ -76,64 +73,43 @@ def _coarse_tables(domain: DomainSpec) -> tuple:
     n = domain.resolution
     half = n // 4
     band = np.r_[0:half, n - half:n]
-    S = _multipliers(n, domain.half_width).S[np.ix_(band, band)]
+    geo = _geometry(domain)
+    S = geo.S[np.ix_(band, band)]
     S[half] = 0
     S[:, half] = 0
-    return S, _geometry(domain).dz_w[::2, ::2]
+    return S, geo.dz_w[::2, ::2]
 
 
 # ---------------------------------------------------------------------------
-# quadrature plan
+# quadrature kernels
 # ---------------------------------------------------------------------------
 
-class _QuadraturePlan:
-    """FFT tables for the zero-padded free-space kernel convolutions.
+def _quadrature_hat(domain: DomainSpec, power: int) -> np.ndarray:
+    """fft2 of the kernel 1/(pi w) (``power`` 1) or -1/(pi w^2) (2) on the
+    2N lattice offsets w, zero at w = 0 (the exact centered-cell integral)
+    and on the row and column of offset -N, which no aperiodic pair reaches.
 
-    Each hat is built on first use, so a call keeps only the kernel it
-    applies: one complex (2N)^2 array, four fields.  The kernels are formed
-    from the 1-D lattice offsets by broadcasting, in place in one buffer, and
-    transformed in it; the samples are bitwise those of the meshgrid
-    construction ``np.fft.fft2`` of the whole-array expressions.
+    Built for each apply and not kept: one complex (2N)^2 array, four
+    fields.  The kernel is formed from the 1-D lattice offsets by
+    broadcasting, in place in one buffer, and transformed in it; the samples
+    are bitwise those of the meshgrid construction ``np.fft.fft2`` of the
+    whole-array expressions.
     """
-
-    def __init__(self, domain: DomainSpec):
-        self._n = domain.resolution
-        self._h = domain.spacing
-        self.cell_area = self._h * self._h
-
-    def _hat(self, power: int) -> np.ndarray:
-        """fft2 of the kernel 1/(pi w) (``power`` 1) or -1/(pi w^2) (2) on the
-        2N lattice offsets w, zero at w = 0 (the exact centered-cell
-        integral) and on the row and column of offset -N, which no aperiodic
-        pair reaches."""
-        n, h = self._n, self._h
-        off = (np.arange(2 * n) + n) % (2 * n) - n     # lattice offsets, [-N, N-1]
-        w = off * h + 1j * (off * h)[:, None]          # x offset + i y offset
-        kern = np.multiply(np.pi, w)
-        if power == 2:
-            np.multiply(kern, w, out=kern)
-        del w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(1.0 if power == 1 else -1.0, kern, out=kern)
-        kern[0, 0] = 0.0
-        kern[n] = 0.0
-        kern[:, n] = 0.0
-        np.fft.fft(kern, axis=1, out=kern)
-        np.fft.fft(kern, axis=0, out=kern)
-        return kern
-
-    @cached_property
-    def cauchy_hat(self) -> np.ndarray:
-        return self._hat(1)
-
-    @cached_property
-    def beurling_hat(self) -> np.ndarray:
-        return self._hat(2)
-
-
-@lru_cache(maxsize=16)
-def _quad_plan(domain: DomainSpec) -> _QuadraturePlan:
-    return _QuadraturePlan(domain)
+    n, h = domain.resolution, domain.spacing
+    off = (np.arange(2 * n) + n) % (2 * n) - n     # lattice offsets, [-N, N-1]
+    w = off * h + 1j * (off * h)[:, None]          # x offset + i y offset
+    kern = np.multiply(np.pi, w)
+    if power == 2:
+        np.multiply(kern, w, out=kern)
+    del w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0 if power == 1 else -1.0, kern, out=kern)
+    kern[0, 0] = 0.0
+    kern[n] = 0.0
+    kern[:, n] = 0.0
+    np.fft.fft(kern, axis=1, out=kern)
+    np.fft.fft(kern, axis=0, out=kern)
+    return kern
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +120,15 @@ def _apply(samples: np.ndarray, domain: DomainSpec, method: str,
            kind: str) -> np.ndarray:
     """P (``kind`` "P") or S ("S") of whole-grid samples, in a fresh
     contiguous array, which a ComplexField takes without a copy."""
-    n = domain.resolution
     if method == "spectral":
         geo = _geometry(domain)
-        apply = _FourierApply(getattr(_multipliers(n, domain.half_width), kind),
-                              geo.w if kind == "P" else geo.dz_w,
-                              _full_box(samples), pad=0)
+        multiplier, profile = (geo.P, geo.w) if kind == "P" else (geo.S, geo.dz_w)
+        apply = _FourierApply(multiplier, profile, _full_box(samples), pad=0)
         apply(samples)
         return apply.finish()
-    q = _quad_plan(domain)
-    hat = q.cauchy_hat if kind == "P" else q.beurling_hat
-    return _FourierApply(hat, None, (slice(0, n), slice(0, n)))(samples) * q.cell_area
+    n, h = domain.resolution, domain.spacing
+    hat = _quadrature_hat(domain, 1 if kind == "P" else 2)
+    return _FourierApply(hat, None, (slice(0, n), slice(0, n)))(samples) * (h * h)
 
 
 def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexField:

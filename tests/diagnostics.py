@@ -1,8 +1,9 @@
-"""Holder-seminorm diagnostics for the acceptance tests.
+"""Holder-seminorm diagnostics and test-only field operations.
 
 The gain-of-derivative report measures the paper's optimal-regularity claim:
 the solution of the d-bar problem is one derivative smoother than its datum.
-No solver or command reads it, so it lives beside the tests that check it.
+No solver or command reads it, nor the spectral d/dzbar and the tapered
+conjugate coordinate below, so they live beside the tests that check them.
 """
 
 from __future__ import annotations
@@ -11,8 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beltrami import ComplexField, ValidationError
-from beltrami.grid import _geometry, interior_mask, wirtinger_dbar, wirtinger_dz
+from beltrami import ComplexField, DomainSpec, ValidationError
+from beltrami.grid import _geometry, interior_mask, wirtinger_dz
+
+
+def wirtinger_dbar(f: ComplexField) -> ComplexField:
+    """Spectral d/dzbar = (d/dx + i d/dy)/2 on the periodic square.
+
+    Implemented as conj(dz(conj(f))), so the conjugation symmetry
+    dbar(f) == conj(dz(conj(f))) holds bit for bit.
+    """
+    return wirtinger_dz(f.conj()).conj()
+
+
+def tapered_coordinate_conjugate(domain: DomainSpec) -> ComplexField:
+    """The margin-tapered conjugate coordinate: cutoff * conj(z).
+
+    Identically conj(z) on the closure of Omega, zero outside the collar, and
+    d/dzbar of it is 1 on Omega.  This is the profile that carries the mean
+    component through the periodic Cauchy transform.
+    """
+    return ComplexField(domain, _geometry(domain).w[:, :])
 
 
 def _holder_seminorm_masked(samples: np.ndarray, z: np.ndarray, mask: np.ndarray,

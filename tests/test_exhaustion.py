@@ -24,7 +24,7 @@ from beltrami.exhaustion import (
 )
 from beltrami.family import dbar_rhs
 
-from conftest import same_bits, smooth_random_field, traced_fields
+from conftest import disc_domain, same_bits, smooth_random_field, traced_fields
 
 
 def _compact_bump(domain):
@@ -194,6 +194,26 @@ def test_exhaustion_with_nonzero_mu(dom256):
     expected = dbar_rhs(mu_last.extended.samples, g, u.samples)
     assert trace.rhs.domain == f.domain
     assert np.array_equal(trace.rhs.samples, expected)
+
+
+def test_exhaustion_peak_does_not_grow_with_the_number_of_discs():
+    # each step frees the last step's result, its domain and that domain's
+    # tables before the next solve; kept alive, they cost ~1.6 fields a disc
+    dom = disc_domain(128)
+    mu = BeltramiField.from_raw(constant_field(dom, 0.0))
+    u = _compact_bump(dom)
+    exhaustion_solve(mu, u, [1.0, 2.0], 8)   # numpy's FFT plans, outside the traces
+    peaks = {}
+    for discs in (2, 6):
+        radii = list(np.linspace(1.0, 2.0, discs))
+
+        def run():   # the result, and with it the last disc's tables, is dropped
+            exhaustion_solve(mu, u, radii, 8)
+
+        peak, kept, _ = traced_fields(run, 128)
+        peaks[discs] = peak
+        assert kept <= 0.1, kept
+    assert peaks[6] <= peaks[2] + 0.5, peaks
 
 
 def test_runge_failure_on_wide_data(dom128):

@@ -188,9 +188,9 @@ def test_no_solve_runs_the_power_iteration(dom64, monkeypatch):
 
 
 def test_first_solve_dbar_peaks_at_most_seven_fields_above_its_inputs():
-    # a half-width no other test uses, so the call also builds the grid's
-    # multiplier table and dz_w; with w and z cached and g alive through
-    # the d-bar solve the peak was 8.6 fields of 16 N^2 bytes
+    # a fresh domain, so the call also builds its multipliers and dz_w;
+    # with w and z cached and g alive through the d-bar solve the peak was
+    # 8.6 fields of 16 N^2 bytes
     dom = DomainSpec(3.125, 256, Disc(0j, 1.0), 0.8)
     raw = (constant_field(dom, 0.175)
            + gaussian_bump_field(dom, 0.175, center=0.2 + 0.3j, width=0.5))
@@ -565,6 +565,21 @@ def test_solve_dbar_form_solves_the_immersion_once(dom64, monkeypatch):
     monkeypatch.undo()
     u = convert_to_moving(background, mu, g).coeff_01
     assert same_bits(result.f.samples, solve_dbar(mu, u).f.samples)
+
+
+def test_solve_dbar_form_peaks_as_solve_dbar_does():
+    # the form's immersion (g and phi) goes before the d-bar solve, as in
+    # solve_dbar; kept through it, it cost two more fields
+    from beltrami import solve_dbar_form
+    dom = disc_domain(128)
+    mu = mu_constant(dom)
+    u = disc_indicator_field(dom)
+    moving = OneFormField("moving", constant_field(dom, 0.0), u, mu=mu)
+    solve_dbar(mu, u)   # builds the domain's tables outside the traces
+    direct, _, expected = traced_fields(lambda: solve_dbar(mu, u), 128)
+    form, _, result = traced_fields(lambda: solve_dbar_form(mu, moving), 128)
+    assert same_bits(result.f.samples, expected.f.samples)
+    assert form <= direct + 0.25, (form, direct)
 
 
 def test_solve_dbar_form_rejects_incompatible_datum(dom128):

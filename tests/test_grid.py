@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from beltrami import (
     DomainSpec,
     Rect,
     ValidationError,
+    beurling_transform,
     constant_field,
     cutoff_field,
     fd_wirtinger_dbar,
@@ -15,15 +20,15 @@ from beltrami import (
     interior_mask,
     make_coordinate_field,
     omega_mask,
+    solve_dbar,
     sup_norm,
-    tapered_coordinate_conjugate,
-    wirtinger_dbar,
     wirtinger_dz,
 )
 from beltrami.grid import (
     CUTOFF_SHARPNESS,
     MAX_RESOLUTION,
     _fd_beltrami_defect,
+    _geometry,
     _Geometry,
     transition_profile,
 )
@@ -36,7 +41,7 @@ from conftest import (
     tapered_conjugate_reference,
     traced_fields,
 )
-from diagnostics import holder_seminorm
+from diagnostics import holder_seminorm, tapered_coordinate_conjugate, wirtinger_dbar
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,41 @@ def test_bad_scalars_rejected():
         DomainSpec(3.0, 64, Disc(0j, 1.0), 0.0)
     with pytest.raises(ValidationError):
         DomainSpec(3.0, 64, Rect(1.0, -1.0, -1.0, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("args", [
+    (math.inf, 64, Disc(0j, 1.0), 0.8),
+    (math.nan, 64, Disc(0j, 1.0), 0.8),
+    ("3.0", 64, Disc(0j, 1.0), 0.8),
+    (True, 64, Disc(0j, 0.1), 0.1),
+    (3.0, 64, Disc(0j, 1.0), "0.8"),
+    (3.0, 64, Disc(0j, 1.0), math.inf),
+    (3.0, 64, Disc(0j, 1.0), np.nan),
+    (3.0, 64, Disc(0j, "1.0"), 0.8),
+    (3.0, 64, Disc(0j, math.nan), 0.8),
+    (3.0, 64, Disc(0j, np.bool_(True)), 0.8),
+    (3.0, 64, Disc(complex(math.nan, 0.0), 1.0), 0.8),
+    (3.0, 64, Disc(complex(0.0, -math.inf), 1.0), 0.8),
+    (3.0, 64, Disc("0", 1.0), 0.8),
+    (3.0, 64, Disc(None, 1.0), 0.8),
+    (3.0, 64, Disc(True, 1.0), 0.8),
+    (3.0, 64, Rect(-1.0, "-1.0", 1.0, 1.0), 0.8),
+    (3.0, 64, Rect(-1.0, -1.0, 1.0, math.nan), 0.8),
+], ids=["inf-half-width", "nan-half-width", "str-half-width", "bool-half-width",
+        "str-margin", "inf-margin", "nan-margin", "str-radius", "nan-radius",
+        "bool-radius", "nan-center", "inf-center", "str-center", "none-center",
+        "bool-center", "str-corner", "nan-corner"])
+def test_non_finite_or_non_numeric_domain_values_are_refused(args):
+    # refused at construction, before any table is built; before, inf and
+    # nan centers passed, and strings raised TypeError or AttributeError
+    with pytest.raises(ValidationError):
+        DomainSpec(*args)
+
+
+def test_domain_values_take_ints_and_numpy_numbers():
+    dom = DomainSpec(np.float64(3.0), 64, Disc(np.complex128(0.5j), np.int64(1)), 1)
+    assert dom.spacing == 6.0 / 64
+    assert DomainSpec(3, 64, Disc(0, 1.0), 0.8).omega.center == 0
 
 
 def test_spacing():
@@ -356,6 +396,33 @@ def test_a_fresh_geometry_keeps_at_most_one_field():
     dom = disc_domain(256)
     kept = traced_fields(lambda: _Geometry(dom), 256)[1]
     assert kept <= 1.0, kept
+
+
+def test_a_domain_owns_its_tables():
+    dom = disc_domain(32)
+    geo = _geometry(dom)
+    assert _geometry(dom) is geo
+    # an equal domain built separately builds its own
+    assert _geometry(disc_domain(32)) is not geo
+    assert not any(v is dom for v in vars(geo).values())
+
+
+def test_tables_are_freed_with_the_domain_s_last_field():
+    # the tables hold no reference back to their domain, so reference
+    # counting alone frees them; a count-bounded cache kept them alive
+    dom = DomainSpec(2.5, 64, Disc(0.1j, 0.9), 0.6)
+    mu = BeltramiField.from_raw(constant_field(dom, 0.3))
+    u = constant_field(dom, 1.0)
+    result = solve_dbar(mu, u)
+    oracle = beurling_transform(u, "quadrature")
+    geo = weakref.ref(_geometry(dom))
+    assert {"P", "S", "dz_w"} <= set(vars(geo()))
+    gc.disable()
+    try:
+        del dom, mu, u, result, oracle
+        assert geo() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

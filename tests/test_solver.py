@@ -25,7 +25,6 @@ from beltrami import (
     solve_dbar,
     solve_immersion,
     beurling_transform,
-    tapered_coordinate_conjugate,
 )
 
 import beltrami.solver as solver_module
@@ -43,6 +42,7 @@ from conftest import (
     same_bits,
     smooth_random_field,
 )
+from diagnostics import tapered_coordinate_conjugate
 
 
 def test_solver_config_validation():

@@ -19,18 +19,15 @@ from beltrami import (
     make_coordinate_field,
     omega_mask,
     sup_norm,
-    tapered_coordinate_conjugate,
-    wirtinger_dbar,
     wirtinger_dz,
 )
 from beltrami.grid import (
     _FourierApply,
     _dz_multiplier,
     _geometry,
-    _multipliers,
     _support_box,
 )
-from beltrami.transforms import _coarse_tables, _quad_plan, _QuadraturePlan
+from beltrami.transforms import _coarse_tables, _quadrature_hat
 
 from conftest import (
     cauchy_transform_direct,
@@ -46,6 +43,7 @@ from conftest import (
     tapered_conjugate_reference,
     traced_fields,
 )
+from diagnostics import tapered_coordinate_conjugate, wirtinger_dbar
 
 
 def _sup_on(mask, samples):
@@ -185,28 +183,26 @@ def test_cross_method_agreement_random_smooth(dom64):
 
 
 def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
-    # one table per (N, L): a second Omega on the same grid reuses it
-    table = _multipliers(64, dom64.half_width)
-    other = DomainSpec(dom64.half_width, 64, Disc(0.2j, 0.5), dom64.margin)
-    assert _multipliers(other.resolution, other.half_width) is table
     phi = smooth_random_field(dom64, seed=3)
     spec = np.fft.fft2(phi.samples)
     mean = spec[0, 0] / phi.samples.size
     dz = _dz_multiplier(64, dom64.half_width)
     assert np.array_equal(wirtinger_dz(phi).samples, np.fft.ifft2(dz * spec))
-    # the cached table keeps P and S only; S is dz * P, bit for bit
-    assert table._fields == ("P", "S")
-    assert same_bits(table.S, dz * table.P)
-    # the geometry holds the mean-mode profile: dz_w is wirtinger_dz of w
+    # the geometry keeps P and S, not dz; S is dz * P, bit for bit
     geo = _geometry(dom64)
+    assert same_bits(geo.S, dz * geo.P)
+    # the geometry holds the mean-mode profile: dz_w is wirtinger_dz of w
     w_ref = tapered_conjugate_reference(dom64)
     w = tapered_coordinate_conjugate(dom64)
     assert np.array_equal(w_ref, w.samples)
     assert np.array_equal(geo.dz_w, wirtinger_dz(w).samples)
     assert np.array_equal(beurling_transform(phi).samples,
-                          np.fft.ifft2(table.S * spec) + mean * geo.dz_w)
+                          np.fft.ifft2(geo.S * spec) + mean * geo.dz_w)
     assert np.array_equal(cauchy_transform(phi).samples,
-                          np.fft.ifft2(table.P * spec) + mean * w_ref)
+                          np.fft.ifft2(geo.P * spec) + mean * w_ref)
+    assert {k for k, v in vars(geo).items()
+            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {
+                "P", "S", "dz_w"}
 
 
 def test_mean_mode_profile_is_built_on_first_use():
@@ -223,7 +219,8 @@ def test_mean_mode_profile_is_built_on_first_use():
     cauchy_transform(phi, "quadrature")
     assert geo.w_mean == complex(np.mean(tapered_conjugate_reference(dom)))
     assert {k for k, v in vars(geo).items()
-            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {"dz_w"}
+            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {
+                "P", "S", "dz_w"}
     # any block of w is the block of the whole-array expression
     w_ref = tapered_conjugate_reference(dom)
     for box in ((slice(0, 32), slice(0, 32)), (slice(3, 9), slice(20, 31)),
@@ -239,19 +236,18 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
     shape = (resolution, resolution)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     phi = ComplexField(dom, x)
-    table = _multipliers(resolution, dom.half_width)
     geo = _geometry(dom)
     assert np.array_equal(beurling_transform(phi).samples,
-                          fourier_apply_reference(x, table.S, geo.dz_w))
+                          fourier_apply_reference(x, geo.S, geo.dz_w))
     assert np.array_equal(cauchy_transform(phi).samples,
-                          fourier_apply_reference(x, table.P,
+                          fourier_apply_reference(x, geo.P,
                                                   tapered_conjugate_reference(dom)))
     assert np.array_equal(wirtinger_dz(phi).samples,
                           fourier_apply_reference(x, _dz_multiplier(resolution,
                                                                     dom.half_width)))
-    q = _quad_plan(dom)
     assert np.array_equal(beurling_transform(phi, "quadrature").samples,
-                          quad_convolve_reference(x, q.beurling_hat, q.cell_area))
+                          quad_convolve_reference(x, _quadrature_hat(dom, 2),
+                                                  dom.spacing * dom.spacing))
 
 
 @st.composite
@@ -290,16 +286,17 @@ def _check_box_applies(dom, box, seed):
     # quadrature kernels on the N x N data box of the zero-padded 2N grid
     n = dom.resolution
     x = _random_on_box(n, box, seed)
-    _check_apply(_multipliers(n, dom.half_width).S, _geometry(dom).dz_w, x, box)
+    geo = _geometry(dom)
+    _check_apply(geo.S, geo.dz_w, x, box)
     _check_apply(_dz_multiplier(n, dom.half_width), None, x, box)
-    q = _quad_plan(dom)
+    cell_area = dom.spacing * dom.spacing
     pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     pad[:n, :n] = x
     data = (slice(0, n), slice(0, n))
-    for kernel_hat in (q.cauchy_hat, q.beurling_hat):
+    for kernel_hat in (_quadrature_hat(dom, 1), _quadrature_hat(dom, 2)):
         apply = _check_apply(kernel_hat, None, pad, data)
-        assert same_bits(apply(x) * q.cell_area,
-                         quad_convolve_reference(x, kernel_hat, q.cell_area))
+        assert same_bits(apply(x) * cell_area,
+                         quad_convolve_reference(x, kernel_hat, cell_area))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -322,8 +319,8 @@ def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
     # the support box of the d-bar solves at the sizes the padding targets
     dom = disc_domain(resolution)
     box = _support_box(cutoff_field(dom))
-    _check_apply(_multipliers(resolution, dom.half_width).S, _geometry(dom).dz_w,
-                 _random_on_box(resolution, box, resolution), box)
+    geo = _geometry(dom)
+    _check_apply(geo.S, geo.dz_w, _random_on_box(resolution, box, resolution), box)
 
 
 @pytest.mark.parametrize("resolution, half_width", [(16, 3.0), (32, 2.5),
@@ -331,20 +328,18 @@ def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
 def test_quadrature_hats_match_the_meshgrid_construction(resolution, half_width):
     dom = DomainSpec(half_width, resolution, Disc(0j, 1.0), 0.8)
     cauchy, beurling = quadrature_hats_reference(dom)
-    q = _QuadraturePlan(dom)
-    assert same_bits(q.beurling_hat, beurling)
-    assert same_bits(q.cauchy_hat, cauchy)
+    assert same_bits(_quadrature_hat(dom, 2), beurling)
+    assert same_bits(_quadrature_hat(dom, 1), cauchy)
 
 
 @pytest.mark.parametrize("resolution", [128, 256])
 def test_quadrature_plan_builds_only_the_hat_a_call_needs(resolution):
-    # one hat is four fields of 16 N^2 bytes; the parent plan built both
-    # from int meshgrids, peaking at ~29 fields and keeping 8
-    q = _QuadraturePlan(disc_domain(resolution))
-    peak, kept, _ = traced_fields(lambda: q.beurling_hat, resolution)
+    # one hat is four fields of 16 N^2 bytes; building both from int
+    # meshgrids peaked at ~29 fields and kept 8
+    dom = disc_domain(resolution)
+    peak, kept, _ = traced_fields(lambda: _quadrature_hat(dom, 2), resolution)
     assert peak <= 16 and kept <= 4.01
-    assert "cauchy_hat" not in vars(q)
-    peak, kept, _ = traced_fields(lambda: q.cauchy_hat, resolution)
+    peak, kept, _ = traced_fields(lambda: _quadrature_hat(dom, 1), resolution)
     assert peak <= 16 and kept <= 4.01
 
 
@@ -429,7 +424,7 @@ def test_coarse_tables_derive_from_the_fine_grid(dom256):
     # the N/2 grid's S is the fine S on the band, Nyquist lines zeroed, and
     # its mean profile is the fine dz_w at even indices, a view
     S, profile = _coarse_tables(dom256)
-    own = _multipliers(128, dom256.half_width).S
+    own = _geometry(disc_domain(128)).S
     assert S.shape == (128, 128)
     assert np.all(S[64] == 0) and np.all(S[:, 64] == 0)
     assert np.max(np.abs(S - own)) <= 1e-15

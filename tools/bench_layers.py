@@ -29,13 +29,28 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     solve_dbar        mu = 0.3 constant, u the disc indicator
     sweep.linear9     solve_family, linear law on 0.5 + 0.3 bump, b = k/8
 
-Memory rows ("fields"): for solve_immersion, solve_dbar, sweep.linear9 and
-beurling.quadrature, the tracemalloc peak of the row's first call above its
-inputs, in fields of 16 N^2 bytes.  Each is taken once per tree and N, in a
-child process of its own, apart from the timing rounds: the inputs are built
-before tracing starts, and the per-grid caches (multiplier table, mean
-profile, quadrature plan) are cold, so the peak includes building them.
-Allocations are deterministic, so one child per row suffices.
+Memory rows, in fields of 16 N^2 bytes: "fields" is the tracemalloc peak of
+the row's first call above its inputs, and "kept" what stays allocated above
+the inputs once the call has returned and its result is dropped.  The rows
+are solve_immersion, solve_dbar, sweep.linear9 and beurling.quadrature as
+above, and
+
+    exhaust.3         exhaustion_solve on radii 1, 1.5, 2 with taylor_degree 8,
+                      mu = 0 and u the disc indicator of radius 0.25, the data
+                      of the shipped exhaust config (a nonzero mu inside the
+                      first disc peaks alike, but at N = 1024 misses the
+                      budget of the 11th disc by rounding)
+    exhaust.11        the same on 11 radii evenly spaced from 1 to 2
+
+Each is taken once per tree and N, in a child process of its own, apart
+from the timing rounds.  The inputs are built before tracing starts, but no
+transform table is: the peak includes building the multipliers, the mean
+profile dz_w and the quadrature kernel (in a tree from before the
+per-domain tables, the per-grid caches start cold).  "kept" counts the
+tables that outlive the call: those of the input domain, which is still
+alive, and in such an older tree the cached tables of every step domain
+and the quadrature plan.  Allocations are deterministic, so one child per
+row suffices.
 
 The script prints the JSON it writes.  Timings are wall clock
 (``time.perf_counter``) and depend on the host: record its CPU count and
@@ -57,7 +72,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # calls per row and round; ten times as many for the cheap rows
 SWEEP_REPEAT = 2  # calls of the 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
-MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature")
+MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature",
+               "exhaust.3", "exhaust.11")
 
 
 def _best(fn, repeat: int) -> float:
@@ -108,8 +124,11 @@ def _child(resolution: int) -> dict:
 
 
 def _memory_child(resolution: int, row: str) -> dict:
-    """The tracemalloc peak of one cold call of ``row`` above its inputs."""
+    """The tracemalloc peak of one cold call of ``row`` above its inputs, and
+    what it keeps once its result is dropped."""
     import tracemalloc
+
+    import numpy as np
 
     import beltrami as bl
 
@@ -119,19 +138,31 @@ def _memory_child(resolution: int, row: str) -> dict:
     strong = bl.BeltramiField.from_raw(
         bl.constant_field(domain, 0.5) + bl.gaussian_bump_field(domain, 0.3, width=0.5))
     cfg = bl.SolverConfig()
+    zero = bl.BeltramiField.from_raw(bl.constant_field(domain, 0.0))
+    small = bl.builtin_field({"kind": "disc-indicator", "radius": 0.25, "width": 0.5},
+                             domain)
+
+    def exhaust(discs: int):
+        return bl.exhaustion_solve(zero, small, list(np.linspace(1.0, 2.0, discs)),
+                                   8, cfg)
+
     call = {
         "solve_immersion": lambda: bl.solve_immersion(mu, cfg),
         "solve_dbar": lambda: bl.solve_dbar(mu, u, cfg),
         "sweep.linear9": lambda: bl.solve_family(
             bl.FamilySpec(strong, tuple(k / 8 for k in range(9))), [u] * 9, cfg),
         "beurling.quadrature": lambda: bl.beurling_transform(u, "quadrature"),
+        "exhaust.3": lambda: exhaust(3),
+        "exhaust.11": lambda: exhaust(11),
     }[row]
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
-    call()
-    peak = tracemalloc.get_traced_memory()[1]
+    call()   # the result is dropped here
+    kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return {"N": resolution, "row": row, "fields": (peak - base) / (16 * resolution ** 2)}
+    field = 16 * resolution ** 2
+    return {"N": resolution, "row": row, "fields": (peak - base) / field,
+            "kept": (kept - base) / field}
 
 
 def _run_child(tree: Path, resolution: int, memory_row: str | None = None) -> dict:
@@ -184,12 +215,14 @@ def main(argv=None) -> int:
                 for row, seconds in child["rows"].items():
                     rows.setdefault(row, []).append(seconds)
 
-    fields = {name: {} for name in trees}   # tree -> N -> row -> fields
+    fields = {name: {} for name in trees}   # tree -> N -> row -> peak fields
+    kept = {name: {} for name in trees}     # tree -> N -> row -> kept fields
     for n in args.sizes:
         for row in MEMORY_ROWS:
             for name, tree in trees.items():
                 child = _run_child(tree, n, row)
                 fields[name].setdefault(str(n), {})[row] = round(child["fields"], 3)
+                kept[name].setdefault(str(n), {})[row] = round(child["kept"], 3)
 
     def per_row(stat):
         return {name: {n: {row: stat(times) for row, times in rows.items()}
@@ -205,13 +238,17 @@ def main(argv=None) -> int:
                    "tree and N, trees alternating; 'seconds' holds each "
                    "row's best over the processes and 'spread' the "
                    "[min, max] of the processes' bests, in seconds per call"),
-        "memory_method": ("tracemalloc peak of the row's first call above its "
-                          "inputs, per-grid caches cold, one child process per "
-                          "tree, N and row; in fields of 16 N^2 bytes"),
+        "memory_method": ("'fields': tracemalloc peak of the row's first call "
+                          "above its inputs, no transform table built "
+                          "beforehand; 'kept': allocated above the inputs after "
+                          "the call returned and its result was dropped; one "
+                          "child process per tree, N and row; in fields of "
+                          "16 N^2 bytes"),
         "commits": {name: _commit(tree) for name, tree in trees.items()},
         "seconds": per_row(min),
         "spread": per_row(lambda times: [min(times), max(times)]),
         "fields": fields,
+        "kept": kept,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
