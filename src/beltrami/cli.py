@@ -33,15 +33,16 @@ from .errors import (
     RungeApproximationFailure,
     ValidationError,
 )
-from .exhaustion import exhaustion_solve
+from .exhaustion import _check_exhaustion, exhaustion_solve
 from .family import FamilySpec, solve_dbar, solve_family
-from .fieldgen import _check_keys, _number, builtin_field
+from .fieldgen import _as_complex, _check_keys, builtin_field
 from .grid import (
     BeltramiField,
     ComplexField,
     Disc,
     DomainSpec,
     Rect,
+    _real,
     omega_mask,
 )
 from .io import (
@@ -102,12 +103,18 @@ def _require(cfg: dict, key: str, default=_MISSING):
     return cfg.get(key, default)
 
 
-def _numbers(value, what: str, length: int | None = None) -> list:
-    """A list of config numbers (of exactly ``length`` entries if given)."""
+def _list(value, what: str, length: int | None = None) -> list:
+    """``value`` if it is a list (of exactly ``length`` entries if given);
+    its entries are checked by the reader or constructor that takes them."""
     if not isinstance(value, list) or length not in (None, len(value)):
-        size = "" if length is None else f"{length} "
-        raise ValidationError(f"{what} must be a list of {size}numbers, got {value!r}")
-    return [_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
+        size = "" if length is None else f" of {length} entries"
+        raise ValidationError(f"{what} must be a list{size}, got {value!r}")
+    return value
+
+
+def _whole(value):
+    """An integral config float (32.0) as an int; any other value as it is."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _domain_from_config(cfg: dict) -> DomainSpec:
@@ -117,62 +124,50 @@ def _domain_from_config(cfg: dict) -> DomainSpec:
     shape = _require(omega_spec, "shape", None)
     if shape == "disc":
         _check_keys(omega_spec, ("shape", "center", "radius"), "disc omega")
-        cx, cy = _numbers(_require(omega_spec, "center", [0.0, 0.0]),
-                          "disc center", 2)
-        omega = Disc(complex(cx, cy),
-                     _number(_require(omega_spec, "radius"), "disc radius"))
+        center = _list(_require(omega_spec, "center", [0.0, 0.0]), "disc center", 2)
+        omega = Disc(_as_complex(center, "disc center"), _require(omega_spec, "radius"))
     elif shape == "rect":
         _check_keys(omega_spec, ("shape", "corners"), "rect omega")
-        omega = Rect(*_numbers(_require(omega_spec, "corners"),
-                               "rect corners [x0, y0, x1, y1]", 4))
+        omega = Rect(*_list(_require(omega_spec, "corners"),
+                            "rect corners [x0, y0, x1, y1]", 4))
     else:
         raise ValidationError(f"unknown omega shape {shape!r}")
-    return DomainSpec(
-        half_width=_number(_require(spec, "half_width"), "half_width"),
-        resolution=_number(_require(spec, "resolution"), "resolution",
-                           integer=True),
-        omega=omega,
-        margin=_number(_require(spec, "margin"), "margin"),
-    )
+    return DomainSpec(half_width=_require(spec, "half_width"),
+                      resolution=_whole(_require(spec, "resolution")),
+                      omega=omega, margin=_require(spec, "margin"))
 
 
 def _solver_from_config(cfg: dict) -> SolverConfig:
     """Absent keys of the optional 'solver' object keep the defaults; a key
     that is not a SolverConfig field is refused."""
     spec = _require(cfg, "solver", {})
-    solver = SolverConfig(**{
-        f.name: _number(_require(spec, f.name, f.default), f"solver {f.name}",
-                        integer=isinstance(f.default, int))
-        for f in fields(SolverConfig)
-    })
+    max_iter = _whole(_require(spec, "max_iter", SolverConfig.max_iter))
     _check_keys(spec, [f.name for f in fields(SolverConfig)], "solver")
-    return solver
+    return SolverConfig(**dict(spec, max_iter=max_iter))
 
 
 def _family_from_config(cfg: dict, domain: DomainSpec,
                         mu: BeltramiField) -> FamilySpec:
     spec = _require(cfg, "family")
-    grid = _numbers(_require(spec, "grid"), "family grid")
+    grid = _list(_require(spec, "grid"), "family grid")
     law = _require(spec, "law", "linear")
     _check_keys(spec, ("law", "grid", "mu_table") if law == "table"
                 else ("law", "grid"), f"{law} family")
     table = None
     if law == "table":
-        specs = _require(spec, "mu_table")
-        if not isinstance(specs, list):
-            raise ValidationError(
-                f"family mu_table must be a list of field specs, got {specs!r}")
+        specs = _list(_require(spec, "mu_table"), "family mu_table")
         table = tuple(BeltramiField.from_raw(builtin_field(s, domain))
                       for s in specs)
     return FamilySpec(mu, tuple(grid), law=law, table=table)
 
 
 def _exhaustion_from_config(cfg: dict) -> tuple:
+    """The radii and taylor_degree, checked as exhaustion_solve checks them."""
     spec = _require(cfg, "exhaustion")
-    radii = _numbers(_require(spec, "radii"), "exhaustion radii")
+    radii = _list(_require(spec, "radii"), "exhaustion radii")
     _check_keys(spec, ("radii", "taylor_degree"), "exhaustion")
-    return radii, _number(_require(spec, "taylor_degree"), "taylor_degree",
-                          integer=True)
+    return _check_exhaustion(_domain_from_config(cfg), radii,
+                             _whole(_require(spec, "taylor_degree")))
 
 
 # Config inputs in parse order; a parser sees the inputs parsed before it.
@@ -417,7 +412,7 @@ def _cmd_verify(out: Path):
     if command not in ("solve-beltrami", "solve-dbar", "sweep-family", "exhaust"):
         raise ValidationError(f"cannot verify runs of command {command!r}")
     if command == "exhaust":
-        radii = _numbers(_require(report, "radii"), "report radii")
+        radii = _list(_require(report, "radii"), "report radii")
         if not radii:
             raise ValidationError("report radii must not be empty")
         domain = DomainSpec(domain.half_width, domain.resolution,
@@ -425,7 +420,7 @@ def _cmd_verify(out: Path):
     mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", domain))
 
     def recheck(record, what: str, mu_, name: str, rhs_name=None):
-        stored = _number(_require(record, "interior_residual"), what)
+        stored = _real(_require(record, "interior_residual"), what)
         f = read_field(out / name, domain)
         rhs = None if rhs_name is None else read_field(out / rhs_name, domain)
         recomputed = beltrami_residual(f, mu_, rhs)
@@ -440,12 +435,8 @@ def _cmd_verify(out: Path):
         recheck(report, "interior_residual", mu, "f.field", "rhs.field")
     else:
         family = _family_from_config(cfg, domain, mu)
-        entries = _require(report, "entries")
-        if (not isinstance(entries, list)
-                or len(entries) != len(family.parameter_grid)):
-            raise ValidationError(
-                f"report entries must be a list of one record per family "
-                f"parameter, got {entries!r}")
+        entries = _list(_require(report, "entries"), "report entries (one per "
+                        "family parameter)", len(family.parameter_grid))
         for idx, record in enumerate(entries):
             if _require(record, "error", None) is None:
                 recheck(record, f"entry {idx} interior_residual",

@@ -27,6 +27,8 @@ from .grid import (
     Disc,
     DomainSpec,
     _geometry,
+    _integer,
+    _real,
     rebase,
 )
 from .solver import SolverConfig
@@ -95,16 +97,6 @@ def _lagrange_weights(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.prod(factors, axis=2)
 
 
-def _check_degree(degree, what: str) -> None:
-    """Refuse a degree outside 1..MAX_TAYLOR_DEGREE before anything is
-    allocated for it."""
-    if (isinstance(degree, (bool, np.bool_))
-            or not isinstance(degree, (int, np.integer))
-            or not 1 <= degree <= MAX_TAYLOR_DEGREE):
-        raise ValidationError(f"{what} must be an integer from 1 to "
-                              f"{MAX_TAYLOR_DEGREE}, got {degree!r}")
-
-
 def taylor_project(f: ComplexField, center: complex, degree: int,
                    circle_radius: float) -> TaylorJet:
     """Taylor coefficients of f at ``center`` by circle Cauchy integrals.
@@ -119,7 +111,8 @@ def taylor_project(f: ComplexField, center: complex, degree: int,
     returned circle_residual flags inputs that are not.  ``degree`` runs
     from 1 to MAX_TAYLOR_DEGREE.
     """
-    _check_degree(degree, "degree")
+    degree = _integer(degree, "degree", 1, MAX_TAYLOR_DEGREE)
+    circle_radius = _real(circle_radius, "circle_radius")
     if circle_radius <= 0:
         raise ValidationError("circle_radius must be positive")
     samples = max(64, 8 * degree)
@@ -152,6 +145,20 @@ class ExhaustionTrace:
     rhs: ComplexField = field(repr=False)
 
 
+def _check_exhaustion(domain: DomainSpec, radii: Sequence[float],
+                      taylor_degree: int) -> tuple[list, int]:
+    """The radii as floats and the degree as an int, checked before a solve
+    runs: radii positive, strictly increasing and below L - margin on
+    ``domain``, a degree from 1 to MAX_TAYLOR_DEGREE."""
+    radii = [_real(r, f"radii[{i}]") for i, r in enumerate(radii)]
+    if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValidationError(f"radii must be nonempty, positive and strictly "
+                              f"increasing, got {radii}")
+    if radii[-1] >= domain.half_width - domain.margin:
+        raise ValidationError("last radius must satisfy r < L - margin")
+    return radii, _integer(taylor_degree, "taylor_degree", 1, MAX_TAYLOR_DEGREE)
+
+
 def exhaustion_solve(mu: BeltramiField, u: ComplexField,
                      radii: Sequence[float], taylor_degree: int,
                      cfg: SolverConfig = SolverConfig()
@@ -171,15 +178,8 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     radius this is exactly solve_dbar on that disc.  The trace
     also carries the rhs that the returned f solves on the last disc.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) == 0:
-        raise ValidationError("radii must be nonempty")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValidationError("radii must be strictly increasing")
-    _check_degree(taylor_degree, "taylor_degree")
     base = mu.domain
-    if radii[-1] >= base.half_width - base.margin:
-        raise ValidationError("last radius must satisfy r < L - margin")
+    radii, taylor_degree = _check_exhaustion(base, radii, taylor_degree)
 
     def solve_on(r: float) -> DbarResult:
         domain = DomainSpec(base.half_width, base.resolution, Disc(0j, r), base.margin)

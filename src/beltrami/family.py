@@ -41,7 +41,9 @@ from .grid import (
     ComplexField,
     _fd_beltrami_defect,
     _FourierApply,
+    _integer,
     _on_grid,
+    _real,
     _support_box,
     interior_mask,
     sup_norm,
@@ -154,7 +156,7 @@ class FamilySpec:
     table: Optional[tuple] = None
 
     def __post_init__(self):
-        grid = tuple(float(b) for b in self.parameter_grid)
+        grid = tuple(_real(b, "family parameter") for b in self.parameter_grid)
         object.__setattr__(self, "parameter_grid", grid)
         if len(grid) == 0:
             raise ValidationError("parameter_grid must be nonempty")
@@ -518,6 +520,7 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     quadratic-extrapolation gaps when the grid is uniform with at least four
     points.
     """
+    threads = _integer(threads, "threads", 0)
     grid = family.parameter_grid
     if len(u_family) != len(grid):
         raise ValidationError("u_family must align with the parameter grid")

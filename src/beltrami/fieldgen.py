@@ -3,40 +3,20 @@
 Every generator is deterministic in its parameters.  Field specs are plain
 dicts (the CLI config format): {"kind": ..., parameters...}.  Complex scalars
 are given either as a number or as a two-element [re, im] list.  Every number
-is read through ``_number``: non-numbers, bools and non-finite values raise
+is read through ``grid._real``: non-numbers, bools and non-finite values raise
 ValidationError.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ComplexField, DomainSpec, _geometry, transition_profile
+from .grid import ComplexField, DomainSpec, _geometry, _real, transition_profile
 
 DEFAULT_INDICATOR_WIDTH = 0.3
-
-
-def _number(value, what: str, integer: bool = False):
-    """A finite config number as a float (an integral one as an int when
-    ``integer``); anything else raises ValidationError, never coerced."""
-    if (isinstance(value, (bool, np.bool_))
-            or not isinstance(value, numbers.Real)):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    if integer:
-        if not x.is_integer():
-            raise ValidationError(f"{what} must be an integer, got {value!r}")
-        return int(value)
-    return x
 
 
 def _check_keys(spec: dict, allowed, what: str) -> None:
@@ -51,12 +31,12 @@ def _as_complex(value, what: str) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ValidationError(f"{what} needs [re, im], got {value!r}")
-        return complex(_number(value[0], f"{what} re"),
-                       _number(value[1], f"{what} im"))
-    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
-        return complex(_number(value.real, f"{what} re"),
-                       _number(value.imag, f"{what} im"))
-    return complex(_number(value, what))
+        re, im = value
+    elif isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        re, im = value.real, value.imag
+    else:
+        return complex(_real(value, what))
+    return complex(_real(re, f"{what} re"), _real(im, f"{what} im"))
 
 
 def constant_field(domain: DomainSpec, value: complex) -> ComplexField:
@@ -79,8 +59,8 @@ def disc_indicator_field(domain: DomainSpec, amplitude: complex = 1.0,
         if not isinstance(domain.omega, Disc):
             raise ValidationError("disc-indicator needs a radius for Rect domains")
         radius = domain.omega.radius
-    radius = _number(radius, "disc-indicator radius")
-    width = _number(width, "disc-indicator width")
+    radius = _real(radius, "disc-indicator radius")
+    width = _real(width, "disc-indicator width")
     # width == 2*radius degenerates the flat part to the center point, which
     # is the compactly supported bump profile; wider than that is invalid
     if width <= 0 or width > 2 * radius:
@@ -99,7 +79,7 @@ def gaussian_bump_field(domain: DomainSpec, amplitude: complex = 1.0,
     The cutoff factor gives exact compact support; the peak sits where the
     cutoff is 1, so the sup-norm equals |amplitude|.
     """
-    width = _number(width, "gaussian-bump width")
+    width = _real(width, "gaussian-bump width")
     if width <= 0:
         raise ValidationError("gaussian width must be positive")
     center = _as_complex(center, "gaussian-bump center")

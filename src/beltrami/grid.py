@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -48,11 +49,27 @@ MAX_RESOLUTION = 4096
 # domain specification
 # ---------------------------------------------------------------------------
 
-def _finite_real(value) -> bool:
-    """A finite real number that is not a bool (Python's or numpy's)."""
-    return (isinstance(value, numbers.Real)
-            and not isinstance(value, (bool, np.bool_))
-            and math.isfinite(value))
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number and not a bool
+    (Python's or numpy's); else ValidationError.  With ``_integer``, the
+    check of every scalar that a public entry point takes."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:   # math.isfinite of an int too large for a float
+        pass
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+
+
+def _integer(value, what: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int if it is an integer (not a bool or 3.0) from
+    ``lo`` to ``hi`` that a float can hold; else ValidationError."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value <= hi and abs(value) <= sys.float_info.max):
+        return int(value)
+    span = f"from {lo} to {hi}" if hi < math.inf else f">= {lo}"
+    raise ValidationError(f"{what} must be an integer {span}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +109,11 @@ class DomainSpec:
         region where extended fields vanish.
 
     Every length, corner and center coordinate must be a finite real
-    number.  A domain owns its tables (cutoff, masks, Fourier multipliers,
-    mean profiles): they are built on first use and freed with the domain.
-    Equal domains built separately do not share them, so build one
-    DomainSpec and pass that instance to every field and solve on it.
+    number; the fields hold the checked floats.  A domain owns its tables
+    (cutoff, masks, Fourier multipliers, mean profiles): they are built on
+    first use and freed with the domain.  Equal domains built separately
+    do not share them, so build one DomainSpec and pass that instance to
+    every field and solve on it.
     """
 
     half_width: float
@@ -104,42 +122,39 @@ class DomainSpec:
     margin: float
 
     def __post_init__(self):
-        L, N = self.half_width, self.resolution
-        if not (isinstance(N, (int, np.integer)) and N % 2 == 0
-                and MIN_RESOLUTION <= N <= MAX_RESOLUTION):
-            raise ValidationError(f"resolution must be an even integer from "
-                                  f"{MIN_RESOLUTION} to {MAX_RESOLUTION}, got {N!r}")
-        for name, value in (("half_width", L), ("margin", self.margin)):
-            if not (_finite_real(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive, "
-                                      f"got {value!r}")
+        N = _integer(self.resolution, "resolution", MIN_RESOLUTION, MAX_RESOLUTION)
+        if N % 2:
+            raise ValidationError(f"resolution must be even, got {N}")
+        L, margin = _real(self.half_width, "half_width"), _real(self.margin, "margin")
+        lengths = [("half_width", L), ("margin", margin)]
         if isinstance(self.omega, Disc):
-            c, radius = self.omega.center, self.omega.radius
-            if not (_finite_real(radius) and radius > 0):
-                raise ValidationError(f"disc radius must be finite and positive, "
-                                      f"got {radius!r}")
-            if not (isinstance(c, numbers.Complex) and not isinstance(c, (bool, np.bool_))
-                    and _finite_real(c.real) and _finite_real(c.imag)):
-                raise ValidationError(f"disc center must be finite, got {c!r}")
-            cx, cy = c.real, c.imag
-            span = radius + self.margin
-            if abs(cx) + span >= L or abs(cy) + span >= L:
-                raise ValidationError(
-                    "omega plus margin collar does not fit inside the open square"
-                )
+            c = self.omega.center
+            if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Complex):
+                raise ValidationError(f"disc center must be a finite number, got {c!r}")
+            omega = Disc(complex(_real(c.real, "disc center"),
+                                 _real(c.imag, "disc center")),
+                         _real(self.omega.radius, "disc radius"))
+            lengths.append(("disc radius", omega.radius))
+            reach = max(abs(omega.center.real), abs(omega.center.imag))
+            span = omega.radius + margin
         elif isinstance(self.omega, Rect):
             r = self.omega
-            if not all(map(_finite_real, (r.x0, r.y0, r.x1, r.y1))):
-                raise ValidationError(f"rectangle corners must be finite, got {r!r}")
-            if not (r.x0 < r.x1 and r.y0 < r.y1):
+            corners = [_real(v, "rectangle corner") for v in (r.x0, r.y0, r.x1, r.y1)]
+            omega = Rect(*corners)
+            if not (omega.x0 < omega.x1 and omega.y0 < omega.y1):
                 raise ValidationError("rectangle corners must satisfy x0 < x1, y0 < y1")
-            if (max(abs(r.x0), abs(r.x1)) + self.margin >= L
-                    or max(abs(r.y0), abs(r.y1)) + self.margin >= L):
-                raise ValidationError(
-                    "omega plus margin collar does not fit inside the open square"
-                )
+            reach, span = max(map(abs, corners)), margin
         else:
             raise ValidationError(f"unsupported omega shape: {self.omega!r}")
+        for name, value in lengths:
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value!r}")
+        if reach + span >= L:
+            raise ValidationError(
+                "omega plus margin collar does not fit inside the open square"
+            )
+        # the frozen fields hold the checked values
+        vars(self).update(half_width=L, resolution=N, omega=omega, margin=margin)
 
     @property
     def spacing(self) -> float:
@@ -407,6 +422,7 @@ class BeltramiField:
 
     def scaled(self, factor: float) -> "BeltramiField":
         """The coefficient factor * mu (cutoff extension is linear in raw)."""
+        factor = _real(factor, "scaling factor")
         if not 0.0 <= factor <= 1.0:
             raise ValidationError("scaling factor must lie in [0, 1]")
         return BeltramiField(

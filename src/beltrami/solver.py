@@ -56,9 +56,10 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _fd_beltrami_defect,
-    _finite_real,
     _FourierApply,
+    _integer,
     _on_grid,
+    _real,
     _support_box,
     interior_mask,
     make_coordinate_field,
@@ -84,17 +85,15 @@ class SolverConfig:
     contraction_cap: float = 0.9
 
     def __post_init__(self):
-        if not (_finite_real(self.tol) and self.tol > 0):
-            raise ValidationError(f"tol must be a finite positive number, "
-                                  f"got {self.tol!r}")
-        n = self.max_iter
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"max_iter must be an integer >= 1, got {n!r}")
-        if not (_finite_real(self.contraction_cap)
-                and 0.0 < self.contraction_cap < 1.0):
-            raise ValidationError(
-                f"contraction_cap must lie in (0, 1), got {self.contraction_cap!r}"
-            )
+        tol = _real(self.tol, "tol")
+        if tol <= 0:
+            raise ValidationError(f"tol must be positive, got {tol!r}")
+        max_iter = _integer(self.max_iter, "max_iter", 1)
+        cap = _real(self.contraction_cap, "contraction_cap")
+        if not 0.0 < cap < 1.0:
+            raise ValidationError(f"contraction_cap must lie in (0, 1), got {cap!r}")
+        # the frozen fields hold the checked values
+        vars(self).update(tol=tol, max_iter=max_iter, contraction_cap=cap)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .grid import (
     _FourierApply,
     _full_box,
     _geometry,
+    _integer,
 )
 
 METHODS = ("spectral", "quadrature")
@@ -89,8 +90,8 @@ def _quadrature_hat(domain: DomainSpec, power: int) -> np.ndarray:
     2N lattice offsets w, zero at w = 0 (the exact centered-cell integral)
     and on the row and column of offset -N, which no aperiodic pair reaches.
 
-    Built for each apply and not kept: one complex (2N)^2 array, four
-    fields.  The kernel is formed from the 1-D lattice offsets by
+    Built once per ``_transform`` and not kept: one complex (2N)^2 array,
+    four fields.  The kernel is formed from the 1-D lattice offsets by
     broadcasting, in place in one buffer, and transformed in it; the samples
     are bitwise those of the meshgrid construction ``np.fft.fft2`` of the
     whole-array expressions.
@@ -116,19 +117,23 @@ def _quadrature_hat(domain: DomainSpec, power: int) -> np.ndarray:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _apply(samples: np.ndarray, domain: DomainSpec, method: str,
-           kind: str) -> np.ndarray:
-    """P (``kind`` "P") or S ("S") of whole-grid samples, in a fresh
-    contiguous array, which a ComplexField takes without a copy."""
+def _transform(domain: DomainSpec, method: str, kind: str):
+    """P (``kind`` "P") or S ("S") on the grid of ``domain``: a function of
+    whole-grid samples returning a fresh contiguous array, which a
+    ComplexField takes without a copy.  It builds a quadrature kernel once."""
     if method == "spectral":
         geo = _geometry(domain)
         multiplier, profile = (geo.P, geo.w) if kind == "P" else (geo.S, geo.dz_w)
-        apply = _FourierApply(multiplier, profile, _full_box(samples), pad=0)
-        apply(samples)
-        return apply.finish()
+
+        def spectral(samples: np.ndarray) -> np.ndarray:
+            apply = _FourierApply(multiplier, profile, _full_box(samples), pad=0)
+            apply(samples)
+            return apply.finish()
+        return spectral
     n, h = domain.resolution, domain.spacing
     hat = _quadrature_hat(domain, 1 if kind == "P" else 2)
-    return _FourierApply(hat, None, (slice(0, n), slice(0, n)))(samples) * (h * h)
+    quadrature = _FourierApply(hat, None, (slice(0, n), slice(0, n)))
+    return lambda samples: quadrature(samples) * (h * h)
 
 
 def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexField:
@@ -151,7 +156,7 @@ def cauchy_transform(phi: ComplexField, method: str = "spectral") -> ComplexFiel
     """
     _check_method(method)
     d = phi.domain
-    out = _apply(phi.samples, d, method, "P")
+    out = _transform(d, method, "P")(phi.samples)
     if method == "quadrature":
         # re-pin the additive constant to the spectral gauge
         out += np.mean(phi.samples) * _geometry(d).w_mean - np.mean(out)
@@ -166,7 +171,7 @@ def beurling_transform(phi: ComplexField, method: str = "spectral") -> ComplexFi
     -1/(pi zeta^2) (principal value, singular cell exactly 0).
     """
     _check_method(method)
-    return ComplexField(phi.domain, _apply(phi.samples, phi.domain, method, "S"))
+    return ComplexField(phi.domain, _transform(phi.domain, method, "S")(phi.samples))
 
 
 def estimate_contraction(mu: BeltramiField, iterations: int = 8,
@@ -179,9 +184,9 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
     ||mu S|| on L^2), and it can read below or far above the observed
     Neumann rate.  Deterministic; returns 0 for mu identically zero.
     """
-    if iterations < 1:
-        raise ValidationError(f"iterations must be >= 1, got {iterations!r}")
+    iterations = _integer(iterations, "iterations", 1)
     _check_method(method)
+    beurling = _transform(mu.domain, method, "S")
     m = mu.extended.samples
     magnitude = np.empty(m.shape)
     norm = float(np.max(np.abs(m, out=magnitude)))
@@ -190,7 +195,7 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
     for _ in range(iterations):
         if norm == 0.0:
             break
-        v = _apply(v, mu.domain, method, "S")  # a fresh array: update it in place
+        v = beurling(v)  # a fresh array: update it in place
         np.multiply(m, v, out=v)
         grown = float(np.max(np.abs(v, out=magnitude)))
         q = max(q, grown / norm)

@@ -442,6 +442,65 @@ def test_taylor_degree_above_the_bound_exits_1_before_allocating(tmp_path):
     assert peak < 2 ** 22, peak
 
 
+@pytest.mark.parametrize("exhaustion", [
+    {"radii": [1.5, 1.0], "taylor_degree": 8},
+    {"radii": [1.0, 1.5], "taylor_degree": 30000},
+    {"radii": [1.0, 2.5], "taylor_degree": 8},
+], ids=["decreasing-radii", "degree-above-the-bound", "last-radius-past-L-margin"])
+def test_exhaust_refuses_its_config_before_writing_into_an_existing_out(
+        tmp_path, exhaustion):
+    # these were refused by exhaustion_solve only after config.json had
+    # been copied into --out, so an --out that existed kept it
+    cfg = _config(tmp_path, domain=_domain(32), exhaustion=exhaustion)
+    out = tmp_path / "ex"
+    out.mkdir()
+    result = _invoke(["exhaust", "--config", cfg, "--out", out])
+    assert result.exit_code == 1, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["kind"] == "ValidationError"
+    assert list(out.iterdir()) == []
+
+
+def _as_floats(value):
+    """A config with every number but schema_version written as a float."""
+    if isinstance(value, dict):
+        return {k: v if k == "schema_version" else _as_floats(v)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_floats(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("solve-dbar", {"mu": {"kind": "constant", "value": [0.3, 0]},
+                    "u": {"kind": "disc-indicator"}}),
+    ("exhaust", {"mu": {"kind": "constant", "value": [0, 0]},
+                 "u": {"kind": "disc-indicator", "radius": 0.25, "width": 0.5},
+                 "exhaustion": {"radii": [1, 1.5, 1.75], "taylor_degree": 8}}),
+])
+def test_int_config_numbers_give_the_run_files_of_floats(tmp_path, command, inputs):
+    # the constructors take the raw JSON numbers, and the reports write the
+    # checked floats: "radii": [1, ...] would differ from [1.0, ...]
+    cfg = {"schema_version": 1,
+           "domain": {"half_width": 3, "resolution": 64, "margin": 1,
+                      "omega": {"shape": "disc", "center": [0, 0], "radius": 1}},
+           "solver": {"tol": 1e-10, "max_iter": 200, "contraction_cap": 0.9},
+           **inputs}
+    runs = {}
+    for name, config in (("ints", cfg), ("floats", _as_floats(cfg))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / name
+        result = _invoke([command, "--config", path, "--out", out])
+        assert result.exit_code == 0, result.output
+        runs[name] = _tree_bytes(out)
+        assert runs[name].pop("config.json") == path.read_bytes()
+        assert _invoke(["verify", "--out", out]).exit_code == 0
+    assert b'"resolution": 64.0' in (tmp_path / "floats.json").read_bytes()
+    assert runs["ints"] == runs["floats"]
+
+
 def test_readme_config_schema_parses(tmp_path):
     # the documented schema is a config every parser accepts
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

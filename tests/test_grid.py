@@ -10,18 +10,24 @@ from beltrami import (
     ComplexField,
     Disc,
     DomainSpec,
+    FamilySpec,
     Rect,
+    SolverConfig,
     ValidationError,
     beurling_transform,
     constant_field,
     cutoff_field,
+    estimate_contraction,
+    exhaustion_solve,
     fd_wirtinger_dbar,
     fd_wirtinger_dz,
     interior_mask,
     make_coordinate_field,
     omega_mask,
     solve_dbar,
+    solve_family,
     sup_norm,
+    taylor_project,
     wirtinger_dz,
 )
 from beltrami.grid import (
@@ -112,6 +118,64 @@ def test_domain_values_take_ints_and_numpy_numbers():
     dom = DomainSpec(np.float64(3.0), 64, Disc(np.complex128(0.5j), np.int64(1)), 1)
     assert dom.spacing == 6.0 / 64
     assert DomainSpec(3, 64, Disc(0, 1.0), 0.8).omega.center == 0
+
+
+# A malformed scalar argument of any public entry point raises
+# ValidationError; before, these raised OverflowError, TypeError or
+# ValueError from the arithmetic they reached, or ran (bools and numeric
+# strings read as numbers, a fractional or bool thread count).
+_BOUNDARY_CASES = {
+    "domain-huge-int": lambda mu, u: DomainSpec(10 ** 400, 64, Disc(0j, 1.0), 0.8),
+    "tol-huge-int": lambda mu, u: SolverConfig(tol=10 ** 400),
+    "cap-huge-int": lambda mu, u: SolverConfig(contraction_cap=10 ** 400),
+    "grid-str": lambda mu, u: FamilySpec(mu, ("0.5", 1.0)),
+    "grid-bool": lambda mu, u: FamilySpec(mu, (True, 0.5)),
+    "grid-abc": lambda mu, u: FamilySpec(mu, ("abc",)),
+    "grid-none": lambda mu, u: FamilySpec(mu, (None,)),
+    "radii-str": lambda mu, u: exhaustion_solve(mu, u, ["1.0"], 4),
+    "radii-bool": lambda mu, u: exhaustion_solve(mu, u, [True], 4),
+    "radii-none": lambda mu, u: exhaustion_solve(mu, u, [None], 4),
+    "circle-radius-str": lambda mu, u: taylor_project(u, 0j, 3, "0.5"),
+    "circle-radius-nan": lambda mu, u: taylor_project(u, 0j, 3, math.nan),
+    "scaled-str": lambda mu, u: mu.scaled("0.5"),
+    "iterations-str": lambda mu, u: estimate_contraction(mu, "3"),
+    "iterations-float": lambda mu, u: estimate_contraction(mu, 2.5),
+    "iterations-bool": lambda mu, u: estimate_contraction(mu, True),
+    "threads-negative": lambda mu, u: _table_sweep(mu, u, -1),
+    "threads-str": lambda mu, u: _table_sweep(mu, u, "2"),
+    "threads-float": lambda mu, u: _table_sweep(mu, u, 2.5),
+    "threads-bool": lambda mu, u: _table_sweep(mu, u, True),
+}
+
+
+def _table_sweep(mu, u, threads):
+    family = FamilySpec(mu, (0.0, 1.0), law="table", table=(mu, mu))
+    return solve_family(family, [u, u], threads=threads)
+
+
+@pytest.mark.parametrize("case", _BOUNDARY_CASES)
+def test_malformed_scalar_arguments_raise_validation_error(dom64, case):
+    mu = BeltramiField.from_raw(constant_field(dom64, 0.3))
+    u = constant_field(dom64, 1.0)
+    with pytest.raises(ValidationError):
+        _BOUNDARY_CASES[case](mu, u)
+
+
+def test_frozen_types_hold_the_checked_numbers():
+    # numpy scalars were stored as given, so a float32 half-width made the
+    # grid spacing a float32
+    dom = DomainSpec(np.float32(3.1), np.int64(64),
+                     Disc(np.complex64(0.5j), np.int32(1)), np.float32(0.5))
+    assert [type(v) for v in (dom.half_width, dom.resolution, dom.margin,
+                              dom.omega.center, dom.omega.radius)] == [
+        float, int, float, complex, float]
+    assert dom.spacing == 2.0 * float(np.float32(3.1)) / 64
+    rect = DomainSpec(3, 64, Rect(np.int64(-1), -1, 1, np.float32(1)), 1).omega
+    assert [type(v) for v in (rect.x0, rect.y0, rect.x1, rect.y1)] == [float] * 4
+    cfg = SolverConfig(tol=np.float32(1e-3), max_iter=np.int64(3),
+                       contraction_cap=np.float16(0.5))
+    assert [type(v) for v in (cfg.tol, cfg.max_iter, cfg.contraction_cap)] == [
+        float, int, float]
 
 
 def test_spacing():

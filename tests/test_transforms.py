@@ -27,6 +27,7 @@ from beltrami.grid import (
     _geometry,
     _support_box,
 )
+from beltrami import transforms
 from beltrami.transforms import _coarse_tables, _quadrature_hat
 
 from conftest import (
@@ -387,6 +388,19 @@ def test_contraction_matches_the_allocating_power_loop_bitwise(dom64, method):
         v = m * beurling_transform(ComplexField(dom64, v), method).samples
         q = max(q, float(np.max(np.abs(v))) / norm)
     assert estimate_contraction(mu, 8, method=method) == q
+
+
+def test_contraction_builds_its_quadrature_kernel_once(dom64, monkeypatch):
+    # each of the 8 applies rebuilt the kernel's FFT, four fields on the 2N grid
+    builds = []
+
+    def counted(domain, power):
+        builds.append(power)
+        return _quadrature_hat(domain, power)
+
+    monkeypatch.setattr(transforms, "_quadrature_hat", counted)
+    assert estimate_contraction(mu_bump(dom64, 0.5), 8, method="quadrature") > 0
+    assert builds == [2]
 
 
 def test_contraction_validation(dom64):

@@ -14,11 +14,9 @@ difference that the two trees' spreads overlap is not resolved.
 Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
 
     beurling.full     public beurling_transform of a field (validated)
-    beurling.pruned   the private box apply of S on the support box of mu and
-                      u, fed the box samples (in a tree from before the one
-                      box apply, its pruned Beurling apply, fed the whole
-                      grid, as its solvers fed it); a tree with neither
-                      fails the run
+    beurling.pruned   the private box apply of S (``grid._FourierApply``) on
+                      the support box of mu and u, fed the box samples; a
+                      tree without it fails the run
     beurling.quadrature
                       public beurling_transform by quadrature (the 2N grid)
     solve_immersion   mu = 0.3 constant
@@ -45,12 +43,9 @@ above, and
 Each is taken once per tree and N, in a child process of its own, apart
 from the timing rounds.  The inputs are built before tracing starts, but no
 transform table is: the peak includes building the multipliers, the mean
-profile dz_w and the quadrature kernel (in a tree from before the
-per-domain tables, the per-grid caches start cold).  "kept" counts the
-tables that outlive the call: those of the input domain, which is still
-alive, and in such an older tree the cached tables of every step domain
-and the quadrature plan.  Allocations are deterministic, so one child per
-row suffices.
+profile dz_w and the quadrature kernel.  "kept" counts the tables that
+outlive the call: those of the input domain, which is still alive.
+Allocations are deterministic, so one child per row suffices.
 
 The script prints the JSON it writes.  Timings are wall clock
 (``time.perf_counter``) and depend on the host: record its CPU count and
@@ -90,7 +85,7 @@ def _child(resolution: int) -> dict:
     import numpy as np
 
     import beltrami as bl
-    from beltrami import grid, transforms
+    from beltrami import grid
 
     domain = bl.DomainSpec(3.0, resolution, bl.Disc(0j, 1.0), 0.8)
     mu = bl.BeltramiField.from_raw(bl.constant_field(domain, 0.3))
@@ -101,10 +96,7 @@ def _child(resolution: int) -> dict:
     # an apply or a residual is cheap and noisy: time it ten times as often
     rows = {"beurling.full": _best(lambda: bl.beurling_transform(phi), 10 * REPEAT)}
     box = grid._support_box(mu.extended.samples, u.samples)
-    if hasattr(grid, "_FourierApply"):
-        apply, x = grid._FourierApply.beurling(domain, box), phi.samples[box].copy()
-    else:
-        apply, x = transforms._PrunedBeurling(domain, box), np.array(phi.samples)
+    apply, x = grid._FourierApply.beurling(domain, box), phi.samples[box].copy()
     rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
     rows["beurling.quadrature"] = _best(
         lambda: bl.beurling_transform(phi, "quadrature"), REPEAT)
