@@ -26,6 +26,7 @@ from .grid import (
     ComplexField,
     Disc,
     DomainSpec,
+    _complex,
     _geometry,
     _integer,
     _real,
@@ -108,9 +109,10 @@ def taylor_project(f: ComplexField, center: complex, degree: int,
     exact on polynomials through degree 5.
 
     The jet represents f only where f is holomorphic inside the circle; the
-    returned circle_residual flags inputs that are not.  ``degree`` runs
-    from 1 to MAX_TAYLOR_DEGREE.
+    returned circle_residual flags inputs that are not.  ``center`` is a
+    finite complex number, and ``degree`` runs from 1 to MAX_TAYLOR_DEGREE.
     """
+    center = _complex(center, "center")
     degree = _integer(degree, "degree", 1, MAX_TAYLOR_DEGREE)
     circle_radius = _real(circle_radius, "circle_radius")
     if circle_radius <= 0:

@@ -44,6 +44,7 @@ from .grid import (
     _integer,
     _on_grid,
     _real,
+    _same_domain,
     _support_box,
     interior_mask,
     sup_norm,
@@ -80,8 +81,7 @@ class OneFormField:
     def __post_init__(self):
         if self.frame not in ("background", "moving"):
             raise ValidationError(f"unknown frame {self.frame!r}")
-        if self.coeff_10.domain != self.coeff_01.domain:
-            raise ValidationError("coefficient fields live on different DomainSpecs")
+        _same_domain("coefficient fields", self.coeff_10, self.coeff_01)
         if self.frame == "moving" and self.mu is None:
             raise ValidationError("moving-frame forms must carry their mu")
 
@@ -90,9 +90,8 @@ class OneFormField:
         return self.coeff_10.domain
 
 
-def _check_frame_regular(mu: BeltramiField, g: ComplexField):
-    if mu.domain != g.domain:
-        raise ValidationError("mu and g live on different DomainSpecs")
+def _check_frame_regular(form: OneFormField, mu: BeltramiField, g: ComplexField):
+    _same_domain("form, mu and g", form, mu, g)
     gmin = float(np.min(np.abs(g.samples)))
     if gmin <= FRAME_DEGENERACY_TOL:
         raise DegenerateFrame(f"|g| vanishes on the grid (min {gmin:.3e})")
@@ -106,9 +105,7 @@ def convert_to_moving(form: OneFormField, mu: BeltramiField,
     """Convert a background-frame form to the moving frame of (mu, g)."""
     if form.frame != "background":
         raise ValidationError("convert_to_moving expects a background-frame form")
-    if form.domain != mu.domain:
-        raise ValidationError("form and mu live on different DomainSpecs")
-    _check_frame_regular(mu, g)
+    _check_frame_regular(form, mu, g)
     m = mu.extended.samples
     gs = g.samples
     denom = (1.0 - np.abs(m) ** 2)
@@ -125,9 +122,7 @@ def convert_to_background(form: OneFormField, mu: BeltramiField,
     """Convert a moving-frame form back to the background frame."""
     if form.frame != "moving":
         raise ValidationError("convert_to_background expects a moving-frame form")
-    if form.domain != mu.domain:
-        raise ValidationError("form and mu live on different DomainSpecs")
-    _check_frame_regular(mu, g)
+    _check_frame_regular(form, mu, g)
     m = mu.extended.samples
     gs = g.samples
     a_mu, b_mu = form.coeff_10.samples, form.coeff_01.samples
@@ -169,14 +164,13 @@ class FamilySpec:
             if self.table is None or len(self.table) != len(grid):
                 raise ValidationError("table law needs one coefficient per parameter")
             object.__setattr__(self, "table", tuple(self.table))
-            for entry in self.table:
-                if entry.domain != self.base_mu.domain:
-                    raise ValidationError("table entries live on different DomainSpecs")
+            _same_domain("table entries", self.base_mu, *self.table)
         else:
             raise ValidationError(f"unknown family law {self.law!r}")
 
     def realize(self, index: int) -> BeltramiField:
-        """The coefficient at parameter_grid[index]."""
+        """The coefficient at parameter_grid[index], for an int index in range."""
+        index = _integer(index, "index", 0, len(self.parameter_grid) - 1)
         if self.law == "linear":
             return self.base_mu.scaled(self.parameter_grid[index])
         return self.table[index]
@@ -204,22 +198,19 @@ class DbarResult:
     rhs: ComplexField = field(repr=False)
 
 
-def dbar_rhs(m: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Samples of the d-bar right-hand side (1 - |mu|^2) conj(g) u."""
-    return (1.0 - np.abs(m) ** 2) * np.conj(g) * u
-
-
-def _frame_denominator(m: np.ndarray, g: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """(1 - |mu|^2) conj(g) at the interior points, in ``inner`` order: all
-    that a d-bar result reads of g, so g can go before the solve."""
-    return (1.0 - np.abs(m[inner]) ** 2) * np.conj(g[inner])
+def _dbar_data(m: np.ndarray, g: np.ndarray, u: np.ndarray, inner: np.ndarray) -> tuple:
+    """The d-bar rhs (1 - |mu|^2) conj(g) u, and its frame factor
+    (1 - |mu|^2) conj(g) at the ``inner`` points: all that a d-bar solve
+    reads of g = dh/dz, so a caller that drops g then frees it."""
+    frame = (1.0 - np.abs(m) ** 2) * np.conj(g)
+    return frame * u, frame[inner]
 
 
 def _dbar_result(mu: BeltramiField, denom: np.ndarray, u: ComplexField,
                  rhs: ComplexField, phi: ComplexField, iterations: int,
                  neumann_residual: float, trace: tuple) -> DbarResult:
     """f = P(phi) and its finite-difference residuals on interior Omega;
-    ``denom`` is ``_frame_denominator`` of mu and g."""
+    ``denom`` is the interior frame factor of ``_dbar_data``."""
     f = cauchy_transform(phi)
     inner = interior_mask(u.domain)
     lhs = _fd_beltrami_defect(f, mu)
@@ -249,24 +240,17 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     background Beltrami residual and the equivalent moving-frame one,
     evaluated with the finite-difference derivative route on interior Omega.
     """
-    if mu.domain != u.domain:
-        raise ValidationError("mu and u live on different DomainSpecs")
-    return _solve_dbar(mu, u, *_dbar_data(mu, u, solve_immersion(mu, cfg).g.samples),
-                       cfg)
+    _same_domain("mu and u", mu, u)
+    g = solve_immersion(mu, cfg).g.samples
+    rhs, denom = _dbar_data(mu.extended.samples, g, u.samples, interior_mask(u.domain))
+    del g   # before the d-bar solve
+    return _solve_dbar(mu, u, rhs, denom, cfg)
 
 
-def _dbar_data(mu: BeltramiField, u: ComplexField, g: np.ndarray) -> tuple:
-    """The rhs field of the d-bar solve and ``_frame_denominator``: all that
-    the solve reads of g = dh/dz, so a caller that holds no other reference
-    to g frees it before the Neumann solve."""
-    m = mu.extended.samples
-    return (ComplexField(u.domain, dbar_rhs(m, g, u.samples)),
-            _frame_denominator(m, g, interior_mask(u.domain)))
-
-
-def _solve_dbar(mu: BeltramiField, u: ComplexField, rhs: ComplexField,
+def _solve_dbar(mu: BeltramiField, u: ComplexField, rhs: np.ndarray,
                 denom: np.ndarray, cfg: SolverConfig) -> DbarResult:
     """solve_dbar given ``_dbar_data``."""
+    rhs = ComplexField(u.domain, rhs)
     res = neumann_solve(mu, rhs, cfg)
     return _dbar_result(mu, denom, u, rhs, res.phi, res.iterations,
                         res.final_residual, res.trace)
@@ -287,8 +271,7 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
     its moving-frame (1,0) coefficient may not exceed COMPATIBILITY_RTOL
     relative to the (0,1) one.
     """
-    if form.domain != mu.domain:
-        raise ValidationError("form and mu live on different DomainSpecs")
+    _same_domain("form and mu", form, mu)
     g = solve_immersion(mu, cfg).g   # phi goes with the immersion
     if form.frame == "background":
         moving = convert_to_moving(form, mu, g)
@@ -305,9 +288,10 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    data = _dbar_data(mu, u, g.samples)
+    rhs, denom = _dbar_data(mu.extended.samples, g.samples, u.samples,
+                            interior_mask(u.domain))
     del g, moving   # before the d-bar solve
-    return _solve_dbar(mu, u, *data, cfg)
+    return _solve_dbar(mu, u, rhs, denom, cfg)
 
 
 @dataclass(frozen=True)
@@ -392,12 +376,11 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     g = beurling.finish() + 1.0
     immersion_step = m[box] * g[box] - point.phi
     if float(np.max(np.abs(immersion_step), initial=0.0)) <= cfg.tol:
-        rhs = dbar_rhs(m, g, u.samples)
+        rhs, denom = _dbar_data(m, g, u.samples, interior_mask(domain))
         psi_step = rhs[box] + m[box] * beurling(point.psi) - point.psi
         residual = float(np.max(np.abs(psi_step), initial=0.0))
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
-            denom = _frame_denominator(m, g, interior_mask(domain))
             del g   # before the Cauchy transform
             return _dbar_result(mu, denom, u, ComplexField(domain, rhs),
                                 ComplexField(domain, _on_grid(u.samples, box,
@@ -444,15 +427,15 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
         chains.append((i, b, chain))
 
     box = _support_box(m0, *data)
-    a_beurling = _FourierApply.beurling(domain, box)   # g_n = S(a_n)
-    c_beurling = _FourierApply.beurling(domain, box)   # S(c_{n-1}), point finishes
+    beurling = _FourierApply.beurling(domain, box)
     m0_box = m0[box]
     abs2 = np.abs(m0_box) ** 2
     data_box = [d[box] for d in data]
     live = [_SeriesPoint(i, b, j, np.zeros_like(m0_box), data_box[j].copy(), [])
             for i, b, j in chains]
-    # the recurrence updates buffers allocated here, once per sweep
-    a, a_buffer = m0_box, np.empty_like(m0_box)     # a_n
+    # the recurrence updates buffers allocated here, once per sweep; a_{n+1}
+    # ping-pongs between two of them, since a_1 is the read-only mu_0 box
+    a, a_buffers = m0_box, (np.empty_like(m0_box), np.empty_like(m0_box))
     c = [d.copy() for d in data_box]                # c_{n-1} per chain
     conj_g, conj_g1, conj_g2 = (np.empty_like(m0_box) for _ in range(3))
     conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
@@ -462,12 +445,14 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
     n = 0
     while live and n < cfg.max_iter:
         n += 1
-        g = a_beurling(a)
+        g = beurling(a)
         np.conj(g, out=conj_g)
+        # a_{n+1} = mu_0 g_n, so the apply that holds g_n is free again
+        a_next = np.multiply(m0_box, g, out=a_buffers[n % 2])
         np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
         c_size = {}
         for j in sorted({p.chain for p in live}):
-            np.multiply(m0_box, c_beurling(c[j]), out=c[j])
+            np.multiply(m0_box, beurling(c[j]), out=c[j])
             np.add(np.multiply(weight, data_box[j], out=tmp), c[j], out=c[j])
             c_size[j] = float(np.max(np.abs(c[j], out=magnitude), initial=0.0))
         a_size = float(np.max(np.abs(a, out=magnitude), initial=0.0))
@@ -482,7 +467,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
                 continue
             try:
                 result = _finish_series_point(family, p, u_family[p.index], cfg,
-                                              c_beurling)
+                                              beurling)
             except BeltramiError as exc:
                 entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
                 continue
@@ -491,8 +476,7 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
             else:
                 entries[p.index] = FamilyEntry(p.b, result)
         live = pending
-        a = a_buffer
-        np.multiply(m0_box, g, out=a)
+        a = a_next
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
         exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
@@ -524,9 +508,7 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     grid = family.parameter_grid
     if len(u_family) != len(grid):
         raise ValidationError("u_family must align with the parameter grid")
-    for u in u_family:
-        if u.domain != family.base_mu.domain:
-            raise ValidationError("family data live on different DomainSpecs")
+    _same_domain("family data", family.base_mu, *u_family)
 
     def solve_one(i: int) -> FamilyEntry:
         try:

@@ -2,19 +2,18 @@
 
 Every generator is deterministic in its parameters.  Field specs are plain
 dicts (the CLI config format): {"kind": ..., parameters...}.  Complex scalars
-are given either as a number or as a two-element [re, im] list.  Every number
-is read through ``grid._real``: non-numbers, bools and non-finite values raise
-ValidationError.
+are given either as a number, read through ``grid._complex``, or as a
+two-element [re, im] list; every real number is read through ``grid._real``.
+Non-numbers, bools and non-finite values or parts raise ValidationError.
 """
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ComplexField, DomainSpec, _geometry, _real, transition_profile
+from .grid import (ComplexField, DomainSpec, _complex, _geometry, _real,
+                   transition_profile)
 
 DEFAULT_INDICATOR_WIDTH = 0.3
 
@@ -27,16 +26,13 @@ def _check_keys(spec: dict, allowed, what: str) -> None:
 
 
 def _as_complex(value, what: str) -> complex:
-    """A finite complex scalar from a number or an [re, im] pair."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValidationError(f"{what} needs [re, im], got {value!r}")
-        re, im = value
-    elif isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
-        re, im = value.real, value.imag
-    else:
-        return complex(_real(value, what))
-    return complex(_real(re, f"{what} re"), _real(im, f"{what} im"))
+    """A finite complex scalar from a number (``grid._complex``) or an
+    [re, im] pair of real numbers."""
+    if not isinstance(value, (list, tuple)):
+        return _complex(value, what)
+    if len(value) != 2:
+        raise ValidationError(f"{what} needs [re, im], got {value!r}")
+    return complex(_real(value[0], f"{what} re"), _real(value[1], f"{what} im"))
 
 
 def constant_field(domain: DomainSpec, value: complex) -> ComplexField:

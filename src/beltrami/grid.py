@@ -72,6 +72,21 @@ def _integer(value, what: str, lo: int, hi: float = math.inf) -> int:
     raise ValidationError(f"{what} must be an integer {span}, got {value!r}")
 
 
+def _complex(value, what: str) -> complex:
+    """``value`` as a complex if it is a number, not a bool, whose real and
+    imaginary parts pass ``_real``; else ValidationError."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, (bool, np.bool_)):
+        return complex(_real(value.real, what), _real(value.imag, what))
+    raise ValidationError(f"{what} must be a finite complex number, got {value!r}")
+
+
+def _same_domain(what: str, first, *rest) -> None:
+    """ValidationError unless ``first`` and every one of ``rest`` (fields,
+    coefficients, forms: anything with a ``domain``) share one DomainSpec."""
+    if any(other.domain != first.domain for other in rest):
+        raise ValidationError(f"{what} live on different DomainSpecs")
+
+
 @dataclass(frozen=True)
 class Disc:
     center: complex
@@ -128,11 +143,7 @@ class DomainSpec:
         L, margin = _real(self.half_width, "half_width"), _real(self.margin, "margin")
         lengths = [("half_width", L), ("margin", margin)]
         if isinstance(self.omega, Disc):
-            c = self.omega.center
-            if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Complex):
-                raise ValidationError(f"disc center must be a finite number, got {c!r}")
-            omega = Disc(complex(_real(c.real, "disc center"),
-                                 _real(c.imag, "disc center")),
+            omega = Disc(_complex(self.omega.center, "disc center"),
                          _real(self.omega.radius, "disc radius"))
             lengths.append(("disc radius", omega.radius))
             reach = max(abs(omega.center.real), abs(omega.center.imag))
@@ -337,25 +348,21 @@ class ComplexField:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexField is immutable")
 
-    def _check_compatible(self, other: "ComplexField"):
-        if self.domain != other.domain:
-            raise ValidationError("fields live on different DomainSpecs")
-
     def __add__(self, other):
         if isinstance(other, ComplexField):
-            self._check_compatible(other)
+            _same_domain("fields", self, other)
             return ComplexField(self.domain, self.samples + other.samples)
         return ComplexField(self.domain, self.samples + other)
 
     def __sub__(self, other):
         if isinstance(other, ComplexField):
-            self._check_compatible(other)
+            _same_domain("fields", self, other)
             return ComplexField(self.domain, self.samples - other.samples)
         return ComplexField(self.domain, self.samples - other)
 
     def __mul__(self, other):
         if isinstance(other, ComplexField):
-            self._check_compatible(other)
+            _same_domain("fields", self, other)
             return ComplexField(self.domain, self.samples * other.samples)
         return ComplexField(self.domain, self.samples * other)
 
@@ -401,8 +408,7 @@ class BeltramiField:
     __slots__ = ("raw", "extended", "sup_norm")
 
     def __init__(self, raw: ComplexField, extended: ComplexField):
-        if raw.domain != extended.domain:
-            raise ValidationError("raw and extended fields must share a DomainSpec")
+        _same_domain("raw and extended fields", raw, extended)
         s = float(np.max(np.abs(extended.samples)))
         if s >= 1.0:
             raise ValidationError(
@@ -528,6 +534,13 @@ class _FourierApply:
         geo = _geometry(domain)
         return cls(geo.S, geo.dz_w, box)
 
+    @classmethod
+    def whole(cls, multiplier: np.ndarray, mean_profile, x: np.ndarray) -> np.ndarray:
+        """The apply to the whole-grid samples x, in a fresh contiguous
+        array, which a ComplexField takes without a copy: on the full box
+        ``finish`` has nothing left to do."""
+        return cls(multiplier, mean_profile, _full_box(x), pad=0)(x)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.forward(x)
         return self.inverse()
@@ -644,10 +657,7 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
 
 def _spectral_dz(samples: np.ndarray, resolution: int, half_width: float) -> np.ndarray:
     """The samples of wirtinger_dz, in a fresh contiguous array."""
-    apply = _FourierApply(_dz_multiplier(resolution, half_width), None,
-                          _full_box(samples), pad=0)
-    apply(samples)
-    return apply.finish()
+    return _FourierApply.whole(_dz_multiplier(resolution, half_width), None, samples)
 
 
 # ---------------------------------------------------------------------------

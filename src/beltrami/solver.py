@@ -60,6 +60,7 @@ from .grid import (
     _integer,
     _on_grid,
     _real,
+    _same_domain,
     _support_box,
     interior_mask,
     make_coordinate_field,
@@ -159,8 +160,7 @@ def _neumann(mu: BeltramiField, rhs: ComplexField,
     for NoConvergence).  The apply's ``finish`` gives the whole S(phi).  The
     loop starts from rhs, or from ``_warm_start``'s guess on the box.
     """
-    if mu.domain != rhs.domain:
-        raise ValidationError("mu and rhs live on different DomainSpecs")
+    _same_domain("mu and rhs", mu, rhs)
     if mu.sup_norm >= cfg.contraction_cap:
         raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
     m, r = mu.extended.samples, rhs.samples
@@ -273,11 +273,8 @@ def beltrami_residual(h: ComplexField, mu: BeltramiField,
     the periodic seam -- an oracle independent of the spectral pipeline.
     rhs None means the homogeneous equation.
     """
-    if h.domain != mu.domain:
-        raise ValidationError("h and mu live on different DomainSpecs")
+    _same_domain("h, mu and rhs", h, mu, *([] if rhs is None else [rhs]))
     res = _fd_beltrami_defect(h, mu)
     if rhs is not None:
-        if rhs.domain != h.domain:
-            raise ValidationError("rhs lives on a different DomainSpec")
         res = res - rhs.samples[interior_mask(h.domain)]
     return float(np.max(np.abs(res)))

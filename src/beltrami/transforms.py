@@ -42,7 +42,6 @@ from .grid import (
     ComplexField,
     DomainSpec,
     _FourierApply,
-    _full_box,
     _geometry,
     _integer,
 )
@@ -124,12 +123,7 @@ def _transform(domain: DomainSpec, method: str, kind: str):
     if method == "spectral":
         geo = _geometry(domain)
         multiplier, profile = (geo.P, geo.w) if kind == "P" else (geo.S, geo.dz_w)
-
-        def spectral(samples: np.ndarray) -> np.ndarray:
-            apply = _FourierApply(multiplier, profile, _full_box(samples), pad=0)
-            apply(samples)
-            return apply.finish()
-        return spectral
+        return lambda samples: _FourierApply.whole(multiplier, profile, samples)
     n, h = domain.resolution, domain.spacing
     hat = _quadrature_hat(domain, 1 if kind == "P" else 2)
     quadrature = _FourierApply(hat, None, (slice(0, n), slice(0, n)))

@@ -11,11 +11,15 @@ from beltrami import (
     Disc,
     DomainSpec,
     FamilySpec,
+    OneFormField,
     Rect,
     SolverConfig,
     ValidationError,
+    beltrami_residual,
     beurling_transform,
     constant_field,
+    convert_to_background,
+    convert_to_moving,
     cutoff_field,
     estimate_contraction,
     exhaustion_solve,
@@ -23,8 +27,10 @@ from beltrami import (
     fd_wirtinger_dz,
     interior_mask,
     make_coordinate_field,
+    neumann_solve,
     omega_mask,
     solve_dbar,
+    solve_dbar_form,
     solve_family,
     sup_norm,
     taylor_project,
@@ -145,6 +151,18 @@ _BOUNDARY_CASES = {
     "threads-str": lambda mu, u: _table_sweep(mu, u, "2"),
     "threads-float": lambda mu, u: _table_sweep(mu, u, 2.5),
     "threads-bool": lambda mu, u: _table_sweep(mu, u, True),
+    # before, realize(True) returned entry 1, realize(-1) the last entry,
+    # and 1.0 and 3 raised TypeError and IndexError
+    "index-bool": lambda mu, u: FamilySpec(mu, (0.0, 0.5, 1.0)).realize(True),
+    "index-negative": lambda mu, u: FamilySpec(mu, (0.0, 0.5, 1.0)).realize(-1),
+    "index-float": lambda mu, u: FamilySpec(mu, (0.0, 0.5, 1.0)).realize(1.0),
+    "index-past-end": lambda mu, u: FamilySpec(mu, (0.0, 0.5, 1.0)).realize(3),
+    # before, "0" raised UFuncTypeError and None TypeError, True ran, and a
+    # nan center was refused only as a circle that leaves the grid
+    "center-str": lambda mu, u: taylor_project(u, "0", 3, 0.5),
+    "center-none": lambda mu, u: taylor_project(u, None, 3, 0.5),
+    "center-bool": lambda mu, u: taylor_project(u, True, 3, 0.5),
+    "center-nan": lambda mu, u: taylor_project(u, complex(math.nan, 0.0), 3, 0.5),
 }
 
 
@@ -154,6 +172,7 @@ def _table_sweep(mu, u, threads):
 
 
 @pytest.mark.parametrize("case", _BOUNDARY_CASES)
+@pytest.mark.filterwarnings("error")   # refused before any arithmetic runs
 def test_malformed_scalar_arguments_raise_validation_error(dom64, case):
     mu = BeltramiField.from_raw(constant_field(dom64, 0.3))
     u = constant_field(dom64, 1.0)
@@ -338,6 +357,45 @@ def test_fields_combine_only_on_same_domain(dom64):
     other = DomainSpec(3.0, 64, Disc(0j, 1.0), 0.7)  # different margin
     with pytest.raises(ValidationError):
         constant_field(dom64, 1.0) + constant_field(other, 1.0)
+
+
+# At least one case per same-domain check of the library, each reached
+# through a public entry point that takes two fields or a field list.  The
+# second domain differs from the first in its margin only, so the shapes
+# agree.
+_MIXED_DOMAIN_CASES = {
+    "field-add": lambda mu, u, mu2, u2: u + u2,
+    "field-sub": lambda mu, u, mu2, u2: u - u2,
+    "field-mul": lambda mu, u, mu2, u2: u * u2,
+    "beltrami-field": lambda mu, u, mu2, u2: BeltramiField(mu.raw, mu2.extended),
+    "neumann-solve": lambda mu, u, mu2, u2: neumann_solve(mu, u2),
+    "residual-h": lambda mu, u, mu2, u2: beltrami_residual(u2, mu),
+    "residual-rhs": lambda mu, u, mu2, u2: beltrami_residual(u, mu, u2),
+    "one-form": lambda mu, u, mu2, u2: OneFormField("background", u, u2),
+    "to-moving-g": lambda mu, u, mu2, u2: convert_to_moving(
+        OneFormField("background", u, u), mu, u2),
+    "to-moving-form": lambda mu, u, mu2, u2: convert_to_moving(
+        OneFormField("background", u2, u2), mu, u),
+    "to-background-form": lambda mu, u, mu2, u2: convert_to_background(
+        OneFormField("moving", u2, u2, mu=mu2), mu, u),
+    "family-table": lambda mu, u, mu2, u2: FamilySpec(
+        mu, (0.0, 1.0), law="table", table=(mu, mu2)),
+    "solve-dbar": lambda mu, u, mu2, u2: solve_dbar(mu, u2),
+    "solve-dbar-form": lambda mu, u, mu2, u2: solve_dbar_form(
+        mu, OneFormField("background", 0 * u2, u2)),
+    "solve-family": lambda mu, u, mu2, u2: solve_family(
+        FamilySpec(mu, (0.0, 1.0)), [u, u2]),
+}
+
+
+@pytest.mark.parametrize("case", _MIXED_DOMAIN_CASES)
+def test_mixed_domains_raise_validation_error(dom64, case):
+    other = DomainSpec(dom64.half_width, 64, dom64.omega, 0.7)
+    assert other != dom64
+    fields = [(BeltramiField.from_raw(constant_field(d, 0.3)), constant_field(d, 1.0))
+              for d in (dom64, other)]
+    with pytest.raises(ValidationError, match="different DomainSpecs"):
+        _MIXED_DOMAIN_CASES[case](*fields[0], *fields[1])
 
 
 def test_beltrami_field_invariants(dom64):

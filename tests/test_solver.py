@@ -28,7 +28,6 @@ from beltrami import (
 )
 
 import beltrami.solver as solver_module
-from beltrami.family import dbar_rhs
 from beltrami.grid import _FourierApply, _support_box
 
 from conftest import (
@@ -431,7 +430,9 @@ def _out_of_band(x: np.ndarray) -> float:
 
 
 def _dbar_rhs_samples(mu, u):
-    return dbar_rhs(mu.extended.samples, solve_immersion(mu).g.samples, u.samples)
+    """(1 - |mu|^2) conj(g) u, the d-bar rhs that solve_dbar builds."""
+    g = solve_immersion(mu).g.samples
+    return (1.0 - np.abs(mu.extended.samples) ** 2) * np.conj(g) * u.samples
 
 
 GATE_RHS = {

@@ -19,6 +19,9 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
                       tree without it fails the run
     beurling.quadrature
                       public beurling_transform by quadrature (the 2N grid)
+    cauchy.full       public cauchy_transform of a field (validated): the
+                      whole-grid P apply, whose mean profile w is formed
+                      block by block
     solve_immersion   mu = 0.3 constant
     solve_immersion.strong
                       mu = 0.5 + 0.3 bump, sup|mu| = 0.8, where the N/2-grid
@@ -98,6 +101,7 @@ def _child(resolution: int) -> dict:
     box = grid._support_box(mu.extended.samples, u.samples)
     apply, x = grid._FourierApply.beurling(domain, box), phi.samples[box].copy()
     rows["beurling.pruned"] = _best(lambda: apply(x), 10 * REPEAT)
+    rows["cauchy.full"] = _best(lambda: bl.cauchy_transform(phi), 10 * REPEAT)
     rows["beurling.quadrature"] = _best(
         lambda: bl.beurling_transform(phi, "quadrature"), REPEAT)
     rows["solve_immersion"] = _best(lambda: bl.solve_immersion(mu, cfg), REPEAT)
