@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .exhaustion import _check_exhaustion, exhaustion_solve
-from .family import FamilySpec, solve_dbar, solve_family
+from .family import FamilySpec, _finished_entries, _Regularity, solve_dbar
 from .fieldgen import _as_complex, _check_keys, builtin_field
 from .grid import (
     BeltramiField,
@@ -321,12 +321,14 @@ def _cmd_sweep_family(run):
     """Solve the d-bar equation across a parameter family of coefficients."""
     family, out = run.family, run.out
     grid = family.parameter_grid
-    sweep = solve_family(family, [run.u] * len(grid), run.solver,
-                         threads=run.threads)
     write_field(out / "mu_raw.field", run.mu.raw)
     write_field(out / "u.field", run.u)
-    entries_report = []
-    for idx, entry in enumerate(sweep.entries):
+    # each entry's fields are written as it finishes; the report keeps only
+    # the solutions its regularity values still read
+    regularity = _Regularity(grid)
+    entries_report = [None] * len(grid)
+    for idx, entry in _finished_entries(family, [run.u] * len(grid), run.solver,
+                                        run.threads):
         record = {"b": entry.b}
         if entry.result is None:
             record["error"] = entry.error
@@ -335,17 +337,20 @@ def _cmd_sweep_family(run):
             write_field(out / f"rhs_{idx:03d}.field", entry.result.rhs)
             record["iterations"] = entry.result.diagnostics.iterations
             record["interior_residual"] = entry.result.diagnostics.interior_residual
-        entries_report.append(record)
-    write_family_report_csv(out / "family_report.csv", sweep)
+        entries_report[idx] = record
+        regularity.add(idx, entry)
+        del entry   # before the next entry is solved
+    write_family_report_csv(out / "family_report.csv", regularity)
+    adjacent, lipschitz, extrapolation = regularity.summary()
     _write_report(out, {
         "command": "sweep-family",
         "method": SOLVE_METHOD,
         "law": family.law,
         "parameters": list(grid),
         "entries": entries_report,
-        "lipschitz_constant": sweep.lipschitz_constant,
-        "adjacent_differences": [list(d) for d in sweep.adjacent_differences],
-        "extrapolation_errors": [list(e) for e in sweep.extrapolation_errors],
+        "lipschitz_constant": lipschitz,
+        "adjacent_differences": [list(d) for d in adjacent],
+        "extrapolation_errors": [list(e) for e in extrapolation],
     })
 
 

@@ -323,26 +323,58 @@ def _quadratic_extrapolation_gap(f_prev, f_mid, f_next, f_target) -> float:
     return float(np.max(np.abs(f_target.samples - pred)))
 
 
-def _difference_positions(entries) -> list:
-    """Positions i, in report order, of the entries whose pair
-    (entries[i - 1], entries[i]) has an adjacent difference: both solved,
-    at different parameters."""
-    return [i for i in range(1, len(entries))
-            if entries[i - 1].result is not None and entries[i].result is not None
-            and entries[i].b != entries[i - 1].b]
+class _Regularity:
+    """The parameter-regularity report of a sweep, built as its entries arrive.
 
+    ``add`` takes entries in any order and processes them in grid order,
+    holding an early one until every entry before it has arrived.  Of the
+    solutions it keeps only those a later difference or gap still reads: the
+    last three processed (the last one on a grid without gaps), and the held
+    ones.  Values are keyed by grid position i: ``differences[i]`` is
+    (b_lo, b_hi, sup|f_hi - f_lo|, ratio) of entries i - 1 and i, both
+    solved, at different parameters; ``gaps[i]`` is (b, gap) of entry i
+    against the quadratic through entries i - 3 .. i - 1, on uniform grids of
+    at least four points, when all four are solved.  ``diagnostics[i]`` is
+    entry i's, None if it failed.
+    """
 
-def _extrapolation_positions(entries) -> list:
-    """Positions i, in report order, of the entries with an extrapolation
-    gap against the quadratic through entries i - 3 .. i - 1: on uniform
-    grids of at least four points, when all four are solved."""
-    grid = [e.b for e in entries]
-    steps = [b2 - b1 for b1, b2 in zip(grid, grid[1:])]
-    uniform = steps and all(math.isclose(s, steps[0], rel_tol=1e-12) for s in steps)
-    if not uniform or len(grid) < 4:
-        return []
-    return [i for i in range(3, len(grid))
-            if all(e.result is not None for e in entries[i - 3:i + 1])]
+    def __init__(self, grid: tuple):
+        self.grid = grid
+        steps = [b2 - b1 for b1, b2 in zip(grid, grid[1:])]
+        uniform = len(grid) >= 4 and all(
+            math.isclose(s, steps[0], rel_tol=1e-12) for s in steps)
+        self._depth = 3 if uniform else 1
+        self._held = {}     # index -> f, None if failed, of entries not yet processed
+        self._last = ()     # f, None if failed, of the last entries processed
+        self._next = 0      # the index processed next
+        self.diagnostics = [None] * len(grid)
+        self.differences = {}
+        self.gaps = {}
+
+    def add(self, index: int, entry: FamilyEntry) -> None:
+        solved = entry.result is not None
+        self.diagnostics[index] = entry.result.diagnostics if solved else None
+        self._held[index] = entry.result.f if solved else None
+        grid = self.grid
+        while self._next in self._held:
+            i = self._next
+            f, last = self._held.pop(i), self._last
+            if (f is not None and last and last[-1] is not None
+                    and grid[i] != grid[i - 1]):
+                d = sup_norm(f - last[-1])
+                self.differences[i] = (grid[i - 1], grid[i], d,
+                                       d / abs(grid[i] - grid[i - 1]))
+            if f is not None and len(last) == 3 and all(g is not None for g in last):
+                self.gaps[i] = (grid[i], _quadratic_extrapolation_gap(*last, f))
+            self._last = (last + (f,))[-self._depth:]
+            self._next += 1
+
+    def summary(self) -> tuple:
+        """FamilySweepResult's adjacent_differences, lipschitz_constant and
+        extrapolation_errors, once every entry is processed."""
+        diffs = tuple(self.differences.values())    # in grid order
+        return (diffs, max((r for *_, r in diffs), default=None),
+                tuple(self.gaps.values()))
 
 
 @dataclass
@@ -359,8 +391,8 @@ class _SeriesPoint:
 
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
                          u: ComplexField, cfg: SolverConfig,
-                         beurling: _FourierApply) -> Optional[DbarResult]:
-    """The result of a point whose last term met the stop test.
+                         beurling: _FourierApply) -> Optional[FamilyEntry]:
+    """The entry of a point whose last term met the stop test.
 
     Returns None while a measured residual is still above cfg.tol: the
     immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
@@ -382,16 +414,16 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
         if residual <= cfg.tol:
             check_nondegenerate(g, domain)
             del g   # before the Cauchy transform
-            return _dbar_result(mu, denom, u, ComplexField(domain, rhs),
-                                ComplexField(domain, _on_grid(u.samples, box,
-                                                              point.psi)),
-                                len(point.trace), residual,
-                                tuple(point.trace))
+            return FamilyEntry(point.b, _dbar_result(
+                mu, denom, u, ComplexField(domain, rhs),
+                ComplexField(domain, _on_grid(u.samples, box, point.psi)),
+                len(point.trace), residual, tuple(point.trace)))
     return None
 
 
-def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> list:
-    """Entries of a linear-law sweep from the b-power series of both fixed points.
+def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig):
+    """Yield (index, entry) of a linear-law sweep, from the b-power series of
+    both fixed points, as the entries finish.
 
     For mu_b = b mu_0 the immersion fixed point is phi_b = sum_{n>=1} b^n a_n
     with a_1 = mu_0, g_n = S(a_n), a_{n+1} = mu_0 g_n, and the d-bar fixed
@@ -403,21 +435,22 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
     b^n times the new terms to its own sums and is finished once its term size
     reaches cfg.tol and its measured residuals pass, so its result is bitwise
     independent of the other grid points.  Point b is gated on
-    sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve.  Every
-    term vanishes off the box of the nonzero samples of mu_0 and the data,
-    so the recurrence and the sums are box arrays.
+    sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve; gated
+    points are yielded first.  Every term vanishes off the box of the nonzero
+    samples of mu_0 and the data, so the recurrence and the sums are box
+    arrays.  Nothing here refers to a yielded result afterwards, so a consumer
+    that drops it frees it while the series runs on.
     """
     grid = family.parameter_grid
     domain = family.base_mu.domain
     m0 = family.base_mu.extended.samples
     sup0 = family.base_mu.sup_norm
-    entries = [None] * len(grid)
     data = []                       # distinct data, one d-bar chain each
     chains = []                     # (index, b, chain) of each gated point
     for i, b in enumerate(grid):
         if b * sup0 >= cfg.contraction_cap:
             exc = ContractionTooLarge(b * sup0, cfg.contraction_cap)
-            entries[i] = FamilyEntry(b, None, error=str(exc))
+            yield i, FamilyEntry(b, None, error=str(exc))
             continue
         u = u_family[i].samples
         chain = next((j for j, d in enumerate(data) if np.array_equal(d, u)),
@@ -466,22 +499,52 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig) -> lis
                 pending.append(p)
                 continue
             try:
-                result = _finish_series_point(family, p, u_family[p.index], cfg,
-                                              beurling)
+                entry = _finish_series_point(family, p, u_family[p.index], cfg,
+                                             beurling)
             except BeltramiError as exc:
-                entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
-                continue
-            if result is None:
+                entry = FamilyEntry(p.b, None, error=str(exc))
+            if entry is None:
                 pending.append(p)
             else:
-                entries[p.index] = FamilyEntry(p.b, result)
+                yield p.index, entry
+                del entry
         live = pending
         a = a_next
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
         exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
-        entries[p.index] = FamilyEntry(p.b, None, error=str(exc))
-    return entries
+        yield p.index, FamilyEntry(p.b, None, error=str(exc))
+
+
+def _finished_entries(family: FamilySpec, u_family, cfg: SolverConfig,
+                      threads: int):
+    """Yield (index, entry) of every grid point as it finishes: a linear-law
+    family of two or more points in the order its series finishes them,
+    otherwise in index order.  The arguments are those of ``solve_family``,
+    checked on the first ``next``."""
+    threads = _integer(threads, "threads", 0)
+    grid = family.parameter_grid
+    if len(u_family) != len(grid):
+        raise ValidationError("u_family must align with the parameter grid")
+    _same_domain("family data", family.base_mu, *u_family)
+    if family.law == "linear" and len(grid) > 1:
+        yield from _solve_linear_series(family, u_family, cfg)
+        return
+
+    def solve_one(i: int) -> FamilyEntry:
+        try:
+            result = solve_dbar(family.realize(i), u_family[i], cfg)
+            return FamilyEntry(grid[i], result)
+        except BeltramiError as exc:
+            return FamilyEntry(grid[i], None, error=str(exc))
+
+    indices = range(len(grid))
+    workers = min(threads or os.cpu_count() or 1, len(grid))
+    if workers == 1:
+        yield from enumerate(map(solve_one, indices))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from enumerate(pool.map(solve_one, indices))
 
 
 def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(),
@@ -504,36 +567,12 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     quadratic-extrapolation gaps when the grid is uniform with at least four
     points.
     """
-    threads = _integer(threads, "threads", 0)
     grid = family.parameter_grid
-    if len(u_family) != len(grid):
-        raise ValidationError("u_family must align with the parameter grid")
-    _same_domain("family data", family.base_mu, *u_family)
-
-    def solve_one(i: int) -> FamilyEntry:
-        try:
-            result = solve_dbar(family.realize(i), u_family[i], cfg)
-            return FamilyEntry(grid[i], result)
-        except BeltramiError as exc:
-            return FamilyEntry(grid[i], None, error=str(exc))
-
-    indices = range(len(grid))
-    workers = min(threads or os.cpu_count() or 1, len(grid))
-    if family.law == "linear" and len(grid) > 1:
-        entries = _solve_linear_series(family, u_family, cfg)
-    elif workers == 1:
-        entries = [solve_one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(solve_one, indices))
-
-    diffs = []
-    for i in _difference_positions(entries):
-        lo, hi = entries[i - 1], entries[i]
-        d = sup_norm(hi.result.f - lo.result.f)
-        diffs.append((lo.b, hi.b, d, d / abs(hi.b - lo.b)))
-    lipschitz = max((r for *_, r in diffs), default=None)
-    extrap = [(entries[i].b, _quadratic_extrapolation_gap(
-                  *(e.result.f for e in entries[i - 3:i + 1])))
-              for i in _extrapolation_positions(entries)]
-    return FamilySweepResult(tuple(entries), tuple(diffs), lipschitz, tuple(extrap))
+    entries = [None] * len(grid)
+    for i, entry in _finished_entries(family, u_family, cfg, threads):
+        entries[i] = entry
+    # the report's differences are formed once the sweep's buffers are freed
+    report = _Regularity(grid)
+    for i, entry in enumerate(entries):
+        report.add(i, entry)
+    return FamilySweepResult(tuple(entries), *report.summary())

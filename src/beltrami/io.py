@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldFormatError, ValidationError
-from .family import _difference_positions, _extrapolation_positions
 from .grid import ComplexField, DomainSpec
 
 MAGIC = b"CPXFIELD"
@@ -33,18 +32,17 @@ _DIMS = struct.Struct("<Id")
 
 
 def write_field(path, field: ComplexField) -> None:
-    """Write a field in the binary format (bit-exact round trip)."""
-    data = np.empty((field.domain.resolution,) * 2 + (2,), dtype="<f8")
-    data[..., 0] = field.samples.real
-    data[..., 1] = field.samples.imag
+    """Write a field in the binary format (bit-exact round trip).  On a
+    little-endian host the samples are written from their own buffer."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION))
         fh.write(_DIMS.pack(field.domain.resolution, field.domain.half_width))
-        fh.write(data.tobytes())
+        fh.write(np.ascontiguousarray(field.samples, dtype="<c16"))
 
 
 def read_field_raw(path) -> tuple[int, float, np.ndarray]:
-    """Read (N, L, samples) from a binary field file."""
+    """Read (N, L, samples) from a binary field file, the samples bit for
+    bit as written."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + _DIMS.size:
         raise FieldFormatError(f"{path}: truncated header")
@@ -54,14 +52,16 @@ def read_field_raw(path) -> tuple[int, float, np.ndarray]:
     if version != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported version {version}")
     n, half_width = _DIMS.unpack_from(raw, _HEADER.size)
-    body = raw[_HEADER.size + _DIMS.size:]
+    offset = _HEADER.size + _DIMS.size
     expected = n * n * 16
-    if len(body) != expected:
+    if len(raw) - offset != expected:
         raise FieldFormatError(
-            f"{path}: expected {expected} payload bytes, found {len(body)}"
+            f"{path}: expected {expected} payload bytes, found {len(raw) - offset}"
         )
-    flat = np.frombuffer(body, dtype="<f8").reshape(n, n, 2)
-    return n, half_width, flat[..., 0] + 1j * flat[..., 1]
+    # the payload starts 28 bytes in, off the alignment of complex samples;
+    # arithmetic on an aligned copy runs faster
+    samples = np.frombuffer(raw, "<c16", offset=offset).reshape(n, n).copy()
+    return n, half_width, samples
 
 
 def read_field(path, domain: DomainSpec) -> ComplexField:
@@ -107,31 +107,25 @@ def write_residual_trace_csv(path, trace) -> None:
             fh.write(f"{k},{r:.17g}\n")
 
 
-def write_family_report_csv(path, sweep) -> None:
+def write_family_report_csv(path, report) -> None:
     """Columns: b, iterations, residual, adjacent-difference, extrapolation-error.
 
-    The last two are keyed by entry position, not by b, so a grid that
-    repeats a parameter labels every row with its own values.
+    ``report`` is a sweep's regularity report (``family._Regularity``), one
+    row per grid point.  Its values are keyed by entry position, not by b, so
+    a grid that repeats a parameter labels every row with its own values.
     """
-    adjacent = dict(zip(_difference_positions(sweep.entries),
-                        (diff for _, _, diff, _ in sweep.adjacent_differences),
-                        strict=True))
-    extrap = dict(zip(_extrapolation_positions(sweep.entries),
-                      (gap for _, gap in sweep.extrapolation_errors),
-                      strict=True))
     with open(path, "w") as fh:
         fh.write("b,iterations,residual,adjacent_difference,extrapolation_error\n")
-        for i, entry in enumerate(sweep.entries):
-            if entry.result is None:
-                fh.write(f"{entry.b:.17g},,,,\n")
+        for i, (b, diag) in enumerate(zip(report.grid, report.diagnostics)):
+            if diag is None:
+                fh.write(f"{b:.17g},,,,\n")
                 continue
-            diag = entry.result.diagnostics
-            adj = adjacent.get(i)
-            ext = extrap.get(i)
-            fh.write(f"{entry.b:.17g},{diag.iterations},"
+            adj = report.differences.get(i)
+            ext = report.gaps.get(i)
+            fh.write(f"{b:.17g},{diag.iterations},"
                      f"{diag.interior_residual:.17g},"
-                     f"{'' if adj is None else format(adj, '.17g')},"
-                     f"{'' if ext is None else format(ext, '.17g')}\n")
+                     f"{'' if adj is None else format(adj[2], '.17g')},"
+                     f"{'' if ext is None else format(ext[1], '.17g')}\n")
 
 
 def write_exhaustion_trace_csv(path, trace) -> None:

@@ -77,8 +77,9 @@ class SolverConfig:
     tol: sup-norm residual stop for the fixed-point iteration.
     max_iter: iteration cap; exceeding it raises NoConvergence.
     contraction_cap: reject coefficients whose sup|mu_ext| reaches this
-        value.  S is unitary on L^2, so ||mu S|| <= sup|mu_ext| bounds the
-        rate of the series.
+        value.  S is unitary on L^2, so in L^2 ||mu S|| <= sup|mu_ext|
+        bounds the rate of the series; the sup-norm ||mu S||_inf, the norm
+        of tol, is larger (2.8 to 8.6 measured on N = 32 and 48 grids).
     """
 
     tol: float = 1e-10

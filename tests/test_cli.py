@@ -4,18 +4,21 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from beltrami import BeltramiField, builtin_field
+from beltrami import BeltramiField, builtin_field, read_field, solve_family
 from beltrami import cli
 from beltrami.cli import main
 from beltrami.errors import ContractionTooLarge
 from beltrami.grid import MAX_RESOLUTION
 from beltrami.solver import SolverConfig
 
-from conftest import disc_domain
+from conftest import disc_domain, same_bits, traced_fields
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _config(tmp_path, name="config.json", **overrides):
@@ -328,6 +331,128 @@ def test_sweep_family_config_contract_exits_1(tmp_path, family):
     payload = json.loads(lines[0])
     assert payload["kind"] == "ValidationError"
     assert payload["exit_code"] == 1
+
+
+def _sweep_run(cfg: dict, out: Path, threads: int = 0) -> SimpleNamespace:
+    """The inputs the sweep-family body reads, parsed from ``cfg`` as the
+    CLI parses them."""
+    run = SimpleNamespace(threads=threads, domain=cli._domain_from_config(cfg),
+                          out=out)
+    for key in ("solver", "mu", "u", "family"):
+        setattr(run, key, cli._INPUTS[key](cfg, run))
+    return run
+
+
+def test_sweep_family_failing_mid_stream_leaves_nothing_behind(tmp_path,
+                                                               monkeypatch):
+    # mu_raw and u are written first; the third field is the first entry's f,
+    # written while the other entries are still being solved
+    written = []
+    write_field = cli.write_field
+
+    def fail_on_the_third(path, field):
+        written.append(path.name)
+        if len(written) == 3:
+            raise OSError(f"no space left writing {path.name}")
+        write_field(path, field)
+
+    monkeypatch.setattr(cli, "write_field", fail_on_the_third)
+    cfg = _config(tmp_path, domain=_domain(32),
+                  family={"law": "linear", "grid": [0.0, 0.5, 1.0]})
+    out = tmp_path / "runs" / "fam"
+    result = _invoke(["sweep-family", "--config", cfg, "--out", out])
+    assert result.exit_code == 3, result.output
+    assert written == ["mu_raw.field", "u.field", "f_000.field"]
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["kind"] == "OSError" and payload["exit_code"] == 3
+    assert not (tmp_path / "runs").exists()
+
+
+_TABLE = [{"kind": "constant", "value": [0.05 * k, 0.02 * k]} for k in range(5)]
+
+
+@pytest.mark.parametrize("family, solver, threads", [
+    ({"law": "linear", "grid": [1.0, 0.25, 0.75, 0.0, 0.5]}, {}, 0),
+    ({"law": "linear", "grid": [0.0, 0.25, 1.0, 0.5, 0.75]},
+     {"contraction_cap": 0.28}, 0),
+    ({"law": "table", "grid": [0.0, 0.25, 0.5, 0.75, 1.0], "mu_table": _TABLE},
+     {}, 2),
+], ids=["unsorted-linear", "gated-in-the-middle", "table-law-two-threads"])
+def test_streamed_sweep_reports_what_solve_family_reports(tmp_path, monkeypatch,
+                                                          family, solver,
+                                                          threads):
+    arrivals = []
+    finished_entries = cli._finished_entries
+
+    def recorded(*args):
+        for idx, entry in finished_entries(*args):
+            arrivals.append(idx)
+            yield idx, entry
+
+    monkeypatch.setattr(cli, "_finished_entries", recorded)
+    path = _config(tmp_path, domain=_domain(32), family=family,
+                   solver={"tol": 1e-10, "max_iter": 200, **solver})
+    out = tmp_path / "fam"
+    result = _invoke(["sweep-family", "--config", path, "--out", out,
+                      "--threads", threads])
+    assert result.exit_code == 0, result.output
+    if family["law"] == "linear":
+        assert arrivals != sorted(arrivals)   # early entries were held
+    run = _sweep_run(json.loads(path.read_text()), out)
+    grid = run.family.parameter_grid
+    sweep = solve_family(run.family, [run.u] * len(grid), run.solver,
+                         threads=threads)
+
+    report = json.loads((out / "report.json").read_text())
+    assert report["adjacent_differences"] == [
+        list(d) for d in sweep.adjacent_differences]
+    assert report["extrapolation_errors"] == [
+        list(e) for e in sweep.extrapolation_errors]
+    assert report["lipschitz_constant"] == sweep.lipschitz_constant
+    rows = [line.split(",") for line in
+            (out / "family_report.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(report["entries"]) == len(sweep.entries)
+    for idx, (row, record, entry) in enumerate(zip(rows, report["entries"],
+                                                   sweep.entries)):
+        name = f"{idx:03d}.field"
+        assert row[0] == format(entry.b, ".17g") and record["b"] == entry.b
+        if entry.result is None:
+            assert record == {"b": entry.b, "error": entry.error}
+            assert row[1:] == ["", "", "", ""]
+            assert not (out / f"f_{name}").exists()
+            continue
+        diag = entry.result.diagnostics
+        assert record == {"b": entry.b, "iterations": diag.iterations,
+                          "interior_residual": diag.interior_residual}
+        assert row[1:3] == [str(diag.iterations),
+                            format(diag.interior_residual, ".17g")]
+        assert same_bits(read_field(out / f"f_{name}", run.domain).samples,
+                         entry.result.f.samples)
+        assert same_bits(read_field(out / f"rhs_{name}", run.domain).samples,
+                         entry.result.rhs.samples)
+    # each value sits on the row of the entry it ends at
+    assert [(rows[i - 1][0], row[0], row[3]) for i, row in enumerate(rows)
+            if row[3]] == [(format(lo, ".17g"), format(hi, ".17g"),
+                            format(d, ".17g"))
+                           for lo, hi, d, _ in sweep.adjacent_differences]
+    assert [(row[0], row[4]) for row in rows if row[4]] == [
+        (format(b, ".17g"), format(gap, ".17g"))
+        for b, gap in sweep.extrapolation_errors]
+    assert sweep.extrapolation_errors or family["law"] == "linear"
+
+
+def test_streamed_sweep_peaks_below_twenty_three_fields(tmp_path):
+    """The sweep-family body on the shipped sweep config at N = 128, its
+    inputs parsed beforehand: 21.4 fields measured (30.8 while every entry
+    was kept to the end), pinned at 23 to leave 1.6 fields for allocator
+    and numpy differences."""
+    cfg = json.loads((ROOT / "configs" / "sweep_family.json").read_text())
+    cfg["domain"]["resolution"] = 128
+    run = _sweep_run(cfg, tmp_path)
+    peak, _, _ = traced_fields(lambda: cli._cmd_sweep_family(run), 128)
+    assert peak <= 23.0, peak
 
 
 def test_exhaust_run_and_verify(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    ComplexField,
     DomainSpec,
     Disc,
     FieldFormatError,
@@ -13,6 +14,7 @@ from beltrami import (
     write_field,
     write_pgm_heatmaps,
 )
+from beltrami.family import _Regularity
 from beltrami.io import (
     write_exhaustion_trace_csv,
     write_family_report_csv,
@@ -20,6 +22,15 @@ from beltrami.io import (
 )
 
 from conftest import smooth_random_field
+
+
+def _regularity(sweep, order=None):
+    """The regularity report of a solved sweep, its entries added in
+    ``order`` (grid order by default)."""
+    report = _Regularity(tuple(e.b for e in sweep.entries))
+    for i in range(len(sweep.entries)) if order is None else order:
+        report.add(i, sweep.entries[i])
+    return report
 
 
 def test_binary_roundtrip_bitwise(dom64, tmp_path):
@@ -31,6 +42,21 @@ def test_binary_roundtrip_bitwise(dom64, tmp_path):
     n, half_width, raw = read_field_raw(path)
     assert n == 64 and half_width == 3.0
     assert np.array_equal(raw, f.samples)
+
+
+def test_binary_roundtrip_keeps_every_signed_zero(tmp_path):
+    # every row of the field holds the 16 numbers whose real and imaginary
+    # parts are 0.0, -0.0, 1.0 or -1.0, -0.0 + 1j among them
+    dom = DomainSpec(3.0, 16, Disc(0j, 1.0), 0.8)
+    parts = (0.0, -0.0, 1.0, -1.0)
+    values = [complex(re, im) for re in parts for im in parts]
+    samples = np.resize(np.array(values), (16, 16))
+    path = tmp_path / "zeros.field"
+    write_field(path, ComplexField(dom, samples))
+    _, _, back = read_field_raw(path)
+    assert np.array_equal(np.signbit(back.real), np.signbit(samples.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(samples.imag))
+    assert np.array_equal(back, samples)
 
 
 def test_binary_header_layout(dom64, tmp_path):
@@ -109,7 +135,7 @@ def test_family_csv_writer(tmp_path, dom64):
     mu = BeltramiField.from_raw(constant_field(dom64, 0.3))
     sweep = solve_family(FamilySpec(mu, (0.0, 0.5, 1.0)),
                          [disc_indicator_field(dom64)] * 3, SolverConfig())
-    write_family_report_csv(tmp_path / "fam.csv", sweep)
+    write_family_report_csv(tmp_path / "fam.csv", _regularity(sweep))
     lines = (tmp_path / "fam.csv").read_text().splitlines()
     assert lines[0] == "b,iterations,residual,adjacent_difference,extrapolation_error"
     assert len(lines) == 4
@@ -126,7 +152,7 @@ def test_family_csv_keys_columns_by_position(tmp_path, grid, adjacent_rows):
     mu = BeltramiField.from_raw(constant_field(dom, 0.3))
     sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom)] * 3,
                          SolverConfig())
-    write_family_report_csv(tmp_path / "fam.csv", sweep)
+    write_family_report_csv(tmp_path / "fam.csv", _regularity(sweep))
     rows = [line.split(",")
             for line in (tmp_path / "fam.csv").read_text().splitlines()[1:]]
     assert [float(r[0]) for r in rows] == list(grid)
@@ -145,7 +171,7 @@ def test_family_csv_extrapolation_column_on_a_uniform_grid(tmp_path, dom64):
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom64)] * 5,
                          SolverConfig())
-    write_family_report_csv(tmp_path / "fam.csv", sweep)
+    write_family_report_csv(tmp_path / "fam.csv", _regularity(sweep))
     rows = [line.split(",")
             for line in (tmp_path / "fam.csv").read_text().splitlines()[1:]]
     assert [r[4] for r in rows] == ["", "", ""] + [
@@ -154,20 +180,25 @@ def test_family_csv_extrapolation_column_on_a_uniform_grid(tmp_path, dom64):
         format(d, ".17g") for _, _, d, _ in sweep.adjacent_differences]
 
 
-def test_family_csv_rejects_lists_that_disagree_with_the_entries(tmp_path, dom64):
-    """A sweep built or filtered by hand must not shift values onto other rows."""
-    import dataclasses
-
+def test_family_csv_is_the_same_whatever_order_the_entries_arrive_in(tmp_path,
+                                                                     dom64):
+    """Entries that arrive early are held until those before them arrive, so
+    every row gets the values of its own grid position."""
     from beltrami import BeltramiField, FamilySpec, solve_family
     from beltrami import disc_indicator_field
     mu = BeltramiField.from_raw(constant_field(dom64, 0.3))
-    grid = (0.0, 0.25, 0.5, 0.75)
-    sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom64)] * 4,
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    sweep = solve_family(FamilySpec(mu, grid), [disc_indicator_field(dom64)] * 5,
                          SolverConfig())
-    for field in ("adjacent_differences", "extrapolation_errors"):
-        short = dataclasses.replace(sweep, **{field: getattr(sweep, field)[:-1]})
-        with pytest.raises(ValueError):
-            write_family_report_csv(tmp_path / "fam.csv", short)
+    texts = []
+    for order in (None, (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)):
+        report = _regularity(sweep, order)
+        assert report.summary() == (sweep.adjacent_differences,
+                                    sweep.lipschitz_constant,
+                                    sweep.extrapolation_errors)
+        write_family_report_csv(tmp_path / "fam.csv", report)
+        texts.append((tmp_path / "fam.csv").read_text())
+    assert texts[1:] == texts[:1] * 2
 
 
 def test_exhaustion_csv_writer(tmp_path, dom256):

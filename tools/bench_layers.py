@@ -42,6 +42,10 @@ above, and
                       first disc peaks alike, but at N = 1024 misses the
                       budget of the 11th disc by rounding)
     exhaust.11        the same on 11 radii evenly spaced from 1 to 2
+    sweep.cli         the sweep-family command body (``cli._cmd_sweep_family``)
+                      in process on configs/sweep_family.json at the row's N,
+                      writing its run files into a temporary directory: the
+                      sweep as the CLI runs it, with its I/O
 
 Each is taken once per tree and N, in a child process of its own, apart
 from the timing rounds.  The inputs are built before tracing starts, but no
@@ -63,15 +67,17 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # calls per row and round; ten times as many for the cheap rows
 SWEEP_REPEAT = 2  # calls of the 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
 MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature",
-               "exhaust.3", "exhaust.11")
+               "exhaust.3", "exhaust.11", "sweep.cli")
 
 
 def _best(fn, repeat: int) -> float:
@@ -127,6 +133,7 @@ def _memory_child(resolution: int, row: str) -> dict:
     import numpy as np
 
     import beltrami as bl
+    from beltrami import cli
 
     domain = bl.DomainSpec(3.0, resolution, bl.Disc(0j, 1.0), 0.8)
     mu = bl.BeltramiField.from_raw(bl.constant_field(domain, 0.3))
@@ -142,6 +149,15 @@ def _memory_child(resolution: int, row: str) -> dict:
         return bl.exhaustion_solve(zero, small, list(np.linspace(1.0, 2.0, discs)),
                                    8, cfg)
 
+    out = tempfile.TemporaryDirectory()
+    if row == "sweep.cli":   # its inputs parsed as the CLI parses them
+        spec = json.loads((ROOT / "configs" / "sweep_family.json").read_text())
+        spec["domain"]["resolution"] = resolution
+        run = SimpleNamespace(threads=0, domain=cli._domain_from_config(spec),
+                              out=Path(out.name))
+        for key in ("solver", "mu", "u", "family"):
+            setattr(run, key, cli._INPUTS[key](spec, run))
+
     call = {
         "solve_immersion": lambda: bl.solve_immersion(mu, cfg),
         "solve_dbar": lambda: bl.solve_dbar(mu, u, cfg),
@@ -150,12 +166,14 @@ def _memory_child(resolution: int, row: str) -> dict:
         "beurling.quadrature": lambda: bl.beurling_transform(u, "quadrature"),
         "exhaust.3": lambda: exhaust(3),
         "exhaust.11": lambda: exhaust(11),
+        "sweep.cli": lambda: cli._cmd_sweep_family(run),
     }[row]
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     call()   # the result is dropped here
     kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    out.cleanup()
     field = 16 * resolution ** 2
     return {"N": resolution, "row": row, "fields": (peak - base) / field,
             "kept": (kept - base) / field}
