@@ -33,7 +33,7 @@ from .errors import (
     RungeApproximationFailure,
     ValidationError,
 )
-from .exhaustion import _check_exhaustion, exhaustion_solve
+from .exhaustion import _check_exhaustion, _disc_domain, exhaustion_solve
 from .family import FamilySpec, _finished_entries, _Regularity, solve_dbar
 from .fieldgen import _as_complex, _check_keys, builtin_field
 from .grid import (
@@ -161,13 +161,13 @@ def _family_from_config(cfg: dict, domain: DomainSpec,
     return FamilySpec(mu, tuple(grid), law=law, table=table)
 
 
-def _exhaustion_from_config(cfg: dict) -> tuple:
-    """The radii and taylor_degree, checked as exhaustion_solve checks them."""
+def _exhaustion_from_config(cfg: dict, domain: DomainSpec) -> tuple:
+    """The radii and taylor_degree, checked on ``domain`` as exhaustion_solve
+    checks them."""
     spec = _require(cfg, "exhaustion")
     radii = _list(_require(spec, "radii"), "exhaustion radii")
     _check_keys(spec, ("radii", "taylor_degree"), "exhaustion")
-    return _check_exhaustion(_domain_from_config(cfg), radii,
-                             _whole(_require(spec, "taylor_degree")))
+    return _check_exhaustion(domain, radii, _whole(_require(spec, "taylor_degree")))
 
 
 # Config inputs in parse order; a parser sees the inputs parsed before it.
@@ -177,7 +177,7 @@ _INPUTS = {
         builtin_field(_require(cfg, "mu"), run.domain)),
     "u": lambda cfg, run: builtin_field(_require(cfg, "u"), run.domain),
     "family": lambda cfg, run: _family_from_config(cfg, run.domain, run.mu),
-    "exhaustion": lambda cfg, run: _exhaustion_from_config(cfg),
+    "exhaustion": lambda cfg, run: _exhaustion_from_config(cfg, run.domain),
 }
 
 
@@ -417,11 +417,8 @@ def _cmd_verify(out: Path):
     if command not in ("solve-beltrami", "solve-dbar", "sweep-family", "exhaust"):
         raise ValidationError(f"cannot verify runs of command {command!r}")
     if command == "exhaust":
-        radii = _list(_require(report, "radii"), "report radii")
-        if not radii:
-            raise ValidationError("report radii must not be empty")
-        domain = DomainSpec(domain.half_width, domain.resolution,
-                            Disc(0j, radii[-1]), domain.margin)
+        radii, _ = _exhaustion_from_config(cfg, domain)
+        domain = _disc_domain(domain, radii[-1])
     mu = BeltramiField.from_raw(read_field(out / "mu_raw.field", domain))
 
     def recheck(record, what: str, mu_, name: str, rhs_name=None):

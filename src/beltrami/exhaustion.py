@@ -161,6 +161,11 @@ def _check_exhaustion(domain: DomainSpec, radii: Sequence[float],
     return radii, _integer(taylor_degree, "taylor_degree", 1, MAX_TAYLOR_DEGREE)
 
 
+def _disc_domain(base: DomainSpec, radius: float) -> DomainSpec:
+    """base's grid and margin on the disc of ``radius`` about the origin."""
+    return DomainSpec(base.half_width, base.resolution, Disc(0j, radius), base.margin)
+
+
 def exhaustion_solve(mu: BeltramiField, u: ComplexField,
                      radii: Sequence[float], taylor_degree: int,
                      cfg: SolverConfig = SolverConfig()
@@ -182,9 +187,10 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     """
     base = mu.domain
     radii, taylor_degree = _check_exhaustion(base, radii, taylor_degree)
+    budgets = [0.5 ** n * cfg.tol for n in range(1, len(radii) + 1)]   # per step
 
     def solve_on(r: float) -> DbarResult:
-        domain = DomainSpec(base.half_width, base.resolution, Disc(0j, r), base.margin)
+        domain = _disc_domain(base, r)
         mu_n = BeltramiField.from_raw(rebase(mu.raw, domain))
         u_n = ComplexField(domain, _geometry(domain).cutoff * u.samples)
         return solve_dbar(mu_n, u_n, cfg)
@@ -200,7 +206,7 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
         jet = taylor_project(diff, 0j, taylor_degree,
                              CIRCLE_RADIUS_FRACTION * prev_radius)
         poly = jet.evaluate(z)
-        budget = (0.5 ** n) * cfg.tol
+        budget = budgets[n - 1]
         approx_error = float(np.max(np.abs((diff_samples - poly)[prev_mask])))
         if approx_error > budget:
             raise RungeApproximationFailure(n, approx_error, budget)
@@ -214,7 +220,7 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     result = solve_on(radii[0])
     current = result.f.samples
     steps = [ExhaustionStep(1, radii[0], result.diagnostics.iterations,
-                            0.0, 0.0, cfg.tol * 0.5)]
+                            0.0, 0.0, budgets[0])]
     for n, r in enumerate(radii[1:], start=2):
         del result
         result = solve_on(r)

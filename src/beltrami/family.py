@@ -383,7 +383,6 @@ class _SeriesPoint:
 
     index: int
     b: float
-    chain: int          # which datum's d-bar chain feeds psi
     phi: np.ndarray     # sum of b^n a_n so far, on the support box
     psi: np.ndarray     # sum of b^n c_n so far, on the support box
     trace: list         # term sizes b^n max(sup|a_n|, sup|c_n|)
@@ -421,9 +420,10 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     return None
 
 
-def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig):
-    """Yield (index, entry) of a linear-law sweep, from the b-power series of
-    both fixed points, as the entries finish.
+def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig):
+    """Yield (index, entry) of a linear-law sweep with the datum u at every
+    grid point, from the b-power series of both fixed points, as the entries
+    finish.
 
     For mu_b = b mu_0 the immersion fixed point is phi_b = sum_{n>=1} b^n a_n
     with a_1 = mu_0, g_n = S(a_n), a_{n+1} = mu_0 g_n, and the d-bar fixed
@@ -431,45 +431,36 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig):
     c_n = r_n + mu_0 S(c_{n-1}) and r_n = (conj(g_n) - |mu_0|^2 conj(g_{n-2})) u
     (g_0 = 1, g_{-1} = 0): the b-expansion of the rhs (1 - b^2|mu_0|^2)
     conj(g_b) u.  One recurrence serves every grid point at two Beurling
-    applies per term (one more per extra distinct datum).  Each point adds
-    b^n times the new terms to its own sums and is finished once its term size
-    reaches cfg.tol and its measured residuals pass, so its result is bitwise
-    independent of the other grid points.  Point b is gated on
-    sup|mu_b| = b sup|mu_0|, as neumann_solve gates a per-b solve; gated
-    points are yielded first.  Every term vanishes off the box of the nonzero
-    samples of mu_0 and the data, so the recurrence and the sums are box
-    arrays.  Nothing here refers to a yielded result afterwards, so a consumer
-    that drops it frees it while the series runs on.
+    applies per term.  Each point adds b^n times the new terms to its own
+    sums and is finished once its term size reaches cfg.tol and its measured
+    residuals pass, so its result is bitwise independent of the other grid
+    points.  Point b is gated on sup|mu_b| = b sup|mu_0|, as neumann_solve
+    gates a per-b solve; gated points are yielded first.  Every term vanishes
+    off the box of the nonzero samples of mu_0 and u, so the recurrence and
+    the sums are box arrays.  Nothing here refers to a yielded result
+    afterwards, so a consumer that drops it frees it while the series runs on.
     """
-    grid = family.parameter_grid
     domain = family.base_mu.domain
     m0 = family.base_mu.extended.samples
     sup0 = family.base_mu.sup_norm
-    data = []                       # distinct data, one d-bar chain each
-    chains = []                     # (index, b, chain) of each gated point
-    for i, b in enumerate(grid):
+    points = []                     # (index, b) of each point the gate passes
+    for i, b in enumerate(family.parameter_grid):
         if b * sup0 >= cfg.contraction_cap:
             exc = ContractionTooLarge(b * sup0, cfg.contraction_cap)
             yield i, FamilyEntry(b, None, error=str(exc))
-            continue
-        u = u_family[i].samples
-        chain = next((j for j, d in enumerate(data) if np.array_equal(d, u)),
-                     len(data))
-        if chain == len(data):
-            data.append(u)
-        chains.append((i, b, chain))
+        else:
+            points.append((i, b))
 
-    box = _support_box(m0, *data)
+    box = _support_box(m0, u.samples)
     beurling = _FourierApply.beurling(domain, box)
-    m0_box = m0[box]
+    m0_box, u_box = m0[box], u.samples[box]
     abs2 = np.abs(m0_box) ** 2
-    data_box = [d[box] for d in data]
-    live = [_SeriesPoint(i, b, j, np.zeros_like(m0_box), data_box[j].copy(), [])
-            for i, b, j in chains]
+    live = [_SeriesPoint(i, b, np.zeros_like(m0_box), u_box.copy(), [])
+            for i, b in points]
     # the recurrence updates buffers allocated here, once per sweep; a_{n+1}
     # ping-pongs between two of them, since a_1 is the read-only mu_0 box
     a, a_buffers = m0_box, (np.empty_like(m0_box), np.empty_like(m0_box))
-    c = [d.copy() for d in data_box]                # c_{n-1} per chain
+    c = u_box.copy()                        # c_{n-1}
     conj_g, conj_g1, conj_g2 = (np.empty_like(m0_box) for _ in range(3))
     conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
     conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
@@ -483,24 +474,21 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig):
         # a_{n+1} = mu_0 g_n, so the apply that holds g_n is free again
         a_next = np.multiply(m0_box, g, out=a_buffers[n % 2])
         np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
-        c_size = {}
-        for j in sorted({p.chain for p in live}):
-            np.multiply(m0_box, beurling(c[j]), out=c[j])
-            np.add(np.multiply(weight, data_box[j], out=tmp), c[j], out=c[j])
-            c_size[j] = float(np.max(np.abs(c[j], out=magnitude), initial=0.0))
-        a_size = float(np.max(np.abs(a, out=magnitude), initial=0.0))
+        np.multiply(m0_box, beurling(c), out=c)
+        np.add(np.multiply(weight, u_box, out=tmp), c, out=c)
+        size = max(float(np.max(np.abs(a, out=magnitude), initial=0.0)),
+                   float(np.max(np.abs(c, out=magnitude), initial=0.0)))
         pending = []
         for p in live:
             bn = p.b ** n
             np.add(p.phi, np.multiply(bn, a, out=tmp), out=p.phi)
-            np.add(p.psi, np.multiply(bn, c[p.chain], out=tmp), out=p.psi)
-            p.trace.append(bn * max(a_size, c_size[p.chain]))
+            np.add(p.psi, np.multiply(bn, c, out=tmp), out=p.psi)
+            p.trace.append(bn * size)
             if p.trace[-1] > cfg.tol:
                 pending.append(p)
                 continue
             try:
-                entry = _finish_series_point(family, p, u_family[p.index], cfg,
-                                             beurling)
+                entry = _finish_series_point(family, p, u, cfg, beurling)
             except BeltramiError as exc:
                 entry = FamilyEntry(p.b, None, error=str(exc))
             if entry is None:
@@ -518,17 +506,21 @@ def _solve_linear_series(family: FamilySpec, u_family, cfg: SolverConfig):
 
 def _finished_entries(family: FamilySpec, u_family, cfg: SolverConfig,
                       threads: int):
-    """Yield (index, entry) of every grid point as it finishes: a linear-law
-    family of two or more points in the order its series finishes them,
-    otherwise in index order.  The arguments are those of ``solve_family``,
-    checked on the first ``next``."""
+    """Yield (index, entry) of every grid point as it finishes.  A linear-law
+    family of two or more points whose data all equal the first runs as one
+    series and yields in the order the series finishes them; any other family
+    runs one ``solve_dbar`` per point on ``threads`` workers and yields in
+    index order.  The arguments are those of ``solve_family``, checked on the
+    first ``next``."""
     threads = _integer(threads, "threads", 0)
     grid = family.parameter_grid
     if len(u_family) != len(grid):
         raise ValidationError("u_family must align with the parameter grid")
     _same_domain("family data", family.base_mu, *u_family)
-    if family.law == "linear" and len(grid) > 1:
-        yield from _solve_linear_series(family, u_family, cfg)
+    u = u_family[0]
+    if family.law == "linear" and len(grid) > 1 and all(
+            v is u or np.array_equal(v.samples, u.samples) for v in u_family):
+        yield from _solve_linear_series(family, u, cfg)
         return
 
     def solve_one(i: int) -> FamilyEntry:
@@ -552,20 +544,21 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     """Solve the d-bar problem at every parameter of the family.
 
     ``u_family`` is a list of moving-frame data aligned with the parameter
-    grid.  A linear-law family with two or more grid points is solved as one
-    power series in b (see ``_solve_linear_series``): a single recurrence of
-    two Beurling applies per term feeds every grid point, and an entry's
-    ``iterations`` is the number of series terms it used, its ``trace`` the
-    sizes of those terms.  Table-law families and one-point grids run one
-    immersion and one Neumann d-bar solve per parameter; only these use
-    ``threads`` worker threads (0 = ``os.cpu_count()``, never more than the
-    grid points; results are stored by index, so thread scheduling cannot
-    change the output).  Either way an entry does not depend on the other
-    grid points, and per-parameter failures are recorded in their entry
-    rather than failing the sweep.  The report carries adjacent sup
-    differences with a single fitted Lipschitz constant, and
-    quadratic-extrapolation gaps when the grid is uniform with at least four
-    points.
+    grid.  A linear-law family with two or more grid points and one datum
+    (every entry equal to the first) is solved as one power series in b (see
+    ``_solve_linear_series``): a single recurrence of two Beurling applies
+    per term feeds every grid point, and an entry's ``iterations`` is the
+    number of series terms it used, its ``trace`` the sizes of those terms.
+    Table-law families, one-point grids and linear families whose data
+    differ run one immersion and one Neumann d-bar solve per parameter,
+    bitwise ``solve_dbar``; only these use ``threads`` worker threads
+    (0 = ``os.cpu_count()``, never more than the grid points; results are
+    stored by index, so thread scheduling cannot change the output).  Either
+    way an entry does not depend on the other grid points, and per-parameter
+    failures are recorded in their entry rather than failing the sweep.  The
+    report carries adjacent sup differences with a single fitted Lipschitz
+    constant, and quadratic-extrapolation gaps when the grid is uniform with
+    at least four points.
     """
     grid = family.parameter_grid
     entries = [None] * len(grid)

@@ -579,36 +579,36 @@ class _FourierApply:
             self._add_mean(rest, cols)
         return out
 
+    def _blocks(self, rows: slice, cols: slice):
+        """(lo, out[lo:hi, cols]) for the row blocks of ``_MEAN_BLOCK_BYTES``
+        (or one row) that tile out[rows, cols], top to bottom."""
+        out = self.out
+        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * max(1, cols.stop - cols.start)))
+        for lo in range(rows.start, rows.stop, step):
+            yield lo, out[lo:min(lo + step, rows.stop), cols]
+
     def _add_mean(self, rows: slice, cols: slice) -> None:
         """out[rows, cols] += mean * mean_profile[rows, cols], in row blocks;
         nothing without a mean profile."""
-        out, profile = self.out, self.mean_profile
+        profile = self.mean_profile
         if profile is None:
             return
-        width = max(1, cols.stop - cols.start)
-        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * width))
-        for lo in range(rows.start, rows.stop, step):
-            block = out[lo:min(lo + step, rows.stop), cols]
+        for lo, block in self._blocks(rows, cols):
             np.add(block, self.mean * profile[lo:lo + block.shape[0], cols], out=block)
 
     def resolved_at_half(self, bound: float) -> bool:
         """Whether every mode of the spectrum in out outside the band of the
         n/2 grid (|k| >= n/4 on either axis) has amplitude |x^(k)| / n^2 at
-        most ``bound``.  Scans out in small row blocks, as the mean term is
-        added, and stops at the first block above the bound."""
-        out = self.out
-        n = out.shape[0]
+        most ``bound``.  Scans out in row blocks, as the mean term is added,
+        and stops at the first block above the bound."""
+        n = self.out.shape[0]
         lo, hi = n // 4, n - n // 4 + 1
-        limit = bound * out.size
-        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * n))
-        for rows, cols in ((slice(lo, hi), slice(0, n)),
-                           (slice(0, lo), slice(lo, hi)),
-                           (slice(hi, n), slice(lo, hi))):
-            for top in range(rows.start, rows.stop, step):
-                block = out[top:min(top + step, rows.stop), cols]
-                if np.max(np.abs(block), initial=0.0) > limit:
-                    return False
-        return True
+        limit = bound * self.out.size
+        return not any(np.max(np.abs(block), initial=0.0) > limit
+                       for rows, cols in ((slice(lo, hi), slice(0, n)),
+                                          (slice(0, lo), slice(lo, hi)),
+                                          (slice(hi, n), slice(lo, hi)))
+                       for _, block in self._blocks(rows, cols))
 
     def interpolate(self, coarse: np.ndarray) -> np.ndarray:
         """The trigonometric interpolant of n/2-grid samples, on the box.

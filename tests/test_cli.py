@@ -636,7 +636,7 @@ def test_readme_config_schema_parses(tmp_path):
     cfg = cli._load_config(path)
     domain = cli._domain_from_config(cfg)
     assert cli._solver_from_config(cfg) == SolverConfig(**cfg["solver"])
-    assert cli._exhaustion_from_config(cfg) == (
+    assert cli._exhaustion_from_config(cfg, domain) == (
         cfg["exhaustion"]["radii"], cfg["exhaustion"]["taylor_degree"])
     mu = BeltramiField.from_raw(builtin_field(cfg["mu"], domain))
     builtin_field(cfg["u"], domain)

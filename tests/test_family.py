@@ -406,21 +406,48 @@ def test_linear_sweep_matches_per_entry_dbar(resolution, make_mu):
 
 
 def test_linear_sweep_with_data_wider_than_mu(dom64):
-    # the series runs on the box of mu_0 and every datum, here the data's
+    # the series runs on the box of mu_0 and the datum, here the datum's
     small = DomainSpec(3.0, 64, Disc(0j, 0.5), 0.8)
     wide = DomainSpec(3.0, 64, Disc(0.3 + 0.2j, 1.8), 0.8)
     mu = BeltramiField.from_raw(rebase(gaussian_bump_field(small, 0.6), dom64))
     u_wide = rebase(smooth_random_field(wide, seed=11), dom64)
-    u_disc = disc_indicator_field(dom64)
     grid = (0.25, 0.5, 0.75, 1.0)
-    data = [u_disc, u_wide, u_disc, u_wide]
     cfg = SolverConfig()
-    sweep = solve_family(FamilySpec(mu, grid), data, cfg)
+    sweep = solve_family(FamilySpec(mu, grid), [u_wide] * 4, cfg)
     om = omega_mask(dom64)
     for i, entry in enumerate(sweep.entries):
-        direct = solve_dbar(mu.scaled(grid[i]), data[i], cfg)
+        direct = solve_dbar(mu.scaled(grid[i]), u_wide, cfg)
         gap = np.max(np.abs((entry.result.f - direct.f).samples[om]))
         assert gap <= 1e-10, (entry.b, gap)
+
+
+@pytest.mark.parametrize("scales", [
+    (1.0, 1.3) * 4 + (1.0,),
+    tuple(1.0 + 0.08 * b for b in EIGHTHS),
+], ids=["two-alternating", "nine-distinct"])
+def test_linear_sweep_with_distinct_data_is_per_point_dbar(dom64, scales):
+    # the series serves one datum; data that differ are solved point by point
+    mu = mu_strong(dom64)
+    u = disc_indicator_field(dom64)
+    data = [u * s for s in scales]
+    cfg = SolverConfig()
+    sweep = solve_family(FamilySpec(mu, EIGHTHS), data, cfg)
+    for i, entry in enumerate(sweep.entries):
+        direct = solve_dbar(mu.scaled(EIGHTHS[i]), data[i], cfg)
+        assert entry.result.diagnostics == direct.diagnostics
+        assert same_bits(entry.result.f.samples, direct.f.samples)
+        assert same_bits(entry.result.rhs.samples, direct.rhs.samples)
+
+
+def test_linear_sweep_takes_equal_data_as_one_datum(dom64):
+    # equal data in distinct objects run the series, as one shared object does
+    family = FamilySpec(mu_strong(dom64), EIGHTHS)
+    u = disc_indicator_field(dom64)
+    copies = [ComplexField(dom64, u.samples.copy()) for _ in EIGHTHS]
+    shared = solve_family(family, [u] * 9)
+    for a, b in zip(shared.entries, solve_family(family, copies).entries):
+        assert a.result.diagnostics == b.result.diagnostics
+        assert same_bits(a.result.f.samples, b.result.f.samples)
 
 
 def test_linear_sweep_no_convergence_only_where_terms_run_out(dom64):

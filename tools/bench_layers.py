@@ -29,6 +29,9 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     fd.residual       beltrami_residual(h, mu) of that immersion (the FD defect)
     solve_dbar        mu = 0.3 constant, u the disc indicator
     sweep.linear9     solve_family, linear law on 0.5 + 0.3 bump, b = k/8
+    sweep.linear9.forms
+                      the same law with the nine distinct data
+                      u_b = (1 + 0.08 b) u, which run point by point
 
 Memory rows, in fields of 16 N^2 bytes: "fields" is the tracemalloc peak of
 the row's first call above its inputs, and "kept" what stays allocated above
@@ -74,7 +77,7 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # calls per row and round; ten times as many for the cheap rows
-SWEEP_REPEAT = 2  # calls of the 9-point sweep per round
+SWEEP_REPEAT = 2  # calls of a 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
 MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature",
                "exhaust.3", "exhaust.11", "sweep.cli")
@@ -122,6 +125,9 @@ def _child(resolution: int) -> dict:
     data = [u] * 9
     rows["sweep.linear9"] = _best(lambda: bl.solve_family(family, data, cfg),
                                   SWEEP_REPEAT)
+    forms = [u * (1.0 + 0.08 * b) for b in family.parameter_grid]
+    rows["sweep.linear9.forms"] = _best(lambda: bl.solve_family(family, forms, cfg),
+                                        SWEEP_REPEAT)
     return {"N": resolution, "numpy": np.__version__, "rows": rows}
 
 
@@ -248,7 +254,7 @@ def main(argv=None) -> int:
                  "python": platform.python_version(), "numpy": numpy_version},
         "method": (f"best of {REPEAT} calls ({10 * REPEAT} for the "
                    f"spectral applies and fd.residual, {SWEEP_REPEAT} for "
-                   f"sweep.linear9) in each of {ROUNDS} child processes per "
+                   f"the sweeps) in each of {ROUNDS} child processes per "
                    "tree and N, trees alternating; 'seconds' holds each "
                    "row's best over the processes and 'spread' the "
                    "[min, max] of the processes' bests, in seconds per call"),
