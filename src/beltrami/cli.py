@@ -8,9 +8,18 @@ iteration order, no timestamps).
 
 Exit codes: 0 success, 1 validation error, 2 solver/verification error,
 3 I/O error.  Error detail goes to stderr as single-line JSON.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
+unless it is set already; when numpy is not yet loaded, as in every
+``beltrami`` process, OpenBLAS then starts with one thread.
 """
 
 from __future__ import annotations
+
+import os
+
+# no solve runs threaded BLAS, and an idle OpenBLAS pool costs each process ~0.1 s
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import json
 import shutil
@@ -19,7 +28,6 @@ from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
-import click
 import numpy as np
 
 from . import __version__
@@ -55,6 +63,10 @@ from .io import (
 )
 from .solver import SolverConfig, beltrami_residual, solve_immersion
 from .transforms import beurling_transform, cauchy_transform
+
+# after the package: imported before its modules compile, click leaves every
+# CLI process's peak RSS ~0.5 MB higher when no bytecode is cached
+import click
 
 CONFIG_SCHEMA_VERSION = 1
 

@@ -10,7 +10,9 @@ Each (tree, N) pair runs in ROUNDS fresh child processes that import
 With ``--baseline`` the two trees alternate, N by N and round by round, so
 both see the same machine load.  Each row keeps the best time over all
 rounds and, as its spread, the min and max of the rounds' best times; a
-difference that the two trees' spreads overlap is not resolved.
+difference that the two trees' spreads overlap is not resolved.  Each tree
+must be the top level of its own git work tree (a clone, or
+``git worktree add <dir> <commit>``), so the output can name its commit.
 Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
 
     beurling.full     public beurling_transform of a field (validated)
@@ -50,6 +52,21 @@ above, and
                       writing its run files into a temporary directory: the
                       sweep as the CLI runs it, with its I/O
 
+CLI rows, one fresh ``python`` process per call, in each tree's ``src/``:
+
+    cli.interpreter   ``python -c pass``: interpreter start-up alone
+    cli.import        ``python -c "import beltrami.cli"``: start-up plus the
+                      imports of a CLI process (numpy, click, the package)
+    cli.<command>     ``python -m beltrami <command>`` on the tree's
+                      ``configs/`` file for that command, into a temporary
+                      ``--out``, for each of the five shipped configs
+
+Each row runs REPEAT times per round and tree, for ROUNDS rounds with the
+trees alternating; its wall time and its CPU time (user + system, from the
+``RUSAGE_CHILDREN`` delta around the call) are each kept as best and spread
+like the timing rows.  They do not depend on N and run once, also when
+``--sizes`` is given no value, which runs only these rows.
+
 Each is taken once per tree and N, in a child process of its own, apart
 from the timing rounds.  The inputs are built before tracing starts, but no
 transform table is: the peak includes building the multipliers, the mean
@@ -65,9 +82,11 @@ the numpy version beside them, as the output does.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -81,6 +100,12 @@ SWEEP_REPEAT = 2  # calls of a 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
 MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature",
                "exhaust.3", "exhaust.11", "sweep.cli")
+CLI_CONFIGS = {"solve-beltrami": "solve_beltrami.json", "solve-dbar": "solve_dbar.json",
+               "sweep-family": "sweep_family.json", "exhaust": "exhaust.json",
+               "oracle-compare": "oracle_compare.json"}
+CLI_ROWS = ("cli.interpreter", "cli.import", *(f"cli.{c}" for c in CLI_CONFIGS))
+# variables that change what a CLI process spends before it solves
+START_ENV = ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
 
 
 def _best(fn, repeat: int) -> float:
@@ -94,8 +119,6 @@ def _best(fn, repeat: int) -> float:
 
 def _child(resolution: int) -> dict:
     """Time every row in this process; ``beltrami`` comes from sys.path."""
-    import numpy as np
-
     import beltrami as bl
     from beltrami import grid
 
@@ -128,7 +151,7 @@ def _child(resolution: int) -> dict:
     forms = [u * (1.0 + 0.08 * b) for b in family.parameter_grid]
     rows["sweep.linear9.forms"] = _best(lambda: bl.solve_family(family, forms, cfg),
                                         SWEEP_REPEAT)
-    return {"N": resolution, "numpy": np.__version__, "rows": rows}
+    return {"N": resolution, "rows": rows}
 
 
 def _memory_child(resolution: int, row: str) -> dict:
@@ -196,15 +219,55 @@ def _run_child(tree: Path, resolution: int, memory_row: str | None = None) -> di
     return json.loads(proc.stdout)
 
 
-def _commit(tree: Path) -> str | None:
-    proc = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
+def _cli_args(tree: Path, row: str, out: str) -> list:
+    """The arguments of the ``python`` process of a CLI row."""
+    if row == "cli.interpreter":
+        return ["-c", "pass"]
+    if row == "cli.import":
+        return ["-c", "import beltrami.cli"]
+    command = row[len("cli."):]
+    return ["-m", "beltrami", command,
+            "--config", str(tree / "configs" / CLI_CONFIGS[command]), "--out", out]
+
+
+def _run_cli_row(tree: Path, row: str) -> tuple:
+    """Wall and CPU seconds of one fresh process of ``row`` on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        args = _cli_args(tree, row, str(Path(tmp) / "run"))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, cwd=tmp,
+                       stdout=subprocess.DEVNULL, check=True)
+        wall = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return wall, cpu
+
+
+def _check_tree(tree: Path) -> None:
+    """Refuse a tree whose commit git cannot name: one that is not the top
+    level of its own work tree (a ``git archive`` copy, say, which reads as
+    no commit, or as the commit of a repository around it)."""
+    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "--show-toplevel"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    if proc.returncode != 0 or Path(proc.stdout.strip()).resolve() != tree.resolve():
+        raise SystemExit(f"bench_layers: {tree} is not the top level of its own git "
+                         "work tree, so its commit cannot be recorded; check the "
+                         "commit out with `git worktree add <dir> <commit>` or "
+                         "`git clone`")
+
+
+def _commit(tree: Path) -> str:
+    proc = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[256, 512, 1024])
+    ap.add_argument("--sizes", type=int, nargs="*", default=[256, 512, 1024],
+                    help="grid sizes of the per-N rows; none runs only the CLI rows")
     ap.add_argument("--baseline", type=Path,
                     help="a second checkout to time alternately (its src/)")
     ap.add_argument("--out", type=Path, help="write the JSON here as well")
@@ -222,15 +285,15 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
+    for tree in trees.values():
+        _check_tree(tree)
     rounds = {name: {} for name in trees}   # tree -> N -> row -> round bests
-    numpy_version = None
     for n in args.sizes:
         for r in range(ROUNDS):
             # alternate which tree goes first from round to round
             order = list(trees.items())
             for name, tree in (order if r % 2 == 0 else order[::-1]):
                 child = _run_child(tree, n)
-                numpy_version = child["numpy"]
                 rows = rounds[name].setdefault(str(n), {})
                 for row, seconds in child["rows"].items():
                     rows.setdefault(row, []).append(seconds)
@@ -244,14 +307,31 @@ def main(argv=None) -> int:
                 fields[name].setdefault(str(n), {})[row] = round(child["fields"], 3)
                 kept[name].setdefault(str(n), {})[row] = round(child["kept"], 3)
 
+    # tree -> "wall" / "cpu" -> row -> round bests
+    cli = {name: {"wall": {}, "cpu": {}} for name in trees}
+    for r in range(ROUNDS):
+        order = list(trees.items())
+        for name, tree in (order if r % 2 == 0 else order[::-1]):
+            for row in CLI_ROWS:
+                walls, cpus = zip(*(_run_cli_row(tree, row) for _ in range(REPEAT)))
+                cli[name]["wall"].setdefault(row, []).append(min(walls))
+                cli[name]["cpu"].setdefault(row, []).append(min(cpus))
+
     def per_row(stat):
         return {name: {n: {row: stat(times) for row, times in rows.items()}
                        for n, rows in by_n.items()}
                 for name, by_n in rounds.items()}
 
+    def cli_per_row(stat):
+        return {name: {kind: {row: stat(times) for row, times in rows.items()}
+                       for kind, rows in by_kind.items()}
+                for name, by_kind in cli.items()}
+
     report = {
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version(), "numpy": numpy_version},
+                 "python": platform.python_version(),
+                 "numpy": importlib.metadata.version("numpy"),
+                 "env": {key: os.environ.get(key) for key in START_ENV}},
         "method": (f"best of {REPEAT} calls ({10 * REPEAT} for the "
                    f"spectral applies and fd.residual, {SWEEP_REPEAT} for "
                    f"the sweeps) in each of {ROUNDS} child processes per "
@@ -269,6 +349,14 @@ def main(argv=None) -> int:
         "spread": per_row(lambda times: [min(times), max(times)]),
         "fields": fields,
         "kept": kept,
+        "cli_method": (f"one fresh python process per call, best of {REPEAT} "
+                       f"calls in each of {ROUNDS} rounds per tree, trees "
+                       "alternating; 'wall' is wall clock and 'cpu' the child's "
+                       "user + system time (RUSAGE_CHILDREN), each the best "
+                       "over the rounds, with the [min, max] of the rounds' "
+                       "bests in 'spread', in seconds per call"),
+        "cli_seconds": cli_per_row(min),
+        "cli_spread": cli_per_row(lambda times: [min(times), max(times)]),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
