@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
@@ -39,23 +38,25 @@ from .errors import (
 from .grid import (
     BeltramiField,
     ComplexField,
+    _Blockwise,
     _fd_beltrami_defect,
     _FourierApply,
+    _full_box,
+    _geometry,
     _integer,
-    _on_grid,
     _real,
+    _row_blocks,
     _same_domain,
     _support_box,
     interior_mask,
-    sup_norm,
+    omega_mask,
 )
 from .solver import (
     SolverConfig,
+    _neumann,
     check_nondegenerate,
-    neumann_solve,
     solve_immersion,
 )
-from .transforms import cauchy_transform
 
 FRAME_DEGENERACY_TOL = 1e-12
 
@@ -198,29 +199,63 @@ class DbarResult:
     rhs: ComplexField = field(repr=False)
 
 
-def _dbar_data(m: np.ndarray, g: np.ndarray, u: np.ndarray, inner: np.ndarray) -> tuple:
-    """The d-bar rhs (1 - |mu|^2) conj(g) u, and its frame factor
-    (1 - |mu|^2) conj(g) at the ``inner`` points: all that a d-bar solve
-    reads of g = dh/dz, so a caller that drops g then frees it."""
-    frame = (1.0 - np.abs(m) ** 2) * np.conj(g)
-    return frame * u, frame[inner]
+# The d-bar finish, shared by solve_dbar, solve_dbar_form and the linear
+# series: ``_dbar_data`` forms the rhs from g, ``_dbar_finish`` the result
+# from the fixed point.  They read mu_ext and g as arrays or ``_Blockwise``
+# readers (b mu_0, 1 + S(phi) in an apply buffer) and form every whole-grid
+# expression in row blocks, so the rhs and f are the only whole-grid arrays
+# they allocate.
 
-
-def _dbar_result(mu: BeltramiField, denom: np.ndarray, u: ComplexField,
-                 rhs: ComplexField, phi: ComplexField, iterations: int,
-                 neumann_residual: float, trace: tuple) -> DbarResult:
-    """f = P(phi) and its finite-difference residuals on interior Omega;
-    ``denom`` is the interior frame factor of ``_dbar_data``."""
-    f = cauchy_transform(phi)
+def _dbar_data(m, g, u: ComplexField) -> tuple:
+    """The d-bar rhs (1 - |mu|^2) conj(g) u, its frame factor
+    (1 - |mu|^2) conj(g) at the interior points and min |g| there: all that
+    a d-bar solve reads of g = dh/dz, so a caller that drops g then frees
+    it.  m and g hold the samples of mu_ext and g."""
+    n = u.domain.resolution
     inner = interior_mask(u.domain)
-    lhs = _fd_beltrami_defect(f, mu)
+    rhs = np.empty_like(u.samples)
+    denom, gmin = [], []
+    for rows in _row_blocks(slice(0, n), n):
+        g_rows = g[rows, :]
+        frame = (1.0 - np.abs(m[rows, :]) ** 2) * np.conj(g_rows)
+        np.multiply(frame, u.samples[rows], out=rhs[rows])
+        at = inner[rows]
+        if at.any():
+            denom.append(frame[at])
+            gmin.append(np.min(np.abs(g_rows[at])))
+    return rhs, np.concatenate(denom), float(np.min(gmin))
+
+
+def _box_sup(box: tuple, step) -> float:
+    """The max of |step(key, at)| over the row blocks of ``box``: ``key``
+    is a block of the grid, ``at`` the same rows of an array of the box's
+    shape.  0 on an empty box; a NaN comes through."""
+    rows, cols = box
+    sups = [np.max(np.abs(step((block, cols), slice(block.start - rows.start,
+                                                    block.stop - rows.start))),
+                   initial=0.0)
+            for block in _row_blocks(rows, cols.stop - cols.start)]
+    return float(np.max(sups, initial=0.0))
+
+
+def _dbar_finish(m, u: ComplexField, rhs: ComplexField, denom: np.ndarray,
+                 psi: np.ndarray, box: tuple, residual: float,
+                 trace: tuple) -> DbarResult:
+    """The result of the d-bar fixed point psi, given by its samples on
+    ``box`` (it vanishes off it): f = P(psi), from a box apply, and its
+    finite-difference residuals on interior Omega.  ``denom`` is the
+    interior frame factor of ``_dbar_data``, m the samples of mu_ext."""
+    geo = _geometry(u.domain)
+    f = ComplexField(u.domain, _FourierApply.whole(geo.P, geo.w, psi, box))
+    inner = geo.interior_mask
+    lhs = _fd_beltrami_defect(f, m)
     interior_residual = float(np.max(np.abs(lhs - rhs.samples[inner])))
     moving_frame_residual = float(np.max(np.abs(lhs / denom - u.samples[inner])))
     return DbarResult(
         f=f,
         diagnostics=DbarDiagnostics(
-            iterations=iterations,
-            neumann_residual=neumann_residual,
+            iterations=len(trace),
+            neumann_residual=residual,
             interior_residual=interior_residual,
             moving_frame_residual=moving_frame_residual,
             trace=trace,
@@ -241,9 +276,11 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     evaluated with the finite-difference derivative route on interior Omega.
     """
     _same_domain("mu and u", mu, u)
-    g = solve_immersion(mu, cfg).g.samples
-    rhs, denom = _dbar_data(mu.extended.samples, g, u.samples, interior_mask(u.domain))
-    del g   # before the d-bar solve
+    beurling = _neumann(mu, mu.extended, cfg)[-1]   # holds S(phi)
+    g = _Blockwise(np.add, 1.0, beurling.finish())
+    rhs, denom, gmin = _dbar_data(mu.extended.samples, g, u)
+    del beurling, g   # before the d-bar solve
+    check_nondegenerate(gmin)
     return _solve_dbar(mu, u, rhs, denom, cfg)
 
 
@@ -251,9 +288,11 @@ def _solve_dbar(mu: BeltramiField, u: ComplexField, rhs: np.ndarray,
                 denom: np.ndarray, cfg: SolverConfig) -> DbarResult:
     """solve_dbar given ``_dbar_data``."""
     rhs = ComplexField(u.domain, rhs)
-    res = neumann_solve(mu, rhs, cfg)
-    return _dbar_result(mu, denom, u, rhs, res.phi, res.iterations,
-                        res.final_residual, res.trace)
+    psi, _, trace, beurling = _neumann(mu, rhs, cfg)
+    box = beurling.box
+    del beurling   # before the Cauchy transform
+    return _dbar_finish(mu.extended.samples, u, rhs, denom, psi, box,
+                        trace[-1], tuple(trace))
 
 
 # relative size above which a would-be (0,1) datum's moving (1,0) part is
@@ -288,8 +327,7 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    rhs, denom = _dbar_data(mu.extended.samples, g.samples, u.samples,
-                            interior_mask(u.domain))
+    rhs, denom, _ = _dbar_data(mu.extended.samples, g.samples, u)
     del g, moving   # before the d-bar solve
     return _solve_dbar(mu, u, rhs, denom, cfg)
 
@@ -319,8 +357,16 @@ def _quadratic_extrapolation_gap(f_prev, f_mid, f_next, f_target) -> float:
     spacing whenever the parameter dependence is smooth, which is the
     computable surrogate for analytic dependence on the coefficient.
     """
-    pred = f_prev.samples - 3.0 * f_mid.samples + 3.0 * f_next.samples
-    return float(np.max(np.abs(f_target.samples - pred)))
+    prev, mid, nxt = f_prev.samples, f_mid.samples, f_next.samples
+    return _box_sup(_full_box(prev), lambda key, at: f_target.samples[key] - (
+        prev[key] - 3.0 * mid[key] + 3.0 * nxt[key]))
+
+
+def _sup_difference(f: ComplexField, g: ComplexField) -> float:
+    """sup_norm(f - g), the max of |f - g| over Omega."""
+    om = omega_mask(f.domain)
+    return _box_sup(_full_box(om), lambda key, at: (
+        f.samples[key] - g.samples[key])[om[key]])
 
 
 class _Regularity:
@@ -361,7 +407,7 @@ class _Regularity:
             f, last = self._held.pop(i), self._last
             if (f is not None and last and last[-1] is not None
                     and grid[i] != grid[i - 1]):
-                d = sup_norm(f - last[-1])
+                d = _sup_difference(f, last[-1])
                 self.differences[i] = (grid[i - 1], grid[i], d,
                                        d / abs(grid[i] - grid[i - 1]))
             if f is not None and len(last) == 3 and all(g is not None for g in last):
@@ -396,28 +442,24 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     Returns None while a measured residual is still above cfg.tol: the
     immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
     d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|.  Both vanish off the
-    support box, so they are measured on it.  The whole-grid psi_b is built
-    only for a result, from a copy of u.
+    support box, so they are measured on it.  mu_b = b mu_0 is read in
+    blocks, bitwise ``family.realize``'s, and g_b from the apply buffer.
     """
-    mu = family.realize(point.index)
-    m = mu.extended.samples
-    domain = u.domain
+    m = _Blockwise(np.multiply, point.b, family.base_mu.extended.samples)
     box = beurling.box
     beurling(point.phi)
-    g = beurling.finish() + 1.0
-    immersion_step = m[box] * g[box] - point.phi
-    if float(np.max(np.abs(immersion_step), initial=0.0)) <= cfg.tol:
-        rhs, denom = _dbar_data(m, g, u.samples, interior_mask(domain))
-        psi_step = rhs[box] + m[box] * beurling(point.psi) - point.psi
-        residual = float(np.max(np.abs(psi_step), initial=0.0))
-        if residual <= cfg.tol:
-            check_nondegenerate(g, domain)
-            del g   # before the Cauchy transform
-            return FamilyEntry(point.b, _dbar_result(
-                mu, denom, u, ComplexField(domain, rhs),
-                ComplexField(domain, _on_grid(u.samples, box, point.psi)),
-                len(point.trace), residual, tuple(point.trace)))
-    return None
+    g = _Blockwise(np.add, 1.0, beurling.finish())
+    phi, psi = point.phi, point.psi
+    if not _box_sup(box, lambda key, at: m[key] * g[key] - phi[at]) <= cfg.tol:
+        return None
+    rhs, denom, gmin = _dbar_data(m, g, u)
+    s = beurling(psi)   # the apply buffer no longer holds g
+    residual = _box_sup(box, lambda key, at: rhs[key] + m[key] * s[at] - psi[at])
+    if not residual <= cfg.tol:
+        return None
+    check_nondegenerate(gmin)
+    return FamilyEntry(point.b, _dbar_finish(m, u, ComplexField(u.domain, rhs), denom,
+                                             psi, box, residual, tuple(point.trace)))
 
 
 def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig):
@@ -535,6 +577,8 @@ def _finished_entries(family: FamilySpec, u_family, cfg: SolverConfig,
     if workers == 1:
         yield from enumerate(map(solve_one, indices))
     else:
+        # imported here: no other path, and no shipped command, needs it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from enumerate(pool.map(solve_one, indices))
 

@@ -233,6 +233,18 @@ class _TaperedConjugate:
         return np.multiply(self._cutoff[rows, cols], w, out=w)
 
 
+class _Blockwise:
+    """ufunc(scalar, base), read block by block: ``x[rows, cols]`` (slices)
+    forms that block only, bitwise the same block of the whole-grid
+    expression.  The scalar stays the first operand, as in ``b * mu``."""
+
+    def __init__(self, ufunc, scalar, base: np.ndarray):
+        self._ufunc, self._scalar, self._base = ufunc, scalar, base
+
+    def __getitem__(self, box: tuple) -> np.ndarray:
+        return self._ufunc(self._scalar, self._base[box])
+
+
 class _Geometry:
     """Immutable tables of one domain, owned by its DomainSpec.
 
@@ -487,11 +499,23 @@ def _support_box(*samples: np.ndarray) -> tuple:
             slice(int(cols[0]), int(cols[-1]) + 1))
 
 
-# Byte size of the row blocks through which the mean term is added and the
-# spectrum is scanned.  A full-size temporary (4 MiB at N = 512) is a fresh
+# Byte size of the row blocks through which the mean term is added, the
+# spectrum is scanned and the d-bar finish forms its whole-grid expressions
+# (``_row_blocks``).  A full-size temporary (4 MiB at N = 512) is a fresh
 # mapping that is page-faulted on every apply; blocks this small are reused
 # heap memory.
 _MEAN_BLOCK_BYTES = 1 << 16
+
+
+def _row_blocks(rows: slice, width: int):
+    """The row slices of ``_MEAN_BLOCK_BYTES`` of complex samples (or one
+    row) that tile ``rows`` of a grid ``width`` samples wide, top to bottom:
+    the blocks in which whole-grid expressions are formed without a
+    whole-grid temporary."""
+    step = max(1, _MEAN_BLOCK_BYTES // (16 * max(1, width)))
+    for lo in range(rows.start, rows.stop, step):
+        yield slice(lo, min(lo + step, rows.stop))
+
 
 # Complex samples of padding after each row of a padded apply buffer.  An
 # unpadded row of 512 or 1024 samples is a power-of-two stride, so a
@@ -535,11 +559,14 @@ class _FourierApply:
         return cls(geo.S, geo.dz_w, box)
 
     @classmethod
-    def whole(cls, multiplier: np.ndarray, mean_profile, x: np.ndarray) -> np.ndarray:
-        """The apply to the whole-grid samples x, in a fresh contiguous
-        array, which a ComplexField takes without a copy: on the full box
-        ``finish`` has nothing left to do."""
-        return cls(multiplier, mean_profile, _full_box(x), pad=0)(x)
+    def whole(cls, multiplier: np.ndarray, mean_profile, x: np.ndarray,
+              box: tuple | None = None) -> np.ndarray:
+        """The whole apply to the field whose samples on ``box`` (default:
+        the whole grid) are x and that vanishes off it, in a fresh
+        contiguous array, which a ComplexField takes without a copy."""
+        apply = cls(multiplier, mean_profile, box or _full_box(x), pad=0)
+        apply(x)
+        return apply.out if box is None else apply.finish()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.forward(x)
@@ -580,12 +607,10 @@ class _FourierApply:
         return out
 
     def _blocks(self, rows: slice, cols: slice):
-        """(lo, out[lo:hi, cols]) for the row blocks of ``_MEAN_BLOCK_BYTES``
-        (or one row) that tile out[rows, cols], top to bottom."""
-        out = self.out
-        step = max(1, _MEAN_BLOCK_BYTES // (out.itemsize * max(1, cols.stop - cols.start)))
-        for lo in range(rows.start, rows.stop, step):
-            yield lo, out[lo:min(lo + step, rows.stop), cols]
+        """(lo, out[lo:hi, cols]) for the ``_row_blocks`` that tile
+        out[rows, cols], top to bottom."""
+        for block in _row_blocks(rows, cols.stop - cols.start):
+            yield block.start, self.out[block, cols]
 
     def _add_mean(self, rows: slice, cols: slice) -> None:
         """out[rows, cols] += mean * mean_profile[rows, cols], in row blocks;
@@ -702,10 +727,12 @@ def fd_wirtinger_dbar(f: ComplexField) -> ComplexField:
     return ComplexField(f.domain, 0.5 * (fx + 1j * fy))
 
 
-def _fd_beltrami_defect(f: ComplexField, mu: BeltramiField) -> np.ndarray:
+def _fd_beltrami_defect(f: ComplexField, m) -> np.ndarray:
     """f_zbar - mu f_z at the interior points, in ``interior_mask`` order,
-    from one pair of 4th-order x/y stencils on the interior box; callers
-    check that f and mu share a DomainSpec.
+    from one pair of 4th-order x/y stencils on the interior box.  ``m``
+    holds the samples of mu_ext: an array, or a ``_Blockwise`` reader, read
+    on the interior box only; callers check that f and mu share a
+    DomainSpec.
 
     mu is the second operand of the product at every N, the order in which
     the residuals of the shipped configs were always computed: complex
@@ -715,7 +742,7 @@ def _fd_beltrami_defect(f: ComplexField, mu: BeltramiField) -> np.ndarray:
     box = g.interior_box
     inner = g.interior_mask[box]
     fx, fy = _fd_xy(f.samples, box, f.domain.spacing)
-    fx, fy, m = fx[inner], fy[inner], mu.extended.samples[box][inner]
+    fx, fy, m = fx[inner], fy[inner], m[box][inner]
     return 0.5 * (fx + 1j * fy) - (0.5 * (fx - 1j * fy)) * m
 
 

@@ -119,17 +119,17 @@ class ImmersionResult:
     trace: tuple = field(repr=False, default=())
 
     def __post_init__(self):
-        check_nondegenerate(self.g.samples, self.g.domain)
+        g = self.g.samples[interior_mask(self.g.domain)]
+        check_nondegenerate(float(np.min(np.abs(g))))
 
     @cached_property
     def h(self) -> ComplexField:
         return make_coordinate_field(self.phi.domain) + cauchy_transform(self.phi)
 
 
-def check_nondegenerate(g: np.ndarray, domain: DomainSpec) -> None:
-    """Raise DegenerateImmersion if min |g| on interior Omega is at most
-    DEGENERACY_TOL."""
-    gmin = float(np.min(np.abs(g[interior_mask(domain)])))
+def check_nondegenerate(gmin: float) -> None:
+    """Raise DegenerateImmersion if gmin, the min of |g| on interior Omega,
+    is at most DEGENERACY_TOL."""
     if gmin <= DEGENERACY_TOL:
         raise DegenerateImmersion(
             f"min |g| on interior Omega is {gmin:.3e} (<= {DEGENERACY_TOL:g})"
@@ -148,18 +148,21 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
         If cfg.max_iter applications leave the residual above cfg.tol; the
         exception carries the partial iterate and the residual trace.
     """
-    return _neumann(mu, rhs, cfg)[0]
+    phi, k, trace, beurling = _neumann(mu, rhs, cfg)
+    phi = ComplexField(rhs.domain, _on_grid(rhs.samples, beurling.box, phi))
+    return NeumannResult(phi, k, trace[-1], tuple(trace))
 
 
-def _neumann(mu: BeltramiField, rhs: ComplexField,
-             cfg: SolverConfig) -> tuple[NeumannResult, _FourierApply]:
-    """neumann_solve, plus the apply that holds S(phi) on the support box.
+def _neumann(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig) -> tuple:
+    """The fixed point of neumann_solve on the support box, its iteration
+    count and residual trace, and the apply that holds S(phi).
 
-    mu_ext and rhs vanish off the box of their nonzero samples, so every
-    iterate equals rhs there: the loop holds box arrays only, and the
-    whole-grid phi is built once, from a copy of rhs, for the result (or
-    for NoConvergence).  The apply's ``finish`` gives the whole S(phi).  The
-    loop starts from rhs, or from ``_warm_start``'s guess on the box.
+    mu_ext and rhs vanish off the box of their nonzero samples (the apply's
+    ``box``), so every iterate equals rhs there: the loop holds box arrays
+    only, and a caller that needs the whole-grid phi builds it from a copy
+    of rhs (as NoConvergence carries it).  The apply's ``finish`` gives the
+    whole S(phi).  The loop starts from rhs, or from ``_warm_start``'s guess
+    on the box.
     """
     _same_domain("mu and rhs", mu, rhs)
     if mu.sup_norm >= cfg.contraction_cap:
@@ -172,12 +175,10 @@ def _neumann(mu: BeltramiField, rhs: ComplexField,
     if _warm_start(mu, rhs, cfg, beurling, phi):
         beurling.forward(phi)
     try:
-        phi, k, trace = _iterate(m[box], r[box], phi, beurling, cfg)
+        return (*_iterate(m[box], r[box], phi, beurling, cfg), beurling)
     except NoConvergence as exc:
         exc.phi = _on_grid(r, box, exc.phi)
         raise
-    return NeumannResult(ComplexField(rhs.domain, _on_grid(r, box, phi)), k,
-                         trace[-1], tuple(trace)), beurling
 
 
 def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
@@ -259,10 +260,11 @@ def solve_immersion(mu: BeltramiField,
     (I - mu*S) phi = mu; S(phi) is the last apply of the iteration.  For mu
     identically zero this reduces exactly to h = z, g = 1 in one iteration.
     """
-    res, beurling = _neumann(mu, mu.extended, cfg)
+    phi, k, trace, beurling = _neumann(mu, mu.extended, cfg)
+    phi = ComplexField(mu.domain, _on_grid(mu.extended.samples, beurling.box, phi))
     g = ComplexField(mu.domain, beurling.finish() + 1.0)
-    return ImmersionResult(g=g, phi=res.phi, iterations=res.iterations,
-                           final_residual=res.final_residual, trace=res.trace)
+    return ImmersionResult(g=g, phi=phi, iterations=k, final_residual=trace[-1],
+                           trace=tuple(trace))
 
 
 def beltrami_residual(h: ComplexField, mu: BeltramiField,
@@ -275,7 +277,7 @@ def beltrami_residual(h: ComplexField, mu: BeltramiField,
     rhs None means the homogeneous equation.
     """
     _same_domain("h, mu and rhs", h, mu, *([] if rhs is None else [rhs]))
-    res = _fd_beltrami_defect(h, mu)
+    res = _fd_beltrami_defect(h, mu.extended.samples)
     if rhs is not None:
         res = res - rhs.samples[interior_mask(h.domain)]
     return float(np.max(np.abs(res)))

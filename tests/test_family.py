@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,7 +312,8 @@ class _RecordingPool:
 def test_family_pool_never_exceeds_cores_or_grid_points(dom64, monkeypatch,
                                                         cpus, threads, expected):
     monkeypatch.setattr(family_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(family_module, "ThreadPoolExecutor", _RecordingPool)
+    # the pool is imported where it is used, on the table-law path only
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "calls", [])
     family = _table_family(dom64)
     sweep = solve_family(family, [disc_indicator_field(dom64)] * 3,
@@ -480,6 +482,46 @@ def test_family_entries_return_their_rhs(dom128):
     for i, entry in enumerate(solve_family(table, [u] * 2).entries):
         direct = solve_dbar(table.realize(i), u)
         assert same_bits(entry.result.rhs.samples, direct.rhs.samples)
+
+
+def test_series_finish_allocates_its_two_outputs_and_half_a_field(dom256,
+                                                                  monkeypatch):
+    # mu_b, g_b, the frame, the residuals and P(psi_b) are formed in row
+    # blocks or from box samples, so a finish allocates its rhs and f and
+    # little else; building them on the whole grid, it peaked at 5.9 fields
+    finish, peaks = family_module._finish_series_point, []
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        entry = finish(*args)
+        if entry is not None:
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / (16.0 * 256 ** 2))
+        return entry
+
+    monkeypatch.setattr(family_module, "_finish_series_point", traced)
+    u = disc_indicator_field(dom256)
+    tracemalloc.start()
+    try:
+        sweep = solve_family(FamilySpec(mu_constant(dom256), EIGHTHS), [u] * 9)
+    finally:
+        tracemalloc.stop()
+    assert all(e.result is not None for e in sweep.entries)
+    assert len(peaks) == 9 and max(peaks) <= 2.5, peaks
+
+
+def test_regularity_add_allocates_under_half_a_field(dom256):
+    # the difference on Omega and the extrapolation gap are taken in row
+    # blocks; on the whole grid one add allocated 2.5 fields
+    u = disc_indicator_field(dom256)
+    sweep = solve_family(FamilySpec(mu_constant(dom256), EIGHTHS), [u] * 9)
+    report = family_module._Regularity(EIGHTHS)
+    for i, entry in enumerate(sweep.entries):
+        peak, _, _ = traced_fields(lambda: report.add(i, entry), 256)
+        assert peak < 0.5, (i, peak)
+    assert report.summary() == (sweep.adjacent_differences, sweep.lipschitz_constant,
+                                sweep.extrapolation_errors)
+    assert len(sweep.extrapolation_errors) == 6
 
 
 _DOM32 = disc_domain(32)

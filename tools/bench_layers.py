@@ -62,10 +62,12 @@ CLI rows, one fresh ``python`` process per call, in each tree's ``src/``:
                       ``--out``, for each of the five shipped configs
 
 Each row runs REPEAT times per round and tree, for ROUNDS rounds with the
-trees alternating; its wall time and its CPU time (user + system, from the
-``RUSAGE_CHILDREN`` delta around the call) are each kept as best and spread
-like the timing rows.  They do not depend on N and run once, also when
-``--sizes`` is given no value, which runs only these rows.
+trees alternating; its wall time, its CPU time (user + system) and its peak
+resident set size (``ru_maxrss``, in MB of 2^20 bytes, as perfbench reports
+``peak_rss_mb``), the last two from ``os.wait4`` on that process, are each
+kept as best and spread like the timing rows.  They do not depend on N and
+run once, also when ``--sizes`` is given no value, which runs only these
+rows.
 
 Each is taken once per tree and N, in a child process of its own, apart
 from the timing rounds.  The inputs are built before tracing starts, but no
@@ -86,7 +88,6 @@ import importlib.metadata
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tempfile
@@ -231,18 +232,19 @@ def _cli_args(tree: Path, row: str, out: str) -> list:
 
 
 def _run_cli_row(tree: Path, row: str) -> tuple:
-    """Wall and CPU seconds of one fresh process of ``row`` on ``tree``."""
+    """Wall and CPU seconds and peak RSS in MB of one fresh process of
+    ``row`` on ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        args = _cli_args(tree, row, str(Path(tmp) / "run"))
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        args = [sys.executable, *_cli_args(tree, row, str(Path(tmp) / "run"))]
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, *args], env=env, cwd=tmp,
-                       stdout=subprocess.DEVNULL, check=True)
+        proc = subprocess.Popen(args, env=env, cwd=tmp, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
-    return wall, cpu
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, args)
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
 def _check_tree(tree: Path) -> None:
@@ -307,25 +309,29 @@ def main(argv=None) -> int:
                 fields[name].setdefault(str(n), {})[row] = round(child["fields"], 3)
                 kept[name].setdefault(str(n), {})[row] = round(child["kept"], 3)
 
-    # tree -> "wall" / "cpu" -> row -> round bests
-    cli = {name: {"wall": {}, "cpu": {}} for name in trees}
+    # tree -> "wall" / "cpu" / "rss" -> row -> round bests
+    cli = {name: {"wall": {}, "cpu": {}, "rss": {}} for name in trees}
     for r in range(ROUNDS):
         order = list(trees.items())
         for name, tree in (order if r % 2 == 0 else order[::-1]):
             for row in CLI_ROWS:
-                walls, cpus = zip(*(_run_cli_row(tree, row) for _ in range(REPEAT)))
-                cli[name]["wall"].setdefault(row, []).append(min(walls))
-                cli[name]["cpu"].setdefault(row, []).append(min(cpus))
+                calls = zip(*(_run_cli_row(tree, row) for _ in range(REPEAT)))
+                for kind, values in zip(("wall", "cpu", "rss"), calls):
+                    cli[name][kind].setdefault(row, []).append(min(values))
 
     def per_row(stat):
         return {name: {n: {row: stat(times) for row, times in rows.items()}
                        for n, rows in by_n.items()}
                 for name, by_n in rounds.items()}
 
-    def cli_per_row(stat):
-        return {name: {kind: {row: stat(times) for row, times in rows.items()}
-                       for kind, rows in by_kind.items()}
+    def cli_per_row(stat, kinds=("wall", "cpu")):
+        return {name: {kind: {row: stat(values) for row, values in by_kind[kind].items()}
+                       for kind in kinds}
                 for name, by_kind in cli.items()}
+
+    def rss_per_row(stat):
+        return {name: by_kind["rss"] for name, by_kind in
+                cli_per_row(stat, ("rss",)).items()}
 
     report = {
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
@@ -352,11 +358,15 @@ def main(argv=None) -> int:
         "cli_method": (f"one fresh python process per call, best of {REPEAT} "
                        f"calls in each of {ROUNDS} rounds per tree, trees "
                        "alternating; 'wall' is wall clock and 'cpu' the child's "
-                       "user + system time (RUSAGE_CHILDREN), each the best "
-                       "over the rounds, with the [min, max] of the rounds' "
-                       "bests in 'spread', in seconds per call"),
+                       "user + system time (os.wait4), each the best over the "
+                       "rounds, with the [min, max] of the rounds' bests in "
+                       "'spread', in seconds per call; 'cli_peak_rss_mb' is the "
+                       "child's ru_maxrss (os.wait4) in MB of 2^20 bytes, as "
+                       "perfbench's peak_rss_mb, with best and spread alike"),
         "cli_seconds": cli_per_row(min),
         "cli_spread": cli_per_row(lambda times: [min(times), max(times)]),
+        "cli_peak_rss_mb": rss_per_row(min),
+        "cli_peak_rss_spread": rss_per_row(lambda mb: [min(mb), max(mb)]),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
