@@ -231,10 +231,10 @@ def _box_sup(box: tuple, step) -> float:
     is a block of the grid, ``at`` the same rows of an array of the box's
     shape.  0 on an empty box; a NaN comes through."""
     rows, cols = box
-    sups = [np.max(np.abs(step((block, cols), slice(block.start - rows.start,
-                                                    block.stop - rows.start))),
-                   initial=0.0)
-            for block in _row_blocks(rows, cols.stop - cols.start)]
+    sups = []
+    for block in _row_blocks(rows, cols.stop - cols.start):
+        at = slice(block.start - rows.start, block.stop - rows.start)
+        sups.append(np.max(np.abs(step((block, cols), at)), initial=0.0))
     return float(np.max(sups, initial=0.0))
 
 

@@ -283,13 +283,19 @@ def _random_on_box(n, box, seed):
 
 
 def _check_box_applies(dom, box, seed):
-    # S with its mean profile and d/dz without one on the box, and both
-    # quadrature kernels on the N x N data box of the zero-padded 2N grid
+    # S with its mean profile and d/dz without one on the box, P with its
+    # block-formed w as the d-bar finish runs it (in a contiguous buffer),
+    # and both quadrature kernels on the N x N data box of the zero-padded
+    # 2N grid
     n = dom.resolution
     x = _random_on_box(n, box, seed)
     geo = _geometry(dom)
     _check_apply(geo.S, geo.dz_w, x, box)
     _check_apply(_dz_multiplier(n, dom.half_width), None, x, box)
+    f = _FourierApply.whole(geo.P, geo.w, x[box], box)
+    assert f.flags.c_contiguous
+    assert same_bits(f, fourier_apply_reference(x, geo.P,
+                                                tapered_conjugate_reference(dom)))
     cell_area = dom.spacing * dom.spacing
     pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     pad[:n, :n] = x
