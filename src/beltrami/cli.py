@@ -243,8 +243,13 @@ def _emit_error(exc: BaseException, exit_code: int):
 
 
 def _run(fn, *args):
+    """Run a command, mapping library errors to their exit codes.  numpy's
+    floating-point warnings are off: a non-finite value ends in a documented
+    error (a field check, or a solve that stops at its first non-finite
+    residual), whose JSON line is then the only one on stderr."""
     try:
-        fn(*args)
+        with np.errstate(all="ignore"):
+            fn(*args)
     except (ValidationError, FieldFormatError) as exc:
         _emit_error(exc, 1)
     except _EXIT_2 as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class BeltramiError(Exception):
     """Base class for all library-specific errors."""
@@ -30,7 +32,8 @@ class ContractionTooLarge(BeltramiError):
 
 
 class NoConvergence(BeltramiError):
-    """Neumann iteration hit the iteration cap with residual above tolerance.
+    """Neumann iteration hit the iteration cap with residual above tolerance,
+    or stopped at a residual (or series term size) that is not finite.
 
     Carries the partial state so callers can inspect or export the trace:
     ``phi`` (last iterate, ndarray), ``iterations``, ``final_residual``,
@@ -38,10 +41,13 @@ class NoConvergence(BeltramiError):
     """
 
     def __init__(self, phi, iterations: int, final_residual: float, trace):
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(residual {final_residual:.3e})"
-        )
+        if math.isfinite(final_residual):
+            message = (f"no convergence after {iterations} iterations "
+                       f"(residual {final_residual:.3e})")
+        else:
+            message = (f"no convergence: residual {final_residual} is not "
+                       f"finite at iteration {iterations}")
+        super().__init__(message)
         self.phi = phi
         self.iterations = iterations
         self.final_residual = final_residual

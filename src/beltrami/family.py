@@ -434,6 +434,14 @@ class _SeriesPoint:
     trace: list         # term sizes b^n max(sup|a_n|, sup|c_n|)
 
 
+def _above_tol(point: _SeriesPoint, cfg: SolverConfig, residual: float) -> bool:
+    """Whether a measured residual of a series point is above cfg.tol;
+    NoConvergence if it is not finite."""
+    if not math.isfinite(residual):
+        raise NoConvergence(point.psi, len(point.trace), residual, tuple(point.trace))
+    return residual > cfg.tol
+
+
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
                          u: ComplexField, cfg: SolverConfig,
                          beurling: _FourierApply) -> Optional[FamilyEntry]:
@@ -441,21 +449,22 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
 
     Returns None while a measured residual is still above cfg.tol: the
     immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
-    d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|.  Both vanish off the
-    support box, so they are measured on it.  mu_b = b mu_0 is read in
-    blocks, bitwise ``family.realize``'s, and g_b from the apply buffer.
+    d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|; raises NoConvergence
+    when one is not finite.  Both vanish off the support box, so they are
+    measured on it.  mu_b = b mu_0 is read in blocks, bitwise
+    ``family.realize``'s, and g_b from the apply buffer.
     """
     m = _Blockwise(np.multiply, point.b, family.base_mu.extended.samples)
     box = beurling.box
     beurling(point.phi)
     g = _Blockwise(np.add, 1.0, beurling.finish())
     phi, psi = point.phi, point.psi
-    if not _box_sup(box, lambda key, at: m[key] * g[key] - phi[at]) <= cfg.tol:
+    if _above_tol(point, cfg, _box_sup(box, lambda key, at: m[key] * g[key] - phi[at])):
         return None
     rhs, denom, gmin = _dbar_data(m, g, u)
     s = beurling(psi)   # the apply buffer no longer holds g
     residual = _box_sup(box, lambda key, at: rhs[key] + m[key] * s[at] - psi[at])
-    if not residual <= cfg.tol:
+    if _above_tol(point, cfg, residual):
         return None
     check_nondegenerate(gmin)
     return FamilyEntry(point.b, _dbar_finish(m, u, ComplexField(u.domain, rhs), denom,
@@ -479,8 +488,10 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     points.  Point b is gated on sup|mu_b| = b sup|mu_0|, as neumann_solve
     gates a per-b solve; gated points are yielded first.  Every term vanishes
     off the box of the nonzero samples of mu_0 and u, so the recurrence and
-    the sums are box arrays.  Nothing here refers to a yielded result
-    afterwards, so a consumer that drops it frees it while the series runs on.
+    the sums are box arrays.  A term size that is not finite ends the
+    series: every point still summing fails with NoConvergence naming it.
+    Nothing here refers to a yielded result afterwards, so a consumer that
+    drops it frees it while the series runs on.
     """
     domain = family.base_mu.domain
     m0 = family.base_mu.extended.samples
@@ -508,7 +519,7 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
     weight, tmp = np.empty_like(m0_box), np.empty_like(m0_box)
     magnitude = np.empty(m0_box.shape)
-    n = 0
+    n, nonfinite = 0, []
     while live and n < cfg.max_iter:
         n += 1
         g = beurling(a)
@@ -518,8 +529,11 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
         np.multiply(m0_box, beurling(c), out=c)
         np.add(np.multiply(weight, u_box, out=tmp), c, out=c)
-        size = max(float(np.max(np.abs(a, out=magnitude), initial=0.0)),
-                   float(np.max(np.abs(c, out=magnitude), initial=0.0)))
+        sizes = [float(np.max(np.abs(t, out=magnitude), initial=0.0)) for t in (a, c)]
+        nonfinite = [s for s in sizes if not math.isfinite(s)]
+        if nonfinite:   # every later term is as bad: no point can finish
+            break
+        size = max(sizes)
         pending = []
         for p in live:
             bn = p.b ** n
@@ -542,7 +556,10 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         a = a_next
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
-        exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
+        if nonfinite:
+            exc = NoConvergence(p.psi, n, nonfinite[0], (*p.trace, nonfinite[0]))
+        else:
+            exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
         yield p.index, FamilyEntry(p.b, None, error=str(exc))
 
 
@@ -579,8 +596,13 @@ def _finished_entries(family: FamilySpec, u_family, cfg: SolverConfig,
     else:
         # imported here: no other path, and no shipped command, needs it
         from concurrent.futures import ThreadPoolExecutor
+        from contextvars import copy_context
+        # each task runs in a copy of the caller's context, so that numpy's
+        # errstate (a context variable) holds in the workers as well
+        context = copy_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from enumerate(pool.map(solve_one, indices))
+            yield from enumerate(pool.map(lambda i: context.copy().run(solve_one, i),
+                                          indices))
 
 
 def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(),

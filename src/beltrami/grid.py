@@ -280,24 +280,21 @@ class _Geometry:
     # domain that runs no transform (a verify run's, an exhaustion's base
     # domain) allocates none.  The multipliers vanish on the Nyquist lines:
     # P = 1 / symbol of d/dzbar (0 at the zero mode) and S = dz * P =
-    # conj(xi)/xi, with dz the symbol of d/dz (``_dz_multiplier``, not kept).
+    # conj(xi)/xi, with dz the symbol of d/dz.  P is applied once per d-bar
+    # finish, so it is not stored: each apply forms it a row block at a time
+    # from the 1-D wavenumbers (``_FormedMultiplier``).  S is applied on
+    # every Neumann iteration, so its rows 0..N/2 are stored and the rest
+    # read as their conjugates (``_HalfBeurling``): with dz_w, 1.5 fields.
     # w = cutoff * conj(z) has d/dzbar w = 1 on Omega, and dz_w is its
     # spectral d/dz, so S = d/dz o P holds exactly, mean mode included.
 
     @cached_property
-    def P(self) -> np.ndarray:
-        xi, keep = _wavenumbers(*self._grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
-        m_P[0, 0] = 0.0
-        m_P.setflags(write=False)
-        return m_P
+    def P(self) -> _FormedMultiplier:
+        return _FormedMultiplier(_wavenumber_axis(*self._grid), "P")
 
     @cached_property
-    def S(self) -> np.ndarray:
-        m_S = _dz_multiplier(*self._grid) * self.P
-        m_S.setflags(write=False)
-        return m_S
+    def S(self) -> _HalfBeurling:
+        return _HalfBeurling(_wavenumber_axis(*self._grid))
 
     @cached_property
     def w_mean(self) -> complex:
@@ -460,21 +457,123 @@ class BeltramiField:
 # spectral Wirtinger derivatives
 # ---------------------------------------------------------------------------
 
-def _wavenumbers(resolution: int, half_width: float) -> tuple:
-    """xi = kx + i ky on the (N, L) grid, and the 0/1 mask of its Nyquist lines."""
-    h = 2.0 * half_width / resolution
-    k = 2.0 * np.pi * np.fft.fftfreq(resolution, d=h)
-    KX, KY = np.meshgrid(k, k)
-    keep = np.ones((resolution, resolution))
-    keep[resolution // 2, :] = 0.0
-    keep[:, resolution // 2] = 0.0
-    return KX + 1j * KY, keep
+def _wavenumber_axis(resolution: int, half_width: float) -> np.ndarray:
+    """The 1-D wavenumbers k of the (N, L) grid: xi = kx + i ky takes kx
+    from k at the column and ky at the row."""
+    return 2.0 * np.pi * np.fft.fftfreq(resolution, d=2.0 * half_width / resolution)
 
 
-def _dz_multiplier(resolution: int, half_width: float) -> np.ndarray:
-    """The symbol of d/dz, zero on the Nyquist lines; not kept."""
-    xi, keep = _wavenumbers(resolution, half_width)
-    return 0.5j * np.conj(xi) * keep
+def _zero_nyquist(block: np.ndarray, nyquist: int, rows: slice,
+                  cols: slice) -> np.ndarray:
+    """The block of the (rows, cols) box with its samples on the Nyquist
+    row and column multiplied by 0j, the corner once."""
+    c = nyquist - cols.start
+    if 0 <= c < block.shape[1]:
+        np.multiply(block[:, c], 0j, out=block[:, c])
+    r = nyquist - rows.start
+    if 0 <= r < block.shape[0]:
+        line = block[r]
+        for part in ((line[:c], line[c + 1:]) if 0 <= c < line.size else (line,)):
+            np.multiply(part, 0j, out=part)
+    return block
+
+
+class _FormedMultiplier:
+    """P (``kind`` "P") or the symbol of d/dz ("dz"), never stored:
+    ``m[rows, cols]`` (slices) forms that block from the 1-D wavenumbers,
+    and ``multiply`` forms it a row block at a time.
+
+    A block is bitwise the box of the whole-grid table expression,
+    2 / (1j * xi) or 0.5j * conj(xi), times the 0/1 mask of the Nyquist
+    lines.  Both are c 1j (kx + i q), with c = 1, q = ky for P and
+    c = 0.5, q = -ky for d/dz, which numpy's complex product forms as
+    (0 kx - c q) + i (0 q + c kx): the block is the column term
+    0 kx + i c kx minus the row term c q, the same operations on every
+    sample, the signed zeros of row q = 0 and column kx = 0 included.  P
+    then divides 2 by it in place.  The mask's 1 leaves every bit as it is,
+    so only the Nyquist lines take its product, with 0, whose zeros carry
+    signs; P's zero mode is written as 0.
+    """
+
+    def __init__(self, k: np.ndarray, kind: str):
+        c, q = (1.0, k) if kind == "P" else (0.5, -k)
+        self._column = np.empty(k.size, dtype=np.complex128)
+        self._column.real = 0.0 * k
+        self._column.imag = c * k
+        self._row = c * q
+        self._invert = kind == "P"
+        self.shape = (k.size, k.size)
+
+    def __getitem__(self, box: tuple) -> np.ndarray:
+        rows, cols = box
+        d = np.subtract(self._column[cols], self._row[rows, None])
+        if self._invert:
+            zero_mode = rows.start == 0 and cols.start == 0 and d.size > 0
+            if zero_mode:
+                d[0, 0] = 1.0   # 1j * xi vanishes there
+            np.divide(2.0, d, out=d)
+            if zero_mode:
+                d[0, 0] = 0.0
+        return _zero_nyquist(d, self.shape[0] // 2, rows, cols)
+
+    def multiply(self, out: np.ndarray) -> None:
+        """out = m * out, the multiplier the first operand, in the
+        ``_row_blocks`` of out."""
+        cols = slice(0, out.shape[1])
+        for rows in _row_blocks(slice(0, out.shape[0]), out.shape[1]):
+            block = out[rows]
+            np.multiply(self[rows, cols], block, out=block)
+
+
+class _HalfBeurling:
+    """S = dz * P, of which only the rows 0..N/2 are stored (``upper``).
+
+    k is odd about 0 (k[N - r] = -k[r]), so row N - r of S is the conjugate
+    of row r bit for bit, except on the Nyquist column: there S holds zeros
+    whose signs conjugation does not give, and which ``nyquist`` keeps.
+    The rows are built in row blocks from the 1-D wavenumbers, so no whole
+    P or dz exists.  ``s[rows, cols]`` (slices) reads a block, and
+    ``multiply`` multiplies the lower rows by conjugated row blocks.
+    """
+
+    def __init__(self, k: np.ndarray):
+        n = k.size
+        h, every = n // 2, slice(0, n)
+        P, dz = _FormedMultiplier(k, "P"), _FormedMultiplier(k, "dz")
+        self.shape = (n, n)
+        self.upper = np.empty((h + 1, n), dtype=np.complex128)
+        for rows in _row_blocks(slice(0, h + 1), n):
+            np.multiply(dz[rows, every], P[rows, every], out=self.upper[rows])
+        column = slice(h, h + 1)
+        self.nyquist = np.multiply(dz[every, column], P[every, column])[:, 0]
+        for arr in (self.upper, self.nyquist):
+            arr.setflags(write=False)
+
+    def _lower(self, rows: slice) -> np.ndarray:
+        """The whole rows ``rows`` of S, all below row N/2; a fresh array."""
+        n = self.shape[0]
+        block = np.conj(self.upper[n - rows.start:n - rows.stop:-1])
+        block[:, n // 2] = self.nyquist[rows]
+        return block
+
+    def __getitem__(self, box: tuple) -> np.ndarray:
+        rows, cols = box
+        h = self.shape[0] // 2
+        top = self.upper[rows.start:min(rows.stop, h + 1), cols]
+        if rows.stop <= h + 1:
+            return top.copy()
+        return np.concatenate([top, self._lower(slice(max(rows.start, h + 1),
+                                                      rows.stop))[:, cols]])
+
+    def multiply(self, out: np.ndarray) -> None:
+        """out = S * out, S the first operand: the stored rows in one
+        product, the lower rows in the ``_row_blocks`` of out."""
+        n = self.shape[0]
+        top = out[:n // 2 + 1]
+        np.multiply(self.upper, top, out=top)
+        for rows in _row_blocks(slice(n // 2 + 1, n), n):
+            block = out[rows]
+            np.multiply(self._lower(rows), block, out=block)
 
 
 def _full_box(a: np.ndarray) -> tuple:
@@ -540,12 +639,15 @@ class _FourierApply:
     contiguous) that every call reuses.  Per-axis 1-D FFTs in fft2's order,
     and the multiplier as the first operand of the product (complex multiply
     is not bitwise commutative), make the samples bitwise the numpy fft2
-    expression's.  The mean profile is read by ``profile[rows, cols]``
+    expression's.  The multiplier is an array (the quadrature kernels, the
+    N/2 grid's S) or an object whose ``multiply(out)`` forms the product a
+    row block at a time (P and d/dz, ``_FormedMultiplier``; S,
+    ``_HalfBeurling``).  The mean profile is read by ``profile[rows, cols]``
     blocks: dz_w is an array, and P's w forms each block as it is read.  d/dz
     and the quadrature kernels take no mean profile.
     """
 
-    def __init__(self, multiplier: np.ndarray, mean_profile,
+    def __init__(self, multiplier, mean_profile,
                  box: tuple, pad: int = _ROW_PAD):
         n = multiplier.shape[0]
         self.multiplier, self.mean_profile, self.box = multiplier, mean_profile, box
@@ -559,7 +661,7 @@ class _FourierApply:
         return cls(geo.S, geo.dz_w, box)
 
     @classmethod
-    def whole(cls, multiplier: np.ndarray, mean_profile, x: np.ndarray,
+    def whole(cls, multiplier, mean_profile, x: np.ndarray,
               box: tuple | None = None) -> np.ndarray:
         """The whole apply to the field whose samples on ``box`` (default:
         the whole grid) are x and that vanishes off it, in a fresh
@@ -588,7 +690,10 @@ class _FourierApply:
     def inverse(self) -> np.ndarray:
         """The result on the box, from the spectrum ``forward`` left in out."""
         out, (rows, cols) = self.out, self.box
-        np.multiply(self.multiplier, out, out=out)
+        if isinstance(self.multiplier, np.ndarray):
+            np.multiply(self.multiplier, out, out=out)
+        else:
+            self.multiplier.multiply(out)
         np.fft.ifft(out, axis=1, out=out)
         np.fft.ifft(out[:, cols], axis=0, out=out[:, cols])
         self._add_mean(rows, cols)
@@ -682,7 +787,8 @@ def wirtinger_dz(f: ComplexField) -> ComplexField:
 
 def _spectral_dz(samples: np.ndarray, resolution: int, half_width: float) -> np.ndarray:
     """The samples of wirtinger_dz, in a fresh contiguous array."""
-    return _FourierApply.whole(_dz_multiplier(resolution, half_width), None, samples)
+    dz = _FormedMultiplier(_wavenumber_axis(resolution, half_width), "dz")
+    return _FourierApply.whole(dz, None, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ for h to be an immersion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -145,8 +146,9 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
     ContractionTooLarge
         If sup|mu_ext| reaches cfg.contraction_cap, before any iteration.
     NoConvergence
-        If cfg.max_iter applications leave the residual above cfg.tol; the
-        exception carries the partial iterate and the residual trace.
+        If cfg.max_iter applications leave the residual above cfg.tol, or at
+        the first residual that is not finite; the exception carries the
+        partial iterate and the residual trace.
     """
     phi, k, trace, beurling = _neumann(mu, rhs, cfg)
     phi = ComplexField(rhs.domain, _on_grid(rhs.samples, beurling.box, phi))
@@ -186,7 +188,8 @@ def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
     """The fixed-point loop on the box samples m of mu_ext and r of rhs,
     from the box iterate phi, whose spectrum ``beurling`` holds; returns the
     first iterate that meets cfg.tol, its iteration number and the residual
-    trace, or raises NoConvergence with the last box iterate.  The iterates
+    trace, or raises NoConvergence with the last box iterate, at once when a
+    residual is not finite (data that overflow the FFTs).  The iterates
     overwrite phi and one more box buffer."""
     # phi and nxt ping-pong between two buffers owned by the solve
     nxt = np.empty_like(r)
@@ -201,6 +204,8 @@ def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
         trace.append(residual)
         if residual <= cfg.tol:
             return phi, k, trace
+        if not math.isfinite(residual):
+            raise NoConvergence(phi, k, residual, tuple(trace))
         phi, nxt = nxt, phi
         beurling.forward(phi)
     raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))

@@ -4,6 +4,9 @@ The gain-of-derivative report measures the paper's optimal-regularity claim:
 the solution of the d-bar problem is one derivative smoother than its datum.
 No solver or command reads it, nor the spectral d/dzbar and the tapered
 conjugate coordinate below, so they live beside the tests that check them.
+So do the whole-grid tables of the Fourier multipliers, the library's
+former expressions, which the formed and half-stored multipliers match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,46 @@ def wirtinger_dbar(f: ComplexField) -> ComplexField:
     dbar(f) == conj(dz(conj(f))) holds bit for bit.
     """
     return wirtinger_dz(f.conj()).conj()
+
+
+def wavenumbers_reference(resolution: int, half_width: float) -> tuple:
+    """xi = kx + i ky on the (N, L) grid, and the 0/1 mask of its Nyquist lines."""
+    h = 2.0 * half_width / resolution
+    k = 2.0 * np.pi * np.fft.fftfreq(resolution, d=h)
+    KX, KY = np.meshgrid(k, k)
+    keep = np.ones((resolution, resolution))
+    keep[resolution // 2, :] = 0.0
+    keep[:, resolution // 2] = 0.0
+    return KX + 1j * KY, keep
+
+
+def dz_multiplier_reference(resolution: int, half_width: float) -> np.ndarray:
+    """The whole symbol of d/dz, zero on the Nyquist lines."""
+    xi, keep = wavenumbers_reference(resolution, half_width)
+    return 0.5j * np.conj(xi) * keep
+
+
+def cauchy_multiplier_reference(resolution: int, half_width: float) -> np.ndarray:
+    """The whole multiplier of P: 1 / symbol of d/dzbar, 0 at the zero mode
+    and on the Nyquist lines."""
+    xi, keep = wavenumbers_reference(resolution, half_width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_P = np.where(np.abs(xi) > 0, 2.0 / (1j * xi), 0.0) * keep
+    m_P[0, 0] = 0.0
+    return m_P
+
+
+def beurling_multiplier_reference(resolution: int, half_width: float) -> np.ndarray:
+    """The whole multiplier of S = dz * P."""
+    return (dz_multiplier_reference(resolution, half_width)
+            * cauchy_multiplier_reference(resolution, half_width))
+
+
+def multiplier_references(domain: DomainSpec) -> tuple:
+    """The whole P, S and d/dz multipliers of the grid of ``domain``."""
+    grid = (domain.resolution, domain.half_width)
+    return (cauchy_multiplier_reference(*grid), beurling_multiplier_reference(*grid),
+            dz_multiplier_reference(*grid))
 
 
 def tapered_coordinate_conjugate(domain: DomainSpec) -> ComplexField:

@@ -1,0 +1,41 @@
+"""Smoke test of ``tools/bench_layers.py``: its timing and memory children
+run in process at small N, so a change to the private names it calls
+breaks this test instead of the next benchmark run."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
+
+
+@pytest.fixture(scope="module")
+def bench_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_timing_child_times_every_row(bench_layers, monkeypatch):
+    monkeypatch.setattr(bench_layers, "REPEAT", 1)
+    monkeypatch.setattr(bench_layers, "SWEEP_REPEAT", 1)
+    child = bench_layers._child(32)
+    assert child["N"] == 32
+    assert {"beurling.pruned", "cauchy.full", "solve_dbar", "sweep.linear9"} <= set(
+        child["rows"])
+    assert all(math.isfinite(s) and s > 0 for s in child["rows"].values())
+
+
+def test_memory_child_measures_every_row(bench_layers):
+    # the kept tables of the input domain: S's rows 0..N/2 and dz_w, 1.5
+    # fields (3 while P and the whole S were stored)
+    for row in bench_layers.MEMORY_ROWS:
+        child = bench_layers._memory_child(64, row)
+        assert (child["N"], child["row"]) == (64, row)
+        assert math.isfinite(child["fields"]) and child["fields"] > 0
+        assert math.isfinite(child["kept"])
+        if row in ("solve_dbar", "sweep.linear9", "sweep.cli"):
+            assert child["kept"] <= 1.6, (row, child)

@@ -558,6 +558,27 @@ def test_removed_and_out_of_range_flags_exit_1(tmp_path, flags):
         _assert_refused(proc.returncode, proc.stderr, out)
 
 
+@pytest.mark.parametrize("datum, code", [
+    ({"kind": "gaussian-bump", "width": 1e-300}, 1),       # NaN samples
+    ({"kind": "gaussian-bump", "amplitude": [1e308, 0.0]}, 2),   # FFT overflow
+], ids=["width-1e-300", "amplitude-1e308"])
+def test_non_finite_values_fail_with_one_stderr_line(tmp_path, datum, code):
+    # numpy's floating-point warnings printed 4 and 12 lines before the JSON
+    # line, and the overflowing datum iterated on NaN until max_iter
+    cfg = _config(tmp_path, domain=_domain(64), u=datum)
+    out = tmp_path / "run"
+    proc = _module_run(["solve-dbar", "--config", cfg, "--out", out])
+    assert proc.returncode == code, proc.stderr
+    assert not out.exists()
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])
+    assert error["exit_code"] == code
+    if code == 2:
+        assert error["error"] == ("no convergence: residual nan is not finite "
+                                  "at iteration 1")
+
+
 @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 2, 10 ** 12])
 def test_resolution_above_the_ceiling_exits_1_before_allocating(tmp_path,
                                                                 resolution):

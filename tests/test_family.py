@@ -274,6 +274,37 @@ def _table_family(domain):
                       table=(mu.scaled(0.2), mu.scaled(0.6), mu))
 
 
+def test_series_stops_at_the_first_non_finite_term(dom64):
+    # the d-bar terms of a datum that overflows the FFTs are NaN from the
+    # first term on: every point fails there, not after max_iter terms
+    family = FamilySpec(mu_constant(dom64), (0.0, 0.125, 1.0))
+    huge = gaussian_bump_field(dom64, 1e308)
+    with np.errstate(all="ignore"):
+        result = solve_family(family, [huge] * 3)
+    assert [e.error for e in result.entries] == [
+        "no convergence: residual nan is not finite at iteration 1"] * 3
+
+
+def test_series_point_fails_at_a_non_finite_residual(dom64, monkeypatch):
+    # a measured finish residual that is not finite fails its point at once
+    monkeypatch.setattr(family_module, "_box_sup", lambda box, step: math.inf)
+    family = FamilySpec(mu_constant(dom64), (0.25, 0.5))
+    result = solve_family(family, [disc_indicator_field(dom64)] * 2)
+    for entry in result.entries:
+        assert entry.result is None
+        assert entry.error.startswith("no convergence: residual inf is not finite")
+
+
+def test_table_law_workers_keep_the_callers_errstate(dom64):
+    # the pool runs each point in a copy of the caller's context, where
+    # numpy's errstate lives
+    mu = mu_constant(dom64)
+    family = FamilySpec(mu, (0.0, 1.0), law="table", table=(mu.scaled(0.5), mu))
+    huge = gaussian_bump_field(dom64, 1e308)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        solve_family(family, [huge] * 2, threads=2)
+
+
 def test_family_table_law_threads_bitwise_equal(dom64):
     # a table-law sweep is the one that runs the worker pool
     family = _table_family(dom64)

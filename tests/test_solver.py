@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,22 @@ def test_neumann_no_convergence_carries_state(dom128):
     assert len(exc.trace) == 3
     assert exc.final_residual > 1e-30
     assert exc.phi.shape == (128, 128)
+
+
+def test_solves_stop_at_the_first_non_finite_residual(dom64):
+    # a datum that overflows the FFTs gives NaN iterates: the loop stops at
+    # once instead of iterating on NaN until max_iter
+    mu = mu_constant(dom64)
+    huge = gaussian_bump_field(dom64, 1e308)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NoConvergence) as info:
+            neumann_solve(mu, huge)
+        assert info.value.iterations == 1
+        assert math.isnan(info.value.final_residual)
+        assert "residual nan is not finite at iteration 1" in str(info.value)
+        with pytest.raises(NoConvergence) as info:
+            solve_dbar(mu, huge)
+        assert info.value.iterations == 1
 
 
 def _allocating_neumann(mu, rhs, cfg):

@@ -22,10 +22,12 @@ from beltrami import (
     wirtinger_dz,
 )
 from beltrami.grid import (
+    _FormedMultiplier,
     _FourierApply,
-    _dz_multiplier,
     _geometry,
+    _row_blocks,
     _support_box,
+    _wavenumber_axis,
 )
 from beltrami import transforms
 from beltrami.transforms import _coarse_tables, _quadrature_hat
@@ -44,7 +46,12 @@ from conftest import (
     tapered_conjugate_reference,
     traced_fields,
 )
-from diagnostics import tapered_coordinate_conjugate, wirtinger_dbar
+from diagnostics import (
+    beurling_multiplier_reference,
+    multiplier_references,
+    tapered_coordinate_conjugate,
+    wirtinger_dbar,
+)
 
 
 def _sup_on(mask, samples):
@@ -187,23 +194,26 @@ def test_transforms_and_wirtinger_dz_share_one_multiplier_table(dom64):
     phi = smooth_random_field(dom64, seed=3)
     spec = np.fft.fft2(phi.samples)
     mean = spec[0, 0] / phi.samples.size
-    dz = _dz_multiplier(64, dom64.half_width)
+    P, S, dz = multiplier_references(dom64)
     assert np.array_equal(wirtinger_dz(phi).samples, np.fft.ifft2(dz * spec))
-    # the geometry keeps P and S, not dz; S is dz * P, bit for bit
+    # the geometry's S reads as dz * P, and its P as the table, bit for bit
     geo = _geometry(dom64)
-    assert same_bits(geo.S, dz * geo.P)
+    every = (slice(0, 64), slice(0, 64))
+    assert same_bits(geo.S[every], dz * P)
+    assert same_bits(geo.P[every], P)
     # the geometry holds the mean-mode profile: dz_w is wirtinger_dz of w
     w_ref = tapered_conjugate_reference(dom64)
     w = tapered_coordinate_conjugate(dom64)
     assert np.array_equal(w_ref, w.samples)
     assert np.array_equal(geo.dz_w, wirtinger_dz(w).samples)
     assert np.array_equal(beurling_transform(phi).samples,
-                          np.fft.ifft2(geo.S * spec) + mean * geo.dz_w)
+                          np.fft.ifft2(S * spec) + mean * geo.dz_w)
     assert np.array_equal(cauchy_transform(phi).samples,
-                          np.fft.ifft2(geo.P * spec) + mean * w_ref)
+                          np.fft.ifft2(P * spec) + mean * w_ref)
+    # it keeps dz_w and S's rows 0..N/2; P is formed in each apply
     assert {k for k, v in vars(geo).items()
-            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {
-                "P", "S", "dz_w"}
+            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {"dz_w"}
+    assert geo.S.upper.shape == (33, 64) and not geo.S.upper.flags.writeable
 
 
 def test_mean_mode_profile_is_built_on_first_use():
@@ -220,8 +230,8 @@ def test_mean_mode_profile_is_built_on_first_use():
     cauchy_transform(phi, "quadrature")
     assert geo.w_mean == complex(np.mean(tapered_conjugate_reference(dom)))
     assert {k for k, v in vars(geo).items()
-            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {
-                "P", "S", "dz_w"}
+            if isinstance(v, np.ndarray) and v.dtype == np.complex128} == {"dz_w"}
+    assert geo.S.upper.shape == (17, 32)
     # any block of w is the block of the whole-array expression
     w_ref = tapered_conjugate_reference(dom)
     for box in ((slice(0, 32), slice(0, 32)), (slice(3, 9), slice(20, 31)),
@@ -238,14 +248,12 @@ def test_spectral_applies_match_the_fft2_expression_bitwise(resolution):
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     phi = ComplexField(dom, x)
     geo = _geometry(dom)
+    P, S, dz = multiplier_references(dom)
     assert np.array_equal(beurling_transform(phi).samples,
-                          fourier_apply_reference(x, geo.S, geo.dz_w))
+                          fourier_apply_reference(x, S, geo.dz_w))
     assert np.array_equal(cauchy_transform(phi).samples,
-                          fourier_apply_reference(x, geo.P,
-                                                  tapered_conjugate_reference(dom)))
-    assert np.array_equal(wirtinger_dz(phi).samples,
-                          fourier_apply_reference(x, _dz_multiplier(resolution,
-                                                                    dom.half_width)))
+                          fourier_apply_reference(x, P, tapered_conjugate_reference(dom)))
+    assert np.array_equal(wirtinger_dz(phi).samples, fourier_apply_reference(x, dz))
     assert np.array_equal(beurling_transform(phi, "quadrature").samples,
                           quad_convolve_reference(x, _quadrature_hat(dom, 2),
                                                   dom.spacing * dom.spacing))
@@ -261,12 +269,13 @@ def _boxes(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
-def _check_apply(multiplier, mean_profile, x, box):
-    """The box values of the apply, and its whole output after finish, are
-    the numpy fft2 expression's, though the buffer's rows are padded; a
-    second call reuses the buffer and gives the same bits."""
+def _check_apply(multiplier, table, mean_profile, x, box):
+    """The box values of the apply of ``multiplier`` (an array, or one that
+    forms or half stores ``table``), and its whole output after finish, are
+    the numpy fft2 expression's with ``table``, though the buffer's rows are
+    padded; a second call reuses the buffer and gives the same bits."""
     n = x.shape[0]
-    ref = fourier_apply_reference(x, multiplier, mean_profile)
+    ref = fourier_apply_reference(x, table, mean_profile)
     apply = _FourierApply(multiplier, mean_profile, box)
     assert apply.out.strides[0] != n * apply.out.itemsize
     assert same_bits(apply(x[box]), ref[box])
@@ -290,18 +299,19 @@ def _check_box_applies(dom, box, seed):
     n = dom.resolution
     x = _random_on_box(n, box, seed)
     geo = _geometry(dom)
-    _check_apply(geo.S, geo.dz_w, x, box)
-    _check_apply(_dz_multiplier(n, dom.half_width), None, x, box)
+    P, S, dz = multiplier_references(dom)
+    _check_apply(geo.S, S, geo.dz_w, x, box)
+    formed_dz = _FormedMultiplier(_wavenumber_axis(n, dom.half_width), "dz")
+    _check_apply(formed_dz, dz, None, x, box)
     f = _FourierApply.whole(geo.P, geo.w, x[box], box)
     assert f.flags.c_contiguous
-    assert same_bits(f, fourier_apply_reference(x, geo.P,
-                                                tapered_conjugate_reference(dom)))
+    assert same_bits(f, fourier_apply_reference(x, P, tapered_conjugate_reference(dom)))
     cell_area = dom.spacing * dom.spacing
     pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     pad[:n, :n] = x
     data = (slice(0, n), slice(0, n))
     for kernel_hat in (_quadrature_hat(dom, 1), _quadrature_hat(dom, 2)):
-        apply = _check_apply(kernel_hat, None, pad, data)
+        apply = _check_apply(kernel_hat, kernel_hat, None, pad, data)
         assert same_bits(apply(x) * cell_area,
                          quad_convolve_reference(x, kernel_hat, cell_area))
 
@@ -327,7 +337,45 @@ def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
     dom = disc_domain(resolution)
     box = _support_box(cutoff_field(dom))
     geo = _geometry(dom)
-    _check_apply(geo.S, geo.dz_w, _random_on_box(resolution, box, resolution), box)
+    S = beurling_multiplier_reference(resolution, dom.half_width)
+    _check_apply(geo.S, S, geo.dz_w, _random_on_box(resolution, box, resolution), box)
+
+
+@pytest.mark.parametrize("resolution", [16, 18, 64, 512])
+def test_formed_and_half_stored_multipliers_match_the_tables_bitwise(resolution):
+    # every P row block an apply forms and every conjugated S block it reads
+    # is the table's, Nyquist lines and their signed zeros included
+    n, h = resolution, resolution // 2
+    dom = disc_domain(n)
+    P, S, dz = multiplier_references(dom)
+    geo = _geometry(dom)
+    every = slice(0, n)
+    for rows in _row_blocks(every, n):
+        assert same_bits(geo.P[rows, every], P[rows])
+        assert same_bits(geo.S[rows, every], S[rows])
+    assert same_bits(geo.S.upper, S[:h + 1])
+    for rows in _row_blocks(slice(h + 1, n), n):
+        assert same_bits(geo.S._lower(rows), S[rows])
+    # a plain conjugate of the stored rows differs on the Nyquist column only
+    plain = np.conj(geo.S.upper[h - 1:0:-1]).view(np.uint64)
+    words = np.flatnonzero((plain != S[h + 1:].view(np.uint64)).any(axis=0))
+    assert set(words // 2) == {h}
+    # boxes across the Nyquist lines, the zero mode and the stored half's edge
+    formed_dz = _FormedMultiplier(_wavenumber_axis(n, dom.half_width), "dz")
+    for box in ((slice(h, h + 1), slice(h, h + 1)), (slice(0, h + 1), slice(h, n)),
+                (slice(h - 1, n), slice(0, 3)), (slice(3, 5), slice(h - 2, h + 2)),
+                (slice(0, 1), slice(0, 1)), (slice(h + 1, h + 2), every)):
+        assert same_bits(geo.P[box], P[box])
+        assert same_bits(geo.S[box], S[box])
+        assert same_bits(formed_dz[box], dz[box])
+    # the multiplies are the table products, the multiplier the first operand
+    rng = np.random.default_rng(n)
+    spec = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for multiplier, table in ((geo.P, P), (geo.S, S), (formed_dz, dz)):
+        out = np.empty((n, n + 4), dtype=np.complex128)[:, :n]
+        out[...] = spec
+        multiplier.multiply(out)
+        assert same_bits(out, np.multiply(table, spec))
 
 
 @pytest.mark.parametrize("resolution, half_width", [(16, 3.0), (32, 2.5),
@@ -444,10 +492,15 @@ def test_coarse_tables_derive_from_the_fine_grid(dom256):
     # the N/2 grid's S is the fine S on the band, Nyquist lines zeroed, and
     # its mean profile is the fine dz_w at even indices, a view
     S, profile = _coarse_tables(dom256)
-    own = _geometry(disc_domain(128)).S
+    own = beurling_multiplier_reference(128, dom256.half_width)
     assert S.shape == (128, 128)
     assert np.all(S[64] == 0) and np.all(S[:, 64] == 0)
     assert np.max(np.abs(S - own)) <= 1e-15
+    band = np.r_[0:64, 192:256]
+    fine = beurling_multiplier_reference(256, dom256.half_width)[np.ix_(band, band)]
+    fine[64] = 0
+    fine[:, 64] = 0
+    assert same_bits(S, fine)
     fine = _geometry(dom256).dz_w
     assert np.shares_memory(profile, fine)
     assert same_bits(profile, fine[::2, ::2])

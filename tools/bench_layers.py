@@ -73,8 +73,11 @@ Each is taken once per tree and N, in a child process of its own, apart
 from the timing rounds.  The inputs are built before tracing starts, but no
 transform table is: the peak includes building the multipliers, the mean
 profile dz_w and the quadrature kernel.  "kept" counts the tables that
-outlive the call: those of the input domain, which is still alive.
-Allocations are deterministic, so one child per row suffices.
+outlive the call: those of the input domain, which is still alive.  It is
+read after a ``gc.collect()``, and ``numpy.fft``, which numpy loads on
+first use, is imported before tracing starts, so that neither cyclic
+garbage nor a module counts as kept.  Allocations are deterministic, so
+one child per row suffices.
 
 The script prints the JSON it writes.  Timings are wall clock
 (``time.perf_counter``) and depend on the host: record its CPU count and
@@ -158,9 +161,11 @@ def _child(resolution: int) -> dict:
 def _memory_child(resolution: int, row: str) -> dict:
     """The tracemalloc peak of one cold call of ``row`` above its inputs, and
     what it keeps once its result is dropped."""
+    import gc
     import tracemalloc
 
     import numpy as np
+    import numpy.fft  # numpy loads it on first use: a module, not a table of the row
 
     import beltrami as bl
     from beltrami import cli
@@ -201,6 +206,7 @@ def _memory_child(resolution: int, row: str) -> dict:
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     call()   # the result is dropped here
+    gc.collect()   # cyclic garbage the call left, such as json's encoder closures
     kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     out.cleanup()
