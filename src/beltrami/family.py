@@ -556,10 +556,8 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         a = a_next
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
-        if nonfinite:
-            exc = NoConvergence(p.psi, n, nonfinite[0], (*p.trace, nonfinite[0]))
-        else:
-            exc = NoConvergence(p.psi, n, p.trace[-1], tuple(p.trace))
+        trace = (*p.trace, *nonfinite[:1])
+        exc = NoConvergence(p.psi, n, trace[-1], trace)
         yield p.index, FamilyEntry(p.b, None, error=str(exc))
 
 

@@ -529,11 +529,9 @@ class _HalfBeurling:
     """S = dz * P, of which only the rows 0..N/2 are stored (``upper``).
 
     k is odd about 0 (k[N - r] = -k[r]), so row N - r of S is the conjugate
-    of row r bit for bit, except on the Nyquist column: there S holds zeros
-    whose signs conjugation does not give, and which ``nyquist`` keeps.
-    The rows are built in row blocks from the 1-D wavenumbers, so no whole
-    P or dz exists.  ``s[rows, cols]`` (slices) reads a block, and
-    ``multiply`` multiplies the lower rows by conjugated row blocks.
+    of row r bit for bit, except on the Nyquist column, whose signed zeros
+    ``nyquist`` keeps.  The stored rows are built in row blocks, so no
+    whole P or dz exists.
     """
 
     def __init__(self, k: np.ndarray):
@@ -549,31 +547,25 @@ class _HalfBeurling:
         for arr in (self.upper, self.nyquist):
             arr.setflags(write=False)
 
-    def _lower(self, rows: slice) -> np.ndarray:
-        """The whole rows ``rows`` of S, all below row N/2; a fresh array."""
+    def rows(self, rows: slice) -> np.ndarray:
+        """The whole rows ``rows`` of S, all stored or all below row N/2: a
+        view of ``upper``, or a fresh array of conjugates."""
         n = self.shape[0]
+        if rows.stop <= n // 2 + 1:
+            return self.upper[rows]
         block = np.conj(self.upper[n - rows.start:n - rows.stop:-1])
         block[:, n // 2] = self.nyquist[rows]
         return block
 
-    def __getitem__(self, box: tuple) -> np.ndarray:
-        rows, cols = box
-        h = self.shape[0] // 2
-        top = self.upper[rows.start:min(rows.stop, h + 1), cols]
-        if rows.stop <= h + 1:
-            return top.copy()
-        return np.concatenate([top, self._lower(slice(max(rows.start, h + 1),
-                                                      rows.stop))[:, cols]])
-
     def multiply(self, out: np.ndarray) -> None:
         """out = S * out, S the first operand: the stored rows in one
-        product, the lower rows in the ``_row_blocks`` of out."""
+        product, the others in the ``_row_blocks`` of out."""
         n = self.shape[0]
         top = out[:n // 2 + 1]
         np.multiply(self.upper, top, out=top)
         for rows in _row_blocks(slice(n // 2 + 1, n), n):
             block = out[rows]
-            np.multiply(self._lower(rows), block, out=block)
+            np.multiply(self.rows(rows), block, out=block)
 
 
 def _full_box(a: np.ndarray) -> tuple:

@@ -66,20 +66,16 @@ def _coarse_tables(domain: DomainSpec) -> tuple:
 
     The two grids nest: the N/2 grid's frequencies are the fine grid's
     |k| <= N/4, so its multiplier is the fine S on that band with its
-    Nyquist lines (k = -N/4) zeroed, read from the half table four quarter
-    blocks at a time.  Its mean profile is the fine dz_w at even indices,
-    the N/2 grid's spectral d/dz of w[::2, ::2] up to the modes of w outside
-    that band.
+    Nyquist lines (k = -N/4) zeroed.  Its mean profile is the fine dz_w at
+    even indices, the N/2 grid's spectral d/dz of w[::2, ::2] up to the
+    modes of w outside that band.
     """
     n = domain.resolution
     half = n // 4
+    band = np.r_[0:half, n - half:n]
     geo = _geometry(domain)
-    S = np.empty((2 * half, 2 * half), dtype=np.complex128)
-    for coarse_rows, rows in ((slice(0, half), slice(0, half)),
-                              (slice(half, None), slice(n - half, n))):
-        for coarse_cols, cols in ((slice(0, half), slice(0, half)),
-                                  (slice(half, None), slice(n - half, n))):
-            S[coarse_rows, coarse_cols] = geo.S[rows, cols]
+    S = np.concatenate([geo.S.rows(rows)[:, band]
+                        for rows in (slice(0, half), slice(n - half, n))])
     S[half] = 0
     S[:, half] = 0
     return S, geo.dz_w[::2, ::2]
