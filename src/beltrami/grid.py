@@ -508,7 +508,7 @@ class _FormedMultiplier:
         rows, cols = box
         d = np.subtract(self._column[cols], self._row[rows, None])
         if self._invert:
-            zero_mode = rows.start == 0 and cols.start == 0 and d.size > 0
+            zero_mode = rows.start == 0 and cols.start == 0
             if zero_mode:
                 d[0, 0] = 1.0   # 1j * xi vanishes there
             np.divide(2.0, d, out=d)

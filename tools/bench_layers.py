@@ -22,8 +22,8 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     beurling.quadrature
                       public beurling_transform by quadrature (the 2N grid)
     cauchy.full       public cauchy_transform of a field (validated): the
-                      whole-grid P apply, whose mean profile w is formed
-                      block by block
+                      whole-grid P apply, whose multiplier and mean profile
+                      w are formed block by block
     solve_immersion   mu = 0.3 constant
     solve_immersion.strong
                       mu = 0.5 + 0.3 bump, sup|mu| = 0.8, where the N/2-grid
