@@ -528,10 +528,12 @@ class _FormedMultiplier:
 class _HalfBeurling:
     """S = dz * P, of which only the rows 0..N/2 are stored (``upper``).
 
-    k is odd about 0 (k[N - r] = -k[r]), so row N - r of S is the conjugate
-    of row r bit for bit, except on the Nyquist column, whose signed zeros
-    ``nyquist`` keeps.  The stored rows are built in row blocks, so no
-    whole P or dz exists.
+    k is odd about 0 (k[N - r] = -k[r]), so S, a function of conj(xi)/xi,
+    is conjugated by the reflection ky -> -ky and unchanged by xi -> -xi:
+    bit for bit, row N - r of S is the conjugate of row r, and
+    S[N - r, N - c] = S[r, c], except on the Nyquist column (and, for the
+    second, column 0), whose signed zeros ``nyquist`` keeps.  The stored
+    rows are built in row blocks, so no whole P or dz exists.
     """
 
     def __init__(self, k: np.ndarray):
@@ -558,14 +560,20 @@ class _HalfBeurling:
         return block
 
     def multiply(self, out: np.ndarray) -> None:
-        """out = S * out, S the first operand: the stored rows in one
-        product, the others in the ``_row_blocks`` of out."""
+        """out = S * out, S the first operand, without a copy of S: the
+        stored rows in one product; below them, row N - r takes row r
+        reversed, and column 0 and the Nyquist column their own values."""
         n = self.shape[0]
-        top = out[:n // 2 + 1]
+        h = n // 2
+        top, low = out[:h + 1], out[h + 1:]
         np.multiply(self.upper, top, out=top)
-        for rows in _row_blocks(slice(n // 2 + 1, n), n):
-            block = out[rows]
-            np.multiply(self.rows(rows), block, out=block)
+        mirror = self.upper[h - 1:0:-1]      # row r = N - R for each low row R
+        for cols, reflected in ((slice(1, h), slice(n - 1, h, -1)),
+                                (slice(h + 1, n), slice(h - 1, 0, -1))):
+            block = low[:, cols]
+            np.multiply(mirror[:, reflected], block, out=block)
+        np.multiply(np.conj(mirror[:, 0]), low[:, 0], out=low[:, 0])
+        np.multiply(self.nyquist[h + 1:], low[:, h], out=low[:, h])
 
 
 def _full_box(a: np.ndarray) -> tuple:

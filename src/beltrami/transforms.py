@@ -74,7 +74,9 @@ def _coarse_tables(domain: DomainSpec) -> tuple:
     half = n // 4
     band = np.r_[0:half, n - half:n]
     geo = _geometry(domain)
-    S = np.concatenate([geo.S.rows(rows)[:, band]
+    # take, not [:, band], whose result is column-major: the apply's
+    # multiply runs over row-major buffers
+    S = np.concatenate([geo.S.rows(rows).take(band, axis=1)
                         for rows in (slice(0, half), slice(n - half, n))])
     S[half] = 0
     S[:, half] = 0

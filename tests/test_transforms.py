@@ -24,6 +24,7 @@ from beltrami import (
 from beltrami.grid import (
     _FormedMultiplier,
     _FourierApply,
+    _HalfBeurling,
     _geometry,
     _row_blocks,
     _support_box,
@@ -366,10 +367,13 @@ def test_formed_and_half_stored_multipliers_match_the_tables_bitwise(resolution)
                 (slice(0, 1), slice(0, 1)), (slice(h + 1, h + 2), every)):
         assert same_bits(geo.P[box], P[box])
         assert same_bits(formed_dz[box], dz[box])
-    # the multiplies are the table products, the multiplier the first operand
+    # the multiplies are the table products, the multiplier the first
+    # operand; S's lower rows are its stored rows reflected, on other grids too
     rng = np.random.default_rng(n)
     spec = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    for multiplier, table in ((geo.P, P), (geo.S, S), (formed_dz, dz)):
+    other = [(_HalfBeurling(_wavenumber_axis(n, L)), beurling_multiplier_reference(n, L))
+             for L in (2.5, 3.7)]
+    for multiplier, table in ((geo.P, P), (geo.S, S), (formed_dz, dz), *other):
         out = np.empty((n, n + 4), dtype=np.complex128)[:, :n]
         out[...] = spec
         multiplier.multiply(out)
@@ -491,7 +495,7 @@ def test_coarse_tables_derive_from_the_fine_grid(dom256):
     # its mean profile is the fine dz_w at even indices, a view
     S, profile = _coarse_tables(dom256)
     own = beurling_multiplier_reference(128, dom256.half_width)
-    assert S.shape == (128, 128)
+    assert S.shape == (128, 128) and S.flags.c_contiguous
     assert np.all(S[64] == 0) and np.all(S[:, 64] == 0)
     assert np.max(np.abs(S - own)) <= 1e-15
     band = np.r_[0:64, 192:256]
