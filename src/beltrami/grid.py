@@ -730,15 +730,16 @@ class _FourierApply:
         """Whether every mode of the spectrum in out outside the band of the
         n/2 grid (|k| >= n/4 on either axis) has amplitude |x^(k)| / n^2 at
         most ``bound``.  Scans out in row blocks, as the mean term is added,
-        and stops at the first block above the bound."""
+        and stops at the first block above the bound or holding a NaN, which
+        no solve can use."""
         n = self.out.shape[0]
         lo, hi = n // 4, n - n // 4 + 1
         limit = bound * self.out.size
-        return not any(np.max(np.abs(block), initial=0.0) > limit
-                       for rows, cols in ((slice(lo, hi), slice(0, n)),
-                                          (slice(0, lo), slice(lo, hi)),
-                                          (slice(hi, n), slice(lo, hi)))
-                       for _, block in self._blocks(rows, cols))
+        return all(np.max(np.abs(block), initial=0.0) <= limit
+                   for rows, cols in ((slice(lo, hi), slice(0, n)),
+                                      (slice(0, lo), slice(lo, hi)),
+                                      (slice(hi, n), slice(lo, hi)))
+                   for _, block in self._blocks(rows, cols))
 
     def interpolate(self, coarse: np.ndarray) -> np.ndarray:
         """The trigonometric interpolant of n/2-grid samples, on the box.

@@ -214,6 +214,19 @@ def test_solves_stop_at_the_first_non_finite_residual(dom64):
         assert info.value.iterations == 1
 
 
+def test_a_spectrum_holding_nan_is_not_resolved_at_half(dom64):
+    # the warm-start gate read a NaN amplitude as small and built the N/2
+    # problem of an rhs that overflowed the FFTs
+    apply = _FourierApply.beurling(dom64, (slice(0, 64), slice(0, 64)))
+    x = np.zeros((64, 64), dtype=np.complex128)
+    x[5, 7] = np.nan
+    with np.errstate(all="ignore"):
+        apply.forward(x)
+    assert not apply.resolved_at_half(1e-10)
+    apply.forward(np.zeros((64, 64), dtype=np.complex128))
+    assert apply.resolved_at_half(1e-10)
+
+
 def _allocating_neumann(mu, rhs, cfg):
     """The Neumann loop as fresh-array arithmetic on the whole grid."""
     m, r = mu.extended.samples, rhs.samples
