@@ -344,8 +344,9 @@ def test_pruned_beurling_on_the_dbar_box_bitwise(resolution):
 
 @pytest.mark.parametrize("resolution", [16, 18, 64, 512])
 def test_formed_and_half_stored_multipliers_match_the_tables_bitwise(resolution):
-    # every P row block an apply forms and every conjugated S block it reads
-    # is the table's, Nyquist lines and their signed zeros included
+    # every P row block an apply forms and every S row block, stored or read
+    # as conjugates, is the table's, Nyquist lines and their signed zeros
+    # included
     n, h = resolution, resolution // 2
     dom = disc_domain(n)
     P, S, dz = multiplier_references(dom)
