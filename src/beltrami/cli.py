@@ -340,8 +340,8 @@ def _cmd_sweep_family(run):
     grid = family.parameter_grid
     write_field(out / "mu_raw.field", run.mu.raw)
     write_field(out / "u.field", run.u)
-    # each entry's fields are written as it finishes; the report keeps only
-    # the solutions its regularity values still read
+    # each entry's fields are written as it finishes and its f is then freed;
+    # the report keeps Omega's box of the solutions it still reads
     regularity = _Regularity(grid)
     entries_report = [None] * len(grid)
     for idx, entry in _finished_entries(family, [run.u] * len(grid), run.solver,

@@ -341,7 +341,8 @@ class FamilyEntry:
 
 @dataclass(frozen=True)
 class FamilySweepResult:
-    """Per-parameter solutions plus the parameter-regularity report."""
+    """Per-parameter solutions plus the parameter-regularity report, whose
+    sups are taken over Omega."""
 
     entries: tuple
     adjacent_differences: tuple   # (b_lo, b_hi, sup|f_hi - f_lo|, ratio) per pair
@@ -349,24 +350,25 @@ class FamilySweepResult:
     extrapolation_errors: tuple   # (b, error) per interior quadruple, uniform grids
 
 
-def _quadratic_extrapolation_gap(f_prev, f_mid, f_next, f_target) -> float:
-    """Sup gap between f_target and the quadratic through the three nodes.
+def _quadratic_extrapolation_gap(prev, mid, nxt, target, omega) -> float:
+    """Sup gap over Omega between target and the quadratic through the
+    three nodes.
 
     For equispaced parameters the quadratic through (t-d, t, t+d) evaluated at
     t+2d is f_prev - 3 f_mid + 3 f_next; the gap scales like the cube of the
     spacing whenever the parameter dependence is smooth, which is the
-    computable surrogate for analytic dependence on the coefficient.
+    computable surrogate for analytic dependence on the coefficient.  The
+    solutions are given by their samples on Omega's bounding box, ``omega``
+    is the Omega mask on that box.
     """
-    prev, mid, nxt = f_prev.samples, f_mid.samples, f_next.samples
-    return _box_sup(_full_box(prev), lambda key, at: f_target.samples[key] - (
-        prev[key] - 3.0 * mid[key] + 3.0 * nxt[key]))
+    return _box_sup(_full_box(omega), lambda key, at: (
+        target[key] - (prev[key] - 3.0 * mid[key] + 3.0 * nxt[key]))[omega[key]])
 
 
-def _sup_difference(f: ComplexField, g: ComplexField) -> float:
-    """sup_norm(f - g), the max of |f - g| over Omega."""
-    om = omega_mask(f.domain)
-    return _box_sup(_full_box(om), lambda key, at: (
-        f.samples[key] - g.samples[key])[om[key]])
+def _sup_difference(f, g, omega) -> float:
+    """The max of |f - g| over Omega, for samples on Omega's bounding box
+    and ``omega`` the Omega mask on that box."""
+    return _box_sup(_full_box(omega), lambda key, at: (f[key] - g[key])[omega[key]])
 
 
 class _Regularity:
@@ -376,11 +378,13 @@ class _Regularity:
     holding an early one until every entry before it has arrived.  Of the
     solutions it keeps only those a later difference or gap still reads: the
     last three processed (the last one on a grid without gaps), and the held
-    ones.  Values are keyed by grid position i: ``differences[i]`` is
-    (b_lo, b_hi, sup|f_hi - f_lo|, ratio) of entries i - 1 and i, both
-    solved, at different parameters; ``gaps[i]`` is (b, gap) of entry i
-    against the quadratic through entries i - 3 .. i - 1, on uniform grids of
-    at least four points, when all four are solved.  ``diagnostics[i]`` is
+    ones; of each, only a copy of its samples on the bounding box of Omega,
+    so a caller that drops an entry frees its f.  Values are keyed by grid
+    position i: ``differences[i]`` is (b_lo, b_hi, sup|f_hi - f_lo|, ratio)
+    of entries i - 1 and i, both solved, at different parameters;
+    ``gaps[i]`` is (b, gap) of entry i against the quadratic through entries
+    i - 3 .. i - 1, on uniform grids of at least four points, when all four
+    are solved.  Both sups are taken over Omega.  ``diagnostics[i]`` is
     entry i's, None if it failed.
     """
 
@@ -390,28 +394,37 @@ class _Regularity:
         uniform = len(grid) >= 4 and all(
             math.isclose(s, steps[0], rel_tol=1e-12) for s in steps)
         self._depth = 3 if uniform else 1
-        self._held = {}     # index -> f, None if failed, of entries not yet processed
-        self._last = ()     # f, None if failed, of the last entries processed
+        self._box = None    # Omega's bounding box, read from the first solution
+        self._omega = None  # the Omega mask on it
+        self._held = {}     # index -> box samples, None if failed, of entries not yet processed
+        self._last = ()     # box samples, None if failed, of the last entries processed
         self._next = 0      # the index processed next
         self.diagnostics = [None] * len(grid)
         self.differences = {}
         self.gaps = {}
 
+    def _on_box(self, f: ComplexField) -> np.ndarray:
+        if self._box is None:
+            om = omega_mask(f.domain)
+            self._box = _support_box(om)
+            self._omega = om[self._box].copy()
+        return f.samples[self._box].copy()
+
     def add(self, index: int, entry: FamilyEntry) -> None:
         solved = entry.result is not None
         self.diagnostics[index] = entry.result.diagnostics if solved else None
-        self._held[index] = entry.result.f if solved else None
-        grid = self.grid
+        self._held[index] = self._on_box(entry.result.f) if solved else None
+        grid, omega = self.grid, self._omega
         while self._next in self._held:
             i = self._next
             f, last = self._held.pop(i), self._last
             if (f is not None and last and last[-1] is not None
                     and grid[i] != grid[i - 1]):
-                d = _sup_difference(f, last[-1])
+                d = _sup_difference(f, last[-1], omega)
                 self.differences[i] = (grid[i - 1], grid[i], d,
                                        d / abs(grid[i] - grid[i - 1]))
             if f is not None and len(last) == 3 and all(g is not None for g in last):
-                self.gaps[i] = (grid[i], _quadratic_extrapolation_gap(*last, f))
+                self.gaps[i] = (grid[i], _quadratic_extrapolation_gap(*last, f, omega))
             self._last = (last + (f,))[-self._depth:]
             self._next += 1
 
@@ -489,7 +502,8 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     gates a per-b solve; gated points are yielded first.  Every term vanishes
     off the box of the nonzero samples of mu_0 and u, so the recurrence and
     the sums are box arrays.  A term size that is not finite ends the
-    series: every point still summing fails with NoConvergence naming it.
+    series (sup|a_n| before any point adds a_n, sup|c_n| before any adds
+    c_n): every point still summing fails with NoConvergence naming it.
     Nothing here refers to a yielded result afterwards, so a consumer that
     drops it frees it while the series runs on.
     """
@@ -510,35 +524,47 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     abs2 = np.abs(m0_box) ** 2
     live = [_SeriesPoint(i, b, np.zeros_like(m0_box), u_box.copy(), [])
             for i, b in points]
-    # the recurrence updates buffers allocated here, once per sweep; a_{n+1}
-    # ping-pongs between two of them, since a_1 is the read-only mu_0 box
-    a, a_buffers = m0_box, (np.empty_like(m0_box), np.empty_like(m0_box))
+    # the recurrence updates five box buffers, allocated here once per sweep.
+    # a_{n+1} overwrites a_n once every point has added it (a_1 is the
+    # read-only mu_0 box).  Of the conj(g) ring's three buffers, the one that
+    # receives conj(g_n) is the temporary of the phi sums before it does, and
+    # the one holding conj(g_{n-2}) takes the weight and then serves as the
+    # temporary of the psi sums.
+    a, a_buffer = m0_box, np.empty_like(m0_box)
     c = u_box.copy()                        # c_{n-1}
     conj_g, conj_g1, conj_g2 = (np.empty_like(m0_box) for _ in range(3))
     conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
     conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
-    weight, tmp = np.empty_like(m0_box), np.empty_like(m0_box)
     magnitude = np.empty(m0_box.shape)
+
+    def term_size(t: np.ndarray) -> float:
+        return float(np.max(np.abs(t, out=magnitude), initial=0.0))
+
     n, nonfinite = 0, []
     while live and n < cfg.max_iter:
         n += 1
         g = beurling(a)
+        size = term_size(a)
+        if not math.isfinite(size):   # every later term is as bad: no point can finish
+            nonfinite = [size]
+            break
+        for p in live:
+            np.add(p.phi, np.multiply(p.b ** n, a, out=conj_g), out=p.phi)
         np.conj(g, out=conj_g)
         # a_{n+1} = mu_0 g_n, so the apply that holds g_n is free again
-        a_next = np.multiply(m0_box, g, out=a_buffers[n % 2])
-        np.subtract(conj_g, np.multiply(abs2, conj_g2, out=weight), out=weight)
+        a = np.multiply(m0_box, g, out=a_buffer)
+        weight = np.subtract(conj_g, np.multiply(abs2, conj_g2, out=conj_g2), out=conj_g2)
         np.multiply(m0_box, beurling(c), out=c)
-        np.add(np.multiply(weight, u_box, out=tmp), c, out=c)
-        sizes = [float(np.max(np.abs(t, out=magnitude), initial=0.0)) for t in (a, c)]
-        nonfinite = [s for s in sizes if not math.isfinite(s)]
-        if nonfinite:   # every later term is as bad: no point can finish
+        np.add(np.multiply(weight, u_box, out=weight), c, out=c)
+        size_c = term_size(c)
+        if not math.isfinite(size_c):
+            nonfinite = [size_c]
             break
-        size = max(sizes)
+        size = max(size, size_c)
         pending = []
         for p in live:
             bn = p.b ** n
-            np.add(p.phi, np.multiply(bn, a, out=tmp), out=p.phi)
-            np.add(p.psi, np.multiply(bn, c, out=tmp), out=p.psi)
+            np.add(p.psi, np.multiply(bn, c, out=weight), out=p.psi)
             p.trace.append(bn * size)
             if p.trace[-1] > cfg.tol:
                 pending.append(p)
@@ -553,7 +579,6 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
                 yield p.index, entry
                 del entry
         live = pending
-        a = a_next
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
         trace = (*p.trace, *nonfinite[:1])
@@ -622,7 +647,8 @@ def solve_family(family: FamilySpec, u_family, cfg: SolverConfig = SolverConfig(
     failures are recorded in their entry rather than failing the sweep.  The
     report carries adjacent sup differences with a single fitted Lipschitz
     constant, and quadratic-extrapolation gaps when the grid is uniform with
-    at least four points.
+    at least four points, all sups over Omega; it is built once the sweep's
+    buffers are freed, from copies of the solutions on Omega's bounding box.
     """
     grid = family.parameter_grid
     entries = [None] * len(grid)

@@ -5,6 +5,7 @@ report.  Tolerances are fixed here and nowhere else.
 """
 
 import json
+import math
 
 import numpy as np
 from click.testing import CliRunner
@@ -183,8 +184,9 @@ def test_criterion_7_exhaustion_consistency():
     err = float(np.max(np.abs(f.samples[disc1] - direct.samples[disc1])))
     assert err <= 5e-3
     for step in trace.steps:
-        assert step.budget == cfg.tol * 0.5 ** step.step
+        assert step.budget == cfg.tol * 6.0 / (math.pi ** 2 * step.step ** 2)
         assert step.approx_error <= step.budget
+    assert sum(step.budget for step in trace.steps) <= cfg.tol
     _report(7, f"|exhaustion - direct| = {err:.2e}, "
                f"worst step error = {max(s.approx_error for s in trace.steps):.2e}")
 

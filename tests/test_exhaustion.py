@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from beltrami.exhaustion import (
     MAX_TAYLOR_DEGREE,
     PATCH_ORDER,
     _lagrange_patch_interpolate,
+    _step_budget,
 )
 
 from conftest import disc_domain, same_bits, smooth_random_field, traced_fields
@@ -159,21 +162,33 @@ def test_exhaustion_matches_direct_global_solve(dom256):
     assert np.max(np.abs(f.samples[disc1] - direct.samples[disc1])) <= 5e-3
 
 
-def test_exhaustion_trace_is_geometric(dom256):
+def test_exhaustion_trace_meets_its_step_budgets(dom256):
     mu = BeltramiField.from_raw(constant_field(dom256, 0.0))
     u = _compact_bump(dom256)
     cfg = SolverConfig()
     _, trace = exhaustion_solve(mu, u, [1.0, 1.5, 2.0], 8, cfg)
     assert [s.step for s in trace.steps] == [1, 2, 3]
-    # post-correction agreement obeys the halving budget at every step
+    # post-correction agreement obeys the summable budget at every step
     for s in trace.steps:
-        assert s.budget == pytest.approx(cfg.tol * 0.5 ** s.step)
+        assert s.budget == cfg.tol * 6.0 / (math.pi ** 2 * s.step ** 2)
         assert s.approx_error <= s.budget
-    # fitted single constant K: corrections stay within K * 2^-n * tol
-    fitted = max((s.correction_sup * 2 ** s.step / cfg.tol
-                  for s in trace.steps), default=0.0)
+    assert sum(s.budget for s in trace.steps) <= cfg.tol
+    # fitted single constant K: corrections stay within K times the budget
+    fitted = max((s.correction_sup / s.budget for s in trace.steps), default=0.0)
     for s in trace.steps:
-        assert s.correction_sup <= fitted * cfg.tol * 0.5 ** s.step * (1 + 1e-12)
+        assert s.correction_sup <= fitted * s.budget * (1 + 1e-12)
+
+
+def test_step_budgets_sum_to_at_most_tol_and_stay_above_rounding():
+    # a geometric budget 2^-n tol gave step 11 4.9e-14 at tol 1e-10, under
+    # the 7.2e-14 a Taylor correction at N = 1024 reaches by rounding alone
+    for tol in (1e-6, 1e-10, 1e-14):
+        budgets = [_step_budget(n, tol) for n in range(1, 10001)]
+        assert budgets[0] == tol * 6.0 / math.pi ** 2
+        assert all(b > later for b, later in zip(budgets, budgets[1:]))
+        assert math.fsum(budgets) <= tol and sum(budgets) <= tol
+        assert math.fsum(budgets) >= tol * (1 - 1e-3)
+    assert _step_budget(11, 1e-10) == pytest.approx(5.02e-13, rel=1e-3)
 
 
 def test_exhaustion_with_nonzero_mu(dom256):
@@ -218,7 +233,7 @@ def test_exhaustion_peak_does_not_grow_with_the_number_of_discs():
 def test_runge_failure_on_wide_data(dom128):
     # wide datum violates the compact-support precondition: per-disc tapers
     # genuinely differ, the step corrections are real, and a tiny polynomial
-    # degree cannot meet the geometric budget
+    # degree cannot meet the step budget
     mu = BeltramiField.from_raw(constant_field(dom128, 0.0))
     wide = gaussian_bump_field(dom128, 1.0, width=0.9)
     with pytest.raises(RungeApproximationFailure) as info:

@@ -555,6 +555,24 @@ def test_regularity_add_allocates_under_half_a_field(dom256):
     assert len(sweep.extrapolation_errors) == 6
 
 
+def test_regularity_values_are_the_whole_field_sups_on_omega(dom64):
+    # the report keeps only Omega's bounding box of each solution; its values
+    # are bitwise the sups over omega_mask of the whole fields' expressions.
+    # On this sweep the whole-grid gaps peak in the cutoff collar, 5-8 times
+    # above those on Omega.
+    u = disc_indicator_field(dom64)
+    sweep = solve_family(FamilySpec(mu_constant(dom64), EIGHTHS), [u] * 9)
+    f = [entry.result.f.samples for entry in sweep.entries]
+    om = omega_mask(dom64)
+    assert [d for _, _, d, _ in sweep.adjacent_differences] == [
+        float(np.max(np.abs(f[i] - f[i - 1])[om])) for i in range(1, 9)]
+    gaps = [np.abs(f[i] - (f[i - 3] - 3.0 * f[i - 2] + 3.0 * f[i - 1]))
+            for i in range(3, 9)]
+    assert sweep.extrapolation_errors == tuple(
+        (b, float(np.max(gap[om]))) for b, gap in zip(EIGHTHS[3:], gaps))
+    assert all(np.max(gap) > 4 * np.max(gap[om]) for gap in gaps)
+
+
 _DOM32 = disc_domain(32)
 _MU32 = mu_bump(_DOM32, 0.5)
 _U32 = disc_indicator_field(_DOM32)
