@@ -581,7 +581,7 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         live = pending
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
     for p in live:
-        trace = (*p.trace, *nonfinite[:1])
+        trace = (*p.trace, *nonfinite)
         exc = NoConvergence(p.psi, n, trace[-1], trace)
         yield p.index, FamilyEntry(p.b, None, error=str(exc))
 
