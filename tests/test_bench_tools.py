@@ -43,7 +43,7 @@ def test_memory_child_measures_every_row(bench_layers):
 
 # The sweep's peaks at N = 64, in fields: 17.25 and 27.58 measured while the
 # regularity report keeps Omega's box of each solution it still reads and
-# the linear series runs on five box buffers; 19.24 and 28.70 while the
+# the linear series runs on five box buffers; 19.22 and 28.70 while the
 # report kept whole solutions and the series eight buffers.
 SWEEP_CEILINGS = {"sweep.cli": 17.6, "sweep.linear9": 28.0}
 

@@ -44,8 +44,7 @@ above, and
     exhaust.3         exhaustion_solve on radii 1, 1.5, 2 with taylor_degree 8,
                       mu = 0 and u the disc indicator of radius 0.25, the data
                       of the shipped exhaust config (a nonzero mu inside the
-                      first disc peaks alike, but at N = 1024 misses the
-                      budget of the 11th disc by rounding)
+                      first disc peaks alike)
     exhaust.11        the same on 11 radii evenly spaced from 1 to 2
     sweep.cli         the sweep-family command body (``cli._cmd_sweep_family``)
                       in process on configs/sweep_family.json at the row's N,
