@@ -87,12 +87,18 @@ _EXIT_2 = (VerificationMismatch, ContractionTooLarge, NoConvergence,
 # config handling
 # ---------------------------------------------------------------------------
 
-def _load_config(path) -> dict:
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``; ValidationError if the file
+    is not UTF-8 JSON, or nests too deep for the parser."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:   # ValueError: decoding, syntax
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _load_config(path) -> dict:
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     version = cfg.get("schema_version")
@@ -424,10 +430,7 @@ def _cmd_verify(out: Path):
     report_path = out / "report.json"
     if not report_path.exists():
         raise ValidationError(f"no report.json in {out}")
-    try:
-        report = json.loads(report_path.read_text())
-    except ValueError as exc:
-        raise ValidationError(f"report.json is not valid JSON: {exc}") from exc
+    report = _read_json(report_path, "report.json")
     cfg = _load_config(out / "config.json")
     domain = _domain_from_config(cfg)
     command = _require(report, "command")

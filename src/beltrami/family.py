@@ -48,7 +48,6 @@ from .grid import (
     _row_blocks,
     _same_domain,
     _support_box,
-    interior_mask,
     omega_mask,
 )
 from .solver import (
@@ -192,34 +191,73 @@ class DbarDiagnostics:
 
 @dataclass(frozen=True)
 class DbarResult:
-    """Particular solution f, the right-hand side it solves, and diagnostics."""
+    """Particular solution f, the right-hand side it solves, and diagnostics.
+
+    The rhs (1 - |mu|^2) conj(g) u vanishes wherever the datum u does, so
+    the result keeps only its samples on the support box of u
+    (``_support_box``; empty for u = 0, the whole grid for a u with no
+    zero row or column).  ``rhs`` builds the whole field on each read, +0
+    off that box, and does not keep it: a caller that drops it frees it.
+    """
 
     f: ComplexField
     diagnostics: DbarDiagnostics
-    rhs: ComplexField = field(repr=False)
+    rhs_on_box: tuple = field(repr=False, compare=False)   # (box, read-only samples)
+
+    @property
+    def rhs(self) -> ComplexField:
+        box, samples = self.rhs_on_box
+        whole = np.zeros(self.f.samples.shape, dtype=np.complex128)
+        whole[box] = samples
+        return ComplexField(self.f.domain, whole)
 
 
 # The d-bar finish, shared by solve_dbar, solve_dbar_form and the linear
 # series: ``_dbar_data`` forms the rhs from g, ``_dbar_finish`` the result
 # from the fixed point.  They read mu_ext and g as arrays or ``_Blockwise``
 # readers (b mu_0, 1 + S(phi) in an apply buffer) and form every whole-grid
-# expression in row blocks, so the rhs and f are the only whole-grid arrays
-# they allocate.
+# expression in row blocks, so the rhs on its box and f are the only arrays
+# of their size they allocate.
 
-def _dbar_data(m, g, u: ComplexField) -> tuple:
-    """The d-bar rhs (1 - |mu|^2) conj(g) u, its frame factor
-    (1 - |mu|^2) conj(g) at the interior points and min |g| there: all that
-    a d-bar solve reads of g = dh/dz, so a caller that drops g then frees
-    it.  m and g hold the samples of mu_ext and g."""
-    n = u.domain.resolution
-    inner = interior_mask(u.domain)
-    rhs = np.empty_like(u.samples)
+def _overlap(rows: slice, other: slice) -> slice:
+    """The rows that ``rows`` and ``other`` share, an empty slice if none."""
+    lo = max(rows.start, other.start)
+    return slice(lo, max(lo, min(rows.stop, other.stop)))
+
+
+def _shift(rows: slice, origin: int) -> slice:
+    """``rows`` as offsets from ``origin``."""
+    return slice(rows.start - origin, rows.stop - origin)
+
+
+def _hull(*boxes: tuple) -> tuple:
+    """The smallest box that holds each of ``boxes`` that is not empty."""
+    boxes = [b for b in boxes if b[0].stop > b[0].start]
+    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                 for axis in zip(*boxes))
+
+
+def _dbar_data(m, g, u: ComplexField, box: tuple) -> tuple:
+    """The d-bar rhs (1 - |mu|^2) conj(g) u on ``box``, a box that holds
+    every nonzero sample of u, its frame factor (1 - |mu|^2) conj(g) at the
+    interior points and min |g| there: all that a d-bar solve reads of
+    g = dh/dz, so a caller that drops g then frees it.  m and g hold the
+    samples of mu_ext and g; the frame is formed on the hull of ``box`` and
+    the interior box only."""
+    geo = _geometry(u.domain)
+    inner = geo.interior_mask
+    rows, cols = _hull(geo.interior_box, box)
+    r, c = box
+    rhs = np.empty((r.stop - r.start, c.stop - c.start), dtype=np.complex128)
     denom, gmin = [], []
-    for rows in _row_blocks(slice(0, n), n):
-        g_rows = g[rows, :]
-        frame = (1.0 - np.abs(m[rows, :]) ** 2) * np.conj(g_rows)
-        np.multiply(frame, u.samples[rows], out=rhs[rows])
-        at = inner[rows]
+    for block in _row_blocks(rows, cols.stop - cols.start):
+        key = (block, cols)
+        g_rows = g[key]
+        frame = (1.0 - np.abs(m[key]) ** 2) * np.conj(g_rows)
+        both = _overlap(block, r)
+        np.multiply(frame[_shift(both, block.start), _shift(c, cols.start)],
+                    u.samples[both, c], out=rhs[_shift(both, r.start)])
+        at = inner[key]
         if at.any():
             denom.append(frame[at])
             gmin.append(np.min(np.abs(g_rows[at])))
@@ -238,19 +276,23 @@ def _box_sup(box: tuple, step) -> float:
     return float(np.max(sups, initial=0.0))
 
 
-def _dbar_finish(m, u: ComplexField, rhs: ComplexField, denom: np.ndarray,
+def _dbar_finish(m, u: ComplexField, denom: np.ndarray, rhs_on_box: tuple,
                  psi: np.ndarray, box: tuple, residual: float,
                  trace: tuple) -> DbarResult:
     """The result of the d-bar fixed point psi, given by its samples on
     ``box`` (it vanishes off it): f = P(psi), from a box apply, and its
     finite-difference residuals on interior Omega.  ``denom`` is the
-    interior frame factor of ``_dbar_data``, m the samples of mu_ext."""
+    interior frame factor of ``_dbar_data``, m the samples of mu_ext and
+    ``rhs_on_box`` the result's (box of u, rhs samples on it)."""
     geo = _geometry(u.domain)
     f = ComplexField(u.domain, _FourierApply.whole(geo.P, geo.w, psi, box))
     inner = geo.interior_mask
     lhs = _fd_beltrami_defect(f, m)
-    interior_residual = float(np.max(np.abs(lhs - rhs.samples[inner])))
-    moving_frame_residual = float(np.max(np.abs(lhs / denom - u.samples[inner])))
+    u_inner = u.samples[inner]
+    # the rhs at the interior points, bitwise: _dbar_data formed it as frame * u
+    interior_residual = float(np.max(np.abs(lhs - np.multiply(denom, u_inner))))
+    moving_frame_residual = float(np.max(np.abs(lhs / denom - u_inner)))
+    rhs_on_box[1].setflags(write=False)
     return DbarResult(
         f=f,
         diagnostics=DbarDiagnostics(
@@ -260,7 +302,7 @@ def _dbar_finish(m, u: ComplexField, rhs: ComplexField, denom: np.ndarray,
             moving_frame_residual=moving_frame_residual,
             trace=trace,
         ),
-        rhs=rhs,
+        rhs_on_box=rhs_on_box,
     )
 
 
@@ -278,21 +320,25 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     _same_domain("mu and u", mu, u)
     beurling = _neumann(mu, mu.extended, cfg)[-1]   # holds S(phi)
     g = _Blockwise(np.add, 1.0, beurling.finish())
-    rhs, denom, gmin = _dbar_data(mu.extended.samples, g, u)
+    rhs, denom, gmin = _dbar_data(mu.extended.samples, g, u, _full_box(u.samples))
     del beurling, g   # before the d-bar solve
     check_nondegenerate(gmin)
-    return _solve_dbar(mu, u, rhs, denom, cfg)
+    solved = _neumann_dbar(mu, u, rhs, cfg)
+    del rhs   # before the finish
+    return _dbar_finish(mu.extended.samples, u, denom, *solved)
 
 
-def _solve_dbar(mu: BeltramiField, u: ComplexField, rhs: np.ndarray,
-                denom: np.ndarray, cfg: SolverConfig) -> DbarResult:
-    """solve_dbar given ``_dbar_data``."""
-    rhs = ComplexField(u.domain, rhs)
-    psi, _, trace, beurling = _neumann(mu, rhs, cfg)
+def _neumann_dbar(mu: BeltramiField, u: ComplexField, rhs: np.ndarray,
+                  cfg: SolverConfig) -> tuple:
+    """The d-bar Neumann solve for the whole-grid rhs of ``_dbar_data``:
+    the rhs on the support box of u, as (box, a copy of its samples), and
+    the fixed point on the apply box, that box, the last residual and the
+    trace, as ``_dbar_finish`` takes them."""
+    psi, _, trace, beurling = _neumann(mu, ComplexField(u.domain, rhs), cfg)
     box = beurling.box
     del beurling   # before the Cauchy transform
-    return _dbar_finish(mu.extended.samples, u, rhs, denom, psi, box,
-                        trace[-1], tuple(trace))
+    support = _support_box(u.samples)
+    return (support, rhs[support].copy()), psi, box, trace[-1], tuple(trace)
 
 
 # relative size above which a would-be (0,1) datum's moving (1,0) part is
@@ -327,9 +373,11 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    rhs, denom, _ = _dbar_data(mu.extended.samples, g.samples, u)
+    rhs, denom, _ = _dbar_data(mu.extended.samples, g.samples, u, _full_box(u.samples))
     del g, moving   # before the d-bar solve
-    return _solve_dbar(mu, u, rhs, denom, cfg)
+    solved = _neumann_dbar(mu, u, rhs, cfg)
+    del rhs   # before the finish
+    return _dbar_finish(mu.extended.samples, u, denom, *solved)
 
 
 @dataclass(frozen=True)
@@ -456,16 +504,18 @@ def _above_tol(point: _SeriesPoint, cfg: SolverConfig, residual: float) -> bool:
 
 
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
-                         u: ComplexField, cfg: SolverConfig,
+                         u: ComplexField, support: tuple, cfg: SolverConfig,
                          beurling: _FourierApply) -> Optional[FamilyEntry]:
     """The entry of a point whose last term met the stop test.
 
     Returns None while a measured residual is still above cfg.tol: the
     immersion residual |mu_b g_b - phi_b| with g_b = 1 + S(phi_b), or the
     d-bar residual |rhs_b + mu_b S(psi_b) - psi_b|; raises NoConvergence
-    when one is not finite.  Both vanish off the support box, so they are
-    measured on it.  mu_b = b mu_0 is read in blocks, bitwise
-    ``family.realize``'s, and g_b from the apply buffer.
+    when one is not finite.  Both vanish off the apply box, so they are
+    measured on it; rhs_b is formed on ``support``, the support box of u,
+    and added there only: off it rhs_b is a zero, which moves no sup.
+    mu_b = b mu_0 is read in blocks, bitwise ``family.realize``'s, and g_b
+    from the apply buffer.
     """
     m = _Blockwise(np.multiply, point.b, family.base_mu.extended.samples)
     box = beurling.box
@@ -474,14 +524,23 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     phi, psi = point.phi, point.psi
     if _above_tol(point, cfg, _box_sup(box, lambda key, at: m[key] * g[key] - phi[at])):
         return None
-    rhs, denom, gmin = _dbar_data(m, g, u)
+    rhs, denom, gmin = _dbar_data(m, g, u, support)
     s = beurling(psi)   # the apply buffer no longer holds g
-    residual = _box_sup(box, lambda key, at: rhs[key] + m[key] * s[at] - psi[at])
+    rows, cols = support
+
+    def defect(key, at):
+        t = m[key] * s[at]
+        both = _overlap(key[0], rows)
+        on_support = t[_shift(both, key[0].start), _shift(cols, key[1].start)]
+        np.add(rhs[_shift(both, rows.start)], on_support, out=on_support)
+        return np.subtract(t, psi[at], out=t)
+
+    residual = _box_sup(box, defect)
     if _above_tol(point, cfg, residual):
         return None
     check_nondegenerate(gmin)
-    return FamilyEntry(point.b, _dbar_finish(m, u, ComplexField(u.domain, rhs), denom,
-                                             psi, box, residual, tuple(point.trace)))
+    return FamilyEntry(point.b, _dbar_finish(m, u, denom, (support, rhs), psi, box,
+                                             residual, tuple(point.trace)))
 
 
 def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig):
@@ -519,6 +578,7 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
             points.append((i, b))
 
     box = _support_box(m0, u.samples)
+    support = _support_box(u.samples)   # the rhs's: within box
     beurling = _FourierApply.beurling(domain, box)
     m0_box, u_box = m0[box], u.samples[box]
     abs2 = np.abs(m0_box) ** 2
@@ -570,7 +630,7 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
                 pending.append(p)
                 continue
             try:
-                entry = _finish_series_point(family, p, u, cfg, beurling)
+                entry = _finish_series_point(family, p, u, support, cfg, beurling)
             except BeltramiError as exc:
                 entry = FamilyEntry(p.b, None, error=str(exc))
             if entry is None:

@@ -348,7 +348,9 @@ class ComplexField:
             raise ValidationError(
                 f"samples shape {samples.shape} does not match resolution {N}"
             )
-        if not np.all(np.isfinite(samples.view(np.float64))):
+        # checked in row blocks, so that the check allocates no mask of the grid
+        if not all(np.isfinite(samples[rows].view(np.float64)).all()
+                   for rows in _row_blocks(slice(0, N), N)):
             raise ValidationError("field samples contain NaN or Inf")
         samples.setflags(write=False)
         object.__setattr__(self, "domain", domain)

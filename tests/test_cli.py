@@ -222,6 +222,40 @@ def test_malformed_json_exits_1(tmp_path):
     assert result.exit_code == 1
 
 
+# a file that starts with the UTF-16 byte order mark FF FE is not UTF-8, and
+# one nested 100,000 deep exceeds the parser's recursion limit: both ended in
+# a traceback, UnicodeDecodeError and RecursionError
+UNREADABLE_JSON = {
+    "not-utf8": b"\xff\xfe" + json.dumps({"schema_version": 1}).encode("utf-16-le"),
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+def test_unreadable_config_json_exits_1(tmp_path, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "run"
+    result = _invoke(["solve-dbar", "--config", path, "--out", out])
+    _assert_refused(result.exit_code, result.stderr, out)
+    assert json.loads(result.stderr)["kind"] == "ValidationError"
+
+
+@pytest.mark.parametrize("name", ["report.json", "config.json"])
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+def test_verify_unreadable_run_json_exits_1(tmp_path, name, content):
+    cfg = _config(tmp_path, domain=_domain(32))
+    run = tmp_path / "run"
+    assert _invoke(["solve-dbar", "--config", cfg, "--out", run]).exit_code == 0
+    (run / name).write_bytes(content)
+    files = _tree_bytes(run)
+    result = _invoke(["verify", "--out", run])
+    # verify writes nothing: the run directory is left as it was
+    assert _tree_bytes(run) == files
+    _assert_refused(result.exit_code, result.stderr, tmp_path / "absent")
+    assert json.loads(result.stderr)["kind"] == "ValidationError"
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------

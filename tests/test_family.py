@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import tracemalloc
@@ -32,6 +33,8 @@ from beltrami import (
     solve_family,
     solve_immersion,
 )
+
+from beltrami.grid import _full_box, _support_box
 
 from conftest import (
     disc_domain,
@@ -515,11 +518,86 @@ def test_family_entries_return_their_rhs(dom128):
         assert same_bits(entry.result.rhs.samples, direct.rhs.samples)
 
 
+# A result keeps its rhs on the support box of u only.  The disc indicator
+# with a complex amplitude gives u's own zeros a sign, so the product
+# (1 - |mu|^2) conj(g) u that the result once stored held -0 off that box.
+AMPLITUDE = cmath.exp(2.1j)
+
+
+def _plus_zero_off(samples: np.ndarray, box: tuple) -> bool:
+    """Whether every sample off ``box`` is +0, sign bits clear."""
+    off = np.ones(samples.shape, dtype=bool)
+    off[box] = False
+    return same_bits(samples[off], np.zeros(np.count_nonzero(off), dtype=complex))
+
+
+def _frame_times_u(mu, u) -> np.ndarray:
+    """(1 - |m|^2) conj(g) u on the whole grid, g from ``solve_immersion``."""
+    g = solve_immersion(mu).g.samples
+    return (1.0 - np.abs(mu.extended.samples) ** 2) * np.conj(g) * u.samples
+
+
+def test_solve_dbar_keeps_its_rhs_on_the_support_box_of_u(dom128):
+    mu = mu_strong(dom128)
+    u = disc_indicator_field(dom128, AMPLITUDE)
+    box = _support_box(u.samples)
+    rhs = solve_dbar(mu, u).rhs.samples
+    expected = _frame_times_u(mu, u)
+    assert not _plus_zero_off(expected, box)   # the old rhs held -0 off the box
+    assert _plus_zero_off(rhs, box)
+    assert same_bits(rhs[box], expected[box])
+    assert np.array_equal(rhs, expected)
+
+
+def test_series_entries_keep_their_rhs_on_the_support_box_of_u(dom128):
+    mu = mu_strong(dom128)
+    u = disc_indicator_field(dom128, AMPLITUDE)
+    box = _support_box(u.samples)
+    for entry in solve_family(FamilySpec(mu, EIGHTHS), [u] * 9).entries:
+        rhs = entry.result.rhs.samples
+        assert _plus_zero_off(rhs, box), entry.b
+        assert np.count_nonzero(rhs[box]) > 0, entry.b
+
+
+def test_zero_datum_gives_zero_rhs_and_zero_f(dom64):
+    # u = 0 has an empty support box
+    mu = mu_strong(dom64)
+    u = constant_field(dom64, 0.0)
+    assert _support_box(u.samples) == (slice(0, 0), slice(0, 0))
+    sweep = solve_family(FamilySpec(mu, (0.0, 0.5, 1.0)), [u] * 3)
+    for result in (solve_dbar(mu, u), *(entry.result for entry in sweep.entries)):
+        assert same_bits(result.rhs.samples, np.zeros_like(u.samples))
+        assert np.all(result.f.samples == 0)
+
+
+def test_constant_datum_keeps_the_whole_rhs(dom64):
+    # a nonzero constant u has the whole grid as its box: the rhs is the
+    # whole-grid product, signed zeros included (the sweep's entries are
+    # pinned to their earlier bytes by the constant-u golden digests)
+    mu = mu_strong(dom64)
+    u = constant_field(dom64, 0.25 * AMPLITUDE)
+    assert _support_box(u.samples) == _full_box(u.samples)
+    assert same_bits(solve_dbar(mu, u).rhs.samples, _frame_times_u(mu, u))
+
+
+def test_rhs_reads_are_equal_read_only_and_share_no_memory(dom64):
+    mu = mu_strong(dom64)
+    u = disc_indicator_field(dom64, AMPLITUDE)
+    sweep = solve_family(FamilySpec(mu, (0.5, 1.0)), [u] * 2)
+    for result in (solve_dbar(mu, u), *(entry.result for entry in sweep.entries)):
+        first, second = result.rhs.samples, result.rhs.samples
+        assert same_bits(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert not result.rhs_on_box[1].flags.writeable
+
+
 def test_series_finish_allocates_its_two_outputs_and_half_a_field(dom256,
                                                                   monkeypatch):
     # mu_b, g_b, the frame, the residuals and P(psi_b) are formed in row
-    # blocks or from box samples, so a finish allocates its rhs and f and
-    # little else; building them on the whole grid, it peaked at 5.9 fields
+    # blocks or from box samples, so a finish allocates f, the rhs on the
+    # support box of u and little else: 1.36 fields measured; 2.21 while it
+    # formed the whole rhs, and 5.9 while it formed every term whole
     finish, peaks = family_module._finish_series_point, []
 
     def traced(*args):
@@ -538,7 +616,7 @@ def test_series_finish_allocates_its_two_outputs_and_half_a_field(dom256,
     finally:
         tracemalloc.stop()
     assert all(e.result is not None for e in sweep.entries)
-    assert len(peaks) == 9 and max(peaks) <= 2.5, peaks
+    assert len(peaks) == 9 and max(peaks) <= 1.6, peaks
 
 
 def test_regularity_add_allocates_under_half_a_field(dom256):
