@@ -196,13 +196,14 @@ class DbarResult:
     The rhs (1 - |mu|^2) conj(g) u vanishes wherever the datum u does, so
     the result keeps only its samples on the support box of u
     (``_support_box``; empty for u = 0, the whole grid for a u with no
-    zero row or column).  ``rhs`` builds the whole field on each read, +0
-    off that box, and does not keep it: a caller that drops it frees it.
+    zero row or column), as ``rhs_on_box`` = (box, read-only samples).
+    ``rhs`` builds the whole field on each read, +0 off that box, and does
+    not keep it: a caller that drops it frees it.
     """
 
     f: ComplexField
     diagnostics: DbarDiagnostics
-    rhs_on_box: tuple = field(repr=False, compare=False)   # (box, read-only samples)
+    rhs_on_box: tuple = field(repr=False, compare=False)
 
     @property
     def rhs(self) -> ComplexField:
