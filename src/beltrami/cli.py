@@ -54,6 +54,7 @@ from .grid import (
     omega_mask,
 )
 from .io import (
+    _write_field_on_box,
     read_field,
     write_exhaustion_trace_csv,
     write_family_report_csv,
@@ -324,7 +325,7 @@ def _cmd_solve_dbar(run):
     out = run.out
     write_field(out / "mu_raw.field", run.mu.raw)
     write_field(out / "u.field", run.u)
-    write_field(out / "rhs.field", result.rhs)
+    _write_field_on_box(out / "rhs.field", run.domain, result.rhs_on_box)
     write_field(out / "f.field", result.f)
     write_residual_trace_csv(out / "residual_trace.csv", result.diagnostics.trace)
     write_pgm_heatmaps(out, "f", result.f)
@@ -357,7 +358,8 @@ def _cmd_sweep_family(run):
             record["error"] = entry.error
         else:
             write_field(out / f"f_{idx:03d}.field", entry.result.f)
-            write_field(out / f"rhs_{idx:03d}.field", entry.result.rhs)
+            _write_field_on_box(out / f"rhs_{idx:03d}.field", run.domain,
+                                entry.result.rhs_on_box)
             record["iterations"] = entry.result.diagnostics.iterations
             record["interior_residual"] = entry.result.diagnostics.interior_residual
         entries_report[idx] = record

@@ -19,9 +19,12 @@ for the residual checks.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -625,6 +628,100 @@ def _row_blocks(rows: slice, width: int):
 # 8 at N = 512; the FFT results are bitwise those of a contiguous buffer.
 _ROW_PAD = 4
 
+# Samples of an FFT stage from which ``_fft_lines`` splits its lines over
+# two cores: waking the helper costs tens of microseconds.  In solve_dbar
+# (sup|mu| 0.3 and 0.8, 2-core x86_64), splitting every stage of 2^13
+# samples or more read 1.09-1.11x the one-core time at N = 96 (9,216-sample
+# whole-grid stages), 1.02x at N = 128; splitting from 2^14 read 0.99-1.00x
+# at N = 128 and 0.82-0.85x at N = 192, where the box stages hold 22,080.
+_SPLIT_SAMPLES = 20_000
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+class _LineHelper:
+    """A daemon thread that runs one job at a time for the main thread.
+
+    ``start(job)`` hands it the callable ``job``, run in a copy of the
+    caller's context (so numpy's ``errstate`` holds on it); ``wait()``
+    blocks until the job is done and re-raises what it raised.  Two locks,
+    each held while its event is pending, carry the hand-off.
+    """
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._error = None
+        threading.Thread(target=self._serve, name="beltrami-fft", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            try:
+                self._job[0].run(self._job[1])
+            except BaseException as exc:
+                self._error = exc
+            self._done.release()
+
+    def start(self, job) -> None:
+        self._job = (contextvars.copy_context(), job)
+        self._go.release()
+
+    def wait(self) -> None:
+        self._done.acquire()
+        error, self._job, self._error = self._error, None, None
+        if error is not None:
+            raise error
+
+
+_helper: _LineHelper | None = None
+
+
+def _forget_helper() -> None:
+    """Drop the helper: a forked child has no thread behind it."""
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _fft_lines(fft, view: np.ndarray, axis: int) -> None:
+    """view = fft(view) along ``axis`` (1: the rows, 0: the columns), in
+    place: one per-axis stage of a Fourier apply.
+
+    A stage of at least ``_SPLIT_SAMPLES`` samples, called from the main
+    thread of a process that may run on two or more CPUs, is split: the
+    first half of its lines is transformed on a helper thread
+    (``_LineHelper``, started on first use), the rest on the caller.  Each
+    line goes through the same pocketfft call either way, so the samples
+    are bitwise those of the one serial call.  Other threads (the table-law
+    sweep's workers) never split, so the one helper is never shared.
+    """
+    global _helper
+    if (view.size < _SPLIT_SAMPLES or threading.current_thread() is not
+            threading.main_thread() or _usable_cpus() < 2):
+        fft(view, axis=axis, out=view)
+        return
+    half = view.shape[1 - axis] // 2
+    first, second = ((view[:half], view[half:]) if axis == 1
+                     else (view[:, :half], view[:, half:]))
+    if _helper is None:
+        _helper = _LineHelper()
+    _helper.start(lambda: fft(first, axis=axis, out=first))
+    try:
+        fft(second, axis=axis, out=second)
+    finally:
+        _helper.wait()
+
 
 class _FourierApply:
     """ifft2(multiplier * fft2(x)) [+ mean(x) * mean_profile] for a field x
@@ -641,7 +738,9 @@ class _FourierApply:
     contiguous) that every call reuses.  Per-axis 1-D FFTs in fft2's order,
     and the multiplier as the first operand of the product (complex multiply
     is not bitwise commutative), make the samples bitwise the numpy fft2
-    expression's.  The multiplier is an array (the quadrature kernels, the
+    expression's.  Each per-axis stage runs through ``_fft_lines``, which
+    transforms half the lines of a large stage on a second core; the lines
+    are the same, so the samples are too.  The multiplier is an array (the quadrature kernels, the
     N/2 grid's S) or an object whose ``multiply(out)`` forms the product a
     row block at a time (P and d/dz, ``_FormedMultiplier``; S,
     ``_HalfBeurling``).  The mean profile is read by ``profile[rows, cols]``
@@ -685,8 +784,8 @@ class _FourierApply:
         band[:, :cols.start] = 0
         band[:, cols] = x
         band[:, cols.stop:] = 0
-        np.fft.fft(band, axis=1, out=band)
-        np.fft.fft(out, axis=0, out=out)
+        _fft_lines(np.fft.fft, band, 1)
+        _fft_lines(np.fft.fft, out, 0)
         self.mean = out[0, 0] / out.size
 
     def inverse(self) -> np.ndarray:
@@ -696,8 +795,8 @@ class _FourierApply:
             np.multiply(self.multiplier, out, out=out)
         else:
             self.multiplier.multiply(out)
-        np.fft.ifft(out, axis=1, out=out)
-        np.fft.ifft(out[:, cols], axis=0, out=out[:, cols])
+        _fft_lines(np.fft.ifft, out, 1)
+        _fft_lines(np.fft.ifft, out[:, cols], 0)
         self._add_mean(rows, cols)
         return out[self.box]
 
@@ -707,7 +806,7 @@ class _FourierApply:
         out, (rows, cols) = self.out, self.box
         n = out.shape[0]
         for rest in (slice(0, cols.start), slice(cols.stop, n)):
-            np.fft.ifft(out[:, rest], axis=0, out=out[:, rest])
+            _fft_lines(np.fft.ifft, out[:, rest], 0)
             self._add_mean(slice(0, n), rest)
         for rest in (slice(0, rows.start), slice(rows.stop, n)):
             self._add_mean(rest, cols)
@@ -754,8 +853,8 @@ class _FourierApply:
         """
         out, (rows, cols) = self.out, self.box
         n, half = out.shape[0], coarse.shape[0] // 2
-        np.fft.fft(coarse, axis=1, out=coarse)
-        np.fft.fft(coarse, axis=0, out=coarse)
+        _fft_lines(np.fft.fft, coarse, 1)
+        _fft_lines(np.fft.fft, coarse, 0)
         coarse[half] = 0
         coarse[:, half] = 0
         coarse *= (n / coarse.shape[0]) ** 2   # ifft2 on n divides by n^2
@@ -765,8 +864,8 @@ class _FourierApply:
             out[fine_rows, low] = coarse[coarse_rows, :half]
             out[fine_rows, high] = coarse[coarse_rows, half:]
         for band in (low, slice(n - half + 1, n)):
-            np.fft.ifft(out[:, band], axis=0, out=out[:, band])
-        np.fft.ifft(out[rows], axis=1, out=out[rows])
+            _fft_lines(np.fft.ifft, out[:, band], 0)
+        _fft_lines(np.fft.ifft, out[rows], 1)
         return out[self.box]
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldFormatError, ValidationError
-from .grid import ComplexField, DomainSpec
+from .grid import ComplexField, DomainSpec, _row_blocks
 
 MAGIC = b"CPXFIELD"
 FORMAT_VERSION = 1
@@ -31,13 +31,39 @@ _HEADER = struct.Struct("<8sI4x")
 _DIMS = struct.Struct("<Id")
 
 
+def _write_header(fh, domain: DomainSpec) -> None:
+    fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION))
+    fh.write(_DIMS.pack(domain.resolution, domain.half_width))
+
+
 def write_field(path, field: ComplexField) -> None:
     """Write a field in the binary format (bit-exact round trip).  On a
     little-endian host the samples are written from their own buffer."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION))
-        fh.write(_DIMS.pack(field.domain.resolution, field.domain.half_width))
+        _write_header(fh, field.domain)
         fh.write(np.ascontiguousarray(field.samples, dtype="<c16"))
+
+
+def _write_field_on_box(path, domain: DomainSpec, on_box: tuple) -> None:
+    """Write the field that is ``samples`` on the (rows, cols) ``box`` and
+    +0 off it, given as ``on_box`` = (box, samples) (a d-bar result's
+    ``rhs_on_box``): the bytes ``write_field`` writes of the whole field,
+    which is never formed.  Each of the grid's row blocks (``_row_blocks``)
+    is written from one reused buffer: zeros, with the box rows in it."""
+    (rows, cols), samples = on_box
+    n = domain.resolution
+    every = slice(0, n)
+    buffer = np.empty((next(_row_blocks(every, n)).stop, n), dtype="<c16")
+    with open(path, "wb") as fh:
+        _write_header(fh, domain)
+        for block in _row_blocks(every, n):
+            part = buffer[:block.stop - block.start]
+            part.fill(0)
+            lo, hi = max(block.start, rows.start), min(block.stop, rows.stop)
+            if lo < hi:
+                part[lo - block.start:hi - block.start, cols] = samples[
+                    lo - rows.start:hi - rows.start]
+            fh.write(part)
 
 
 def read_field_raw(path) -> tuple[int, float, np.ndarray]:

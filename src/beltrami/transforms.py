@@ -41,6 +41,7 @@ from .grid import (
     BeltramiField,
     ComplexField,
     DomainSpec,
+    _fft_lines,
     _FourierApply,
     _geometry,
     _integer,
@@ -110,8 +111,8 @@ def _quadrature_hat(domain: DomainSpec, power: int) -> np.ndarray:
     kern[0, 0] = 0.0
     kern[n] = 0.0
     kern[:, n] = 0.0
-    np.fft.fft(kern, axis=1, out=kern)
-    np.fft.fft(kern, axis=0, out=kern)
+    _fft_lines(np.fft.fft, kern, 1)
+    _fft_lines(np.fft.fft, kern, 0)
     return kern
 
 

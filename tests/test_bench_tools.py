@@ -24,9 +24,11 @@ def test_timing_child_times_every_row(bench_layers, monkeypatch):
     monkeypatch.setattr(bench_layers, "SWEEP_REPEAT", 1)
     child = bench_layers._child(32)
     assert child["N"] == 32
-    assert {"beurling.pruned", "cauchy.full", "solve_dbar", "sweep.linear9"} <= set(
-        child["rows"])
-    assert all(math.isfinite(s) and s > 0 for s in child["rows"].values())
+    assert {"beurling.pruned", "cauchy.full", "solve_dbar", "sweep.linear9",
+            "sweep.table9"} <= set(child["rows"])
+    assert set(child["cpu"]) == set(child["rows"])
+    for times in (child["rows"], child["cpu"]):
+        assert all(math.isfinite(s) and s > 0 for s in times.values()), times
 
 
 def test_memory_child_measures_every_row(bench_layers):

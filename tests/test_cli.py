@@ -592,14 +592,19 @@ def test_removed_and_out_of_range_flags_exit_1(tmp_path, flags):
         _assert_refused(proc.returncode, proc.stderr, out)
 
 
-@pytest.mark.parametrize("datum, code", [
-    ({"kind": "gaussian-bump", "width": 1e-300}, 1),       # NaN samples
-    ({"kind": "gaussian-bump", "amplitude": [1e308, 0.0]}, 2),   # FFT overflow
-], ids=["width-1e-300", "amplitude-1e308"])
-def test_non_finite_values_fail_with_one_stderr_line(tmp_path, datum, code):
+@pytest.mark.parametrize("datum, code, resolution", [
+    ({"kind": "gaussian-bump", "width": 1e-300}, 1, 64),       # NaN samples
+    ({"kind": "gaussian-bump", "amplitude": [1e308, 0.0]}, 2, 64),   # FFT overflow
+    ({"kind": "gaussian-bump", "amplitude": [1e308, 0.0]}, 2, 256),
+], ids=["width-1e-300", "amplitude-1e308", "amplitude-1e308-n256"])
+def test_non_finite_values_fail_with_one_stderr_line(tmp_path, datum, code,
+                                                     resolution):
     # numpy's floating-point warnings printed 4 and 12 lines before the JSON
-    # line, and the overflowing datum iterated on NaN until max_iter
-    cfg = _config(tmp_path, domain=_domain(64), u=datum)
+    # line, and the overflowing datum iterated on NaN until max_iter.  At
+    # N = 256 the FFT stages are split over two threads (``grid._fft_lines``):
+    # the helper's half overflows too, and warns unless it runs under the
+    # caller's errstate
+    cfg = _config(tmp_path, domain=_domain(resolution), u=datum)
     out = tmp_path / "run"
     proc = _module_run(["solve-dbar", "--config", cfg, "--out", out])
     assert proc.returncode == code, proc.stderr

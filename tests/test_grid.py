@@ -1,5 +1,9 @@
 import gc
 import math
+import os
+import subprocess
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -36,12 +40,16 @@ from beltrami import (
     taylor_project,
     wirtinger_dz,
 )
+from beltrami import grid as grid_module
 from beltrami.grid import (
     CUTOFF_SHARPNESS,
     MAX_RESOLUTION,
     _fd_beltrami_defect,
+    _fft_lines,
+    _FourierApply,
     _geometry,
     _Geometry,
+    _support_box,
     transition_profile,
 )
 
@@ -591,3 +599,187 @@ def test_fd_wirtinger_matches_the_roll_form_bitwise(domain):
     fx, fy = _roll_fd_xy(f.samples, domain.spacing)
     assert same_bits(fd_wirtinger_dz(f).samples, 0.5 * (fx - 1j * fy))
     assert same_bits(fd_wirtinger_dbar(f).samples, 0.5 * (fx + 1j * fy))
+
+
+# ---------------------------------------------------------------------------
+# FFT stages split over two threads (``grid._fft_lines``)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def split_jobs(monkeypatch):
+    """The number of half stages handed to the helper thread, by the CPU
+    count that ``_usable_cpus`` reports (set by ``on_cpus``)."""
+    jobs = {}
+    start = grid_module._LineHelper.start
+
+    def counted(self, job):
+        cpus = grid_module._usable_cpus()
+        jobs[cpus] = jobs.get(cpus, 0) + 1
+        start(self, job)
+
+    monkeypatch.setattr(grid_module._LineHelper, "start", counted)
+    return jobs
+
+
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(grid_module, "_usable_cpus", lambda: cpus)
+
+
+def _apply_stages(domain, box) -> list:
+    """Copies of what every stage of a box apply of S leaves (forward's
+    spectrum, inverse's box, finish's whole result, interpolate's box), and
+    whole P and S applies, on random samples."""
+    geo = _geometry(domain)
+    x = _random_samples(domain, 5)
+    apply = _FourierApply.beurling(domain, box)
+    apply.forward(x[box])
+    stages = [apply.out.copy(), apply.inverse().copy(), apply.finish().copy()]
+    stages.append(apply.interpolate(x[::2, ::2].copy()).copy())
+    return stages + [_FourierApply.whole(geo.P, geo.w, x),
+                     _FourierApply.whole(geo.S, geo.dz_w, x)]
+
+
+# N = 128: every stage below the threshold; N = 256: the 153-row support box
+# of the cutoff, and a narrow box whose finish splits two odd column bands;
+# N = 512: the interpolation's N/2 grid splits too
+SPLIT_CASES = [
+    (disc_domain(128), None),
+    (disc_domain(256), None),
+    (disc_domain(256), (slice(40, 193), slice(101, 131))),
+    (disc_domain(512), None),
+]
+
+
+@pytest.mark.parametrize("domain, box", SPLIT_CASES,
+                         ids=["n128", "n256-support-box", "n256-narrow-box", "n512"])
+def test_split_apply_stages_are_bitwise_the_serial_ones(monkeypatch, split_jobs,
+                                                        domain, box):
+    box = box or _support_box(grid_module.cutoff_field(domain))
+    stages = {}
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        stages[cpus] = _apply_stages(domain, box)
+    assert all(same_bits(a, b) for a, b in zip(stages[1], stages[2]))
+    assert 1 not in split_jobs
+    assert (2 in split_jobs) == (domain.resolution >= 256), split_jobs
+
+
+@pytest.mark.parametrize("resolution", [64, 128])
+def test_split_quadrature_transform_is_bitwise_the_serial_one(monkeypatch, split_jobs,
+                                                             resolution):
+    # the 2N grid: 128^2 samples stay below the threshold, 256^2 split
+    domain = disc_domain(resolution)
+    phi = ComplexField(domain, _random_samples(domain, 6))
+    out = {}
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        out[cpus] = beurling_transform(phi, "quadrature").samples
+    assert same_bits(out[1], out[2])
+    assert 1 not in split_jobs
+    assert (2 in split_jobs) == (resolution == 128), split_jobs
+
+
+def _helper_threads() -> set:
+    return {t for t in threading.enumerate() if t.name == "beltrami-fft"}
+
+
+@pytest.mark.parametrize("case", ["below-threshold", "one-cpu", "off-main-thread"])
+def test_no_helper_thread_starts_where_the_split_is_not_allowed(monkeypatch, case):
+    monkeypatch.setattr(grid_module, "_helper", None)
+    _on_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+    n = 128 if case == "below-threshold" else 256
+    x = _random_samples(disc_domain(n), 7)
+    expected = np.fft.fft(x, axis=0)
+    before = set(threading.enumerate())
+    if case == "off-main-thread":
+        worker = threading.Thread(target=_fft_lines, args=(np.fft.fft, x, 0))
+        worker.start()
+        worker.join()
+    else:
+        _fft_lines(np.fft.fft, x, 0)
+    assert set(threading.enumerate()) == before
+    assert grid_module._helper is None
+    assert same_bits(x, expected)
+
+
+def test_one_helper_thread_serves_every_split(monkeypatch):
+    monkeypatch.setattr(grid_module, "_helper", None)
+    _on_cpus(monkeypatch, 2)
+    before = _helper_threads()
+    x = _random_samples(disc_domain(256), 8)
+    expected = np.fft.fft(np.fft.fft(x, axis=1), axis=0)
+    _fft_lines(np.fft.fft, x, 1)
+    started = _helper_threads() - before
+    _fft_lines(np.fft.fft, x, 0)
+    assert len(started) == 1 and _helper_threads() - before == started
+    assert next(iter(started)).daemon
+    assert same_bits(x, expected)
+
+
+def test_the_helper_keeps_no_reference_to_a_finished_stage(monkeypatch):
+    # a helper that kept its last job kept the apply buffer it pointed into
+    # alive until the next split: +3 MB of peak RSS on a solve at N = 512
+    _on_cpus(monkeypatch, 2)
+    x = _random_samples(disc_domain(256), 10)
+    buffer = weakref.ref(x)
+    _fft_lines(np.fft.fft, x[:, :200], 0)
+    del x
+    assert buffer() is None
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_an_error_on_either_thread_reaches_the_caller(monkeypatch, raiser):
+    _on_cpus(monkeypatch, 2)
+
+    def fft(view, axis, out):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (raiser == "caller"):
+            raise ValueError(raiser)
+        np.fft.fft(view, axis=axis, out=out)
+
+    x = _random_samples(disc_domain(256), 9)
+    with pytest.raises(ValueError, match=raiser):
+        _fft_lines(fft, x, 1)
+    # the helper is free again: the next split completes, bitwise serial
+    expected = np.fft.fft(x, axis=0)
+    _fft_lines(np.fft.fft, x, 0)
+    assert same_bits(x, expected)
+
+
+@pytest.mark.parametrize("lines", ["helper", "caller"])
+def test_the_helper_runs_under_the_caller_s_errstate(monkeypatch, lines):
+    # only the first half of the rows (the helper's) or the second (the
+    # caller's) overflows; numpy's errstate lives in a context variable
+    _on_cpus(monkeypatch, 2)
+    x = np.zeros((256, 256), dtype=np.complex128)
+    (x[:128] if lines == "helper" else x[128:])[:] = 1e308
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            _fft_lines(np.fft.fft, x, 1)
+
+
+FORK_PROBE = """
+import os
+import numpy as np
+from beltrami import grid
+grid._usable_cpus = lambda: 2
+x = np.random.default_rng(0).standard_normal((256, 256)) + 0j
+first = x.copy()
+grid._fft_lines(np.fft.fft, first, 0)   # starts the helper
+pid = os.fork()
+if pid == 0:
+    again = x.copy()
+    grid._fft_lines(np.fft.fft, again, 0)
+    os._exit(0 if np.array_equal(again, first) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_splits_on_a_helper_of_its_own():
+    # the parent's helper thread does not exist in the child: a child that
+    # kept the parent's helper would wait for it forever
+    proc = subprocess.run([sys.executable, "-c", FORK_PROBE], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    BeltramiField,
     ComplexField,
     DomainSpec,
     Disc,
     FieldFormatError,
     SolverConfig,
     ValidationError,
+    builtin_field,
     constant_field,
     read_field,
     read_field_raw,
+    solve_dbar,
     write_field,
     write_pgm_heatmaps,
 )
 from beltrami.family import _Regularity
 from beltrami.io import (
+    _write_field_on_box,
     write_exhaustion_trace_csv,
     write_family_report_csv,
     write_residual_trace_csv,
@@ -57,6 +61,28 @@ def test_binary_roundtrip_keeps_every_signed_zero(tmp_path):
     assert np.array_equal(np.signbit(back.real), np.signbit(samples.real))
     assert np.array_equal(np.signbit(back.imag), np.signbit(samples.imag))
     assert np.array_equal(back, samples)
+
+
+@pytest.mark.parametrize("datum, box_rows", [
+    ({"kind": "constant", "value": 0.0}, 0),
+    ({"kind": "disc-indicator"}, None),
+    ({"kind": "constant", "value": [0.5, -0.25]}, 128),
+], ids=["empty-box", "partial-box", "whole-grid-box"])
+def test_rhs_written_from_its_box_has_the_bytes_of_the_whole_rhs(dom128, tmp_path,
+                                                                 datum, box_rows):
+    # N = 128 tiles the grid in four row blocks, so the box starts and ends
+    # inside blocks; the mu is complex, so the rhs holds signed zeros
+    mu = BeltramiField.from_raw(constant_field(dom128, 0.2 - 0.1j))
+    result = solve_dbar(mu, builtin_field(datum, dom128), SolverConfig())
+    (rows, cols), samples = result.rhs_on_box
+    if box_rows is None:
+        assert 0 < rows.start and rows.stop < 128 and 0 < cols.start
+    else:
+        assert rows.stop - rows.start == box_rows
+    whole, boxed = tmp_path / "whole.field", tmp_path / "boxed.field"
+    write_field(whole, result.rhs)
+    _write_field_on_box(boxed, dom128, result.rhs_on_box)
+    assert boxed.read_bytes() == whole.read_bytes()
 
 
 def test_binary_header_layout(dom64, tmp_path):

@@ -34,6 +34,13 @@ Rows (one call each, on the unit disc in [-3, 3]^2 with a 0.8 collar):
     sweep.linear9.forms
                       the same law with the nine distinct data
                       u_b = (1 + 0.08 b) u, which run point by point
+    sweep.table9      solve_family with threads=2, a table law holding the
+                      linear law's nine coefficients b mu: one solve_dbar
+                      per point on the table-law pool's two workers
+
+Each timing row also keeps CPU seconds (``time.process_time``: every thread
+of the child, so a stage split over two cores, ``grid._FourierApply``, and
+the pool's workers count in full), best and spread alike.
 
 Memory rows, in fields of 16 N^2 bytes: "fields" is the tracemalloc peak of
 the row's first call above its inputs, and "kept" what stays allocated above
@@ -79,8 +86,10 @@ garbage nor a module counts as kept.  Allocations are deterministic, so
 one child per row suffices.
 
 The script prints the JSON it writes.  Timings are wall clock
-(``time.perf_counter``) and depend on the host: record its CPU count and
-the numpy version beside them, as the output does.
+(``time.perf_counter``) and CPU time, and depend on the host: record its
+CPU count and the numpy version beside them, as the output does.  A child
+whose affinity mask holds one CPU (``taskset -c 0``) runs every stage on
+one core.
 """
 
 from __future__ import annotations
@@ -111,13 +120,15 @@ CLI_ROWS = ("cli.interpreter", "cli.import", *(f"cli.{c}" for c in CLI_CONFIGS))
 START_ENV = ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
 
 
-def _best(fn, repeat: int) -> float:
-    best = float("inf")
+def _best(fn, repeat: int) -> tuple:
+    """The best wall and the best CPU seconds of ``repeat`` calls of fn."""
+    wall = cpu = float("inf")
     for _ in range(repeat):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        wall = min(wall, time.perf_counter() - t0)
+        cpu = min(cpu, time.process_time() - c0)
+    return wall, cpu
 
 
 def _child(resolution: int) -> dict:
@@ -154,7 +165,12 @@ def _child(resolution: int) -> dict:
     forms = [u * (1.0 + 0.08 * b) for b in family.parameter_grid]
     rows["sweep.linear9.forms"] = _best(lambda: bl.solve_family(family, forms, cfg),
                                         SWEEP_REPEAT)
-    return {"N": resolution, "rows": rows}
+    table = bl.FamilySpec(strong, family.parameter_grid, "table",
+                          tuple(strong.scaled(b) for b in family.parameter_grid))
+    rows["sweep.table9"] = _best(lambda: bl.solve_family(table, data, cfg, threads=2),
+                                 SWEEP_REPEAT)
+    return {"N": resolution, "rows": {row: wall for row, (wall, _) in rows.items()},
+            "cpu": {row: cpu for row, (_, cpu) in rows.items()}}
 
 
 def _memory_child(resolution: int, row: str) -> dict:
@@ -295,15 +311,17 @@ def main(argv=None) -> int:
     for tree in trees.values():
         _check_tree(tree)
     rounds = {name: {} for name in trees}   # tree -> N -> row -> round bests
+    cpu_rounds = {name: {} for name in trees}   # the same, in CPU seconds
     for n in args.sizes:
         for r in range(ROUNDS):
             # alternate which tree goes first from round to round
             order = list(trees.items())
             for name, tree in (order if r % 2 == 0 else order[::-1]):
                 child = _run_child(tree, n)
-                rows = rounds[name].setdefault(str(n), {})
-                for row, seconds in child["rows"].items():
-                    rows.setdefault(row, []).append(seconds)
+                for store, key in ((rounds, "rows"), (cpu_rounds, "cpu")):
+                    rows = store[name].setdefault(str(n), {})
+                    for row, seconds in child[key].items():
+                        rows.setdefault(row, []).append(seconds)
 
     fields = {name: {} for name in trees}   # tree -> N -> row -> peak fields
     kept = {name: {} for name in trees}     # tree -> N -> row -> kept fields
@@ -324,10 +342,10 @@ def main(argv=None) -> int:
                 for kind, values in zip(("wall", "cpu", "rss"), calls):
                     cli[name][kind].setdefault(row, []).append(min(values))
 
-    def per_row(stat):
+    def per_row(stat, store=rounds):
         return {name: {n: {row: stat(times) for row, times in rows.items()}
                        for n, rows in by_n.items()}
-                for name, by_n in rounds.items()}
+                for name, by_n in store.items()}
 
     def cli_per_row(stat, kinds=("wall", "cpu")):
         return {name: {kind: {row: stat(values) for row, values in by_kind[kind].items()}
@@ -348,7 +366,9 @@ def main(argv=None) -> int:
                    f"the sweeps) in each of {ROUNDS} child processes per "
                    "tree and N, trees alternating; 'seconds' holds each "
                    "row's best over the processes and 'spread' the "
-                   "[min, max] of the processes' bests, in seconds per call"),
+                   "[min, max] of the processes' bests, in seconds per call; "
+                   "'cpu_seconds' and 'cpu_spread' the same in CPU seconds "
+                   "(time.process_time, every thread of the child)"),
         "memory_method": ("'fields': tracemalloc peak of the row's first call "
                           "above its inputs, no transform table built "
                           "beforehand; 'kept': allocated above the inputs after "
@@ -358,6 +378,8 @@ def main(argv=None) -> int:
         "commits": {name: _commit(tree) for name, tree in trees.items()},
         "seconds": per_row(min),
         "spread": per_row(lambda times: [min(times), max(times)]),
+        "cpu_seconds": per_row(min, cpu_rounds),
+        "cpu_spread": per_row(lambda times: [min(times), max(times)], cpu_rounds),
         "fields": fields,
         "kept": kept,
         "cli_method": (f"one fresh python process per call, best of {REPEAT} "
