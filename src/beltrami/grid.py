@@ -650,8 +650,9 @@ class _LineHelper:
 
     ``start(job)`` hands it the callable ``job``, run in a copy of the
     caller's context (so numpy's ``errstate`` holds on it); ``wait()``
-    blocks until the job is done and re-raises what it raised.  Two locks,
-    each held while its event is pending, carry the hand-off.
+    blocks until the job is done and returns what it raised, or None.  Two
+    locks, each held while its event is pending, carry the hand-off.  The
+    thread drops each job as it finishes it, so no buffer outlives its use.
     """
 
     def __init__(self):
@@ -664,21 +665,27 @@ class _LineHelper:
     def _serve(self):
         while True:
             self._go.acquire()
-            try:
-                self._job[0].run(self._job[1])
-            except BaseException as exc:
-                self._error = exc
+            self._error = self._run(*self._job)
+            self._job = None
             self._done.release()
+
+    @staticmethod
+    def _run(context, job):
+        # a function of its own, so that no local of _serve keeps the job
+        try:
+            context.run(job)
+        except BaseException as exc:
+            return exc
+        return None
 
     def start(self, job) -> None:
         self._job = (contextvars.copy_context(), job)
         self._go.release()
 
-    def wait(self) -> None:
+    def wait(self):
         self._done.acquire()
-        error, self._job, self._error = self._error, None, None
-        if error is not None:
-            raise error
+        error, self._error = self._error, None
+        return error
 
 
 _helper: _LineHelper | None = None
@@ -703,8 +710,12 @@ def _fft_lines(fft, view: np.ndarray, axis: int) -> None:
     first half of its lines is transformed on a helper thread
     (``_LineHelper``, started on first use), the rest on the caller.  Each
     line goes through the same pocketfft call either way, so the samples
-    are bitwise those of the one serial call.  Other threads (the table-law
-    sweep's workers) never split, so the one helper is never shared.
+    are bitwise those of the one serial call.  An error on either thread
+    reaches the caller once both halves are done.  Other threads (the
+    table-law sweep's workers) never split, so the one helper is never
+    shared.  It is taken off ``_helper`` until its job is done: a split cut
+    short by a signal (KeyboardInterrupt) drops it, since its late "done"
+    would end the next split's wait before that job.
     """
     global _helper
     if (view.size < _SPLIT_SAMPLES or threading.current_thread() is not
@@ -714,13 +725,15 @@ def _fft_lines(fft, view: np.ndarray, axis: int) -> None:
     half = view.shape[1 - axis] // 2
     first, second = ((view[:half], view[half:]) if axis == 1
                      else (view[:, :half], view[:, half:]))
-    if _helper is None:
-        _helper = _LineHelper()
-    _helper.start(lambda: fft(first, axis=axis, out=first))
+    helper, _helper = _helper or _LineHelper(), None
+    helper.start(lambda: fft(first, axis=axis, out=first))
     try:
         fft(second, axis=axis, out=second)
     finally:
-        _helper.wait()
+        error = helper.wait()
+        _helper = helper
+    if error is not None:
+        raise error
 
 
 class _FourierApply:
@@ -739,11 +752,11 @@ class _FourierApply:
     and the multiplier as the first operand of the product (complex multiply
     is not bitwise commutative), make the samples bitwise the numpy fft2
     expression's.  Each per-axis stage runs through ``_fft_lines``, which
-    transforms half the lines of a large stage on a second core; the lines
-    are the same, so the samples are too.  The multiplier is an array (the quadrature kernels, the
-    N/2 grid's S) or an object whose ``multiply(out)`` forms the product a
-    row block at a time (P and d/dz, ``_FormedMultiplier``; S,
-    ``_HalfBeurling``).  The mean profile is read by ``profile[rows, cols]``
+    transforms half the lines of a large stage on a second core: the same
+    lines, so the same samples.  The multiplier is an array (the quadrature
+    kernels, the N/2 grid's S) or an object whose ``multiply(out)`` forms
+    the product a row block at a time (P and d/dz, ``_FormedMultiplier``;
+    S, ``_HalfBeurling``).  The mean profile is read by ``profile[rows, cols]``
     blocks: dz_w is an array, and P's w forms each block as it is read.  d/dz
     and the quadrature kernels take no mean profile.
     """

@@ -1,9 +1,11 @@
 import gc
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -744,6 +746,32 @@ def test_an_error_on_either_thread_reaches_the_caller(monkeypatch, raiser):
     expected = np.fft.fft(x, axis=0)
     _fft_lines(np.fft.fft, x, 0)
     assert same_bits(x, expected)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+def test_an_interrupted_wait_does_not_end_the_next_one_early(monkeypatch):
+    # Ctrl-C while the caller waits: the helper finishes that job later, and
+    # a helper kept on would let its "done" end the next split's wait early
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(grid_module, "_helper", None)
+    main = threading.main_thread().ident
+
+    def slow_on_the_helper(interrupt):
+        def fft(view, axis, out):
+            if threading.get_ident() != main:
+                time.sleep(0.1)   # the caller is waiting by now
+                if interrupt:
+                    signal.pthread_kill(main, signal.SIGINT)
+                    time.sleep(0.1)
+            np.fft.fft(view, axis=axis, out=out)
+        return fft
+
+    x = _random_samples(disc_domain(256), 11)
+    with pytest.raises(KeyboardInterrupt):
+        _fft_lines(slow_on_the_helper(True), x.copy(), 1)
+    y = x.copy()
+    _fft_lines(slow_on_the_helper(False), y, 1)
+    assert same_bits(y, np.fft.fft(x, axis=1))
 
 
 @pytest.mark.parametrize("lines", ["helper", "caller"])
