@@ -610,7 +610,7 @@ def test_fd_wirtinger_matches_the_roll_form_bitwise(domain):
 @pytest.fixture
 def split_jobs(monkeypatch):
     """The number of half stages handed to the helper thread, by the CPU
-    count that ``_usable_cpus`` reports (set by ``on_cpus``)."""
+    count that ``_usable_cpus`` reports (set by ``_on_cpus``)."""
     jobs = {}
     start = grid_module._LineHelper.start
 
