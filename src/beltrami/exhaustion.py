@@ -31,6 +31,7 @@ from .grid import (
     _geometry,
     _integer,
     _real,
+    _same_domain,
     rebase,
 )
 from .solver import SolverConfig
@@ -192,10 +193,12 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     fixed within the step's budget (``_step_budget``), which sums to at
     most cfg.tol over any number of steps.
 
-    ``taylor_degree`` runs from 1 to MAX_TAYLOR_DEGREE.  With a single
-    radius this is exactly solve_dbar on that disc.  The trace
-    also carries the rhs that the returned f solves on the last disc.
+    ``mu`` and ``u`` share one DomainSpec, and ``taylor_degree`` runs from
+    1 to MAX_TAYLOR_DEGREE.  With a single radius this is exactly solve_dbar
+    on that disc.  The trace also carries the rhs that the returned f solves
+    on the last disc.
     """
+    _same_domain("mu and u", mu, u)
     base = mu.domain
     radii, taylor_degree = _check_exhaustion(base, radii, taylor_degree)
     budgets = [_step_budget(n, cfg.tol) for n in range(1, len(radii) + 1)]

@@ -44,6 +44,7 @@ from .grid import (
     _full_box,
     _geometry,
     _integer,
+    _interior,
     _real,
     _row_blocks,
     _same_domain,
@@ -164,9 +165,14 @@ class FamilySpec:
             if self.table is None or len(self.table) != len(grid):
                 raise ValidationError("table law needs one coefficient per parameter")
             object.__setattr__(self, "table", tuple(self.table))
-            _same_domain("table entries", self.base_mu, *self.table)
         else:
             raise ValidationError(f"unknown family law {self.law!r}")
+        coefficients = (self.base_mu, *(self.table or ()))
+        for mu in coefficients:
+            if not isinstance(mu, BeltramiField):
+                raise ValidationError(f"family coefficients must be BeltramiFields, "
+                                      f"got {type(mu).__name__}")
+        _same_domain("table entries", *coefficients)
 
     def realize(self, index: int) -> BeltramiField:
         """The coefficient at parameter_grid[index], for an int index in range."""
@@ -215,10 +221,8 @@ class DbarResult:
 
 # The d-bar finish, shared by solve_dbar, solve_dbar_form and the linear
 # series: ``_dbar_data`` forms the rhs from g, ``_dbar_finish`` the result
-# from the fixed point.  They read mu_ext and g as arrays or ``_Blockwise``
-# readers (b mu_0, 1 + S(phi) in an apply buffer) and form every whole-grid
-# expression in row blocks, so the rhs on its box and f are the only arrays
-# of their size they allocate.
+# from the fixed point.  They read mu_ext as an array or a ``_Blockwise``
+# reader of b mu_0, and form every whole-grid expression in row blocks.
 
 def _overlap(rows: slice, other: slice) -> slice:
     """The rows that ``rows`` and ``other`` share, an empty slice if none."""
@@ -231,50 +235,40 @@ def _shift(rows: slice, origin: int) -> slice:
     return slice(rows.start - origin, rows.stop - origin)
 
 
-def _hull(*boxes: tuple) -> tuple:
-    """The smallest box that holds each of ``boxes`` that is not empty."""
-    boxes = [b for b in boxes if b[0].stop > b[0].start]
-    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
-                 for axis in zip(*boxes))
-
-
-def _dbar_data(m, g, u: ComplexField, box: tuple) -> tuple:
-    """The d-bar rhs (1 - |mu|^2) conj(g) u on ``box``, a box that holds
-    every nonzero sample of u, its frame factor (1 - |mu|^2) conj(g) at the
-    interior points and min |g| there: all that a d-bar solve reads of
-    g = dh/dz, so a caller that drops g then frees it.  m and g hold the
-    samples of mu_ext and g; the frame is formed on the hull of ``box`` and
-    the interior box only."""
-    geo = _geometry(u.domain)
-    inner = geo.interior_mask
-    rows, cols = _hull(geo.interior_box, box)
-    r, c = box
-    rhs = np.empty((r.stop - r.start, c.stop - c.start), dtype=np.complex128)
-    denom, gmin = [], []
+def _box_blocks(box: tuple):
+    """(key, at) for the row blocks of ``box``, top to bottom: ``key`` is a
+    block of the grid, ``at`` the same rows of an array of the box's shape."""
+    rows, cols = box
     for block in _row_blocks(rows, cols.stop - cols.start):
-        key = (block, cols)
-        g_rows = g[key]
-        frame = (1.0 - np.abs(m[key]) ** 2) * np.conj(g_rows)
-        both = _overlap(block, r)
-        np.multiply(frame[_shift(both, block.start), _shift(c, cols.start)],
-                    u.samples[both, c], out=rhs[_shift(both, r.start)])
-        at = inner[key]
-        if at.any():
-            denom.append(frame[at])
-            gmin.append(np.min(np.abs(g_rows[at])))
-    return rhs, np.concatenate(denom), float(np.min(gmin))
+        yield (block, cols), _shift(block, rows.start)
+
+
+def _dbar_data(m, g: np.ndarray, u: ComplexField, box: tuple,
+               rhs: np.ndarray) -> tuple:
+    """Write the d-bar rhs (1 - |mu|^2) conj(g) u on ``box``, the support
+    box of u, into ``rhs`` (an array of the box's shape); return its frame
+    factor (1 - |mu|^2) conj(g) at the interior points and min |g| there:
+    all that a d-bar solve reads of g, so a caller that drops g then frees
+    it.  m holds the samples of mu_ext.  The frame is formed a row block at
+    a time, on ``box`` for the rhs and on the interior box for the rest."""
+    def frame(key):
+        return (1.0 - np.abs(m[key]) ** 2) * np.conj(g[key])
+
+    for key, at in _box_blocks(box):
+        np.multiply(frame(key), u.samples[key], out=rhs[at])
+    inner_box, inner = _interior(u.domain)
+    denom, gmin = [], []
+    for key, at in _box_blocks(inner_box):
+        denom.append(frame(key)[inner[at]])
+        gmin.append(np.min(np.abs(g[key][inner[at]]), initial=np.inf))
+    return np.concatenate(denom), float(np.min(gmin))
 
 
 def _box_sup(box: tuple, step) -> float:
-    """The max of |step(key, at)| over the row blocks of ``box``: ``key``
-    is a block of the grid, ``at`` the same rows of an array of the box's
-    shape.  0 on an empty box; a NaN comes through."""
-    rows, cols = box
-    sups = []
-    for block in _row_blocks(rows, cols.stop - cols.start):
-        at = slice(block.start - rows.start, block.stop - rows.start)
-        sups.append(np.max(np.abs(step((block, cols), at)), initial=0.0))
-    return float(np.max(sups, initial=0.0))
+    """The max of |step(key, at)| over ``_box_blocks(box)``.  0 on an empty
+    box; a NaN comes through."""
+    return float(np.max([np.max(np.abs(step(key, at)), initial=0.0)
+                         for key, at in _box_blocks(box)], initial=0.0))
 
 
 def _dbar_finish(m, u: ComplexField, denom: np.ndarray, rhs_on_box: tuple,
@@ -287,9 +281,9 @@ def _dbar_finish(m, u: ComplexField, denom: np.ndarray, rhs_on_box: tuple,
     ``rhs_on_box`` the result's (box of u, rhs samples on it)."""
     geo = _geometry(u.domain)
     f = ComplexField(u.domain, _FourierApply.whole(geo.P, geo.w, psi, box))
-    inner = geo.interior_mask
     lhs = _fd_beltrami_defect(f, m)
-    u_inner = u.samples[inner]
+    inner_box, inner = _interior(u.domain)
+    u_inner = u.samples[inner_box][inner]
     # the rhs at the interior points, bitwise: _dbar_data formed it as frame * u
     interior_residual = float(np.max(np.abs(lhs - np.multiply(denom, u_inner))))
     moving_frame_residual = float(np.max(np.abs(lhs / denom - u_inner)))
@@ -307,6 +301,32 @@ def _dbar_finish(m, u: ComplexField, denom: np.ndarray, rhs_on_box: tuple,
     )
 
 
+def _immersion_g(beurling: _FourierApply) -> np.ndarray:
+    """g = 1 + S(phi) from the apply that holds S(phi) on its box: finished
+    and written over S(phi) in the apply buffer."""
+    s = beurling.finish()
+    return np.add(s, 1.0, out=s)
+
+
+def _dbar_tail(mu: BeltramiField, datum: tuple, cfg: SolverConfig) -> DbarResult:
+    """solve_dbar for datum = (u, the samples of g = dh/dz), passed as the
+    only reference to g, so that g is freed before the Neumann solve.  The
+    rhs is formed on the support box of u, in a zeroed grid for the loop;
+    the result keeps a copy of that box."""
+    u, g = datum
+    m, support = mu.extended.samples, _support_box(u.samples)
+    whole = np.zeros(u.samples.shape, dtype=np.complex128)
+    denom, gmin = _dbar_data(m, g, u, support, whole[support])
+    del datum, g   # before the d-bar solve
+    check_nondegenerate(gmin)
+    psi, trace, beurling = _neumann(mu, whole, cfg)
+    box = beurling.box
+    del beurling   # before the Cauchy transform
+    rhs_on_box = (support, whole[support].copy())
+    del whole
+    return _dbar_finish(m, u, denom, rhs_on_box, psi, box, trace[-1], tuple(trace))
+
+
 def solve_dbar(mu: BeltramiField, u: ComplexField,
                cfg: SolverConfig = SolverConfig()) -> DbarResult:
     """Solve the d-bar equation for the structure of mu with datum u.
@@ -319,27 +339,8 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     evaluated with the finite-difference derivative route on interior Omega.
     """
     _same_domain("mu and u", mu, u)
-    beurling = _neumann(mu, mu.extended, cfg)[-1]   # holds S(phi)
-    g = _Blockwise(np.add, 1.0, beurling.finish())
-    rhs, denom, gmin = _dbar_data(mu.extended.samples, g, u, _full_box(u.samples))
-    del beurling, g   # before the d-bar solve
-    check_nondegenerate(gmin)
-    solved = _neumann_dbar(mu, u, rhs, cfg)
-    del rhs   # before the finish
-    return _dbar_finish(mu.extended.samples, u, denom, *solved)
-
-
-def _neumann_dbar(mu: BeltramiField, u: ComplexField, rhs: np.ndarray,
-                  cfg: SolverConfig) -> tuple:
-    """The d-bar Neumann solve for the whole-grid rhs of ``_dbar_data``:
-    the rhs on the support box of u, as (box, a copy of its samples), and
-    the fixed point on the apply box, that box, the last residual and the
-    trace, as ``_dbar_finish`` takes them."""
-    psi, _, trace, beurling = _neumann(mu, ComplexField(u.domain, rhs), cfg)
-    box = beurling.box
-    del beurling   # before the Cauchy transform
-    support = _support_box(u.samples)
-    return (support, rhs[support].copy()), psi, box, trace[-1], tuple(trace)
+    return _dbar_tail(mu, (u, _immersion_g(_neumann(mu, mu.extended.samples, cfg)[-1])),
+                      cfg)
 
 
 # relative size above which a would-be (0,1) datum's moving (1,0) part is
@@ -358,14 +359,17 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
     relative to the (0,1) one.
     """
     _same_domain("form and mu", form, mu)
+    return _dbar_tail(mu, _moving_datum(mu, form, cfg), cfg)
+
+
+def _moving_datum(mu: BeltramiField, form: OneFormField, cfg: SolverConfig) -> tuple:
+    """(u, g) for solve_dbar_form: the form's moving-frame (0,1)
+    coefficient and the samples of g = dh/dz of mu's immersion."""
     g = solve_immersion(mu, cfg).g   # phi goes with the immersion
-    if form.frame == "background":
-        moving = convert_to_moving(form, mu, g)
-    else:
-        if form.mu is not mu and not np.array_equal(
-                form.mu.extended.samples, mu.extended.samples):
-            raise ValidationError("form is framed by a different coefficient")
-        moving = form
+    moving = convert_to_moving(form, mu, g) if form.frame == "background" else form
+    if moving.mu is not mu and not np.array_equal(moving.mu.extended.samples,
+                                                  mu.extended.samples):
+        raise ValidationError("form is framed by a different coefficient")
     u = moving.coeff_01
     scale = float(np.max(np.abs(u.samples)))
     stray = float(np.max(np.abs(moving.coeff_10.samples)))
@@ -374,11 +378,7 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
             f"datum is not a (0,1)-form for this structure: moving (1,0) "
             f"part {stray:.3e} vs (0,1) scale {scale:.3e}"
         )
-    rhs, denom, _ = _dbar_data(mu.extended.samples, g.samples, u, _full_box(u.samples))
-    del g, moving   # before the d-bar solve
-    solved = _neumann_dbar(mu, u, rhs, cfg)
-    del rhs   # before the finish
-    return _dbar_finish(mu.extended.samples, u, denom, *solved)
+    return u, g.samples
 
 
 @dataclass(frozen=True)
@@ -518,14 +518,15 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     mu_b = b mu_0 is read in blocks, bitwise ``family.realize``'s, and g_b
     from the apply buffer.
     """
-    m = _Blockwise(np.multiply, point.b, family.base_mu.extended.samples)
+    m = _Blockwise(point.b, family.base_mu.extended.samples)
     box = beurling.box
     beurling(point.phi)
-    g = _Blockwise(np.add, 1.0, beurling.finish())
+    g = _immersion_g(beurling)
     phi, psi = point.phi, point.psi
     if _above_tol(point, cfg, _box_sup(box, lambda key, at: m[key] * g[key] - phi[at])):
         return None
-    rhs, denom, gmin = _dbar_data(m, g, u, support)
+    rhs = np.empty_like(u.samples[support])
+    denom, gmin = _dbar_data(m, g, u, support, rhs)
     s = beurling(psi)   # the apply buffer no longer holds g
     rows, cols = support
 
@@ -660,6 +661,7 @@ def _finished_entries(family: FamilySpec, u_family, cfg: SolverConfig,
     if len(u_family) != len(grid):
         raise ValidationError("u_family must align with the parameter grid")
     _same_domain("family data", family.base_mu, *u_family)
+    _interior(family.base_mu.domain)   # every entry would fail on an empty one
     u = u_family[0]
     if family.law == "linear" and len(grid) > 1 and all(
             v is u or np.array_equal(v.samples, u.samples) for v in u_family):

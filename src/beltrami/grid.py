@@ -237,15 +237,15 @@ class _TaperedConjugate:
 
 
 class _Blockwise:
-    """ufunc(scalar, base), read block by block: ``x[rows, cols]`` (slices)
-    forms that block only, bitwise the same block of the whole-grid
-    expression.  The scalar stays the first operand, as in ``b * mu``."""
+    """scalar * base, read block by block: ``x[rows, cols]`` (slices) forms
+    that block only, bitwise the same block of the whole-grid product.  The
+    scalar stays the first operand, as in ``b * mu``."""
 
-    def __init__(self, ufunc, scalar, base: np.ndarray):
-        self._ufunc, self._scalar, self._base = ufunc, scalar, base
+    def __init__(self, scalar, base: np.ndarray):
+        self._scalar, self._base = scalar, base
 
     def __getitem__(self, box: tuple) -> np.ndarray:
-        return self._ufunc(self._scalar, self._base[box])
+        return np.multiply(self._scalar, self._base[box])
 
 
 class _Geometry:
@@ -323,6 +323,18 @@ def omega_mask(domain: DomainSpec) -> np.ndarray:
 def interior_mask(domain: DomainSpec) -> np.ndarray:
     """Mask of the residual-reporting interior (2*margin/3 inside Omega)."""
     return _geometry(domain).interior_mask
+
+
+def _interior(domain: DomainSpec) -> tuple:
+    """The bounding box of the interior points and ``interior_mask`` on it:
+    where every solve measures min |g| and every residual is read.
+    ValidationError if no grid point lies that deep in Omega."""
+    geo = _geometry(domain)
+    box = geo.interior_box
+    if box[0].stop == box[0].start:
+        raise ValidationError("no grid point lies 2*margin/3 inside Omega, "
+                              "where the residuals are measured")
+    return box, geo.interior_mask[box]
 
 
 def cutoff_field(domain: DomainSpec) -> np.ndarray:
@@ -953,15 +965,13 @@ def _fd_beltrami_defect(f: ComplexField, m) -> np.ndarray:
     from one pair of 4th-order x/y stencils on the interior box.  ``m``
     holds the samples of mu_ext: an array, or a ``_Blockwise`` reader, read
     on the interior box only; callers check that f and mu share a
-    DomainSpec.
+    DomainSpec.  ValidationError if the interior is empty (``_interior``).
 
     mu is the second operand of the product at every N, the order in which
     the residuals of the shipped configs were always computed: complex
     multiply is not bitwise commutative.
     """
-    g = _geometry(f.domain)
-    box = g.interior_box
-    inner = g.interior_mask[box]
+    box, inner = _interior(f.domain)
     fx, fy = _fd_xy(f.samples, box, f.domain.spacing)
     fx, fy, m = fx[inner], fy[inner], m[box][inner]
     return 0.5 * (fx + 1j * fy) - (0.5 * (fx - 1j * fy)) * m

@@ -59,11 +59,11 @@ from .grid import (
     _fd_beltrami_defect,
     _FourierApply,
     _integer,
+    _interior,
     _on_grid,
     _real,
     _same_domain,
     _support_box,
-    interior_mask,
     make_coordinate_field,
 )
 from .transforms import _coarse_tables, cauchy_transform
@@ -120,8 +120,8 @@ class ImmersionResult:
     trace: tuple = field(repr=False, default=())
 
     def __post_init__(self):
-        g = self.g.samples[interior_mask(self.g.domain)]
-        check_nondegenerate(float(np.min(np.abs(g))))
+        box, inner = _interior(self.g.domain)
+        check_nondegenerate(float(np.min(np.abs(self.g.samples[box][inner]))))
 
     @cached_property
     def h(self) -> ComplexField:
@@ -150,31 +150,31 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
         the first residual that is not finite; the exception carries the
         partial iterate and the residual trace.
     """
-    phi, k, trace, beurling = _neumann(mu, rhs, cfg)
+    _same_domain("mu and rhs", mu, rhs)
+    phi, trace, beurling = _neumann(mu, rhs.samples, cfg)
     phi = ComplexField(rhs.domain, _on_grid(rhs.samples, beurling.box, phi))
-    return NeumannResult(phi, k, trace[-1], tuple(trace))
+    return NeumannResult(phi, len(trace), trace[-1], tuple(trace))
 
 
-def _neumann(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig) -> tuple:
-    """The fixed point of neumann_solve on the support box, its iteration
-    count and residual trace, and the apply that holds S(phi).
+def _neumann(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig) -> tuple:
+    """The fixed point of neumann_solve for the rhs samples r, on the
+    support box, its residual trace, and the apply that holds S(phi).
 
-    mu_ext and rhs vanish off the box of their nonzero samples (the apply's
-    ``box``), so every iterate equals rhs there: the loop holds box arrays
+    mu_ext and r vanish off the box of their nonzero samples (the apply's
+    ``box``), so every iterate equals r there: the loop holds box arrays
     only, and a caller that needs the whole-grid phi builds it from a copy
-    of rhs (as NoConvergence carries it).  The apply's ``finish`` gives the
-    whole S(phi).  The loop starts from rhs, or from ``_warm_start``'s guess
+    of r (as NoConvergence carries it).  The apply's ``finish`` gives the
+    whole S(phi).  The loop starts from r, or from ``_warm_start``'s guess
     on the box.
     """
-    _same_domain("mu and rhs", mu, rhs)
     if mu.sup_norm >= cfg.contraction_cap:
         raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
-    m, r = mu.extended.samples, rhs.samples
+    m = mu.extended.samples
     box = _support_box(m, r)
-    beurling = _FourierApply.beurling(rhs.domain, box)
+    beurling = _FourierApply.beurling(mu.domain, box)
     phi = r[box].copy()
     beurling.forward(phi)  # fft2(rhs): the first apply's, and the gate's
-    if _warm_start(mu, rhs, cfg, beurling, phi):
+    if _warm_start(mu, r, cfg, beurling, phi):
         beurling.forward(phi)
     try:
         return (*_iterate(m[box], r[box], phi, beurling, cfg), beurling)
@@ -187,48 +187,49 @@ def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
              beurling: _FourierApply, cfg: SolverConfig) -> tuple:
     """The fixed-point loop on the box samples m of mu_ext and r of rhs,
     from the box iterate phi, whose spectrum ``beurling`` holds; returns the
-    first iterate that meets cfg.tol, its iteration number and the residual
-    trace, or raises NoConvergence with the last box iterate, at once when a
-    residual is not finite (data that overflow the FFTs).  The iterates
-    overwrite phi and one more box buffer."""
+    first iterate that meets cfg.tol and the residual trace, or raises
+    NoConvergence with the last box iterate, at once when a residual is not
+    finite (data that overflow the FFTs).  The iterates overwrite phi and
+    one more box buffer."""
     # phi and nxt ping-pong between two buffers owned by the solve
     nxt = np.empty_like(r)
     step = np.empty_like(r)
     magnitude = np.empty(r.shape)
     trace = []
-    for k in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         s = beurling.inverse()
         np.add(r, np.multiply(m, s, out=nxt), out=nxt)
         np.subtract(nxt, phi, out=step)  # exact residual of phi
         residual = float(np.max(np.abs(step, out=magnitude), initial=0.0))
         trace.append(residual)
         if residual <= cfg.tol:
-            return phi, k, trace
+            return phi, trace
         if not math.isfinite(residual):
-            raise NoConvergence(phi, k, residual, tuple(trace))
+            break
         phi, nxt = nxt, phi
         beurling.forward(phi)
-    raise NoConvergence(phi, cfg.max_iter, trace[-1], tuple(trace))
+    raise NoConvergence(phi, len(trace), trace[-1], tuple(trace))
 
 
-def _warm_start(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig,
+def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
                 beurling: _FourierApply, phi: np.ndarray) -> bool:
     """Write the N/2-grid solution, prolonged, into the box iterate phi.
 
-    Runs when mu_ext is nonzero and both the rhs and mu_ext are resolved on
-    the N/2 grid: every mode of their spectra outside the N/2 band has
-    amplitude |x^(k)| / N^2 <= cfg.tol.  ``beurling`` holds fft2(rhs) on
-    entry, so the rhs test costs one scan of it; mu_ext is transformed only
-    when the rhs passes and is not mu_ext itself.  The two grids nest, so
-    the N/2 problem takes mu_ext and rhs at even indices, on the same
-    square, Omega and margin; it is solved cold by the same loop on its own
-    support box, and its solution is zero-padded in the spectrum onto the
-    fine grid (see ``_FourierApply.interpolate``).  Returns False, with phi
-    and the spectrum of the rhs in ``beurling`` as they were, when a test
-    refuses, when N/2 is no valid resolution, or when the N/2 solve does not
-    converge.
+    Runs when mu_ext is nonzero and both the rhs samples r and mu_ext are
+    resolved on the N/2 grid: every mode of their spectra outside the N/2
+    band has amplitude |x^(k)| / N^2 <= cfg.tol.  ``beurling`` holds
+    fft2(rhs) on entry, so the rhs test costs one scan of it; mu_ext is
+    transformed only when the rhs passes and is not mu_ext itself.  The two
+    grids nest, so the N/2 problem takes mu_ext and rhs at even indices, on
+    the same square, Omega and margin; it is solved cold by the same loop on
+    its own support box, and its solution is zero-padded in the spectrum
+    onto the fine grid (see ``_FourierApply.interpolate``), over the
+    spectrum in ``beurling``.  Returns False, with phi and the spectrum of
+    the rhs in ``beurling`` as they were, when a test refuses, when N/2 is
+    no valid resolution, or when the N/2 solve does not converge: after the
+    mu_ext test and after a failed N/2 solve fft2(rhs) is formed again.
     """
-    d = rhs.domain
+    d = mu.domain
     if mu.sup_norm == 0.0:
         return False   # the cold loop stops at its first iteration
     try:
@@ -237,12 +238,11 @@ def _warm_start(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig,
         return False
     if not beurling.resolved_at_half(cfg.tol):
         return False
-    m, r = mu.extended.samples, rhs.samples
+    m = mu.extended.samples
     if m is not r:
         beurling.forward(m[beurling.box])
-        resolved = beurling.resolved_at_half(cfg.tol)
-        beurling.forward(phi)   # fft2(rhs) again, for the cold loop
-        if not resolved:
+        if not beurling.resolved_at_half(cfg.tol):
+            beurling.forward(phi)   # fft2(rhs) again, for the cold loop
             return False
     m, r = m[::2, ::2], r[::2, ::2]
     box = _support_box(m, r)
@@ -252,6 +252,7 @@ def _warm_start(mu: BeltramiField, rhs: ComplexField, cfg: SolverConfig,
     try:
         guess = _iterate(m[box], r[box], guess, apply, cfg)[0]
     except NoConvergence:
+        beurling.forward(phi)   # fft2(rhs) again, for the cold loop
         return False
     phi[...] = beurling.interpolate(_on_grid(r, box, guess))
     return True
@@ -265,16 +266,17 @@ def solve_immersion(mu: BeltramiField,
     (I - mu*S) phi = mu; S(phi) is the last apply of the iteration.  For mu
     identically zero this reduces exactly to h = z, g = 1 in one iteration.
     """
-    phi, k, trace, beurling = _neumann(mu, mu.extended, cfg)
+    phi, trace, beurling = _neumann(mu, mu.extended.samples, cfg)
     phi = ComplexField(mu.domain, _on_grid(mu.extended.samples, beurling.box, phi))
     g = ComplexField(mu.domain, beurling.finish() + 1.0)
-    return ImmersionResult(g=g, phi=phi, iterations=k, final_residual=trace[-1],
-                           trace=tuple(trace))
+    return ImmersionResult(g=g, phi=phi, iterations=len(trace),
+                           final_residual=trace[-1], trace=tuple(trace))
 
 
 def beltrami_residual(h: ComplexField, mu: BeltramiField,
                       rhs: ComplexField | None = None) -> float:
-    """Sup over interior Omega of |dh/dzbar - mu * dh/dz - rhs|.
+    """Sup over interior Omega of |dh/dzbar - mu * dh/dz - rhs|; a
+    ValidationError if no grid point lies in that interior.
 
     Derivatives are taken with 4th-order centered finite differences, which
     are exact on the affine part z + c*zbar of solver outputs and blind to
@@ -284,5 +286,6 @@ def beltrami_residual(h: ComplexField, mu: BeltramiField,
     _same_domain("h, mu and rhs", h, mu, *([] if rhs is None else [rhs]))
     res = _fd_beltrami_defect(h, mu.extended.samples)
     if rhs is not None:
-        res = res - rhs.samples[interior_mask(h.domain)]
+        box, inner = _interior(h.domain)
+        res = res - rhs.samples[box][inner]
     return float(np.max(np.abs(res)))

@@ -618,6 +618,26 @@ def test_non_finite_values_fail_with_one_stderr_line(tmp_path, datum, code,
                                   "at iteration 1")
 
 
+@pytest.mark.parametrize("omega", [
+    {"shape": "disc", "center": [0.0, 0.0], "radius": 0.2},
+    {"shape": "rect", "corners": [-0.2, -0.3, 0.3, 0.2]},
+], ids=["disc", "rect"])
+@pytest.mark.parametrize("command", ["solve-beltrami", "solve-dbar", "sweep-family",
+                                     "exhaust"])
+def test_an_omega_with_no_interior_exits_1(tmp_path, command, omega):
+    # Omega narrower than 2/3 of the margin, and for exhaust a first disc as
+    # narrow: no grid point lies where the residuals are read.  These runs
+    # died with a numpy traceback
+    cfg = _config(tmp_path, domain=_domain(64, omega=omega),
+                  u={"kind": "disc-indicator", "radius": 0.2},
+                  family={"grid": [0.0, 0.5, 1.0]},
+                  exhaustion={"radii": [0.4, 1.0], "taylor_degree": 8})
+    out = tmp_path / "run"
+    result = _invoke([command, "--config", cfg, "--out", out])
+    _assert_refused(result.exit_code, result.stderr, out)
+    assert json.loads(result.stderr)["kind"] == "ValidationError"
+
+
 @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 2, 10 ** 12])
 def test_resolution_above_the_ceiling_exits_1_before_allocating(tmp_path,
                                                                 resolution):

@@ -253,3 +253,11 @@ def test_exhaustion_validation(dom128):
         exhaustion_solve(mu, u, [1.0, 2.5], 4)  # 2.5 >= L - margin
     with pytest.raises(ValidationError):
         exhaustion_solve(mu, u, [1.0], 0)
+    # a datum on another grid was read as if it lay on mu's
+    from beltrami import Disc, DomainSpec
+    other = DomainSpec(4.0, 128, Disc(0j, 1.0), 0.8)
+    with pytest.raises(ValidationError, match="different DomainSpecs"):
+        exhaustion_solve(mu, _compact_bump(other), [1.0, 1.5], 4)
+    # a first disc narrower than 2/3 of the margin has no interior to solve on
+    with pytest.raises(ValidationError, match="inside Omega"):
+        exhaustion_solve(mu, u, [0.5, 1.0], 4)

@@ -17,6 +17,7 @@ from beltrami import (
     DomainSpec,
     FamilySpec,
     OneFormField,
+    Rect,
     SolverConfig,
     ValidationError,
     constant_field,
@@ -164,6 +165,32 @@ def test_dbar_const_mu_residual(dom256):
     assert res.diagnostics.moving_frame_residual <= 1e-2
 
 
+@pytest.mark.parametrize("omega", [Disc(0j, 0.2), Rect(-0.2, -0.3, 0.3, 0.2)],
+                         ids=["disc", "rect"])
+def test_an_omega_with_no_interior_fails_each_solve_with_a_validation_error(omega):
+    # Omega narrower than 2/3 of the margin: no grid point lies where min |g|
+    # and the residuals are read.  The solves failed there with numpy's
+    # errors on empty arrays.  The domain itself stays valid, and a Neumann
+    # solve, which reads no interior, runs on it
+    dom = DomainSpec(3.0, 64, omega, 0.8)
+    assert not interior_mask(dom).any()
+    from beltrami import beltrami_residual, solve_dbar_form
+    mu, u = mu_constant(dom), disc_indicator_field(dom, radius=0.2)
+    assert neumann_solve(mu, u).final_residual <= SolverConfig().tol
+    solves = {
+        "immersion": lambda: solve_immersion(mu),
+        "residual": lambda: beltrami_residual(make_coordinate_field(dom), mu),
+        "d-bar": lambda: solve_dbar(mu, u),
+        "form": lambda: solve_dbar_form(mu, OneFormField("moving", u * 0.0, u, mu=mu)),
+        "linear sweep": lambda: solve_family(FamilySpec(mu, (0.0, 1.0)), [u] * 2),
+        "table sweep": lambda: solve_family(
+            FamilySpec(mu, (0.0, 1.0), law="table", table=(mu, mu)), [u] * 2),
+    }
+    for name, solve in solves.items():
+        with pytest.raises(ValidationError, match="inside Omega"):
+            solve()
+
+
 def test_no_solve_runs_the_power_iteration(dom64, monkeypatch):
     # every gate compares sup|mu_ext|; the power iteration is a diagnostic
     from beltrami import exhaustion_solve, solve_dbar_form
@@ -238,6 +265,13 @@ def test_family_spec_validation(dom64):
     table = (mu_constant(dom64, 0.1), mu_constant(dom64, 0.2))
     spec = FamilySpec(mu, (0.0, 1.0), law="table", table=table)
     assert spec.realize(1) is table[1]
+    # a field that is not a coefficient failed inside the sweep, with an
+    # AttributeError on its missing ``extended``
+    field = constant_field(dom64, 0.1)
+    with pytest.raises(ValidationError, match="BeltramiFields, got ComplexField"):
+        FamilySpec(mu, (0.0, 1.0), law="table", table=(table[0], field))
+    with pytest.raises(ValidationError, match="BeltramiFields, got ComplexField"):
+        FamilySpec(field, (0.0, 1.0))
 
 
 def test_family_zero_base_all_equal(dom64):
@@ -439,6 +473,39 @@ def test_linear_sweep_matches_per_entry_dbar(resolution, make_mu):
         assert entry.result.diagnostics.neumann_residual <= cfg.tol
         assert len(entry.result.diagnostics.trace) == \
             entry.result.diagnostics.iterations
+
+
+@pytest.mark.parametrize("forced", [0, 1], ids=["immersion", "d-bar"])
+def test_series_point_that_fails_a_measured_residual_finishes_later(dom64,
+                                                                    monkeypatch,
+                                                                    forced):
+    # a point whose term size met the stop test but whose measured immersion
+    # (first) or d-bar (second) residual is forced above tol once stays in
+    # the series and finishes at a later term; the other points do not see it
+    family, u, cfg = FamilySpec(mu_strong(dom64), EIGHTHS), disc_indicator_field(dom64), \
+        SolverConfig()
+    ref = solve_family(family, [u] * 9, cfg)
+    above, calls = family_module._above_tol, {}
+
+    def once(point, cfg, residual):
+        seen = calls.setdefault(point.index, [])
+        seen.append(residual)
+        return (point.index == 4 and len(seen) == forced + 1) or above(point, cfg,
+                                                                       residual)
+
+    monkeypatch.setattr(family_module, "_above_tol", once)
+    sweep = solve_family(family, [u] * 9, cfg)
+    assert len(calls[4]) == forced + 1 + 2   # the forced attempt, then one that passes
+    late, early = sweep.entries[4].result.diagnostics, ref.entries[4].result.diagnostics
+    assert late.iterations > early.iterations
+    assert late.trace[:early.iterations] == early.trace
+    assert late.neumann_residual <= cfg.tol
+    assert late.interior_residual <= 1e-2
+    for i, (got, want) in enumerate(zip(sweep.entries, ref.entries)):
+        if i != 4:
+            assert got.result.diagnostics == want.result.diagnostics, i
+            assert same_bits(got.result.f.samples, want.result.f.samples), i
+            assert same_bits(got.result.rhs_on_box[1], want.result.rhs_on_box[1]), i
 
 
 def test_linear_sweep_with_data_wider_than_mu(dom64):

@@ -611,9 +611,21 @@ def test_warm_start_needs_a_valid_half_resolution(resolution, warm, monkeypatch)
     # N/2 = 8 and 10 are below 16 and 17 is odd: the cold loop runs alone,
     # bit for bit; at N = 64 the same kind of problem is warm-started
     mu, rhs = _band_limited_problem(resolution)
+    _FourierApply.beurling(mu.domain, (slice(0, 0),) * 2)   # dz_w, built by a forward
     sizes = _count_loops(monkeypatch)
+    forwards, forward = [], _FourierApply.forward
+
+    def counted(apply, x):
+        forwards.append(apply.out.shape[0])
+        forward(apply, x)
+
+    monkeypatch.setattr(_FourierApply, "forward", counted)
     res = neumann_solve(mu, rhs)
     assert sizes == ([resolution // 2, resolution] if warm else [resolution])
+    # the fine grid transforms the rhs, then mu_ext and the prolonged guess
+    # when warm, then each iterate but the last; fft2(rhs) is formed again
+    # only for a cold loop that needs it
+    assert forwards.count(resolution) == res.iterations + (2 if warm else 0)
     with monkeypatch.context() as cold:
         _cold(cold)
         ref = neumann_solve(mu, rhs)
@@ -623,22 +635,38 @@ def test_warm_start_needs_a_valid_half_resolution(resolution, warm, monkeypatch)
         assert res.trace == ref.trace
 
 
-def test_warm_start_falls_back_when_the_coarse_solve_fails(dom512, monkeypatch):
+def _warm_immersion():
+    mu = mu_bump(disc_domain(512), 0.45)
+    return lambda: solve_immersion(mu), ("phi", "g")
+
+
+def _warm_neumann():
+    # rhs != mu_ext: the mu_ext test displaced fft2(rhs) before the N/2 solve
+    mu, rhs = _band_limited_problem(64)
+    return lambda: neumann_solve(mu, rhs), ("phi",)
+
+
+@pytest.mark.parametrize("problem", [_warm_immersion, _warm_neumann],
+                         ids=["immersion", "neumann"])
+def test_warm_start_falls_back_when_the_coarse_solve_fails(problem, monkeypatch):
     # a coarse solve that raises NoConvergence leaves the cold loop to run
     # from the rhs, bit for bit
-    mu = mu_bump(dom512, 0.45)
+    solve, fields = problem()
     loop = solver_module._iterate
+    sizes = []
 
     def failing(m, r, phi, beurling, cfg):
-        if beurling.out.shape[0] < 512:
+        sizes.append(beurling.out.shape[0])
+        if len(sizes) == 1:
             raise NoConvergence(phi, cfg.max_iter, 1.0, (1.0,))
         return loop(m, r, phi, beurling, cfg)
 
     monkeypatch.setattr(solver_module, "_iterate", failing)
-    res = solve_immersion(mu)
+    res = solve()
     monkeypatch.setattr(solver_module, "_iterate", loop)
+    assert sizes[0] * 2 == sizes[1]
     _cold(monkeypatch)
-    ref = solve_immersion(mu)
+    ref = solve()
     assert res.trace == ref.trace
-    for x, y in ((res.phi, ref.phi), (res.g, ref.g)):
-        assert same_bits(x.samples, y.samples)
+    for name in fields:
+        assert same_bits(getattr(res, name).samples, getattr(ref, name).samples)
