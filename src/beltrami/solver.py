@@ -223,11 +223,11 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
     grids nest, so the N/2 problem takes mu_ext and rhs at even indices, on
     the same square, Omega and margin; it is solved cold by the same loop on
     its own support box, and its solution is zero-padded in the spectrum
-    onto the fine grid (see ``_FourierApply.interpolate``), over the
-    spectrum in ``beurling``.  Returns False, with phi and the spectrum of
+    onto the fine grid (``_FourierApply.interpolate``, which overwrites the
+    spectrum in ``beurling``).  Returns False, with phi and the spectrum of
     the rhs in ``beurling`` as they were, when a test refuses, when N/2 is
-    no valid resolution, or when the N/2 solve does not converge: after the
-    mu_ext test and after a failed N/2 solve fft2(rhs) is formed again.
+    no valid resolution, or when the N/2 solve does not converge; fft2(rhs)
+    is formed again only where the mu_ext test displaced it.
     """
     d = mu.domain
     if mu.sup_norm == 0.0:
@@ -244,17 +244,18 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
         if not beurling.resolved_at_half(cfg.tol):
             beurling.forward(phi)   # fft2(rhs) again, for the cold loop
             return False
-    m, r = m[::2, ::2], r[::2, ::2]
-    box = _support_box(m, r)
+    cm, cr = m[::2, ::2], r[::2, ::2]
+    box = _support_box(cm, cr)
     apply = _FourierApply(*_coarse_tables(d), box)
-    guess = r[box].copy()
+    guess = cr[box].copy()
     apply.forward(guess)
     try:
-        guess = _iterate(m[box], r[box], guess, apply, cfg)[0]
+        guess = _iterate(cm[box], cr[box], guess, apply, cfg)[0]
     except NoConvergence:
-        beurling.forward(phi)   # fft2(rhs) again, for the cold loop
+        if m is not r:
+            beurling.forward(phi)   # fft2(rhs) again, for the cold loop
         return False
-    phi[...] = beurling.interpolate(_on_grid(r, box, guess))
+    phi[...] = beurling.interpolate(_on_grid(cr, box, guess))
     return True
 
 
