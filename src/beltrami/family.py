@@ -45,9 +45,11 @@ from .grid import (
     _geometry,
     _integer,
     _interior,
+    _pair,
     _real,
     _row_blocks,
     _same_domain,
+    _splits,
     _support_box,
     omega_mask,
 )
@@ -273,14 +275,15 @@ def _box_sup(box: tuple, step) -> float:
 
 def _dbar_finish(m, u: ComplexField, denom: np.ndarray, rhs_on_box: tuple,
                  psi: np.ndarray, box: tuple, residual: float,
-                 trace: tuple) -> DbarResult:
+                 trace: tuple, out: np.ndarray | None = None) -> DbarResult:
     """The result of the d-bar fixed point psi, given by its samples on
     ``box`` (it vanishes off it): f = P(psi), from a box apply, and its
     finite-difference residuals on interior Omega.  ``denom`` is the
     interior frame factor of ``_dbar_data``, m the samples of mu_ext and
-    ``rhs_on_box`` the result's (box of u, rhs samples on it)."""
+    ``rhs_on_box`` the result's (box of u, rhs samples on it).  f is formed
+    in ``out``, an unpadded apply buffer, or in a fresh array."""
     geo = _geometry(u.domain)
-    f = ComplexField(u.domain, _FourierApply.whole(geo.P, geo.w, psi, box))
+    f = ComplexField(u.domain, _FourierApply.whole(geo.P, geo.w, psi, box, out))
     lhs = _fd_beltrami_defect(f, m)
     inner_box, inner = _interior(u.domain)
     u_inner = u.samples[inner_box][inner]
@@ -336,9 +339,12 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     (1 - |mu|^2) conj(g) u, returned as ``rhs``, and returns the particular
     solution f = P(phi).  Both residuals of the result are reported: the
     background Beltrami residual and the equivalent moving-frame one,
-    evaluated with the finite-difference derivative route on interior Omega.
+    evaluated with the finite-difference derivative route on interior Omega,
+    so a domain with no interior point is refused (ValidationError) before
+    any iteration.
     """
     _same_domain("mu and u", mu, u)
+    _interior(mu.domain)
     return _dbar_tail(mu, (u, _immersion_g(_neumann(mu, mu.extended.samples, cfg)[-1])),
                       cfg)
 
@@ -356,7 +362,8 @@ def solve_dbar_form(mu: BeltramiField, form: OneFormField,
     frame of mu first, so the solve always runs on the normal-form moving
     coefficient.  The form must actually be (0,1) for the structure of mu:
     its moving-frame (1,0) coefficient may not exceed COMPATIBILITY_RTOL
-    relative to the (0,1) one.
+    relative to the (0,1) one.  As in solve_dbar, a domain with no interior
+    point is refused before any iteration.
     """
     _same_domain("form and mu", form, mu)
     return _dbar_tail(mu, _moving_datum(mu, form, cfg), cfg)
@@ -506,7 +513,8 @@ def _above_tol(point: _SeriesPoint, cfg: SolverConfig, residual: float) -> bool:
 
 def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
                          u: ComplexField, support: tuple, cfg: SolverConfig,
-                         beurling: _FourierApply) -> Optional[FamilyEntry]:
+                         beurling: _FourierApply,
+                         second: _FourierApply) -> Optional[FamilyEntry]:
     """The entry of a point whose last term met the stop test.
 
     Returns None while a measured residual is still above cfg.tol: the
@@ -516,18 +524,30 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     measured on it; rhs_b is formed on ``support``, the support box of u,
     and added there only: off it rhs_b is a zero, which moves no sup.
     mu_b = b mu_0 is read in blocks, bitwise ``family.realize``'s, and g_b
-    from the apply buffer.
+    from the buffer of ``beurling``.  ``second`` is the series' apply of
+    S(c), or ``beurling`` itself: with two, S(phi_b) and S(psi_b) run side
+    by side (``_pair``), and f = P(psi_b) is formed in the buffer of
+    ``second``, which the entry keeps; with one, S(psi_b) follows once g_b
+    is read, and f gets a fresh array.
     """
     m = _Blockwise(point.b, family.base_mu.extended.samples)
-    box = beurling.box
-    beurling(point.phi)
-    g = _immersion_g(beurling)
+    box, paired = beurling.box, second is not beurling
     phi, psi = point.phi, point.psi
+
+    def immersion():
+        beurling(phi)
+        _immersion_g(beurling)
+
+    if paired:
+        _pair(immersion, lambda: second(psi))
+    else:
+        immersion()
+    g = beurling.out
     if _above_tol(point, cfg, _box_sup(box, lambda key, at: m[key] * g[key] - phi[at])):
         return None
     rhs = np.empty_like(u.samples[support])
     denom, gmin = _dbar_data(m, g, u, support, rhs)
-    s = beurling(psi)   # the apply buffer no longer holds g
+    s = second.out[box] if paired else beurling(psi)   # after g is read
     rows, cols = support
 
     def defect(key, at):
@@ -542,7 +562,8 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
         return None
     check_nondegenerate(gmin)
     return FamilyEntry(point.b, _dbar_finish(m, u, denom, (support, rhs), psi, box,
-                                             residual, tuple(point.trace)))
+                                             residual, tuple(point.trace),
+                                             second.release() if paired else None))
 
 
 def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig):
@@ -582,6 +603,12 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     box = _support_box(m0, u.samples)
     support = _support_box(u.samples)   # the rhs's: within box
     beurling = _FourierApply.beurling(domain, box)
+    # S(c) gets an apply of its own, on an unpadded buffer, where the box
+    # stage is large enough for two cores: the two applies of a term then
+    # run side by side, whole, one per core (``_pair``)
+    second = beurling
+    if _splits((box[0].stop - box[0].start) * m0.shape[1]):
+        second = _FourierApply(beurling.multiplier, beurling.mean_profile, box, pad=0)
     m0_box, u_box = m0[box], u.samples[box]
     abs2 = np.abs(m0_box) ** 2
     live = [_SeriesPoint(i, b, np.zeros_like(m0_box), u_box.copy(), [])
@@ -589,36 +616,58 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     # the recurrence updates five box buffers, allocated here once per sweep.
     # a_{n+1} overwrites a_n once every point has added it (a_1 is the
     # read-only mu_0 box).  Of the conj(g) ring's three buffers, the one that
-    # receives conj(g_n) is the temporary of the phi sums before it does, and
-    # the one holding conj(g_{n-2}) takes the weight and then serves as the
-    # temporary of the psi sums.
+    # receives conj(g_n) holds |a_n| and is the temporary of the phi sums
+    # before it does, and the one holding conj(g_{n-2}) takes the weight,
+    # then holds |c_n| and serves as the temporary of the psi sums of the
+    # points that finish.  The other points owe their term b^n c_n until the
+    # next term adds it, before S(c_n) overwrites c, in the idle buffer of
+    # ``second`` (``scratch``).
     a, a_buffer = m0_box, np.empty_like(m0_box)
     c = u_box.copy()                        # c_{n-1}
     conj_g, conj_g1, conj_g2 = (np.empty_like(m0_box) for _ in range(3))
     conj_g1.fill(1.0)                       # conj(g_{n-1}), g_0 = 1
     conj_g2.fill(0.0)                       # conj(g_{n-2}), g_{-1} = 0
-    magnitude = np.empty(m0_box.shape)
 
-    def term_size(t: np.ndarray) -> float:
+    def term_size(t: np.ndarray, idle: np.ndarray) -> float:
+        # sup|t|, with |t| written as reals over the memory of the idle box buffer
+        magnitude = idle.view(np.float64).reshape(-1)[:t.size].reshape(t.shape)
         return float(np.max(np.abs(t, out=magnitude), initial=0.0))
 
-    n, nonfinite = 0, []
-    while live and n < cfg.max_iter:
-        n += 1
+    def s_of_a():
+        # g_n = S(a_n), sup|a_n| and the phi sums; then conj(g_n) and
+        # a_{n+1} = mu_0 g_n, so that the buffer of g_n is free again
+        nonlocal a, size
         g = beurling(a)
-        size = term_size(a)
-        if not math.isfinite(size):   # every later term is as bad: no point can finish
-            nonfinite = [size]
-            break
+        size = term_size(a, conj_g)
+        if not math.isfinite(size):
+            return
         for p in live:
             np.add(p.phi, np.multiply(p.b ** n, a, out=conj_g), out=p.phi)
         np.conj(g, out=conj_g)
-        # a_{n+1} = mu_0 g_n, so the apply that holds g_n is free again
         a = np.multiply(m0_box, g, out=a_buffer)
+
+    def s_of_c():
+        # the psi sums owed for c_{n-1}, then c = mu_0 S(c_{n-1})
+        scratch = second.scratch(c.shape)
+        for p in owed:
+            np.add(p.psi, np.multiply(p.b ** (n - 1), c, out=scratch), out=p.psi)
+        owed.clear()
+        np.multiply(m0_box, second(c), out=c)
+
+    n, size, nonfinite, owed = 0, 0.0, [], []
+    while live and n < cfg.max_iter:
+        n += 1
+        if second is beurling:
+            s_of_a()
+            s_of_c()
+        else:
+            _pair(s_of_a, s_of_c)
+        if not math.isfinite(size):   # every later term is as bad: no point can finish
+            nonfinite = [size]
+            break
         weight = np.subtract(conj_g, np.multiply(abs2, conj_g2, out=conj_g2), out=conj_g2)
-        np.multiply(m0_box, beurling(c), out=c)
         np.add(np.multiply(weight, u_box, out=weight), c, out=c)
-        size_c = term_size(c)
+        size_c = term_size(c, weight)
         if not math.isfinite(size_c):
             nonfinite = [size_c]
             break
@@ -626,13 +675,14 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         pending = []
         for p in live:
             bn = p.b ** n
-            np.add(p.psi, np.multiply(bn, c, out=weight), out=p.psi)
             p.trace.append(bn * size)
             if p.trace[-1] > cfg.tol:
                 pending.append(p)
+                owed.append(p)
                 continue
+            np.add(p.psi, np.multiply(bn, c, out=weight), out=p.psi)
             try:
-                entry = _finish_series_point(family, p, u, support, cfg, beurling)
+                entry = _finish_series_point(family, p, u, support, cfg, beurling, second)
             except BeltramiError as exc:
                 entry = FamilyEntry(p.b, None, error=str(exc))
             if entry is None:
@@ -642,6 +692,8 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
                 del entry
         live = pending
         conj_g2, conj_g1, conj_g = conj_g1, conj_g, conj_g2
+    for p in owed:   # the last term of the points the term cap stopped
+        np.add(p.psi, np.multiply(p.b ** n, c, out=weight), out=p.psi)
     for p in live:
         trace = (*p.trace, *nonfinite)
         exc = NoConvergence(p.psi, n, trace[-1], trace)

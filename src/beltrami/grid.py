@@ -657,6 +657,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _splits(samples: int) -> bool:
+    """Whether work on ``samples`` samples is shared with the helper thread:
+    from ``_SPLIT_SAMPLES`` on, on the main thread of a process that may run
+    on two or more CPUs.  Other threads (the table-law sweep's workers, the
+    helper itself) never share, so the one helper serves the main thread
+    alone."""
+    return (samples >= _SPLIT_SAMPLES
+            and threading.current_thread() is threading.main_thread()
+            and _usable_cpus() >= 2)
+
+
 class _LineHelper:
     """A daemon thread that runs one job at a time for the main thread.
 
@@ -700,7 +711,10 @@ class _LineHelper:
         return error
 
 
-_helper: _LineHelper | None = None
+# The helper thread: None until first use and after a fork or an interrupted
+# wait, _BUSY while it runs a job.
+_BUSY = "busy"
+_helper: _LineHelper | str | None = None
 
 
 def _forget_helper() -> None:
@@ -713,39 +727,54 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+def _pair(first, second) -> None:
+    """Run first() on the helper thread (``_LineHelper``, started on first
+    use) and second() on the caller, side by side, and return once both are
+    done.
+
+    The two must touch disjoint memory.  The helper runs first() in a copy
+    of the caller's context, so numpy's ``errstate`` holds on both threads;
+    an error on either reaches the caller once both are done.  Off the main
+    thread, or while the helper is busy (a pair or split asked for inside
+    one of the jobs), the two run one after the other on the calling thread,
+    so no second helper starts.  A wait cut short by a signal
+    (KeyboardInterrupt) drops the helper, since its late "done" would end the
+    next pair's wait before that job.
+    """
+    global _helper
+    if _helper is _BUSY or threading.current_thread() is not threading.main_thread():
+        first()
+        second()
+        return
+    helper, _helper = _helper or _LineHelper(), _BUSY
+    helper.start(first)
+    try:
+        second()
+    finally:
+        _helper = None   # unless the wait below completes
+        error = helper.wait()
+        _helper = helper
+    if error is not None:
+        raise error
+
+
 def _fft_lines(fft, view: np.ndarray, axis: int) -> None:
     """view = fft(view) along ``axis`` (1: the rows, 0: the columns), in
     place: one per-axis stage of a Fourier apply.
 
-    A stage of at least ``_SPLIT_SAMPLES`` samples, called from the main
-    thread of a process that may run on two or more CPUs, is split: the
-    first half of its lines is transformed on a helper thread
-    (``_LineHelper``, started on first use), the rest on the caller.  Each
-    line goes through the same pocketfft call either way, so the samples
-    are bitwise those of the one serial call.  An error on either thread
-    reaches the caller once both halves are done.  Other threads (the
-    table-law sweep's workers) never split, so the one helper is never
-    shared.  It is taken off ``_helper`` until its job is done: a split cut
-    short by a signal (KeyboardInterrupt) drops it, since its late "done"
-    would end the next split's wait before that job.
+    A stage that ``_splits`` is one ``_pair``: the first half of its lines
+    is transformed on the helper thread, the rest on the caller.  Each line
+    goes through the same pocketfft call either way, so the samples are
+    bitwise those of the one serial call.
     """
-    global _helper
-    if (view.size < _SPLIT_SAMPLES or threading.current_thread() is not
-            threading.main_thread() or _usable_cpus() < 2):
+    if not _splits(view.size):
         fft(view, axis=axis, out=view)
         return
     half = view.shape[1 - axis] // 2
     first, second = ((view[:half], view[half:]) if axis == 1
                      else (view[:, :half], view[:, half:]))
-    helper, _helper = _helper or _LineHelper(), None
-    helper.start(lambda: fft(first, axis=axis, out=first))
-    try:
-        fft(second, axis=axis, out=second)
-    finally:
-        error = helper.wait()
-        _helper = helper
-    if error is not None:
-        raise error
+    _pair(lambda: fft(first, axis=axis, out=first),
+          lambda: fft(second, axis=axis, out=second))
 
 
 class _FourierApply:
@@ -760,7 +789,8 @@ class _FourierApply:
     only); ``inverse`` returns the box view of the result (last column FFTs
     on the box columns only); ``finish`` completes the whole result.  out is
     an n x n view of a row-padded array (``_ROW_PAD``; ``pad=0`` makes it
-    contiguous) that every call reuses.  Per-axis 1-D FFTs in fft2's order,
+    contiguous) that every call reuses, until ``release`` hands it over to
+    a result and the next call makes a fresh one.  Per-axis 1-D FFTs in fft2's order,
     and the multiplier as the first operand of the product (complex multiply
     is not bitwise commutative), make the samples bitwise the numpy fft2
     expression's.  Each per-axis stage runs through ``_fft_lines``, which
@@ -774,11 +804,30 @@ class _FourierApply:
     """
 
     def __init__(self, multiplier, mean_profile,
-                 box: tuple, pad: int = _ROW_PAD):
-        n = multiplier.shape[0]
+                 box: tuple, pad: int = _ROW_PAD, out: np.ndarray | None = None):
         self.multiplier, self.mean_profile, self.box = multiplier, mean_profile, box
-        self.out = np.empty((n, n + pad), dtype=np.complex128)[:, :n]
+        self.pad, self.out = pad, out
+        self.buffer()
         self.mean = 0j
+
+    def buffer(self) -> np.ndarray:
+        """out, made afresh if ``release`` handed the last one over."""
+        if self.out is None:
+            n = self.multiplier.shape[0]
+            self.out = np.empty((n, n + self.pad), dtype=np.complex128)[:, :n]
+        return self.out
+
+    def release(self) -> np.ndarray:
+        """Hand out over to the caller, as the buffer of another apply or a
+        result; the next call makes a fresh one."""
+        out, self.out = self.out, None
+        return out
+
+    def scratch(self, shape: tuple) -> np.ndarray:
+        """A contiguous array of ``shape`` (at most n x n) laid over the
+        memory of out: scratch that the next call overwrites."""
+        memory = self.buffer().base.reshape(-1)   # the padded n x (n + pad) block
+        return memory[:math.prod(shape)].reshape(shape)
 
     @classmethod
     def beurling(cls, domain: DomainSpec, box: tuple) -> "_FourierApply":
@@ -788,11 +837,12 @@ class _FourierApply:
 
     @classmethod
     def whole(cls, multiplier, mean_profile, x: np.ndarray,
-              box: tuple | None = None) -> np.ndarray:
+              box: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """The whole apply to the field whose samples on ``box`` (default:
-        the whole grid) are x and that vanishes off it, in a fresh
-        contiguous array, which a ComplexField takes without a copy."""
-        apply = cls(multiplier, mean_profile, box or _full_box(x), pad=0)
+        the whole grid) are x and that vanishes off it, in a contiguous
+        array, which a ComplexField takes without a copy: ``out``, the
+        unpadded buffer another apply released, or a fresh one."""
+        apply = cls(multiplier, mean_profile, box or _full_box(x), pad=0, out=out)
         apply(x)
         return apply.out if box is None else apply.finish()
 
@@ -802,7 +852,7 @@ class _FourierApply:
 
     def forward(self, x: np.ndarray) -> None:
         """out = fft2 of the field whose box samples are x."""
-        out, (rows, cols) = self.out, self.box
+        out, (rows, cols) = self.buffer(), self.box
         out[:rows.start] = 0
         out[rows.stop:] = 0
         band = out[rows]

@@ -266,7 +266,10 @@ def solve_immersion(mu: BeltramiField,
     Returns h = z + P(phi) and g = 1 + S(phi) where phi solves
     (I - mu*S) phi = mu; S(phi) is the last apply of the iteration.  For mu
     identically zero this reduces exactly to h = z, g = 1 in one iteration.
+    ValidationError, before any iteration, if no grid point lies in
+    interior Omega, where min |g| is read.
     """
+    _interior(mu.domain)
     phi, trace, beurling = _neumann(mu, mu.extended.samples, cfg)
     phi = ComplexField(mu.domain, _on_grid(mu.extended.samples, beurling.box, phi))
     g = ComplexField(mu.domain, beurling.finish() + 1.0)

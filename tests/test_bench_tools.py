@@ -56,3 +56,35 @@ SWEEP_CEILINGS = {"sweep.cli": 17.6, "sweep.linear9": 19.8}
 def test_sweep_peaks_stay_under_their_ceilings(bench_layers, row):
     child = bench_layers._memory_child(64, row)
     assert child["fields"] <= SWEEP_CEILINGS[row], child
+
+
+# The same peaks at N = 256, where the linear series runs the two applies of
+# a term side by side on two apply buffers (``grid._pair``): 16.18 and
+# 12.37-12.68 fields measured, against 15.97 and 12.48 with one buffer.
+# numpy's strided ufuncs allocate a fixed 128 KiB buffer per operand, 0.125
+# fields at N = 256, and the two jobs' buffers are live at once.  The margin,
+# half a field, is under the one field of another apply buffer.
+PAIRED_SWEEP_CEILINGS = {"sweep.cli": 13.2, "sweep.linear9": 16.7}
+
+
+@pytest.mark.parametrize("row", sorted(PAIRED_SWEEP_CEILINGS))
+def test_paired_sweep_peaks_stay_under_their_ceilings(bench_layers, monkeypatch, row):
+    from beltrami import family, grid
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
+    pairs, pair = [], family._pair
+    monkeypatch.setattr(family, "_pair", lambda *jobs: (pairs.append(1), pair(*jobs)))
+    child = bench_layers._memory_child(256, row)
+    assert pairs
+    assert child["fields"] <= PAIRED_SWEEP_CEILINGS[row], child
+
+
+@pytest.mark.parametrize("baseline, change, changed", [
+    ([32.12, 32.18], [32.56, 32.63], False),   # apart by 0.38 MB: under the floor
+    ([48.2, 48.4], [49.0, 49.3], True),
+    ([49.0, 49.3], [48.2, 48.4], True),
+    ([48.2, 49.3], [48.9, 49.5], False),       # overlapping spreads
+])
+def test_cli_rss_rows_change_only_beyond_the_noise_floor(bench_layers, baseline,
+                                                         change, changed):
+    assert bench_layers.RSS_FLOOR_MB == 0.5
+    assert bench_layers._rss_changed(baseline, change) is changed

@@ -14,6 +14,7 @@ from beltrami import (
     ComplexField,
     DegenerateFrame,
     Disc,
+    NoConvergence,
     DomainSpec,
     FamilySpec,
     OneFormField,
@@ -187,6 +188,24 @@ def test_an_omega_with_no_interior_fails_each_solve_with_a_validation_error(omeg
             FamilySpec(mu, (0.0, 1.0), law="table", table=(mu, mu)), [u] * 2),
     }
     for name, solve in solves.items():
+        with pytest.raises(ValidationError, match="inside Omega"):
+            solve()
+
+
+def test_an_omega_with_no_interior_is_refused_before_any_iteration(monkeypatch):
+    # solve_immersion and solve_dbar refused it only after the immersion's
+    # Neumann loop had run to its end
+    import beltrami.solver as solver_module
+    from beltrami import solve_dbar_form
+
+    def refuse(*args):
+        raise AssertionError("a Neumann loop ran")
+
+    monkeypatch.setattr(solver_module, "_iterate", refuse)
+    dom = DomainSpec(3.0, 64, Disc(0j, 0.2), 0.8)
+    mu, u = mu_constant(dom), disc_indicator_field(dom, radius=0.2)
+    for solve in (lambda: solve_immersion(mu), lambda: solve_dbar(mu, u),
+                  lambda: solve_dbar_form(mu, OneFormField("moving", u * 0.0, u, mu=mu))):
         with pytest.raises(ValidationError, match="inside Omega"):
             solve()
 
@@ -506,6 +525,85 @@ def test_series_point_that_fails_a_measured_residual_finishes_later(dom64,
             assert got.result.diagnostics == want.result.diagnostics, i
             assert same_bits(got.result.f.samples, want.result.f.samples), i
             assert same_bits(got.result.rhs_on_box[1], want.result.rhs_on_box[1]), i
+
+
+def _sweep_on_cpus(monkeypatch, cpus, family, u, cfg) -> tuple:
+    """The sweep with ``grid._usable_cpus`` reading ``cpus``, the number of
+    pairs the series ran, and copies of the partial sums that every
+    NoConvergence of the series carried, in the order they were made."""
+    from beltrami import grid as grid_module
+    monkeypatch.setattr(grid_module, "_usable_cpus", lambda: cpus)
+    pairs, failures = [], []
+    pair = family_module._pair
+    monkeypatch.setattr(family_module, "_pair", lambda *jobs: (pairs.append(1), pair(*jobs)))
+
+    class Recorded(NoConvergence):
+        def __init__(self, phi, *rest):
+            super().__init__(phi, *rest)
+            failures.append(phi.copy())
+
+    monkeypatch.setattr(family_module, "NoConvergence", Recorded)
+    with np.errstate(all="ignore"):
+        sweep = solve_family(family, [u] * len(family.parameter_grid), cfg)
+    return sweep, len(pairs), failures
+
+
+@pytest.mark.parametrize("case", ["plain", "retry", "non-finite", "term-cap"])
+def test_paired_applies_keep_every_bit_of_the_sweep(dom256, monkeypatch, case):
+    # two cores run a term's two applies, and a finish's, side by side on two
+    # buffers; one core runs them one after the other on one.  "retry": point
+    # 4's measured immersion residual is forced above tol once.  "non-finite":
+    # the term size of term 3 counts as not finite, so every point still
+    # summing stops there with psi summed through c_2, part of it added as an
+    # owed term.  "term-cap": the points past b = 1/4 stop at five terms, with
+    # their last terms owed
+    family, u = FamilySpec(mu_strong(dom256), EIGHTHS), disc_indicator_field(dom256)
+    cfg = SolverConfig(max_iter=5 if case == "term-cap" else 200)
+    if case == "retry":
+        above, calls = family_module._above_tol, {}
+
+        def once(point, cfg, residual):
+            seen = calls.setdefault(point.index, [])
+            seen.append(residual)
+            return (point.index == 4 and len(seen) == 1) or above(point, cfg, residual)
+
+        monkeypatch.setattr(family_module, "_above_tol", once)
+    if case == "non-finite":
+        # the terms are bitwise alike on both paths: term 3's size at b = 1
+        # is max(sup|a_3|, sup|c_3|), which one of the two checks reads
+        poison = solve_family(family, [u] * 9).entries[8].result.diagnostics.trace[2]
+        fake = dict(vars(math), isfinite=lambda x: x != poison and math.isfinite(x))
+        monkeypatch.setattr(family_module, "math", type(math)("math"))
+        vars(family_module.math).update(fake)
+    runs = {}
+    for cpus in (1, 2):
+        if case == "retry":
+            calls.clear()
+        runs[cpus] = _sweep_on_cpus(monkeypatch, cpus, family, u, cfg)
+    (one, serial, lost_one), (two, paired, lost_two) = runs[1], runs[2]
+    assert serial == 0 and paired > 0
+    assert len(lost_one) == len(lost_two)
+    assert all(same_bits(a, b) for a, b in zip(lost_one, lost_two))
+    failed = [e for e in one.entries if e.result is None]
+    assert bool(failed) == (case in ("non-finite", "term-cap"))
+    assert len(failed) < 9
+    if case == "non-finite":
+        assert {e.error for e in failed} == {f"no convergence after 3 iterations "
+                                             f"(residual {poison:.3e})"}
+        # the same points, capped at two terms, carry the same sums: there the
+        # owed b^2 c_2 is added after the last term, here before S(c_2)
+        capped = _sweep_on_cpus(monkeypatch, 2, family, u, SolverConfig(max_iter=2))[2]
+        assert len(capped) == len(lost_two)
+        assert all(same_bits(a, b) for a, b in zip(capped, lost_two))
+    for a, b in zip(one.entries, two.entries):
+        assert (a.b, a.error) == (b.b, b.error)
+        if a.result is not None:
+            assert a.result.diagnostics == b.result.diagnostics
+            assert same_bits(a.result.f.samples, b.result.f.samples)
+            assert a.result.rhs_on_box[0] == b.result.rhs_on_box[0]
+            assert same_bits(a.result.rhs_on_box[1], b.result.rhs_on_box[1])
+    assert one.adjacent_differences == two.adjacent_differences
+    assert one.extrapolation_errors == two.extrapolation_errors
 
 
 def test_linear_sweep_with_data_wider_than_mu(dom64):

@@ -51,6 +51,7 @@ from beltrami.grid import (
     _FourierApply,
     _geometry,
     _Geometry,
+    _pair,
     _support_box,
     transition_profile,
 )
@@ -808,6 +809,130 @@ def test_a_forked_child_splits_on_a_helper_of_its_own():
     # the parent's helper thread does not exist in the child: a child that
     # kept the parent's helper would wait for it forever
     proc = subprocess.run([sys.executable, "-c", FORK_PROBE], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+# ---------------------------------------------------------------------------
+# Two jobs side by side (``grid._pair``), the primitive behind the split
+# ---------------------------------------------------------------------------
+
+def _where(seen: list, tag: str):
+    """A job that records (tag, whether it ran on the main thread)."""
+    return lambda: seen.append((tag, threading.current_thread() is threading.main_thread()))
+
+
+def test_a_pair_runs_the_first_job_on_the_helper_and_the_second_on_the_caller():
+    seen = []
+    _pair(_where(seen, "first"), _where(seen, "second"))
+    assert sorted(seen) == [("first", False), ("second", True)]
+
+
+@pytest.mark.parametrize("raiser", ["first", "second"])
+def test_an_error_in_either_job_of_a_pair_reaches_the_caller(raiser):
+    ran = []
+
+    def job(tag):
+        def run():
+            ran.append(tag)
+            if tag == raiser:
+                raise ValueError(tag)
+        return run
+
+    with pytest.raises(ValueError, match=raiser):
+        _pair(job("first"), job("second"))
+    assert sorted(ran) == ["first", "second"]   # both ran to their end
+    # the helper is free again: the next pair runs side by side
+    seen = []
+    _pair(_where(seen, "first"), _where(seen, "second"))
+    assert sorted(seen) == [("first", False), ("second", True)]
+
+
+@pytest.mark.parametrize("job", ["first", "second"])
+def test_both_jobs_of_a_pair_run_under_the_caller_s_errstate(job):
+    huge = np.full(64, 1e308)
+
+    def overflow():
+        np.multiply(huge, 10.0)
+
+    jobs = (overflow, lambda: None) if job == "first" else (lambda: None, overflow)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _pair(*jobs)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+def test_an_interrupted_pair_drops_its_helper(monkeypatch):
+    # Ctrl-C while the caller waits: the old helper finishes its job later,
+    # and its late "done" must not end the next pair's wait
+    monkeypatch.setattr(grid_module, "_helper", None)
+    main, done = threading.main_thread().ident, []
+
+    def slow(interrupt):
+        def run():
+            time.sleep(0.1)   # the caller is waiting by now
+            if interrupt:
+                signal.pthread_kill(main, signal.SIGINT)
+                time.sleep(0.1)
+            done.append(interrupt)
+        return run
+
+    with pytest.raises(KeyboardInterrupt):
+        _pair(slow(True), lambda: None)
+    assert grid_module._helper is None
+    _pair(slow(False), lambda: None)
+    assert done.count(False) == 1
+
+
+@pytest.mark.parametrize("inner", ["pair", "split"])
+def test_a_request_inside_a_pair_runs_serially_on_its_own_thread(monkeypatch, inner):
+    # the helper is busy: a nested pair, or a stage that would split, runs
+    # on the thread that asks for it, and no second helper thread starts
+    monkeypatch.setattr(grid_module, "_helper", None)
+    _on_cpus(monkeypatch, 2)
+    before = _helper_threads()
+    x = {tag: _random_samples(disc_domain(256), 12) for tag in ("first", "second")}
+    expected = {tag: np.fft.fft(v, axis=1) for tag, v in x.items()}
+    seen = []
+
+    def nested(tag):
+        def run():
+            if inner == "pair":
+                _pair(_where(seen, tag + ".1"), _where(seen, tag + ".2"))
+            else:
+                _fft_lines(np.fft.fft, x[tag], 1)
+                _where(seen, tag)()
+        return run
+
+    _pair(nested("first"), nested("second"))
+    assert len(_helper_threads() - before) == 1
+    on_main = [main for tag, main in sorted(seen)]
+    if inner == "pair":
+        assert on_main == [False, False, True, True]
+    else:
+        assert on_main == [False, True]
+        assert all(same_bits(x[tag], expected[tag]) for tag in x)
+
+
+FORK_PAIR_PROBE = """
+import os
+import threading
+from beltrami import grid
+seen = []
+grid._pair(lambda: seen.append(threading.current_thread().name), lambda: None)
+pid = os.fork()
+if pid == 0:
+    again = []
+    grid._pair(lambda: again.append(threading.current_thread().name), lambda: None)
+    os._exit(0 if again == seen == ["beltrami-fft"] else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_pairs_on_a_helper_of_its_own():
+    proc = subprocess.run([sys.executable, "-c", FORK_PAIR_PROBE], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]

@@ -73,7 +73,9 @@ resident set size (``ru_maxrss``, in MB of 2^20 bytes, as perfbench reports
 ``peak_rss_mb``), the last two from ``os.wait4`` on that process, are each
 kept as best and spread like the timing rows.  They do not depend on N and
 run once, also when ``--sizes`` is given no value, which runs only these
-rows.
+rows.  With ``--baseline``, "cli_peak_rss_changed" marks each row whose two
+spreads lie apart by more than RSS_FLOOR_MB: the peak RSS of a command that
+neither tree changes has read 0.4 MB apart between two checkouts.
 
 Each is taken once per tree and N, in a child process of its own, apart
 from the timing rounds.  The inputs are built before tracing starts, but no
@@ -118,6 +120,17 @@ CLI_CONFIGS = {"solve-beltrami": "solve_beltrami.json", "solve-dbar": "solve_dba
 CLI_ROWS = ("cli.interpreter", "cli.import", *(f"cli.{c}" for c in CLI_CONFIGS))
 # variables that change what a CLI process spends before it solves
 START_ENV = ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
+# MB by which two trees' CLI peak RSS spreads must lie apart to count as a
+# change: cli.oracle-compare read 32.12-32.18 against 32.56-32.63 MB on code
+# that neither tree changed
+RSS_FLOOR_MB = 0.5
+
+
+def _rss_changed(baseline: list, change: list) -> bool:
+    """Whether two [min, max] peak RSS spreads lie apart by more than
+    RSS_FLOOR_MB, either way."""
+    return (change[0] - baseline[1] > RSS_FLOOR_MB
+            or baseline[0] - change[1] > RSS_FLOOR_MB)
 
 
 def _best(fn, repeat: int) -> tuple:
@@ -389,12 +402,20 @@ def main(argv=None) -> int:
                        "rounds, with the [min, max] of the rounds' bests in "
                        "'spread', in seconds per call; 'cli_peak_rss_mb' is the "
                        "child's ru_maxrss (os.wait4) in MB of 2^20 bytes, as "
-                       "perfbench's peak_rss_mb, with best and spread alike"),
+                       "perfbench's peak_rss_mb, with best and spread alike; "
+                       f"'cli_peak_rss_changed' marks the rows whose two trees' "
+                       f"rss spreads lie apart by more than a noise floor of "
+                       f"{RSS_FLOOR_MB} MB"),
         "cli_seconds": cli_per_row(min),
         "cli_spread": cli_per_row(lambda times: [min(times), max(times)]),
         "cli_peak_rss_mb": rss_per_row(min),
         "cli_peak_rss_spread": rss_per_row(lambda mb: [min(mb), max(mb)]),
     }
+    if args.baseline is not None:
+        spread = report["cli_peak_rss_spread"]
+        report["cli_peak_rss_changed"] = {
+            row: _rss_changed(spread["baseline"][row], spread["change"][row])
+            for row in CLI_ROWS}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
         args.out.write_text(text + "\n")
