@@ -32,7 +32,6 @@ from .grid import (
     _integer,
     _real,
     _same_domain,
-    rebase,
 )
 from .solver import SolverConfig
 
@@ -204,9 +203,11 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
     budgets = [_step_budget(n, cfg.tol) for n in range(1, len(radii) + 1)]
 
     def solve_on(r: float) -> DbarResult:
+        # mu.raw and u were checked when they were built, and the disc
+        # domain has their grid: each disc takes them without a new check
         domain = _disc_domain(base, r)
-        mu_n = BeltramiField.from_raw(rebase(mu.raw, domain))
-        u_n = ComplexField(domain, _geometry(domain).cutoff * u.samples)
+        mu_n = BeltramiField.from_raw(ComplexField._of(domain, mu.raw.samples))
+        u_n = ComplexField._of(domain, _geometry(domain).cutoff * u.samples)
         return solve_dbar(mu_n, u_n, cfg)
 
     def corrected(n: int, result: DbarResult, current: np.ndarray) -> tuple:

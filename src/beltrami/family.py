@@ -39,16 +39,21 @@ from .grid import (
     BeltramiField,
     ComplexField,
     _Blockwise,
+    _box_blocks,
+    _box_sup,
     _fd_beltrami_defect,
     _FourierApply,
     _full_box,
     _geometry,
+    _hull,
     _integer,
     _interior,
+    _OnBox,
+    _overlap,
     _pair,
     _real,
-    _row_blocks,
     _same_domain,
+    _shift,
     _splits,
     _support_box,
     omega_mask,
@@ -98,7 +103,8 @@ def _check_frame_regular(form: OneFormField, mu: BeltramiField, g: ComplexField)
     gmin = float(np.min(np.abs(g.samples)))
     if gmin <= FRAME_DEGENERACY_TOL:
         raise DegenerateFrame(f"|g| vanishes on the grid (min {gmin:.3e})")
-    dmin = float(np.min(1.0 - np.abs(mu.extended.samples) ** 2))
+    # 1 - |mu|^2 is 1 off the box of mu_ext, and at most 1 on it
+    dmin = float(np.min(1.0 - np.abs(mu._ext.samples) ** 2, initial=1.0))
     if dmin <= FRAME_DEGENERACY_TOL:
         raise DegenerateFrame(f"1 - |mu|^2 vanishes on the grid (min {dmin:.3e})")
 
@@ -109,7 +115,7 @@ def convert_to_moving(form: OneFormField, mu: BeltramiField,
     if form.frame != "background":
         raise ValidationError("convert_to_moving expects a background-frame form")
     _check_frame_regular(form, mu, g)
-    m = mu.extended.samples
+    m = mu._ext.whole()
     gs = g.samples
     denom = (1.0 - np.abs(m) ** 2)
     a, b = form.coeff_10.samples, form.coeff_01.samples
@@ -126,7 +132,7 @@ def convert_to_background(form: OneFormField, mu: BeltramiField,
     if form.frame != "moving":
         raise ValidationError("convert_to_background expects a moving-frame form")
     _check_frame_regular(form, mu, g)
-    m = mu.extended.samples
+    m = mu._ext.whole()
     gs = g.samples
     a_mu, b_mu = form.coeff_10.samples, form.coeff_01.samples
     a = a_mu * gs + b_mu * np.conj(m * gs)
@@ -223,27 +229,9 @@ class DbarResult:
 
 # The d-bar finish, shared by solve_dbar, solve_dbar_form and the linear
 # series: ``_dbar_data`` forms the rhs from g, ``_dbar_finish`` the result
-# from the fixed point.  They read mu_ext as an array or a ``_Blockwise``
-# reader of b mu_0, and form every whole-grid expression in row blocks.
-
-def _overlap(rows: slice, other: slice) -> slice:
-    """The rows that ``rows`` and ``other`` share, an empty slice if none."""
-    lo = max(rows.start, other.start)
-    return slice(lo, max(lo, min(rows.stop, other.stop)))
-
-
-def _shift(rows: slice, origin: int) -> slice:
-    """``rows`` as offsets from ``origin``."""
-    return slice(rows.start - origin, rows.stop - origin)
-
-
-def _box_blocks(box: tuple):
-    """(key, at) for the row blocks of ``box``, top to bottom: ``key`` is a
-    block of the grid, ``at`` the same rows of an array of the box's shape."""
-    rows, cols = box
-    for block in _row_blocks(rows, cols.stop - cols.start):
-        yield (block, cols), _shift(block, rows.start)
-
+# from the fixed point.  They read mu_ext through its ``_OnBox``, or a
+# ``_Blockwise`` reader of b mu_0, and form every whole-grid expression in
+# row blocks.
 
 def _dbar_data(m, g: np.ndarray, u: ComplexField, box: tuple,
                rhs: np.ndarray) -> tuple:
@@ -264,13 +252,6 @@ def _dbar_data(m, g: np.ndarray, u: ComplexField, box: tuple,
         denom.append(frame(key)[inner[at]])
         gmin.append(np.min(np.abs(g[key][inner[at]]), initial=np.inf))
     return np.concatenate(denom), float(np.min(gmin))
-
-
-def _box_sup(box: tuple, step) -> float:
-    """The max of |step(key, at)| over ``_box_blocks(box)``.  0 on an empty
-    box; a NaN comes through."""
-    return float(np.max([np.max(np.abs(step(key, at)), initial=0.0)
-                         for key, at in _box_blocks(box)], initial=0.0))
 
 
 def _dbar_finish(m, u: ComplexField, denom: np.ndarray, rhs_on_box: tuple,
@@ -314,20 +295,19 @@ def _immersion_g(beurling: _FourierApply) -> np.ndarray:
 def _dbar_tail(mu: BeltramiField, datum: tuple, cfg: SolverConfig) -> DbarResult:
     """solve_dbar for datum = (u, the samples of g = dh/dz), passed as the
     only reference to g, so that g is freed before the Neumann solve.  The
-    rhs is formed on the support box of u, in a zeroed grid for the loop;
-    the result keeps a copy of that box."""
+    rhs is formed on the support box of u and handed to the loop there, +0
+    off it; the result keeps that array."""
     u, g = datum
-    m, support = mu.extended.samples, _support_box(u.samples)
-    whole = np.zeros(u.samples.shape, dtype=np.complex128)
-    denom, gmin = _dbar_data(m, g, u, support, whole[support])
+    m, support = mu._ext, _support_box(u.samples)
+    rows, cols = support
+    rhs = np.empty((rows.stop - rows.start, cols.stop - cols.start), dtype=np.complex128)
+    denom, gmin = _dbar_data(m, g, u, support, rhs)
     del datum, g   # before the d-bar solve
     check_nondegenerate(gmin)
-    psi, trace, beurling = _neumann(mu, whole, cfg)
+    psi, trace, beurling = _neumann(mu, _OnBox(u.samples.shape, support, rhs), cfg)
     box = beurling.box
     del beurling   # before the Cauchy transform
-    rhs_on_box = (support, whole[support].copy())
-    del whole
-    return _dbar_finish(m, u, denom, rhs_on_box, psi, box, trace[-1], tuple(trace))
+    return _dbar_finish(m, u, denom, (support, rhs), psi, box, trace[-1], tuple(trace))
 
 
 def solve_dbar(mu: BeltramiField, u: ComplexField,
@@ -345,8 +325,7 @@ def solve_dbar(mu: BeltramiField, u: ComplexField,
     """
     _same_domain("mu and u", mu, u)
     _interior(mu.domain)
-    return _dbar_tail(mu, (u, _immersion_g(_neumann(mu, mu.extended.samples, cfg)[-1])),
-                      cfg)
+    return _dbar_tail(mu, (u, _immersion_g(_neumann(mu, mu._ext, cfg)[-1])), cfg)
 
 
 # relative size above which a would-be (0,1) datum's moving (1,0) part is
@@ -374,8 +353,7 @@ def _moving_datum(mu: BeltramiField, form: OneFormField, cfg: SolverConfig) -> t
     coefficient and the samples of g = dh/dz of mu's immersion."""
     g = solve_immersion(mu, cfg).g   # phi goes with the immersion
     moving = convert_to_moving(form, mu, g) if form.frame == "background" else form
-    if moving.mu is not mu and not np.array_equal(moving.mu.extended.samples,
-                                                  mu.extended.samples):
+    if moving.mu is not mu and not moving.mu._ext.equals(mu._ext):
         raise ValidationError("form is framed by a different coefficient")
     u = moving.coeff_01
     scale = float(np.max(np.abs(u.samples)))
@@ -530,7 +508,7 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     ``second``, which the entry keeps; with one, S(psi_b) follows once g_b
     is read, and f gets a fresh array.
     """
-    m = _Blockwise(point.b, family.base_mu.extended.samples)
+    m = _Blockwise(point.b, family.base_mu._ext)
     box, paired = beurling.box, second is not beurling
     phi, psi = point.phi, point.psi
 
@@ -590,7 +568,7 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
     drops it frees it while the series runs on.
     """
     domain = family.base_mu.domain
-    m0 = family.base_mu.extended.samples
+    m0 = family.base_mu._ext
     sup0 = family.base_mu.sup_norm
     points = []                     # (index, b) of each point the gate passes
     for i, b in enumerate(family.parameter_grid):
@@ -600,8 +578,8 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         else:
             points.append((i, b))
 
-    box = _support_box(m0, u.samples)
     support = _support_box(u.samples)   # the rhs's: within box
+    box = _hull(m0.box, support)
     beurling = _FourierApply.beurling(domain, box)
     # S(c) gets an apply of its own, on an unpadded buffer, where the box
     # stage is large enough for two cores: the two applies of a term then

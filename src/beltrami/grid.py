@@ -19,6 +19,7 @@ for the residual checks.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import numbers
@@ -239,13 +240,99 @@ class _TaperedConjugate:
 class _Blockwise:
     """scalar * base, read block by block: ``x[rows, cols]`` (slices) forms
     that block only, bitwise the same block of the whole-grid product.  The
-    scalar stays the first operand, as in ``b * mu``."""
+    scalar stays the first operand, as in ``b * mu``.  base is an array or
+    an ``_OnBox``."""
 
-    def __init__(self, scalar, base: np.ndarray):
+    def __init__(self, scalar, base):
         self._scalar, self._base = scalar, base
 
     def __getitem__(self, box: tuple) -> np.ndarray:
         return np.multiply(self._scalar, self._base[box])
+
+
+def _positions(key: slice, span: slice, n: int) -> tuple:
+    """How the indices ``range(*key.indices(n))`` (a positive step) of a
+    block meet ``span``: the positions of the block that lie in span, the
+    same indices as a slice of an array whose first index is span.start, and
+    the block's length."""
+    idx = range(*key.indices(n))
+    lo = min(len(idx), max(0, -((idx.start - span.start) // idx.step)))
+    hi = max(lo, min(len(idx), -((idx.start - span.stop) // idx.step)))
+    first = idx.start + lo * idx.step - span.start
+    return slice(lo, hi), slice(first, first + (hi - lo) * idx.step, idx.step), len(idx)
+
+
+class _OnBox:
+    """A field of an n x n grid held as its samples on the support box of
+    its nonzero samples: the one reader of mu_ext and of a Neumann rhs.
+
+    Built from ``samples`` on a box (``origin``, of which only the starts
+    count), it keeps the read-only view of them on their support box
+    (``box``; (0:0, 0:0) when every sample is zero).  ``x[rows, cols]``
+    (slices, positive steps allowed) reads any block of the whole field,
+    bitwise: a view of ``samples`` when the block lies in the box, else a
+    fresh array that ``outside(rows, cols)`` forms (the field's values on
+    that block, which must be a fresh array; None: +0 everywhere off the
+    box), with the box samples written in.  Off the box every value is a
+    zero, but its sign is the field's: mu_ext = cutoff * raw there holds
+    the signed zeros of the product.
+    """
+
+    def __init__(self, shape: tuple, origin: tuple, samples: np.ndarray,
+                 outside=None):
+        rows, cols = _support_box(samples)
+        self.shape, self._outside = shape, outside
+        self.box = ((_shift(rows, -origin[0].start), _shift(cols, -origin[1].start))
+                    if rows.stop > rows.start else (slice(0, 0), slice(0, 0)))
+        self.samples = samples[rows, cols]
+        self.samples.setflags(write=False)
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "_OnBox":
+        """The reader of whole-grid samples, which it shares."""
+        return cls(samples.shape, _full_box(samples), samples,
+                   lambda rows, cols: samples[rows, cols].copy())
+
+    def __getitem__(self, key: tuple) -> np.ndarray:
+        n = self.shape[0]
+        (_, r, nr), (_, c, nc) = (_positions(k, b, n) for k, b in zip(key, self.box))
+        inside = self.samples[r, c]
+        return inside if inside.shape == (nr, nc) else self._formed(*key)
+
+    def _formed(self, rows: slice, cols: slice) -> np.ndarray:
+        """The block at (rows, cols), a fresh array."""
+        n = self.shape[0]
+        rows, cols = slice(*rows.indices(n)), slice(*cols.indices(n))
+        (ra, r, nr), (ca, c, nc) = (_positions(k, b, n)
+                                    for k, b in zip((rows, cols), self.box))
+        block = (np.zeros((nr, nc), dtype=np.complex128) if self._outside is None
+                 else self._outside(rows, cols))
+        block[ra, ca] = self.samples[r, c]
+        return block
+
+    def whole(self) -> np.ndarray:
+        """The whole field, a fresh array."""
+        return self._formed(*_full_box(self))
+
+    def even(self) -> "_OnBox":
+        """The samples at even indices: a field of the n/2 grid, whose box
+        is read from this one's samples."""
+        rows, cols = self.box
+        origin = (slice(-(-rows.start // 2), None), slice(-(-cols.start // 2), None))
+
+        def outside(r: slice, c: slice) -> np.ndarray:
+            return self._formed(slice(2 * r.start, 2 * r.stop, 2 * r.step),
+                                slice(2 * c.start, 2 * c.stop, 2 * c.step))
+
+        half = (self.shape[0] // 2, self.shape[1] // 2)
+        return _OnBox(half, origin,
+                      self.samples[rows.start % 2::2, cols.start % 2::2], outside)
+
+    def equals(self, other: "_OnBox") -> bool:
+        """Whether the two whole fields are equal (as numpy compares, so
+        -0 equals +0): tight boxes make it a comparison of boxes and box
+        samples."""
+        return self.box == other.box and np.array_equal(self.samples, other.samples)
 
 
 class _Geometry:
@@ -269,6 +356,8 @@ class _Geometry:
         self.cutoff = 1.0 - transition_profile(np.maximum(dist, 0.0) / domain.margin)
         # the only region where the residuals read the FD defect
         self.interior_box = _support_box(self.interior_mask)
+        # where a cutoff extension cutoff * raw can be nonzero
+        self.cutoff_box = _support_box(self.cutoff)
         for arr in (self.axis, self.cutoff, self.omega_mask, self.interior_mask):
             arr.setflags(write=False)
         # the mean-mode profile of P, formed a row block at a time by the apply
@@ -371,6 +460,17 @@ class ComplexField:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "samples", samples)
 
+    @classmethod
+    def _of(cls, domain: DomainSpec, samples: np.ndarray) -> "ComplexField":
+        """The field of N x N complex samples that the library formed from
+        checked fields, finite by construction: held without a copy or a
+        finiteness scan, and made read-only."""
+        samples.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "domain", domain)
+        object.__setattr__(field, "samples", samples)
+        return field
+
     def __setattr__(self, name, value):
         raise AttributeError("ComplexField is immutable")
 
@@ -426,22 +526,30 @@ class BeltramiField:
     """A Beltrami coefficient mu with |mu| < 1 and its cutoff extension.
 
     ``raw`` holds the coefficient as given (meaningful on the closure of
-    Omega); ``extended`` is cutoff * raw, which agrees with raw on Omega,
+    Omega).  Its extension mu_ext = cutoff * raw agrees with raw on Omega,
     vanishes outside the margin collar, and is the field every transform and
-    solver actually consumes.
+    solver actually consumes.  mu_ext is held on its box only: its samples
+    on the support box of their nonzero values, read through one
+    ``_OnBox``, whose reads off the box form cutoff * raw there (signed
+    zeros included).  ``extended`` forms the whole field on each access,
+    bitwise cutoff * raw; a caller that drops it frees it.
     """
 
-    __slots__ = ("raw", "extended", "sup_norm")
+    __slots__ = ("raw", "sup_norm", "_ext")
 
     def __init__(self, raw: ComplexField, extended: ComplexField):
         _same_domain("raw and extended fields", raw, extended)
-        s = float(np.max(np.abs(extended.samples)))
+        self._hold(raw, _OnBox.of(extended.samples))
+
+    def _hold(self, raw: ComplexField, ext: _OnBox) -> None:
+        """Keep raw and the reader of mu_ext, once sup|mu_ext| < 1."""
+        s = float(np.max(np.abs(ext.samples), initial=0.0))
         if s >= 1.0:
             raise ValidationError(
                 f"extended Beltrami coefficient has sup-norm {s:.6g} >= 1"
             )
         object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "extended", extended)
+        object.__setattr__(self, "_ext", ext)
         object.__setattr__(self, "sup_norm", s)
 
     def __setattr__(self, name, value):
@@ -449,18 +557,41 @@ class BeltramiField:
 
     @classmethod
     def from_raw(cls, raw: ComplexField) -> "BeltramiField":
-        extended = ComplexField(raw.domain, cutoff_field(raw.domain) * raw.samples)
-        return cls(raw, extended)
+        """The coefficient raw, extended by the cutoff: the product is formed
+        on the cutoff's support box only (the cutoff is +0 off it)."""
+        geo, x = _geometry(raw.domain), raw.samples
+
+        def outside(rows: slice, cols: slice) -> np.ndarray:
+            return np.multiply(geo.cutoff[rows, cols], x[rows, cols])
+
+        box = geo.cutoff_box
+        ext = _OnBox(x.shape, box, outside(*box), outside)
+        if ext.box != box:   # a narrower support: keep only its samples
+            ext = _OnBox(x.shape, ext.box, ext.samples.copy(), outside)
+        mu = object.__new__(cls)
+        mu._hold(raw, ext)
+        return mu
 
     def scaled(self, factor: float) -> "BeltramiField":
-        """The coefficient factor * mu (cutoff extension is linear in raw)."""
+        """The coefficient factor * mu (cutoff extension is linear in raw):
+        its mu_ext is factor * mu_ext, as the product reads it."""
         factor = _real(factor, "scaling factor")
         if not 0.0 <= factor <= 1.0:
             raise ValidationError("scaling factor must lie in [0, 1]")
-        return BeltramiField(
-            ComplexField(self.raw.domain, factor * self.raw.samples),
-            ComplexField(self.extended.domain, factor * self.extended.samples),
-        )
+        ext = self._ext
+
+        def outside(rows: slice, cols: slice) -> np.ndarray:
+            return np.multiply(factor, ext[rows, cols])
+
+        mu = object.__new__(BeltramiField)
+        mu._hold(ComplexField(self.raw.domain, factor * self.raw.samples),
+                 _OnBox(ext.shape, ext.box, np.multiply(factor, ext.samples), outside))
+        return mu
+
+    @property
+    def extended(self) -> ComplexField:
+        """The whole mu_ext, formed on each access."""
+        return ComplexField(self.raw.domain, self._ext.whole())
 
     @property
     def domain(self) -> DomainSpec:
@@ -537,9 +668,10 @@ class _FormedMultiplier:
         """out = m * out, the multiplier the first operand, in the
         ``_row_blocks`` of out."""
         cols = slice(0, out.shape[1])
-        for rows in _row_blocks(slice(0, out.shape[0]), out.shape[1]):
-            block = out[rows]
-            np.multiply(self[rows, cols], block, out=block)
+        with _unbuffered():
+            for rows in _row_blocks(slice(0, out.shape[0]), out.shape[1]):
+                block = out[rows]
+                np.multiply(self[rows, cols], block, out=block)
 
 
 class _HalfBeurling:
@@ -583,19 +715,31 @@ class _HalfBeurling:
         n = self.shape[0]
         h = n // 2
         top, low = out[:h + 1], out[h + 1:]
-        np.multiply(self.upper, top, out=top)
         mirror = self.upper[h - 1:0:-1]      # row r = N - R for each low row R
-        for cols, reflected in ((slice(1, h), slice(n - 1, h, -1)),
-                                (slice(h + 1, n), slice(h - 1, 0, -1))):
-            block = low[:, cols]
-            np.multiply(mirror[:, reflected], block, out=block)
-        np.multiply(np.conj(mirror[:, 0]), low[:, 0], out=low[:, 0])
-        np.multiply(self.nyquist[h + 1:], low[:, h], out=low[:, h])
+        with _unbuffered():
+            np.multiply(self.upper, top, out=top)
+            for cols, reflected in ((slice(1, h), slice(n - 1, h, -1)),
+                                    (slice(h + 1, n), slice(h - 1, 0, -1))):
+                block = low[:, cols]
+                np.multiply(mirror[:, reflected], block, out=block)
+            np.multiply(np.conj(mirror[:, 0]), low[:, 0], out=low[:, 0])
+            np.multiply(self.nyquist[h + 1:], low[:, h], out=low[:, h])
 
 
-def _full_box(a: np.ndarray) -> tuple:
-    """The (rows, cols) slices covering all of ``a``."""
+def _full_box(a) -> tuple:
+    """The (rows, cols) slices covering all of ``a`` (anything with a
+    ``shape``)."""
     return slice(0, a.shape[0]), slice(0, a.shape[1])
+
+
+def _hull(*boxes: tuple) -> tuple:
+    """The smallest box holding every nonempty one of ``boxes``: the support
+    box of fields whose support boxes they are; (0:0, 0:0) if all are empty."""
+    boxes = [box for box in boxes if box[0].stop > box[0].start]
+    if not boxes:
+        return slice(0, 0), slice(0, 0)
+    return tuple(slice(min(box[a].start for box in boxes), max(box[a].stop for box in boxes))
+                 for a in (0, 1))
 
 
 def _support_box(*samples: np.ndarray) -> tuple:
@@ -631,6 +775,50 @@ def _row_blocks(rows: slice, width: int):
     step = max(1, _MEAN_BLOCK_BYTES // (16 * max(1, width)))
     for lo in range(rows.start, rows.stop, step):
         yield slice(lo, min(lo + step, rows.stop))
+
+
+def _overlap(rows: slice, other: slice) -> slice:
+    """The rows that ``rows`` and ``other`` share, an empty slice if none."""
+    lo = max(rows.start, other.start)
+    return slice(lo, max(lo, min(rows.stop, other.stop)))
+
+
+def _shift(rows: slice, origin: int) -> slice:
+    """``rows`` as offsets from ``origin``."""
+    return slice(rows.start - origin, rows.stop - origin)
+
+
+def _box_blocks(box: tuple):
+    """(key, at) for the row blocks of ``box``, top to bottom: ``key`` is a
+    block of the grid, ``at`` the same rows of an array of the box's shape."""
+    rows, cols = box
+    for block in _row_blocks(rows, cols.stop - cols.start):
+        yield (block, cols), _shift(block, rows.start)
+
+
+def _box_sup(box: tuple, step) -> float:
+    """The max of |step(key, at)| over ``_box_blocks(box)``.  0 on an empty
+    box; a NaN comes through."""
+    return float(np.max([np.max(np.abs(step(key, at)), initial=0.0)
+                         for key, at in _box_blocks(box)], initial=0.0))
+
+
+@contextlib.contextmanager
+def _unbuffered():
+    """numpy's ufunc buffer at its smallest, 16 samples, for the
+    elementwise products of an apply.  Their operands are row-padded or
+    reversed views, which numpy's default buffer (8,192 samples) copies
+    through three 128 KiB buffers per call; at 16 it runs the loop on the
+    views row by row, faster and without the copies.  A buffer only copies
+    samples, so every result is bitwise the same.  Only for products of
+    complex arrays: a cast would go through the small buffer, and a sum's
+    pairwise order follows the buffer size.  numpy keeps the size in a
+    context variable, so other threads are not affected."""
+    size = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 # Complex samples of padding after each row of a padded apply buffer.  An
@@ -867,7 +1055,8 @@ class _FourierApply:
         """The result on the box, from the spectrum ``forward`` left in out."""
         out, (rows, cols) = self.out, self.box
         if isinstance(self.multiplier, np.ndarray):
-            np.multiply(self.multiplier, out, out=out)
+            with _unbuffered():
+                np.multiply(self.multiplier, out, out=out)
         else:
             self.multiplier.multiply(out)
         _fft_lines(np.fft.ifft, out, 1)
@@ -899,8 +1088,9 @@ class _FourierApply:
         profile = self.mean_profile
         if profile is None:
             return
-        for lo, block in self._blocks(rows, cols):
-            np.add(block, self.mean * profile[lo:lo + block.shape[0], cols], out=block)
+        with _unbuffered():
+            for lo, block in self._blocks(rows, cols):
+                np.add(block, self.mean * profile[lo:lo + block.shape[0], cols], out=block)
 
     def resolved_at_half(self, bound: float) -> bool:
         """Whether every mode of the spectrum in out outside the band of the
@@ -944,10 +1134,10 @@ class _FourierApply:
         return out[self.box]
 
 
-def _on_grid(base: np.ndarray, box: tuple, x: np.ndarray) -> np.ndarray:
-    """A copy of the whole-grid ``base`` with the box samples x written in:
-    off the box it keeps base's values, signed zeros included."""
-    whole = base.copy()
+def _on_grid(base: _OnBox, box: tuple, x: np.ndarray) -> np.ndarray:
+    """The whole field ``base`` with the box samples x written in, a fresh
+    array: off the box it holds base's values, signed zeros included."""
+    whole = base.whole()
     whole[box] = x
     return whole
 
@@ -1013,8 +1203,8 @@ def fd_wirtinger_dbar(f: ComplexField) -> ComplexField:
 def _fd_beltrami_defect(f: ComplexField, m) -> np.ndarray:
     """f_zbar - mu f_z at the interior points, in ``interior_mask`` order,
     from one pair of 4th-order x/y stencils on the interior box.  ``m``
-    holds the samples of mu_ext: an array, or a ``_Blockwise`` reader, read
-    on the interior box only; callers check that f and mu share a
+    reads the samples of mu_ext: an array, an ``_OnBox`` or a ``_Blockwise``
+    reader, read on the interior box only; callers check that f and mu share a
     DomainSpec.  ValidationError if the interior is empty (``_interior``).
 
     mu is the second operand of the product at every N, the order in which

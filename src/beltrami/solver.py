@@ -56,14 +56,18 @@ from .grid import (
     BeltramiField,
     ComplexField,
     DomainSpec,
+    _box_sup,
     _fd_beltrami_defect,
     _FourierApply,
+    _full_box,
+    _hull,
     _integer,
     _interior,
     _on_grid,
+    _OnBox,
     _real,
     _same_domain,
-    _support_box,
+    _unbuffered,
     make_coordinate_field,
 )
 from .transforms import _coarse_tables, cauchy_transform
@@ -151,33 +155,36 @@ def neumann_solve(mu: BeltramiField, rhs: ComplexField,
         partial iterate and the residual trace.
     """
     _same_domain("mu and rhs", mu, rhs)
-    phi, trace, beurling = _neumann(mu, rhs.samples, cfg)
-    phi = ComplexField(rhs.domain, _on_grid(rhs.samples, beurling.box, phi))
+    r = _OnBox.of(rhs.samples)
+    phi, trace, beurling = _neumann(mu, r, cfg)
+    phi = ComplexField(rhs.domain, _on_grid(r, beurling.box, phi))
     return NeumannResult(phi, len(trace), trace[-1], tuple(trace))
 
 
-def _neumann(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig) -> tuple:
-    """The fixed point of neumann_solve for the rhs samples r, on the
-    support box, its residual trace, and the apply that holds S(phi).
+def _neumann(mu: BeltramiField, r: _OnBox, cfg: SolverConfig) -> tuple:
+    """The fixed point of neumann_solve for the rhs r, held on its support
+    box, on the loop box; its residual trace; and the apply that holds
+    S(phi).
 
-    mu_ext and r vanish off the box of their nonzero samples (the apply's
+    mu_ext and r vanish off the hull of their support boxes (the apply's
     ``box``), so every iterate equals r there: the loop holds box arrays
-    only, and a caller that needs the whole-grid phi builds it from a copy
-    of r (as NoConvergence carries it).  The apply's ``finish`` gives the
-    whole S(phi).  The loop starts from r, or from ``_warm_start``'s guess
-    on the box.
+    only, and a caller that needs the whole-grid phi builds it from r (as
+    NoConvergence carries it).  The apply's ``finish`` gives the whole
+    S(phi).  The loop starts from r, or from ``_warm_start``'s guess on the
+    box.
     """
     if mu.sup_norm >= cfg.contraction_cap:
         raise ContractionTooLarge(mu.sup_norm, cfg.contraction_cap)
-    m = mu.extended.samples
-    box = _support_box(m, r)
+    m = mu._ext
+    box = _hull(m.box, r.box)
     beurling = _FourierApply.beurling(mu.domain, box)
-    phi = r[box].copy()
+    r_box = r[box]
+    phi = r_box.copy()
     beurling.forward(phi)  # fft2(rhs): the first apply's, and the gate's
     if _warm_start(mu, r, cfg, beurling, phi):
         beurling.forward(phi)
     try:
-        return (*_iterate(m[box], r[box], phi, beurling, cfg), beurling)
+        return (*_iterate(m[box], r_box, phi, beurling, cfg), beurling)
     except NoConvergence as exc:
         exc.phi = _on_grid(r, box, exc.phi)
         raise
@@ -190,17 +197,17 @@ def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
     first iterate that meets cfg.tol and the residual trace, or raises
     NoConvergence with the last box iterate, at once when a residual is not
     finite (data that overflow the FFTs).  The iterates overwrite phi and
-    one more box buffer."""
+    one more box buffer; the residual is taken in row blocks."""
     # phi and nxt ping-pong between two buffers owned by the solve
     nxt = np.empty_like(r)
-    step = np.empty_like(r)
-    magnitude = np.empty(r.shape)
+    whole = _full_box(nxt)
     trace = []
     for _ in range(cfg.max_iter):
         s = beurling.inverse()
-        np.add(r, np.multiply(m, s, out=nxt), out=nxt)
-        np.subtract(nxt, phi, out=step)  # exact residual of phi
-        residual = float(np.max(np.abs(step, out=magnitude), initial=0.0))
+        with _unbuffered():
+            np.add(r, np.multiply(m, s, out=nxt), out=nxt)
+        # the exact residual of phi
+        residual = _box_sup(whole, lambda key, at: np.subtract(nxt[key], phi[key]))
         trace.append(residual)
         if residual <= cfg.tol:
             return phi, trace
@@ -215,7 +222,7 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
                 beurling: _FourierApply, phi: np.ndarray) -> bool:
     """Write the N/2-grid solution, prolonged, into the box iterate phi.
 
-    Runs when mu_ext is nonzero and both the rhs samples r and mu_ext are
+    Runs when mu_ext is nonzero and both the rhs r and mu_ext are
     resolved on the N/2 grid: every mode of their spectra outside the N/2
     band has amplitude |x^(k)| / N^2 <= cfg.tol.  ``beurling`` holds
     fft2(rhs) on entry, so the rhs test costs one scan of it; mu_ext is
@@ -238,19 +245,20 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
         return False
     if not beurling.resolved_at_half(cfg.tol):
         return False
-    m = mu.extended.samples
+    m = mu._ext
     if m is not r:
         beurling.forward(m[beurling.box])
         if not beurling.resolved_at_half(cfg.tol):
             beurling.forward(phi)   # fft2(rhs) again, for the cold loop
             return False
-    cm, cr = m[::2, ::2], r[::2, ::2]
-    box = _support_box(cm, cr)
+    cm, cr = m.even(), r.even()
+    box = _hull(cm.box, cr.box)
     apply = _FourierApply(*_coarse_tables(d), box)
-    guess = cr[box].copy()
+    cr_box = cr[box]
+    guess = cr_box.copy()
     apply.forward(guess)
     try:
-        guess = _iterate(cm[box], cr[box], guess, apply, cfg)[0]
+        guess = _iterate(cm[box], cr_box, guess, apply, cfg)[0]
     except NoConvergence:
         if m is not r:
             beurling.forward(phi)   # fft2(rhs) again, for the cold loop
@@ -270,9 +278,11 @@ def solve_immersion(mu: BeltramiField,
     interior Omega, where min |g| is read.
     """
     _interior(mu.domain)
-    phi, trace, beurling = _neumann(mu, mu.extended.samples, cfg)
-    phi = ComplexField(mu.domain, _on_grid(mu.extended.samples, beurling.box, phi))
+    phi, trace, beurling = _neumann(mu, mu._ext, cfg)
     g = ComplexField(mu.domain, beurling.finish() + 1.0)
+    box = beurling.box
+    del beurling   # its buffer, before the whole phi is formed
+    phi = ComplexField(mu.domain, _on_grid(mu._ext, box, phi))
     return ImmersionResult(g=g, phi=phi, iterations=len(trace),
                            final_residual=trace[-1], trace=tuple(trace))
 
@@ -288,7 +298,7 @@ def beltrami_residual(h: ComplexField, mu: BeltramiField,
     rhs None means the homogeneous equation.
     """
     _same_domain("h, mu and rhs", h, mu, *([] if rhs is None else [rhs]))
-    res = _fd_beltrami_defect(h, mu.extended.samples)
+    res = _fd_beltrami_defect(h, mu._ext)
     if rhs is not None:
         box, inner = _interior(h.domain)
         res = res - rhs.samples[box][inner]

@@ -185,7 +185,7 @@ def estimate_contraction(mu: BeltramiField, iterations: int = 8,
     iterations = _integer(iterations, "iterations", 1)
     _check_method(method)
     beurling = _transform(mu.domain, method, "S")
-    m = mu.extended.samples
+    m = mu._ext.whole()
     magnitude = np.empty(m.shape)
     norm = float(np.max(np.abs(m, out=magnitude)))
     v = m

@@ -43,6 +43,15 @@ def test_memory_child_measures_every_row(bench_layers):
             assert child["kept"] <= 1.6, (row, child)
 
 
+def test_the_coefficient_row_reads_what_a_coefficient_holds(bench_layers):
+    # raw (one field) and mu_ext on its box: 1.38 fields at N = 64, 2.0
+    # while mu_ext was a whole field
+    assert "coefficient" in bench_layers.MEMORY_ROWS
+    child = bench_layers._memory_child(64, "coefficient")
+    assert 1.0 < child["fields"] <= 1.45, child
+    assert child["kept"] <= 0.01, child
+
+
 # The sweep's peaks at N = 64, in fields: 15.97 and 19.41 measured while
 # each d-bar result keeps its rhs on the support box of u only; 17.25 and
 # 27.58 while each kept its whole rhs, with the regularity report keeping

@@ -11,6 +11,7 @@ from beltrami import (
     ValidationError,
     cauchy_transform,
     constant_field,
+    cutoff_field,
     disc_indicator_field,
     exhaustion_solve,
     gaussian_bump_field,
@@ -228,6 +229,38 @@ def test_exhaustion_peak_does_not_grow_with_the_number_of_discs():
         peaks[discs] = peak
         assert kept <= 0.1, kept
     assert peaks[6] <= peaks[2] + 0.5, peaks
+
+
+def test_each_disc_takes_mu_and_u_without_a_new_check(monkeypatch):
+    # mu and u were checked when they were built: a disc forms its mu_ext on
+    # the cutoff's box and its tapered u with no validated copy.  Of the
+    # fields checked per disc, one is f and one the step's difference with
+    # the last disc, which the Taylor projection reads; mu's rebased raw,
+    # its whole mu_ext and the tapered u made three more
+    from beltrami import grid as grid_module
+    dom = disc_domain(64)
+    mu = BeltramiField.from_raw(_compact_bump(dom) * 0.1)
+    u = _compact_bump(dom)
+    cfg = SolverConfig(tol=1e-3)   # the step budgets, above the rounding of N = 64
+    checked, init = [], grid_module.ComplexField.__init__
+
+    def counted(field, domain, samples):
+        checked.append(domain)
+        init(field, domain, samples)
+
+    monkeypatch.setattr(grid_module.ComplexField, "__init__", counted)
+    counts = {}
+    for discs in (2, 4):
+        checked.clear()
+        f, trace = exhaustion_solve(mu, u, list(np.linspace(1.0, 2.0, discs)), 8, cfg)
+        counts[discs] = len(checked)
+    assert (counts[4] - counts[2]) / 2 == 2, counts
+    monkeypatch.undo()
+    # the last disc's rhs is that of a solve on fields built and checked there
+    last = f.domain
+    expected = solve_dbar(BeltramiField.from_raw(ComplexField(last, mu.raw.samples)),
+                          ComplexField(last, cutoff_field(last) * u.samples), cfg)
+    assert same_bits(trace.rhs.samples, expected.rhs.samples)
 
 
 def test_runge_failure_on_wide_data(dom128):

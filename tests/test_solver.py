@@ -18,6 +18,7 @@ from beltrami import (
     beltrami_residual,
     cauchy_transform,
     constant_field,
+    cutoff_field,
     disc_indicator_field,
     gaussian_bump_field,
     interior_mask,
@@ -573,6 +574,52 @@ def test_dbar_with_a_warm_started_immersion_matches_the_cold_solve(dom512,
     assert abs(d.interior_residual - c.interior_residual) <= 1e-9
     assert np.max(np.abs((warm.f - ref.f).samples)) <= 2 * SolverConfig().tol / (
         1 - mu.sup_norm)
+
+
+def test_immersion_phi_off_the_loop_box_is_the_cutoff_product(dom128):
+    # phi is mu_ext off the loop box, and mu_ext, held on its box, is read
+    # there as cutoff * raw: the signed zeros of a mu with negative parts
+    # come through bit for bit
+    for raw in (constant_field(dom128, -0.3 - 0.2j),
+                gaussian_bump_field(dom128, -0.4 + 0.2j, width=0.3)):
+        mu = BeltramiField.from_raw(raw)
+        phi = solve_immersion(mu).phi.samples
+        whole = cutoff_field(dom128) * raw.samples
+        off = np.ones(phi.shape, dtype=bool)
+        off[_support_box(whole)] = False
+        assert off.any() and np.signbit(whole[off].view(np.float64)).any()
+        assert same_bits(phi[off], whole[off])
+
+
+def test_every_loop_box_is_the_support_box_of_mu_ext_and_rhs(dom128, monkeypatch):
+    # the loop box is the hull of the boxes that mu_ext and the rhs are held
+    # on: the box a scan of the two whole fields gives
+    boxes, loop = [], solver_module._iterate
+
+    def recorded(m, r, phi, beurling, cfg):
+        boxes.append(beurling.box)
+        return loop(m, r, phi, beurling, cfg)
+
+    monkeypatch.setattr(solver_module, "_iterate", recorded)
+    narrow = BeltramiField.from_raw(disc_indicator_field(dom128, radius=0.3,
+                                                         width=0.2) * (0.4 - 0.1j))
+    wide, zero = mu_constant(dom128), BeltramiField.from_raw(constant_field(dom128, 0.0))
+    u = disc_indicator_field(dom128)
+    rhs = smooth_random_field(dom128, seed=3)
+    assert _support_box(narrow.extended.samples) != _support_box(u.samples)
+    for mu in (narrow, wide, zero):
+        m = mu.extended.samples
+        boxes.clear()
+        solve_immersion(mu)
+        assert boxes == [_support_box(m)]
+        boxes.clear()
+        result = solve_dbar(mu, u)
+        assert boxes == [_support_box(m), _support_box(m, result.rhs.samples)]
+        for r in (rhs, constant_field(dom128, 0.0), mu.extended):
+            boxes.clear()
+            neumann_solve(mu, r)
+            assert boxes == [_support_box(m, r.samples)]
+    assert _support_box(zero.extended.samples) == (slice(0, 0), slice(0, 0))
 
 
 def test_warm_started_iterate_equals_the_rhs_off_the_box(dom512):

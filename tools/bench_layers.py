@@ -48,6 +48,10 @@ the inputs once the call has returned and its result is dropped.  The rows
 are solve_immersion, solve_dbar, sweep.linear9 and beurling.quadrature as
 above, and
 
+    coefficient       BeltramiField.from_raw of mu = 0.3 constant, its raw
+                      field built in the call: "fields" is what the result
+                      holds while it is alive (raw and mu_ext), not a peak
+
     exhaust.3         exhaustion_solve on radii 1, 1.5, 2 with taylor_degree 8,
                       mu = 0 and u the disc indicator of radius 0.25, the data
                       of the shipped exhaust config (a nonzero mu inside the
@@ -112,8 +116,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # calls per row and round; ten times as many for the cheap rows
 SWEEP_REPEAT = 2  # calls of a 9-point sweep per round
 ROUNDS = 3  # child processes per tree and N
-MEMORY_ROWS = ("solve_immersion", "solve_dbar", "sweep.linear9", "beurling.quadrature",
-               "exhaust.3", "exhaust.11", "sweep.cli")
+MEMORY_ROWS = ("coefficient", "solve_immersion", "solve_dbar", "sweep.linear9",
+               "beurling.quadrature", "exhaust.3", "exhaust.11", "sweep.cli")
 CLI_CONFIGS = {"solve-beltrami": "solve_beltrami.json", "solve-dbar": "solve_dbar.json",
                "sweep-family": "sweep_family.json", "exhaust": "exhaust.json",
                "oracle-compare": "oracle_compare.json"}
@@ -187,8 +191,9 @@ def _child(resolution: int) -> dict:
 
 
 def _memory_child(resolution: int, row: str) -> dict:
-    """The tracemalloc peak of one cold call of ``row`` above its inputs, and
-    what it keeps once its result is dropped."""
+    """The tracemalloc peak of one cold call of ``row`` above its inputs (for
+    the coefficient row, what its result holds), and what it keeps once its
+    result is dropped."""
     import gc
     import tracemalloc
 
@@ -222,6 +227,7 @@ def _memory_child(resolution: int, row: str) -> dict:
             setattr(run, key, cli._INPUTS[key](spec, run))
 
     call = {
+        "coefficient": lambda: bl.BeltramiField.from_raw(bl.constant_field(domain, 0.3)),
         "solve_immersion": lambda: bl.solve_immersion(mu, cfg),
         "solve_dbar": lambda: bl.solve_dbar(mu, u, cfg),
         "sweep.linear9": lambda: bl.solve_family(
@@ -233,13 +239,16 @@ def _memory_child(resolution: int, row: str) -> dict:
     }[row]
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
-    call()   # the result is dropped here
+    result = call()
+    held = tracemalloc.get_traced_memory()[0]
+    del result
     gc.collect()   # cyclic garbage the call left, such as json's encoder closures
     kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     out.cleanup()
     field = 16 * resolution ** 2
-    return {"N": resolution, "row": row, "fields": (peak - base) / field,
+    fields = held if row == "coefficient" else peak
+    return {"N": resolution, "row": row, "fields": (fields - base) / field,
             "kept": (kept - base) / field}
 
 
@@ -383,7 +392,8 @@ def main(argv=None) -> int:
                    "'cpu_seconds' and 'cpu_spread' the same in CPU seconds "
                    "(time.process_time, every thread of the child)"),
         "memory_method": ("'fields': tracemalloc peak of the row's first call "
-                          "above its inputs, no transform table built "
+                          "above its inputs ('coefficient': what its result "
+                          "holds), no transform table built "
                           "beforehand; 'kept': allocated above the inputs after "
                           "the call returned and its result was dropped; one "
                           "child process per tree, N and row; in fields of "
