@@ -56,6 +56,7 @@ from .grid import (
     _shift,
     _splits,
     _support_box,
+    _unbuffered,
     omega_mask,
 )
 from .solver import (
@@ -521,7 +522,9 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
     else:
         immersion()
     g = beurling.out
-    if _above_tol(point, cfg, _box_sup(box, lambda key, at: m[key] * g[key] - phi[at])):
+    with _unbuffered():   # g is the padded apply buffer
+        immersion_residual = _box_sup(box, lambda key, at: m[key] * g[key] - phi[at])
+    if _above_tol(point, cfg, immersion_residual):
         return None
     rhs = np.empty_like(u.samples[support])
     denom, gmin = _dbar_data(m, g, u, support, rhs)
@@ -535,7 +538,8 @@ def _finish_series_point(family: FamilySpec, point: _SeriesPoint,
         np.add(rhs[_shift(both, rows.start)], on_support, out=on_support)
         return np.subtract(t, psi[at], out=t)
 
-    residual = _box_sup(box, defect)
+    with _unbuffered():
+        residual = _box_sup(box, defect)
     if _above_tol(point, cfg, residual):
         return None
     check_nondegenerate(gmin)
@@ -621,8 +625,9 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
             return
         for p in live:
             np.add(p.phi, np.multiply(p.b ** n, a, out=conj_g), out=p.phi)
-        np.conj(g, out=conj_g)
-        a = np.multiply(m0_box, g, out=a_buffer)
+        with _unbuffered():   # g is a view of the padded apply buffer
+            np.conj(g, out=conj_g)
+            a = np.multiply(m0_box, g, out=a_buffer)
 
     def s_of_c():
         # the psi sums owed for c_{n-1}, then c = mu_0 S(c_{n-1})
@@ -630,7 +635,9 @@ def _solve_linear_series(family: FamilySpec, u: ComplexField, cfg: SolverConfig)
         for p in owed:
             np.add(p.psi, np.multiply(p.b ** (n - 1), c, out=scratch), out=p.psi)
         owed.clear()
-        np.multiply(m0_box, second(c), out=c)
+        s = second(c)
+        with _unbuffered():
+            np.multiply(m0_box, s, out=c)
 
     n, size, nonfinite, owed = 0, 0.0, [], []
     while live and n < cfg.max_iter:

@@ -218,7 +218,7 @@ def _iterate(m: np.ndarray, r: np.ndarray, phi: np.ndarray,
     raise NoConvergence(phi, len(trace), trace[-1], tuple(trace))
 
 
-def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
+def _warm_start(mu: BeltramiField, r: _OnBox, cfg: SolverConfig,
                 beurling: _FourierApply, phi: np.ndarray) -> bool:
     """Write the N/2-grid solution, prolonged, into the box iterate phi.
 
@@ -226,7 +226,8 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
     resolved on the N/2 grid: every mode of their spectra outside the N/2
     band has amplitude |x^(k)| / N^2 <= cfg.tol.  ``beurling`` holds
     fft2(rhs) on entry, so the rhs test costs one scan of it; mu_ext is
-    transformed only when the rhs passes and is not mu_ext itself.  The two
+    transformed only when the rhs passes and does not equal mu_ext (whose
+    spectrum then has the rhs's amplitudes).  The two
     grids nest, so the N/2 problem takes mu_ext and rhs at even indices, on
     the same square, Omega and margin; it is solved cold by the same loop on
     its own support box, and its solution is zero-padded in the spectrum
@@ -246,7 +247,8 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
     if not beurling.resolved_at_half(cfg.tol):
         return False
     m = mu._ext
-    if m is not r:
+    own = m is r or m.equals(r)
+    if not own:
         beurling.forward(m[beurling.box])
         if not beurling.resolved_at_half(cfg.tol):
             beurling.forward(phi)   # fft2(rhs) again, for the cold loop
@@ -260,7 +262,7 @@ def _warm_start(mu: BeltramiField, r: np.ndarray, cfg: SolverConfig,
     try:
         guess = _iterate(cm[box], cr_box, guess, apply, cfg)[0]
     except NoConvergence:
-        if m is not r:
+        if not own:
             beurling.forward(phi)   # fft2(rhs) again, for the cold loop
         return False
     phi[...] = beurling.interpolate(_on_grid(cr, box, guess))

@@ -526,6 +526,26 @@ def test_refused_solves_are_bitwise_the_cold_loop(dom256, monkeypatch):
         assert warm.trace == ref.trace
 
 
+def test_an_rhs_equal_to_mu_ext_skips_its_second_transform(dom512, monkeypatch):
+    # neumann_solve(mu, mu.extended) hands a copy of mu_ext: the warm start
+    # reads its spectrum once, as solve_immersion does with mu's own reader
+    mu = mu_constant(dom512)
+    _FourierApply.beurling(mu.domain, (slice(0, 0),) * 2)   # dz_w, built by a forward
+    forwards, forward = [], _FourierApply.forward
+
+    def counted(apply, x):
+        forwards.append(apply.out.shape[0])
+        forward(apply, x)
+
+    monkeypatch.setattr(_FourierApply, "forward", counted)
+    result = neumann_solve(mu, mu.extended)
+    by_copy, forwards[:] = forwards[:], []
+    immersion = solve_immersion(mu)
+    assert 256 in by_copy   # the warm start ran
+    assert by_copy == forwards
+    assert same_bits(result.phi.samples, immersion.phi.samples)
+
+
 def _warm_corpus(dom):
     # sup|mu_ext| from 0.25 to 0.8; each is resolved on the N/2 grid at 512
     return {"bump-0.25": mu_bump(dom, 0.25), "constant-0.3": mu_constant(dom),
