@@ -212,28 +212,32 @@ def exhaustion_solve(mu: BeltramiField, u: ComplexField,
 
     def corrected(n: int, result: DbarResult, current: np.ndarray) -> tuple:
         """Step n's f less the Taylor polynomial of its difference with the
-        corrected samples of step n - 1, and the step's record."""
+        corrected samples of step n - 1, and the step's record.  The
+        difference is formed over ``current``, and the error on the previous
+        disc from the samples there only."""
         z = _geometry(base).coordinates()   # formed per step: not held by a solve
         prev_radius = radii[n - 2]
         prev_mask = np.abs(z) <= prev_radius
-        diff_samples = result.f.samples - current
-        diff = ComplexField(result.f.domain, diff_samples)
-        jet = taylor_project(diff, 0j, taylor_degree,
+        # f and current are finite: their difference takes no new check
+        diff = np.subtract(result.f.samples, current, out=current)
+        jet = taylor_project(ComplexField._of(result.f.domain, diff), 0j, taylor_degree,
                              CIRCLE_RADIUS_FRACTION * prev_radius)
         poly = jet.evaluate(z)
+        del z
         budget = budgets[n - 1]
-        approx_error = float(np.max(np.abs((diff_samples - poly)[prev_mask])))
+        poly_prev = poly[prev_mask]
+        approx_error = float(np.max(np.abs(diff[prev_mask] - poly_prev)))
         if approx_error > budget:
             raise RungeApproximationFailure(n, approx_error, budget)
         return result.f.samples - poly, ExhaustionStep(
             n, radii[n - 1], result.diagnostics.iterations,
-            float(np.max(np.abs(poly[prev_mask]))), approx_error, budget)
+            float(np.max(np.abs(poly_prev))), approx_error, budget)
 
     # A step keeps only the corrected samples of the last disc: the last
     # result, and with it its domain and that domain's tables, goes before
     # the next solve.
     result = solve_on(radii[0])
-    current = result.f.samples
+    current = result.f.samples.copy()   # the next step writes over it
     steps = [ExhaustionStep(1, radii[0], result.diagnostics.iterations,
                             0.0, 0.0, budgets[0])]
     for n, r in enumerate(radii[1:], start=2):

@@ -668,10 +668,10 @@ class _FormedMultiplier:
         """out = m * out, the multiplier the first operand, in the
         ``_row_blocks`` of out."""
         cols = slice(0, out.shape[1])
-        with _unbuffered():
-            for rows in _row_blocks(slice(0, out.shape[0]), out.shape[1]):
-                block = out[rows]
-                np.multiply(self[rows, cols], block, out=block)
+        for rows in _row_blocks(slice(0, out.shape[0]), out.shape[1]):
+            block, m = out[rows], self[rows, cols]   # forming m casts reals
+            with _unbuffered():
+                np.multiply(m, block, out=block)
 
 
 class _HalfBeurling:
@@ -1088,9 +1088,10 @@ class _FourierApply:
         profile = self.mean_profile
         if profile is None:
             return
-        with _unbuffered():
-            for lo, block in self._blocks(rows, cols):
-                np.add(block, self.mean * profile[lo:lo + block.shape[0], cols], out=block)
+        for lo, block in self._blocks(rows, cols):
+            p = profile[lo:lo + block.shape[0], cols]   # forming it casts reals
+            with _unbuffered():
+                np.add(block, self.mean * p, out=block)
 
     def resolved_at_half(self, bound: float) -> bool:
         """Whether every mode of the spectrum in out outside the band of the

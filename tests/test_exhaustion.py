@@ -229,14 +229,19 @@ def test_exhaustion_peak_does_not_grow_with_the_number_of_discs():
         peaks[discs] = peak
         assert kept <= 0.1, kept
     assert peaks[6] <= peaks[2] + 0.5, peaks
+    # 7.29 measured with the step's difference formed over the last disc's
+    # samples and its error read on the previous disc only; 8.50 while the
+    # difference took a checked copy and the error a whole-grid temporary
+    assert peaks[2] <= 7.5, peaks
 
 
 def test_each_disc_takes_mu_and_u_without_a_new_check(monkeypatch):
     # mu and u were checked when they were built: a disc forms its mu_ext on
-    # the cutoff's box and its tapered u with no validated copy.  Of the
-    # fields checked per disc, one is f and one the step's difference with
-    # the last disc, which the Taylor projection reads; mu's rebased raw,
-    # its whole mu_ext and the tapered u made three more
+    # the cutoff's box and its tapered u with no validated copy, and the
+    # step's difference with the last disc, which the Taylor projection
+    # reads, is formed from finite fields.  The one field checked per disc
+    # is f; mu's rebased raw, its whole mu_ext, the tapered u and the
+    # difference made four more
     from beltrami import grid as grid_module
     dom = disc_domain(64)
     mu = BeltramiField.from_raw(_compact_bump(dom) * 0.1)
@@ -254,7 +259,7 @@ def test_each_disc_takes_mu_and_u_without_a_new_check(monkeypatch):
         checked.clear()
         f, trace = exhaustion_solve(mu, u, list(np.linspace(1.0, 2.0, discs)), 8, cfg)
         counts[discs] = len(checked)
-    assert (counts[4] - counts[2]) / 2 == 2, counts
+    assert (counts[4] - counts[2]) / 2 == 1, counts
     monkeypatch.undo()
     # the last disc's rhs is that of a solve on fields built and checked there
     last = f.domain
